@@ -2,8 +2,9 @@
 """Benchmark the compiled amplitude kernels against the numpy fallback.
 
 Times the fused amplification step and the one-pass group statistics at
-several register sizes, plus a full dynamic round (mask draw + doubled
-step) composite.  Run from the repo root:
+several register sizes, plus a full dynamic round: mask draw, one
+statistics pass, and the doubled step applied as a per-group translation.
+Run from the repo root:
 
     python3 benchmarks/kernel_bench.py [--quick]
 """
@@ -15,6 +16,8 @@ import time
 import numpy as np
 
 from qamp import _kernels_py
+from qamp.core import SelectionMask
+from qamp.dynamic_search import _doubled_step, _GroupStats
 
 try:
     from qamp import _kernels
@@ -66,8 +69,11 @@ def bench_round(n: int, repeats: int) -> dict[str, float]:
         amps = np.full(size, 1.0 / math.sqrt(size))
 
         def one_round():
-            selected = rng.random(size) < probs
-            impl.doubled_step(amps, selected)
+            mask = SelectionMask(n, rng.random(size) < probs)
+            stats = _GroupStats(
+                *impl.selection_stats(amps, mask.selected), mask.count_selected, size
+            )
+            _doubled_step(amps, mask.indices, stats)
 
         one_round()
         out[name] = time_call(one_round, repeats)

@@ -36,15 +36,6 @@ def grover_step(amps, selected):
         _step(a, sel)
 
 
-def doubled_step(amps, selected):
-    """Two amplification steps with the same stored selection."""
-    cdef double[::1] a = amps
-    cdef const unsigned char[::1] sel = selected.view(np.uint8)
-    with nogil:
-        _step(a, sel)
-        _step(a, sel)
-
-
 def selection_stats(amps, selected):
     """Per-group sums over one pass: (sum_sel, sum_unsel, sumsq_sel, sumsq_unsel, min_unsel).
 

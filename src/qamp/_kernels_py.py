@@ -15,12 +15,6 @@ def grover_step(amps: np.ndarray, selected: np.ndarray) -> None:
     np.subtract(2.0 * mu, amps, out=amps)
 
 
-def doubled_step(amps: np.ndarray, selected: np.ndarray) -> None:
-    """Two amplification steps with the same stored selection."""
-    grover_step(amps, selected)
-    grover_step(amps, selected)
-
-
 def selection_stats(amps: np.ndarray, selected: np.ndarray):
     """Per-group sums over one pass: (sum_sel, sum_unsel, sumsq_sel, sumsq_unsel, min_unsel).
 

@@ -27,7 +27,6 @@ else:
         KERNEL_BACKEND = "python"
 
 grover_step = _impl.grover_step
-doubled_step = _impl.doubled_step
 selection_stats = _impl.selection_stats
 
 

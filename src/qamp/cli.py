@@ -394,7 +394,7 @@ def cmd_experiment(ns: argparse.Namespace) -> int:
     config = ExperimentConfig(
         experiment=ns.which,
         n=opts.get("n", int, None),
-        n_range=opts.get("n_range", _parse_n_range, (10, 14)),
+        n_range=opts.get("n_range", _parse_n_range, None),
         seeds=opts.get("seeds", int, 20),
         seed_base=opts.seed_base(0),
         beta=opts.get("beta", float, None),

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import backend
 from .errors import (
     DegenerateMaskError,
     NormalizationError,
@@ -194,8 +193,3 @@ def decompose(state: StateVector, mask: SelectionMask) -> Decomposition:
     sel_coeff, sel_signed = _group_coeff(state.amps[mask.selected])
     unsel_coeff, unsel_signed = _group_coeff(state.amps[~mask.selected])
     return Decomposition(sel_coeff, unsel_coeff, sel_signed, unsel_signed)
-
-
-def grover_step_inplace(amps: np.ndarray, selected: np.ndarray) -> None:
-    """In-place amplification step for engine loops (kernel-backed)."""
-    backend.grover_step(amps, selected)

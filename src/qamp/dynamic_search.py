@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from . import backend
-from .core import SelectionMask, StateVector, check_dims, uniform_init
+from .core import SelectionMask, StateVector, check_dims, probability_of, uniform_init
 from .errors import ValidityError
 
 VALIDITY_ATOL = 1e-9  # "positive" is tested as > -VALIDITY_ATOL to absorb float noise
@@ -175,43 +175,83 @@ def sample_mask(policy: SelectionPolicy, rng: np.random.Generator) -> SelectionM
     return SelectionMask(policy.n, u < policy.probabilities)
 
 
+class _GroupStats(NamedTuple):
+    """Per-group sums of a state along a mask, from one ``selection_stats`` pass."""
+
+    sum_sel: float
+    sum_unsel: float
+    sumsq_sel: float
+    sumsq_unsel: float
+    min_unsel: float  # +inf when every state is selected
+    n_selected: int
+    n_states: int
+
+    @classmethod
+    def of(cls, amps: np.ndarray, mask: SelectionMask) -> "_GroupStats":
+        return cls(*backend.selection_stats(amps, mask.selected), mask.count_selected, amps.size)
+
+    @property
+    def post_flip_mean(self) -> float:
+        return (self.sum_unsel - self.sum_sel) / self.n_states
+
+    def report(self) -> GainReport:
+        p_sel, p_unsel = self.sumsq_sel, self.sumsq_unsel
+        gain = p_sel / p_unsel if p_unsel > 0.0 else math.inf
+        if gain == 0.0:
+            ns_bound = math.inf
+        elif math.isinf(gain):
+            ns_bound = 0.0
+        else:
+            ns_bound = self.n_states / (2.0 * gain)
+        return GainReport(
+            p_selected=p_sel,
+            p_unselected=p_unsel,
+            gain=gain,
+            mean_amplitude=self.post_flip_mean,
+            min_unselected_amp=self.min_unsel,
+            ns_bound=ns_bound,
+            ns_actual=self.n_selected,
+        )
+
+    def translated(self, shift_sel: float, shift_unsel: float) -> "_GroupStats":
+        """Stats after adding ``shift_sel`` to every selected amplitude and
+        ``shift_unsel`` to every unselected one."""
+        n_sel, n_unsel = self.n_selected, self.n_states - self.n_selected
+        return _GroupStats(
+            self.sum_sel + n_sel * shift_sel,
+            self.sum_unsel + n_unsel * shift_unsel,
+            self.sumsq_sel + shift_sel * (2.0 * self.sum_sel + n_sel * shift_sel),
+            self.sumsq_unsel + shift_unsel * (2.0 * self.sum_unsel + n_unsel * shift_unsel),
+            self.min_unsel + shift_unsel,
+            n_sel,
+            self.n_states,
+        )
+
+
+def _doubled_step(amps: np.ndarray, selected_idx: np.ndarray, stats: _GroupStats) -> _GroupStats:
+    """Apply the amplification step twice with one mask, in place.
+
+    ``selected_idx`` holds the selected indices and ``stats`` the group sums of
+    ``amps`` along the same mask.  The steps reflect about the post-flip
+    means mu1 and mu2 = (2 mu1 (N - 2k) - sum_unsel - sum_sel) / N, which
+    adds 2 (mu2 + mu1) to every selected amplitude and 2 (mu2 - mu1) to
+    every unselected one.  Returns the stats after the step.
+    """
+    n_states, n_sel = stats.n_states, stats.n_selected
+    mu1 = stats.post_flip_mean
+    mu2 = (2.0 * mu1 * (n_states - 2 * n_sel) - stats.sum_unsel - stats.sum_sel) / n_states
+    shift_sel, shift_unsel = 2.0 * (mu2 + mu1), 2.0 * (mu2 - mu1)
+    amps += shift_unsel
+    amps[selected_idx] += shift_sel - shift_unsel
+    return stats.translated(shift_sel, shift_unsel)
+
+
 def dynamic_iteration(state: StateVector, mask: SelectionMask) -> StateVector:
     """Apply the amplification step twice with the same stored mask."""
     check_dims(state, mask)
     amps = state.amps.copy()
-    backend.doubled_step(amps, mask.selected)
+    _doubled_step(amps, mask.indices, _GroupStats.of(amps, mask))
     return StateVector(state.n, amps)
-
-
-def _stats(amps: np.ndarray, selected: np.ndarray, n_states: int):
-    sum_sel, sum_unsel, sumsq_sel, sumsq_unsel, min_unsel = backend.selection_stats(
-        amps, selected
-    )
-    post_flip_mean = (sum_unsel - sum_sel) / n_states
-    return sumsq_sel, sumsq_unsel, post_flip_mean, min_unsel
-
-
-def _report(amps: np.ndarray, mask: SelectionMask, n_states: int) -> GainReport:
-    p_sel, p_unsel, post_flip_mean, min_unsel = _stats(amps, mask.selected, n_states)
-    if p_unsel > 0.0:
-        gain = p_sel / p_unsel
-    else:
-        gain = math.inf
-    if gain == 0.0:
-        ns_bound = math.inf
-    elif math.isinf(gain):
-        ns_bound = 0.0
-    else:
-        ns_bound = n_states / (2.0 * gain)
-    return GainReport(
-        p_selected=p_sel,
-        p_unselected=p_unsel,
-        gain=gain,
-        mean_amplitude=post_flip_mean,
-        min_unselected_amp=min_unsel,
-        ns_bound=ns_bound,
-        ns_actual=mask.count_selected,
-    )
 
 
 def gain_report(state: StateVector, mask: SelectionMask) -> GainReport:
@@ -221,16 +261,16 @@ def gain_report(state: StateVector, mask: SelectionMask) -> GainReport:
     complete.
     """
     check_dims(state, mask)
-    return _report(state.amps, mask, state.size)
+    return _GroupStats.of(state.amps, mask).report()
 
 
 def progress_conditions(state: StateVector, mask: SelectionMask) -> ProgressConditions:
     """Evaluate the productive-round prerequisites for a state/mask pair."""
     check_dims(state, mask)
-    _, _, post_flip_mean, min_unsel = _stats(state.amps, mask.selected, state.size)
+    stats = _GroupStats.of(state.amps, mask)
     return ProgressConditions(
-        mean_amplitude=post_flip_mean,
-        min_unselected_amp=min_unsel,
+        mean_amplitude=stats.post_flip_mean,
+        min_unselected_amp=stats.min_unsel,
         ns_actual=mask.count_selected,
         n_states=state.size,
     )
@@ -307,54 +347,37 @@ def run_dynamic(
     policy_mass: list[float] = []
     watched_mass: list[float] | None = None if watch_mask is None else []
     restarts: list[int] = []
-
-    def current_policy_mass() -> float:
-        if probs is None:
-            sel = amps[policy.mask.selected]
-            return float(sel @ sel)
-        return float(probs @ (amps * amps))
-
     best_amps = amps.copy() if keep_best else None
-    best_score = current_policy_mass() if keep_best else 0.0
+    # the policy mass of the uniform state
+    best_score = policy.expected_selected() / n_states if keep_best else 0.0
     best_round = 0
+    violation: _GroupStats | None = None
 
     for round_index in range(rounds):
         mask = sample_mask(policy, rng)
-        _, _, post_flip_mean, min_unsel = _stats(amps, mask.selected, n_states)
-        if post_flip_mean < -VALIDITY_ATOL or min_unsel < -VALIDITY_ATOL:
+        stats = _GroupStats.of(amps, mask)
+        if stats.post_flip_mean < -VALIDITY_ATOL or stats.min_unsel < -VALIDITY_ATOL:
             if on_violation == "abort":
-                log = DynamicRunLog(
-                    n,
-                    round_index,
-                    tuple(indices),
-                    tuple(reports),
-                    tuple(policy_mass),
-                    None if watched_mass is None else tuple(watched_mass),
-                    best_round if keep_best else None,
-                    tuple(restarts),
-                )
-                raise ValidityError(
-                    f"round {round_index} would start from an unproductive state "
-                    f"(post-flip mean {post_flip_mean:.3e}, min unselected {min_unsel:.3e})",
-                    state=StateVector(n, amps.copy()),
-                    log=log,
-                    round_index=round_index,
-                )
+                violation = stats
+                break
             amps = uniform_init(n).amps
+            # the uniform state is the zero state translated by 1/sqrt(N)
+            k, amp = mask.count_selected, 1.0 / math.sqrt(n_states)
+            zero = _GroupStats(0.0, 0.0, 0.0, 0.0, 0.0 if k < n_states else math.inf, k, n_states)
+            stats = zero.translated(amp, amp)
             restarts.append(round_index)
-        backend.doubled_step(amps, mask.selected)
-        indices.append(mask.indices.astype(np.int64))
-        report = _report(amps, mask, n_states)
+        selected_idx = mask.indices.astype(np.int64, copy=False)
+        report = _doubled_step(amps, selected_idx, stats).report()
+        indices.append(selected_idx)
         reports.append(report)
-        mass = current_policy_mass()
+        mass = report.p_selected if probs is None else float(probs @ (amps * amps))
         policy_mass.append(mass)
         if keep_best and mass > best_score:
             best_score = mass
             best_amps = amps.copy()
             best_round = round_index + 1
         if watched_mass is not None:
-            sel = amps[watch_mask.selected]
-            watched_mass.append(float(sel @ sel))
+            watched_mass.append(probability_of(StateVector(n, amps), watch_mask))
         if stop_above is not None:
             observed = watched_mass[-1] if watched_mass is not None else report.p_selected
             if observed > stop_above:
@@ -370,20 +393,17 @@ def run_dynamic(
         best_round if keep_best else None,
         tuple(restarts),
     )
+    if violation is not None:
+        raise ValidityError(
+            f"round {log.rounds} would start from an unproductive state "
+            f"(post-flip mean {violation.post_flip_mean:.3e}, "
+            f"min unselected {violation.min_unsel:.3e})",
+            state=StateVector(n, amps),
+            log=log,
+            round_index=log.rounds,
+        )
     final = best_amps if keep_best else amps
     return StateVector(n, final), log
-
-
-def _group_means(amps: np.ndarray, selected: np.ndarray) -> OrderingWitness:
-    sel = amps[selected]
-    unsel = amps[~selected]
-    if sel.size == 0:
-        value = float(unsel.mean())
-        return OrderingWitness(value, value)
-    if unsel.size == 0:
-        value = float(sel.mean())
-        return OrderingWitness(value, value)
-    return OrderingWitness(float(sel.mean()), float(unsel.mean()))
 
 
 def ordering_witness(n: int, first_mask: SelectionMask, doubled: bool = False) -> OrderingWitness:
@@ -397,10 +417,17 @@ def ordering_witness(n: int, first_mask: SelectionMask, doubled: bool = False) -
     if first_mask.n != n:
         raise ValueError(f"mask has n={first_mask.n}, expected {n}")
     amps = uniform_init(n).amps
-    step = backend.doubled_step if doubled else backend.grover_step
-    step(amps, first_mask.selected)
-    step(amps, np.zeros(1 << n, dtype=bool))
-    return _group_means(amps, first_mask.selected)
+    for mask in (first_mask, SelectionMask.empty(n)):
+        if doubled:
+            _doubled_step(amps, mask.indices, _GroupStats.of(amps, mask))
+        else:
+            backend.grover_step(amps, mask.selected)
+    stats = _GroupStats.of(amps, first_mask)
+    n_sel, n_unsel = stats.n_selected, stats.n_states - stats.n_selected
+    # an empty group takes the other group's mean
+    sel_mean = stats.sum_sel / n_sel if n_sel else stats.sum_unsel / n_unsel
+    unsel_mean = stats.sum_unsel / n_unsel if n_unsel else sel_mean
+    return OrderingWitness(sel_mean, unsel_mean)
 
 
 def replay_round_states(log: DynamicRunLog) -> Sequence[StateVector]:
@@ -408,6 +435,7 @@ def replay_round_states(log: DynamicRunLog) -> Sequence[StateVector]:
     amps = uniform_init(log.n).amps
     states = [StateVector(log.n, amps.copy())]
     for round_index in range(log.rounds):
-        backend.doubled_step(amps, log.mask(round_index).selected)
+        mask = log.mask(round_index)
+        _doubled_step(amps, mask.indices, _GroupStats.of(amps, mask))
         states.append(StateVector(log.n, amps.copy()))
     return states

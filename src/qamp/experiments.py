@@ -25,6 +25,7 @@ from .dynamic_search import (
     default_rounds,
     dynamic_iteration,
     gain_bound,
+    gain_report,
     ordering_witness,
     progress_conditions,
     replay_round_states,
@@ -372,11 +373,9 @@ def _gain_bound_check(n: int, trials: int, rng) -> CheckResult:
             # strictly positive beyond float noise: N/4-sized masks land on 0
             next_positive = bool(unsel_next.size) and float(unsel_next.min()) > 1e-9
             if next_positive:
-                sel = state.amps[mask.selected]
-                unsel = state.amps[~mask.selected]
-                p_unsel = float(unsel @ unsel)
-                if p_unsel > 0.0:
-                    ratio = (float(sel @ sel) / p_unsel) / bound
+                report = gain_report(state, mask)
+                if not report.complete:
+                    ratio = report.gain / bound
                     worst = max(worst, ratio)
                     ok = ok and ratio < 1.0
             state = nxt

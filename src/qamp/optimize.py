@@ -195,15 +195,7 @@ def dynamic_optimize(
     """
     policy = build_optimization_policy(table, rng, sample_budget=sample_budget)
     if _is_flat_policy(policy):
-        candidates = sample(uniform_init(table.n), rng, size=_CANDIDATE_COUNT)
-        best_index = int(candidates[0])
-        return OptimizationResult(
-            best_index=best_index,
-            best_value=float(table.values[best_index]),
-            grover_iterations_total=0,
-            outer_rounds=0,
-            optimal=True,
-        )
+        return _best_of_candidates(table, uniform_init(table.n), rng, iterations=0, rounds=0)
 
     rounds = nominal_rounds(table.n)
     state, log = run_dynamic(

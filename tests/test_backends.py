@@ -1,12 +1,24 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qamp import _kernels_py, backend
 
-compiled = pytest.importorskip("qamp._kernels", reason="compiled kernels not built")
+try:
+    from qamp import _kernels as compiled
+except ImportError:
+    compiled = None
+
+ROOT = Path(__file__).resolve().parents[1]
+needs_compiled = pytest.mark.skipif(compiled is None, reason="compiled kernels not built")
+IMPLS = [
+    pytest.param(compiled, id="compiled", marks=needs_compiled),
+    pytest.param(_kernels_py, id="python"),
+]
 
 
 def random_case(n, seed, density=0.3):
@@ -17,6 +29,7 @@ def random_case(n, seed, density=0.3):
     return amps, selected
 
 
+@needs_compiled
 @pytest.mark.parametrize("n", [1, 4, 8, 12])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_step_parity(n, seed):
@@ -28,15 +41,7 @@ def test_step_parity(n, seed):
         np.testing.assert_allclose(a_c, a_py, rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("n", [2, 6, 10])
-def test_doubled_step_parity(n):
-    amps, selected = random_case(n, seed=7)
-    a_c, a_py = amps.copy(), amps.copy()
-    compiled.doubled_step(a_c, selected)
-    _kernels_py.doubled_step(a_py, selected)
-    np.testing.assert_allclose(a_c, a_py, rtol=0, atol=1e-12)
-
-
+@needs_compiled
 @pytest.mark.parametrize("density", [0.0, 0.3, 1.0])
 def test_stats_parity(density):
     amps, selected = random_case(8, seed=3, density=density)
@@ -48,14 +53,14 @@ def test_stats_parity(density):
         )
 
 
-def test_stats_full_mask_infinite_min():
+@pytest.mark.parametrize("impl", IMPLS)
+def test_stats_full_mask_infinite_min(impl):
     amps, _ = random_case(5, seed=1)
     selected = np.ones(32, dtype=bool)
-    assert np.isinf(compiled.selection_stats(amps, selected)[4])
-    assert np.isinf(_kernels_py.selection_stats(amps, selected)[4])
+    assert np.isinf(impl.selection_stats(amps, selected)[4])
 
 
-@pytest.mark.parametrize("impl", [compiled, _kernels_py], ids=["compiled", "python"])
+@pytest.mark.parametrize("impl", IMPLS)
 def test_bitwise_determinism(impl):
     # identical inputs give bit-identical outputs on repeat runs
     amps, selected = random_case(10, seed=9)
@@ -79,7 +84,8 @@ def test_env_override_forces_python_backend():
     )
     proc = subprocess.run(
         [sys.executable, "-c", code],
-        env={"PATH": "/usr/bin:/bin", "QAMP_KERNEL": "python"},
+        env={**os.environ, "QAMP_KERNEL": "python"},
+        cwd=ROOT,
         capture_output=True,
         text=True,
     )
@@ -90,6 +96,7 @@ def test_env_override_forces_python_backend():
 def test_benchmark_smoke():
     proc = subprocess.run(
         [sys.executable, "benchmarks/kernel_bench.py", "--quick"],
+        cwd=ROOT,
         capture_output=True,
         text=True,
     )

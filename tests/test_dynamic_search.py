@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from qamp import (
     DynamicRunLog,
+    GainReport,
     SelectionMask,
     SelectionPolicy,
     StateVector,
@@ -28,6 +30,7 @@ from qamp import (
     uniform_init,
 )
 from qamp.core import oracle_flip, invert_about_mean
+from qamp.dynamic_search import _doubled_step, _GroupStats
 
 
 def random_state(n, seed):
@@ -411,13 +414,92 @@ def test_selection_count_ordering_exhaustive(n, rounds):
     assert checked > 0
 
 
+def dense_doubled_step(state, mask):
+    for _ in range(2):
+        state = invert_about_mean(oracle_flip(state, mask))
+    return state
+
+
+def dense_report(state, mask):
+    """GainReport computed directly from the dense amplitudes."""
+    sel = state.amps[mask.selected]
+    unsel = state.amps[~mask.selected]
+    p_sel, p_unsel = float(sel @ sel), float(unsel @ unsel)
+    gain = p_sel / p_unsel if p_unsel > 0.0 else math.inf
+    if gain == 0.0:
+        ns_bound = math.inf
+    elif math.isinf(gain):
+        ns_bound = 0.0
+    else:
+        ns_bound = state.size / (2.0 * gain)
+    return GainReport(
+        p_selected=p_sel,
+        p_unselected=p_unsel,
+        gain=gain,
+        mean_amplitude=float(oracle_flip(state, mask).amps.mean()),
+        min_unselected_amp=float(unsel.min()) if unsel.size else math.inf,
+        ns_bound=ns_bound,
+        ns_actual=mask.count_selected,
+    )
+
+
+def assert_reports_close(got, want, tol=1e-12):
+    # gain and ns_bound are ratios of masses, so a mass of 1e-5 off by 1e-16
+    # moves them by 1e-11 relative; atan maps them back to mass-sized errors
+    for field in dataclasses.fields(GainReport):
+        value, expected = getattr(got, field.name), getattr(want, field.name)
+        assert type(value) is type(expected), field.name
+        if field.name in ("gain", "ns_bound"):
+            value, expected = math.atan(value), math.atan(expected)
+        assert value == pytest.approx(expected, rel=0, abs=tol), field.name
+
+
 @settings(max_examples=40, deadline=None)
-@given(n=st.integers(1, 10), seed=st.integers(0, 2**31))
-def test_doubling_identity_property(n, seed):
+@given(n=st.integers(1, 10), seed=st.integers(0, 2**31), density=st.floats(0.0, 1.0))
+def test_doubling_identity_property(n, seed, density):
     state = random_state(n, seed)
     for mask in (SelectionMask.empty(n), SelectionMask.full(n)):
         after = dynamic_iteration(state, mask)
         assert float(np.linalg.norm(after.amps - state.amps)) <= 1e-10
+    random_mask = SelectionMask(n, np.random.default_rng(seed).random(1 << n) < density)
+    for mask in (SelectionMask.empty(n), SelectionMask.full(n), random_mask):
+        after = dynamic_iteration(state, mask)
+        reference = dense_doubled_step(state, mask)
+        np.testing.assert_allclose(after.amps, reference.amps, rtol=0, atol=1e-12)
+        amps = state.amps.copy()
+        closed_form = _doubled_step(amps, mask.indices, _GroupStats.of(amps, mask)).report()
+        assert_reports_close(closed_form, gain_report(after, mask))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(2, 8),
+    seed=st.integers(0, 2**31),
+    scale=st.floats(0.0, 0.8),
+    static=st.booleans(),
+)
+def test_run_dynamic_matches_dense_replay(n, seed, scale, static):
+    rng = np.random.default_rng(seed)
+    if static:
+        policy = SelectionPolicy.static(SelectionMask(n, rng.random(1 << n) < scale))
+    else:
+        policy = SelectionPolicy.probabilistic(n, scale * rng.random(1 << n))
+    final, log = run_dynamic(n, policy, rng, rounds=8, keep_best=True, on_violation="restart")
+    state = best = uniform_init(n)
+    for i in range(log.rounds):
+        if i in log.restart_rounds:
+            state = uniform_init(n)
+        mask = log.mask(i)
+        state = dense_doubled_step(state, mask)
+        assert_reports_close(log.gain_trajectory[i], dense_report(state, mask))
+        if policy.is_static:
+            mass = probability_of(state, policy.mask)
+        else:
+            mass = float(policy.probabilities @ state.probabilities())
+        assert log.policy_mass_by_round[i] == pytest.approx(mass, rel=0, abs=1e-12)
+        if i + 1 == log.best_round:
+            best = state
+    np.testing.assert_allclose(final.amps, best.amps, rtol=0, atol=1e-12)
 
 
 def test_log_validation():

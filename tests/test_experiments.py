@@ -242,6 +242,16 @@ class TestCli:
         ])
         assert bad == 3
 
+    def test_experiment_corollaries_default_range_runs_guarded_check(self, tmp_path, capsys):
+        rc = main([
+            "experiment", "corollaries", "--seeds", "2",
+            "--out", str(tmp_path), "--format", "csv",
+        ])
+        assert rc == 0
+        rows = [line for line in read_lines(tmp_path / "corollaries.csv")
+                if line.startswith("guarded-run-validity,")]
+        assert rows
+
     def test_experiment_bad_range_exit(self, capsys):
         assert main(["experiment", "steps", "--n-range", "5:40"]) == 2
 

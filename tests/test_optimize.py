@@ -170,6 +170,17 @@ class TestDynamicOptimize:
         assert result.grover_iterations_total == 0
         assert result.optimal
 
+    def test_one_needle_optimal_flag_is_true_statement(self):
+        # the probes all miss the needle, so the policy looks flat; the
+        # answer is then the best of uniform samples, rarely the needle
+        values = np.ones(1 << 12)
+        values[1234] = 0.0
+        table = ObjectiveTable(12, values, Sense.MIN)
+        for seed in range(20):
+            result = dynamic_optimize(table, np.random.default_rng(seed))
+            assert result.best_value == table.values[result.best_index]
+            assert result.optimal == (result.best_value == 0.0)
+
     def test_fewer_iterations_than_threshold_loop(self):
         dyn, thresh = [], []
         for seed in range(50):
