@@ -2,9 +2,11 @@
 """Benchmark the compiled amplitude kernels against the numpy fallback.
 
 Times the fused amplification step and the one-pass group statistics at
-several register sizes, plus a full dynamic round: mask draw, one
-statistics pass, and the doubled step applied as a per-group translation.
-Run from the repo root:
+several register sizes, plus a full dynamic round: on a dense state (mask
+draw, one statistics pass, and the doubled step applied as a per-group
+translation) per kernel backend, and on the touched set that
+``run_dynamic`` keeps (mask draw, statistics and step of ``_TouchedSet``;
+the draw is class-wise from 2**15 states up).  Run from the repo root:
 
     python3 benchmarks/kernel_bench.py [--quick]
 """
@@ -17,7 +19,8 @@ import numpy as np
 
 from qamp import _kernels_py
 from qamp.core import SelectionMask
-from qamp.dynamic_search import _doubled_step, _GroupStats
+from qamp.dynamic_search import _doubled_step, _GroupStats, _TouchedSet, default_rounds
+from qamp.recommend import SimilaritySpec, calibrate_beta, similarity_policy
 
 try:
     from qamp import _kernels
@@ -77,7 +80,24 @@ def bench_round(n: int, repeats: int) -> dict[str, float]:
 
         one_round()
         out[name] = time_call(one_round, repeats)
+    out["touched"] = bench_touched_round(n, repeats)
     return out
+
+
+def bench_touched_round(n: int, repeats: int) -> float:
+    """One touched-set round under a similarity policy calibrated to m = 5,
+    timed after a schedule's worth of rounds has grown the touched set."""
+    policy = similarity_policy(SimilaritySpec(n, 0), calibrate_beta(n, 5.0))
+    rng = np.random.default_rng(7)
+    touched = _TouchedSet(policy)
+
+    def one_round():
+        mask = touched.draw(rng)
+        touched.step(mask, touched.stats(mask))
+
+    for _ in range(default_rounds(n, policy)):
+        one_round()
+    return time_call(one_round, repeats)
 
 
 def main() -> None:
@@ -103,6 +123,8 @@ def main() -> None:
             )
             if _kernels is not None:
                 row += f"  {times['python'] / times['compiled']:>6.2f}x"
+            if "touched" in times:
+                row += f"  touched-set round {times['touched'] * 1e6:.2f} us"
             print(row)
 
 

@@ -5,8 +5,10 @@ Subcommands: ``grover``, ``dynamic``, ``recommend``, ``optimize`` and
 (``--config``) mirrors the flags; explicit flags override file entries,
 and the ``QAMP_SEED`` environment variable is the fallback seed base.
 
-Exit codes: 0 success, 2 config error, 3 invariant or validity failure,
-4 under-amplified / not found.
+Exit codes: 0 success, 2 config error (bad flags, an unreadable or
+malformed --config/--catalog/--objective file, a qubit count outside
+[1, MAX_QUBITS]), 3 invariant or validity failure, 4 under-amplified /
+not found.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import SelectionMask
+from .core import SelectionMask, check_qubit_count
 from .dynamic_search import default_rounds, run_dynamic
 from .errors import (
     ConfigError,
@@ -146,6 +148,7 @@ def _fmt(opts: _Options) -> str:
 def cmd_grover(ns: argparse.Namespace) -> int:
     opts = _Options(ns)
     n = opts.get("n", int, 4)
+    check_qubit_count(n)
     seed = opts.seed()
     rng = np.random.default_rng(seed)
     marked_text = opts.get("marked", str, None)
@@ -154,6 +157,8 @@ def cmd_grover(ns: argparse.Namespace) -> int:
         mask = SelectionMask.from_indices(n, indices)
     else:
         m = opts.get("m", int, 1)
+        if not 0 <= m <= 1 << n:
+            raise ConfigError(f"marked count must be in [0, {1 << n}], got {m}")
         indices = rng.choice(1 << n, size=m, replace=False)
         mask = SelectionMask.from_indices(n, indices)
     unknown = bool(opts.get("unknown_m", _parse_bool, False))
@@ -277,7 +282,12 @@ def cmd_recommend(ns: argparse.Namespace) -> int:
     spec = SimilaritySpec(n, reference)
     params = _similarity_params(opts, n, fallback_target=float(max(1, m)))
     catalog_path = opts.get("catalog", str, None)
-    catalog = load_catalog(catalog_path, n) if catalog_path else None
+    catalog = None
+    if catalog_path:
+        try:
+            catalog = load_catalog(catalog_path, n)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot load catalog {catalog_path}: {exc}") from exc
     t0 = time.perf_counter()
     result = recommend(spec, m, params, rng, catalog=catalog)
     wall_ms = (time.perf_counter() - t0) * 1e3
@@ -336,7 +346,10 @@ def cmd_optimize(ns: argparse.Namespace) -> int:
     objective = opts.get("objective", str, None)
     if not objective:
         raise ConfigError("optimize requires --objective <path>")
-    table = load_objective(objective)
+    try:
+        table = load_objective(objective)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot load objective {objective}: {exc}") from exc
     method = opts.get("method", str, "durr-hoyer")
     if method not in ("durr-hoyer", "dynamic"):
         raise ConfigError(f"method must be durr-hoyer or dynamic, got {method!r}")

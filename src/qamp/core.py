@@ -26,6 +26,12 @@ NORM_ATOL = 1e-9
 SAMPLE_NORM_ATOL = 1e-6
 
 
+def check_qubit_count(n: int) -> None:
+    """Reject a qubit count outside [1, MAX_QUBITS] before anything of size 2**n exists."""
+    if not 1 <= n <= MAX_QUBITS:
+        raise SizeError(f"qubit count must be in [1, {MAX_QUBITS}], got {n}")
+
+
 @dataclass(frozen=True)
 class StateVector:
     """Amplitudes over the computational basis of an n-qubit register."""
@@ -34,8 +40,7 @@ class StateVector:
     amps: np.ndarray
 
     def __post_init__(self):
-        if not 1 <= self.n <= MAX_QUBITS:
-            raise SizeError(f"qubit count must be in [1, {MAX_QUBITS}], got {self.n}")
+        check_qubit_count(self.n)
         amps = np.asarray(self.amps, dtype=np.float64)
         if amps.shape != (1 << self.n,):
             raise ShapeMismatchError(
@@ -63,6 +68,7 @@ class SelectionMask:
     count_selected: int = field(init=False)
 
     def __post_init__(self):
+        check_qubit_count(self.n)
         selected = np.asarray(self.selected, dtype=bool)
         if selected.shape != (1 << self.n,):
             raise ShapeMismatchError(
@@ -73,6 +79,7 @@ class SelectionMask:
 
     @classmethod
     def from_indices(cls, n: int, indices) -> "SelectionMask":
+        check_qubit_count(n)
         selected = np.zeros(1 << n, dtype=bool)
         idx = np.asarray(indices, dtype=np.int64)
         if idx.size and (idx.min() < 0 or idx.max() >= (1 << n)):
@@ -82,10 +89,12 @@ class SelectionMask:
 
     @classmethod
     def empty(cls, n: int) -> "SelectionMask":
+        check_qubit_count(n)
         return cls(n, np.zeros(1 << n, dtype=bool))
 
     @classmethod
     def full(cls, n: int) -> "SelectionMask":
+        check_qubit_count(n)
         return cls(n, np.ones(1 << n, dtype=bool))
 
     @property
@@ -128,8 +137,7 @@ def check_dims(state: StateVector, mask: SelectionMask) -> None:
 
 def uniform_init(n: int) -> StateVector:
     """Equal-amplitude superposition over all N = 2**n basis states."""
-    if not 1 <= n <= MAX_QUBITS:
-        raise SizeError(f"qubit count must be in [1, {MAX_QUBITS}], got {n}")
+    check_qubit_count(n)
     size = 1 << n
     return StateVector(n, np.full(size, 1.0 / math.sqrt(size)))
 

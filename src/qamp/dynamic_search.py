@@ -17,29 +17,54 @@ a target gain G.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from . import backend
-from .core import SelectionMask, StateVector, check_dims, probability_of, uniform_init
-from .errors import ValidityError
+from .core import SelectionMask, StateVector, check_dims, check_qubit_count, uniform_init
+from .errors import ShapeMismatchError, ValidityError
 
 VALIDITY_ATOL = 1e-9  # "positive" is tested as > -VALIDITY_ATOL to absorb float noise
+# Spaces this large draw class-policy masks class-wise.  A class-wise round
+# has a fixed cost of ~50 numpy and Python steps for its picks, as much as a
+# per-state draw over 2**14 to 2**15 states (measured for m = 5 to 50), so
+# smaller spaces draw from a per-state table built once per run.
+CLASS_DRAW_MIN_STATES = 1 << 15
 
 
 @dataclass(frozen=True)
 class SelectionPolicy:
-    """Either a fixed mask or a per-state selection probability table."""
+    """Which states a round selects: a fixed mask, a per-state probability
+    table, or one probability per similarity class.
+
+    The class form selects state x with probability
+    ``class_probabilities[S(x)]``, where S(x) = n - popcount(x ^ reference)
+    is its similarity to ``reference``; with a ``catalog`` only catalog
+    members can be selected.  On spaces of ``CLASS_DRAW_MIN_STATES`` states
+    or more, runs under it never build a per-state table.
+    """
 
     n: int
     mask: SelectionMask | None = None
     probabilities: np.ndarray | None = None
+    class_probabilities: np.ndarray | None = None
+    reference: int = 0
+    catalog: np.ndarray | None = None
+    # class form only: member count of each class (within the catalog, if any)
+    class_sizes: np.ndarray | None = field(default=None, init=False, repr=False)
+    # class form only: the members of each class, all of them with a catalog,
+    # else each class on first use
+    _members: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if (self.mask is None) == (self.probabilities is None):
-            raise ValueError("exactly one of mask / probabilities must be given")
+        check_qubit_count(self.n)
+        forms = (self.mask, self.probabilities, self.class_probabilities)
+        if sum(form is not None for form in forms) != 1:
+            raise ValueError(
+                "exactly one of mask / probabilities / class_probabilities must be given"
+            )
         if self.mask is not None and self.mask.n != self.n:
             raise ValueError(f"mask has n={self.mask.n}, policy has n={self.n}")
         if self.probabilities is not None:
@@ -49,6 +74,30 @@ class SelectionPolicy:
                     f"expected {1 << self.n} selection probabilities, got shape {probs.shape}"
                 )
             object.__setattr__(self, "probabilities", probs)
+        if self.class_probabilities is None:
+            if self.catalog is not None:
+                raise ValueError("a catalog needs per-class probabilities")
+            return
+        probs = np.clip(np.asarray(self.class_probabilities, dtype=np.float64), 0.0, 1.0)
+        if probs.shape != (self.n + 1,):
+            raise ValueError(
+                f"expected {self.n + 1} per-class probabilities, got shape {probs.shape}"
+            )
+        object.__setattr__(self, "class_probabilities", probs)
+        if not 0 <= self.reference < (1 << self.n):
+            raise ShapeMismatchError(f"reference {self.reference} out of range for n={self.n}")
+        if self.catalog is None:
+            sizes = np.array([math.comb(self.n, s) for s in range(self.n + 1)], dtype=np.int64)
+        else:
+            catalog = np.unique(np.asarray(self.catalog, dtype=np.int64))
+            if catalog.size and (catalog[0] < 0 or catalog[-1] >= (1 << self.n)):
+                raise ShapeMismatchError(f"catalog item out of range for n={self.n}")
+            object.__setattr__(self, "catalog", catalog)
+            classes = self.class_of(catalog)
+            sizes = np.bincount(classes, minlength=self.n + 1)
+            by_class = catalog[np.argsort(classes, kind="stable")]
+            self._members.update(enumerate(np.split(by_class, np.cumsum(sizes)[:-1])))
+        object.__setattr__(self, "class_sizes", sizes)
 
     @classmethod
     def static(cls, mask: SelectionMask) -> "SelectionPolicy":
@@ -60,8 +109,17 @@ class SelectionPolicy:
 
     @classmethod
     def from_rule(cls, n: int, rule: Callable[[int], float]) -> "SelectionPolicy":
+        check_qubit_count(n)
         probs = np.array([rule(x) for x in range(1 << n)], dtype=np.float64)
         return cls.probabilistic(n, probs)
+
+    @classmethod
+    def by_similarity(
+        cls, n: int, reference: int, class_probabilities, catalog=None
+    ) -> "SelectionPolicy":
+        return cls(
+            n, class_probabilities=class_probabilities, reference=reference, catalog=catalog
+        )
 
     @property
     def is_static(self) -> bool:
@@ -71,7 +129,58 @@ class SelectionPolicy:
         """Expected number of selected states per round."""
         if self.mask is not None:
             return float(self.mask.count_selected)
-        return float(self.probabilities.sum())
+        if self.probabilities is not None:
+            return float(self.probabilities.sum())
+        return float(self.class_sizes @ self.class_probabilities)
+
+    def state_probabilities(self) -> np.ndarray:
+        """The selection probability of every state, as one table of N entries."""
+        if self.mask is not None:
+            return self.mask.selected.astype(np.float64)
+        if self.probabilities is not None:
+            return self.probabilities
+        probs = self.class_probabilities[self.class_of(np.arange(1 << self.n))]
+        if self.catalog is not None:
+            in_catalog = np.zeros(1 << self.n, dtype=bool)
+            in_catalog[self.catalog] = True
+            probs[~in_catalog] = 0.0
+        return probs
+
+    def class_of(self, indices: np.ndarray) -> np.ndarray:
+        """Similarity class n - popcount(x ^ reference) of each state."""
+        return self.n - np.bitwise_count(indices ^ self.reference).astype(np.int64)
+
+    def class_members(self, s: int) -> np.ndarray:
+        """Members of similarity class ``s`` (within the catalog, if any)."""
+        if s not in self._members:
+            self._members[s] = _words_with_popcount(self.n, self.n - s) ^ self.reference
+        return self._members[s]
+
+    def random_members(self, classes: list[int], rng: np.random.Generator) -> list[int]:
+        """One uniformly drawn member of each of the given (non-empty) classes."""
+        if self.catalog is not None:
+            members = [self.class_members(s) for s in classes]
+            positions = rng.integers(0, [m.size for m in members]).tolist()
+            return [int(m[i]) for m, i in zip(members, positions)]
+        # the reference with a uniformly chosen set of n - S bits flipped
+        orders = np.argsort(rng.random((len(classes), self.n)), axis=1).tolist()
+        bit = [1 << b for b in range(self.n)]
+        return [
+            self.reference ^ sum(map(bit.__getitem__, order[: self.n - s]))
+            for s, order in zip(classes, orders)
+        ]
+
+
+def _words_with_popcount(n: int, d: int) -> np.ndarray:
+    """Every n-bit word with exactly d bits set."""
+    if 2 * d > n:
+        return ((1 << n) - 1) ^ _words_with_popcount(n, n - d)
+    # by_count[j]: the words over the bits seen so far with j bits set
+    by_count = [np.zeros(1, dtype=np.int64)] + [np.empty(0, dtype=np.int64)] * d
+    for bit in range(n):
+        for j in range(min(bit + 1, d), 0, -1):
+            by_count[j] = np.concatenate([by_count[j], by_count[j - 1] | (1 << bit)])
+    return by_count[d]
 
 
 @dataclass(frozen=True)
@@ -171,8 +280,7 @@ def sample_mask(policy: SelectionPolicy, rng: np.random.Generator) -> SelectionM
     """Draw one selection mask: each state enters independently with its probability."""
     if policy.mask is not None:
         return policy.mask
-    u = rng.random(1 << policy.n)
-    return SelectionMask(policy.n, u < policy.probabilities)
+    return SelectionMask.from_indices(policy.n, _TouchedSet(policy).draw(rng).fresh)
 
 
 class _GroupStats(NamedTuple):
@@ -213,15 +321,29 @@ class _GroupStats(NamedTuple):
             ns_actual=self.n_selected,
         )
 
+    def doubling_shifts(self) -> tuple[float, float]:
+        """What two steps with this mask add to each selected and each unselected amplitude.
+
+        The steps reflect about the post-flip means mu1 and
+        mu2 = (2 mu1 (N - 2k) - sum_unsel - sum_sel) / N, which adds
+        2 (mu2 + mu1) to every selected amplitude and 2 (mu2 - mu1) to every
+        unselected one.
+        """
+        n_states = self.n_states
+        mu1 = self.post_flip_mean
+        mu2 = (2.0 * mu1 * (n_states - 2 * self.n_selected) - self.sum_unsel - self.sum_sel) / n_states
+        return 2.0 * (mu2 + mu1), 2.0 * (mu2 - mu1)
+
     def translated(self, shift_sel: float, shift_unsel: float) -> "_GroupStats":
         """Stats after adding ``shift_sel`` to every selected amplitude and
         ``shift_unsel`` to every unselected one."""
         n_sel, n_unsel = self.n_selected, self.n_states - self.n_selected
+        # sums of squares: rounding must not take a group that lands on zero below it
         return _GroupStats(
             self.sum_sel + n_sel * shift_sel,
             self.sum_unsel + n_unsel * shift_unsel,
-            self.sumsq_sel + shift_sel * (2.0 * self.sum_sel + n_sel * shift_sel),
-            self.sumsq_unsel + shift_unsel * (2.0 * self.sum_unsel + n_unsel * shift_unsel),
+            max(0.0, self.sumsq_sel + shift_sel * (2.0 * self.sum_sel + n_sel * shift_sel)),
+            max(0.0, self.sumsq_unsel + shift_unsel * (2.0 * self.sum_unsel + n_unsel * shift_unsel)),
             self.min_unsel + shift_unsel,
             n_sel,
             self.n_states,
@@ -229,21 +351,192 @@ class _GroupStats(NamedTuple):
 
 
 def _doubled_step(amps: np.ndarray, selected_idx: np.ndarray, stats: _GroupStats) -> _GroupStats:
-    """Apply the amplification step twice with one mask, in place.
+    """Apply the amplification step twice with one mask, in place, on a dense state.
 
     ``selected_idx`` holds the selected indices and ``stats`` the group sums of
-    ``amps`` along the same mask.  The steps reflect about the post-flip
-    means mu1 and mu2 = (2 mu1 (N - 2k) - sum_unsel - sum_sel) / N, which
-    adds 2 (mu2 + mu1) to every selected amplitude and 2 (mu2 - mu1) to
-    every unselected one.  Returns the stats after the step.
+    ``amps`` along the same mask.  Returns the stats after the step.  This is
+    the dense reference of the step :class:`_TouchedSet` applies in runs.
     """
-    n_states, n_sel = stats.n_states, stats.n_selected
-    mu1 = stats.post_flip_mean
-    mu2 = (2.0 * mu1 * (n_states - 2 * n_sel) - stats.sum_unsel - stats.sum_sel) / n_states
-    shift_sel, shift_unsel = 2.0 * (mu2 + mu1), 2.0 * (mu2 - mu1)
+    shift_sel, shift_unsel = stats.doubling_shifts()
     amps += shift_unsel
     amps[selected_idx] += shift_sel - shift_unsel
     return stats.translated(shift_sel, shift_unsel)
+
+
+class _Mask(NamedTuple):
+    """One round's mask, split along the touched set of a run."""
+
+    selected_touched: np.ndarray  # boolean over the touched states
+    fresh: np.ndarray  # the selected untouched states
+    fresh_p: np.ndarray  # their selection probabilities
+    fresh_by_class: np.ndarray | None  # their number per similarity class (class form)
+
+
+class _TouchedSet:
+    """The state of a dynamic run, with the never-selected states folded together.
+
+    A doubled round adds one constant to every selected amplitude and another
+    to every unselected one, so every state not selected since the last
+    restart keeps the shared amplitude ``bulk``.  Only the others (the
+    touched states) are stored, in the order they were touched: indices
+    ``idx``, amplitudes ``amp`` and selection probabilities ``p`` (plus, for
+    the class-wise draw, a flag per state, ``is_touched``).  A round
+    costs O(n + |mask| + |touched|), apart from the O(N) draw from a
+    per-state table: that of a table policy, or that built for a class
+    policy on a space smaller than ``CLASS_DRAW_MIN_STATES``.
+    """
+
+    def __init__(self, policy: SelectionPolicy):
+        self.policy = policy
+        self.n_states = 1 << policy.n
+        self._static_idx = policy.mask.indices if policy.is_static else None
+        self._class_draw = (
+            policy.class_sizes is not None and self.n_states >= CLASS_DRAW_MIN_STATES
+        )
+        self._table = None
+        self.idx = np.empty(0, dtype=np.int64)
+        if self._class_draw:
+            self._class_sizes = policy.class_sizes.tolist()
+            self._class_p = policy.class_probabilities.tolist()
+            self.is_touched = np.zeros(self.n_states, dtype=bool)
+        elif not policy.is_static:
+            self._table = policy.state_probabilities()
+        self.reset()
+
+    def reset(self) -> None:
+        """Back to the uniform state: nothing touched."""
+        if self._class_draw:
+            self.is_touched[self.idx] = False
+            self.untouched_by_class = self.policy.class_sizes.copy()
+        self.bulk = 1.0 / math.sqrt(self.n_states)
+        self.idx = np.empty(0, dtype=np.int64)
+        self.amp = np.empty(0)
+        self.p = np.empty(0)
+
+    def draw(self, rng: np.random.Generator) -> _Mask:
+        """One round's mask."""
+        policy = self.policy
+        if self._class_draw:
+            selected_touched = rng.random(self.idx.size) < self.p
+            counts = rng.binomial(self.untouched_by_class, policy.class_probabilities)
+            return _Mask(selected_touched, *self._fresh_picks(counts, rng), counts)
+        if policy.is_static:
+            # every round selects the whole mask, so it is all touched or all fresh
+            fresh = self._static_idx[:0] if self.idx.size else self._static_idx
+            return _Mask(np.ones(self.idx.size, dtype=bool), fresh, np.ones(fresh.size), None)
+        selected = rng.random(self.n_states) < self._table
+        selected_touched = selected[self.idx]
+        selected[self.idx] = False
+        fresh = np.flatnonzero(selected)
+        return _Mask(selected_touched, fresh, self._table[fresh], None)
+
+    def _fresh_picks(
+        self, counts: np.ndarray, rng: np.random.Generator
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``counts[S]`` distinct states drawn uniformly from the untouched members
+        of each class S, and their selection probabilities.
+
+        With an independent draw for each touched state this gives every
+        state its own independent Bernoulli(P(S)) selection.  A class whose
+        picks would often hit touched or already picked states has fewer
+        than 2 (touched + picks) members; it is listed and drawn from
+        directly.  Elsewhere members are drawn uniformly and each class takes
+        its first draws that are neither touched nor already picked; every
+        draw succeeds with probability > 1/2.
+        """
+        policy, is_touched, class_p = self.policy, self.is_touched, self._class_p
+        picks: list[int] = []
+        pick_p: list[float] = []
+        need: dict[int, int] = {}
+        for s, k in enumerate(counts.tolist()):
+            if not k:
+                continue
+            size = self._class_sizes[s]
+            if 2 * (size - int(self.untouched_by_class[s]) + k) > size:
+                members = policy.class_members(s)
+                free = members[~is_touched[members]]
+                picks += free[rng.permutation(free.size)[:k]].tolist()
+                pick_p += [class_p[s]] * k
+            else:
+                need[s] = k
+        taken = set(picks)
+        while need:
+            # one spare draw per class, so one pass mostly suffices
+            rows = [s for s, k in need.items() for _ in range(k + 1)]
+            for s, x in zip(rows, policy.random_members(rows, rng)):
+                if need[s] and x not in taken and not is_touched[x]:
+                    taken.add(x)
+                    picks.append(x)
+                    pick_p.append(class_p[s])
+                    need[s] -= 1
+            need = {s: k for s, k in need.items() if k}
+        return np.array(picks, dtype=np.int64), np.array(pick_p)
+
+    def stats(self, mask: _Mask) -> _GroupStats:
+        """Group sums of the state along a mask."""
+        sel, unsel = self.amp[mask.selected_touched], self.amp[~mask.selected_touched]
+        bulk, n_fresh = self.bulk, mask.fresh.size
+        bulk_unsel = self.n_states - self.idx.size - n_fresh
+        min_unsel = min(
+            float(unsel.min()) if unsel.size else math.inf,
+            bulk if bulk_unsel else math.inf,
+        )
+        return _GroupStats(
+            float(sel.sum()) + n_fresh * bulk,
+            float(unsel.sum()) + bulk_unsel * bulk,
+            float(sel @ sel) + n_fresh * bulk * bulk,
+            float(unsel @ unsel) + bulk_unsel * bulk * bulk,
+            min_unsel,
+            sel.size + n_fresh,
+            self.n_states,
+        )
+
+    def restart(self, mask: _Mask) -> _Mask:
+        """Reset to the uniform state; the same mask then selects only untouched states."""
+        selected = np.concatenate([self.idx[mask.selected_touched], mask.fresh])
+        selected_p = np.concatenate([self.p[mask.selected_touched], mask.fresh_p])
+        self.reset()
+        by_class = None
+        if mask.fresh_by_class is not None:
+            by_class = np.bincount(self.policy.class_of(selected), minlength=self.policy.n + 1)
+        return _Mask(np.zeros(0, dtype=bool), selected, selected_p, by_class)
+
+    def step(self, mask: _Mask, stats: _GroupStats) -> tuple[np.ndarray, _GroupStats]:
+        """Apply the doubled step and touch the fresh states.
+
+        Returns the sorted selected indices and the stats after the step.
+        """
+        shift_sel, shift_unsel = stats.doubling_shifts()
+        self.amp += shift_unsel
+        self.amp[mask.selected_touched] += shift_sel - shift_unsel
+        fresh_amp = (self.bulk + shift_unsel) + (shift_sel - shift_unsel)
+        self.bulk += shift_unsel
+        selected, fresh = self.idx[mask.selected_touched], mask.fresh
+        if fresh.size:
+            self.idx = np.concatenate([self.idx, fresh])
+            self.amp = np.concatenate([self.amp, np.full(fresh.size, fresh_amp)])
+            self.p = np.concatenate([self.p, mask.fresh_p])
+            selected = np.concatenate([selected, fresh])
+            if mask.fresh_by_class is not None:
+                self.untouched_by_class -= mask.fresh_by_class
+                self.is_touched[fresh] = True
+        return np.sort(selected), stats.translated(shift_sel, shift_unsel)
+
+    def mass(self, weights: np.ndarray, total: float) -> float:
+        """Sum over all states of w(x) a(x)**2, for per-state weights w given on
+        the touched states and summing to ``total`` over the whole space."""
+        return float(weights @ (self.amp * self.amp)) + self.bulk * self.bulk * (
+            total - float(weights.sum())
+        )
+
+    def snapshot(self) -> tuple[float, np.ndarray, np.ndarray]:
+        return self.bulk, self.idx, self.amp.copy()
+
+
+def _dense_state(n: int, bulk: float, idx: np.ndarray, amp: np.ndarray) -> StateVector:
+    amps = np.full(1 << n, bulk)
+    amps[idx] = amp
+    return StateVector(n, amps)
 
 
 def dynamic_iteration(state: StateVector, mask: SelectionMask) -> StateVector:
@@ -337,47 +630,46 @@ def run_dynamic(
         raise ValueError(f"round count must be >= 0, got {rounds}")
     if on_violation not in ("abort", "restart"):
         raise ValueError(f"on_violation must be 'abort' or 'restart', got {on_violation!r}")
+    if policy.n != n:
+        raise ValueError(f"policy has n={policy.n}, run has n={n}")
     if watch_mask is not None and watch_mask.n != n:
         raise ValueError(f"watch mask has n={watch_mask.n}, run has n={n}")
-    n_states = 1 << n
-    amps = uniform_init(n).amps
-    probs = policy.probabilities
+    touched = _TouchedSet(policy)
+    expected = policy.expected_selected()
     indices: list[np.ndarray] = []
     reports: list[GainReport] = []
     policy_mass: list[float] = []
     watched_mass: list[float] | None = None if watch_mask is None else []
     restarts: list[int] = []
-    best_amps = amps.copy() if keep_best else None
+    best = touched.snapshot() if keep_best else None
     # the policy mass of the uniform state
-    best_score = policy.expected_selected() / n_states if keep_best else 0.0
+    best_score = expected / touched.n_states if keep_best else 0.0
     best_round = 0
     violation: _GroupStats | None = None
 
     for round_index in range(rounds):
-        mask = sample_mask(policy, rng)
-        stats = _GroupStats.of(amps, mask)
+        mask = touched.draw(rng)
+        stats = touched.stats(mask)
         if stats.post_flip_mean < -VALIDITY_ATOL or stats.min_unsel < -VALIDITY_ATOL:
             if on_violation == "abort":
                 violation = stats
                 break
-            amps = uniform_init(n).amps
-            # the uniform state is the zero state translated by 1/sqrt(N)
-            k, amp = mask.count_selected, 1.0 / math.sqrt(n_states)
-            zero = _GroupStats(0.0, 0.0, 0.0, 0.0, 0.0 if k < n_states else math.inf, k, n_states)
-            stats = zero.translated(amp, amp)
+            mask = touched.restart(mask)
+            stats = touched.stats(mask)
             restarts.append(round_index)
-        selected_idx = mask.indices.astype(np.int64, copy=False)
-        report = _doubled_step(amps, selected_idx, stats).report()
+        selected_idx, after = touched.step(mask, stats)
+        report = after.report()
         indices.append(selected_idx)
         reports.append(report)
-        mass = report.p_selected if probs is None else float(probs @ (amps * amps))
+        mass = report.p_selected if policy.is_static else touched.mass(touched.p, expected)
         policy_mass.append(mass)
         if keep_best and mass > best_score:
             best_score = mass
-            best_amps = amps.copy()
+            best = touched.snapshot()
             best_round = round_index + 1
         if watched_mass is not None:
-            watched_mass.append(probability_of(StateVector(n, amps), watch_mask))
+            watched = watch_mask.selected[touched.idx].astype(np.float64)
+            watched_mass.append(touched.mass(watched, watch_mask.count_selected))
         if stop_above is not None:
             observed = watched_mass[-1] if watched_mass is not None else report.p_selected
             if observed > stop_above:
@@ -398,12 +690,11 @@ def run_dynamic(
             f"round {log.rounds} would start from an unproductive state "
             f"(post-flip mean {violation.post_flip_mean:.3e}, "
             f"min unselected {violation.min_unsel:.3e})",
-            state=StateVector(n, amps),
+            state=_dense_state(n, *touched.snapshot()),
             log=log,
             round_index=log.rounds,
         )
-    final = best_amps if keep_best else amps
-    return StateVector(n, final), log
+    return _dense_state(n, *(best if keep_best else touched.snapshot())), log
 
 
 def ordering_witness(n: int, first_mask: SelectionMask, doubled: bool = False) -> OrderingWitness:
@@ -431,10 +722,16 @@ def ordering_witness(n: int, first_mask: SelectionMask, doubled: bool = False) -
 
 
 def replay_round_states(log: DynamicRunLog) -> Sequence[StateVector]:
-    """States at every round boundary of a completed run (index 0 = initial)."""
+    """States at every round boundary of a completed run (index 0 = initial).
+
+    A round listed in ``log.restart_rounds`` starts from the uniform state.
+    """
     amps = uniform_init(log.n).amps
     states = [StateVector(log.n, amps.copy())]
+    restarts = set(log.restart_rounds)
     for round_index in range(log.rounds):
+        if round_index in restarts:
+            amps = uniform_init(log.n).amps
         mask = log.mask(round_index)
         _doubled_step(amps, mask.indices, _GroupStats.of(amps, mask))
         states.append(StateVector(log.n, amps.copy()))

@@ -92,6 +92,11 @@ class ExperimentConfig:
         return self.fmt in ("svg", "both")
 
 
+def _check_reference(config: ExperimentConfig, n: int) -> None:
+    if not 0 <= config.reference < (1 << n):
+        raise ConfigError(f"reference must be in [0, {1 << n}) for n={n}, got {config.reference}")
+
+
 def _ball_threshold(config: ExperimentConfig, n: int) -> int:
     tau = config.threshold if config.threshold is not None else n - 1
     if not 0 <= tau <= n:
@@ -128,13 +133,13 @@ def experiment_steps(config: ExperimentConfig) -> StepsOutcome:
     """Static schedule length vs rounds for the ball mass to reach 1/2."""
     config.validate()
     lo, hi = config.resolved_range()
+    _check_reference(config, lo)
     rows: list[StepsRow] = []
     run_rows: list[tuple] = []
     for n in range(lo, hi + 1):
         n_states = 1 << n
-        reference = config.reference if config.reference < n_states else 0
         tau = _ball_threshold(config, n)
-        spec = SimilaritySpec(n, reference)
+        spec = SimilaritySpec(n, config.reference)
         sims = similarity_table(spec)
         ball = SelectionMask(n, sims >= tau)
         if ball.count_selected == 0:
@@ -223,9 +228,9 @@ def experiment_accuracy(config: ExperimentConfig) -> AccuracyOutcome:
     config.validate()
     n = config.n if config.n is not None else 13
     n_states = 1 << n
-    reference = config.reference if config.reference < n_states else 0
+    _check_reference(config, n)
     tau = _ball_threshold(config, n)
-    spec = SimilaritySpec(n, reference)
+    spec = SimilaritySpec(n, config.reference)
     sims = similarity_table(spec)
     ball = SelectionMask(n, sims >= tau)
     if ball.count_selected == 0:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import sample
+from .core import check_qubit_count, sample
 from .dynamic_search import SelectionPolicy, default_rounds, run_dynamic
 from .errors import CalibrationError, InvalidParamsError, ShapeMismatchError, UnderAmplifiedError
 
@@ -35,6 +35,7 @@ class SimilaritySpec:
     reference: int
 
     def __post_init__(self):
+        check_qubit_count(self.n)
         if not 0 <= self.reference < (1 << self.n):
             raise ShapeMismatchError(
                 f"reference {self.reference} out of range for n={self.n}"
@@ -214,18 +215,15 @@ def similarity_policy(
     params: SelectionProbabilityParams,
     catalog: np.ndarray | None = None,
 ) -> SelectionPolicy:
-    """Per-state selection probabilities from similarity to the reference.
+    """Selection probability P(S) per similarity class around the reference.
 
     With a catalog, states outside it are never selected.
     """
     if params.n != spec.n:
         raise ShapeMismatchError(f"params have n={params.n}, spec has n={spec.n}")
-    probs = probability_by_class(params)[similarity_table(spec)]
-    if catalog is not None:
-        keep = np.zeros(1 << spec.n, dtype=bool)
-        keep[catalog] = True
-        probs = np.where(keep, probs, 0.0)
-    return SelectionPolicy.probabilistic(spec.n, probs)
+    return SelectionPolicy.by_similarity(
+        spec.n, spec.reference, probability_by_class(params), catalog=catalog
+    )
 
 
 def recommend(
@@ -257,10 +255,9 @@ def recommend(
     catalog_set = None if catalog is None else set(int(x) for x in np.asarray(catalog))
     cap = RESAMPLE_CAP_FACTOR * m
     seen: set[int] = set()
-    for _ in range(cap):
+    for x in sample(state, rng, size=cap).tolist():
         if len(seen) >= m:
             break
-        x = sample(state, rng)
         if catalog_set is not None and x not in catalog_set:
             continue
         seen.add(x)

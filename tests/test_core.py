@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -227,3 +228,31 @@ def test_mask_counts_and_views():
     assert not mask.is_empty and not mask.is_full
     assert SelectionMask.empty(3).is_empty
     assert SelectionMask.full(3).is_full
+
+
+def test_oversized_qubit_count_rejected_before_allocation():
+    # 2**40 mask entries would take 1 TiB; each constructor must check n first
+    from qamp import SelectionPolicy, SimilaritySpec
+    from qamp.cli import main
+
+    builders = [
+        lambda: SelectionMask.from_indices(40, [0]),
+        lambda: SelectionMask.empty(40),
+        lambda: SelectionMask.full(40),
+        lambda: SelectionMask(40, np.zeros(4, dtype=bool)),
+        lambda: SelectionPolicy.probabilistic(40, np.zeros(4)),
+        lambda: SelectionPolicy.from_rule(40, lambda x: 0.5),
+        lambda: SelectionPolicy.by_similarity(40, 0, np.zeros(41)),
+        lambda: SimilaritySpec(40, 0),
+        lambda: uniform_init(40),
+    ]
+    tracemalloc.start()
+    try:
+        for build in builders:
+            with pytest.raises(SizeError):
+                build()
+        assert main(["grover", "--n", "40", "--m", "1"]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

@@ -29,7 +29,9 @@ from qamp import (
     selected_count_limit,
     uniform_init,
 )
+from qamp import dynamic_search
 from qamp.core import oracle_flip, invert_about_mean
+from qamp.recommend import SimilaritySpec, similarity_table
 from qamp.dynamic_search import _doubled_step, _GroupStats
 
 
@@ -471,35 +473,136 @@ def test_doubling_identity_property(n, seed, density):
         assert_reports_close(closed_form, gain_report(after, mask))
 
 
-@settings(max_examples=40, deadline=None)
+def random_policy(kind, n, scale, rng):
+    """A policy of the given form with selection probabilities up to ``scale``."""
+    if kind == "static":
+        return SelectionPolicy.static(SelectionMask(n, rng.random(1 << n) < scale))
+    if kind == "table":
+        return SelectionPolicy.probabilistic(n, scale * rng.random(1 << n))
+    catalog = None
+    if kind == "catalog":
+        catalog = np.flatnonzero(rng.random(1 << n) < 0.6)
+    reference = int(rng.integers(1 << n))
+    return SelectionPolicy.by_similarity(n, reference, scale * rng.random(n + 1), catalog)
+
+
+def dense_probabilities(policy):
+    """The per-state selection probability table of any policy form."""
+    n = policy.n
+    if policy.is_static:
+        return policy.mask.selected.astype(float)
+    if policy.probabilities is not None:
+        return policy.probabilities
+    probs = policy.class_probabilities[similarity_table(SimilaritySpec(n, policy.reference))]
+    if policy.catalog is not None:
+        probs = np.where(np.isin(np.arange(1 << n), policy.catalog), probs, 0.0)
+    return probs
+
+
+@settings(max_examples=80, deadline=None)
 @given(
     n=st.integers(2, 8),
     seed=st.integers(0, 2**31),
-    scale=st.floats(0.0, 0.8),
-    static=st.booleans(),
+    scale=st.floats(0.0, 1.0),
+    kind=st.sampled_from(["table", "static", "class", "catalog"]),
+    class_draw=st.booleans(),
+    keep_best=st.booleans(),
+    watch=st.booleans(),
 )
-def test_run_dynamic_matches_dense_replay(n, seed, scale, static):
+def test_run_dynamic_matches_dense_replay(n, seed, scale, kind, class_draw, keep_best, watch):
     rng = np.random.default_rng(seed)
-    if static:
-        policy = SelectionPolicy.static(SelectionMask(n, rng.random(1 << n) < scale))
-    else:
-        policy = SelectionPolicy.probabilistic(n, scale * rng.random(1 << n))
-    final, log = run_dynamic(n, policy, rng, rounds=8, keep_best=True, on_violation="restart")
+    policy = random_policy(kind, n, scale, rng)
+    watch_mask = SelectionMask(n, rng.random(1 << n) < 0.3) if watch else None
+    with pytest.MonkeyPatch.context() as patch:
+        if class_draw:  # small spaces draw from a per-state table unless told otherwise
+            patch.setattr(dynamic_search, "CLASS_DRAW_MIN_STATES", 0)
+        final, log = run_dynamic(
+            n, policy, rng, rounds=8, keep_best=keep_best, on_violation="restart",
+            watch_mask=watch_mask,
+        )
+    probs = dense_probabilities(policy)
     state = best = uniform_init(n)
     for i in range(log.rounds):
         if i in log.restart_rounds:
             state = uniform_init(n)
+        selected = log.selected_indices[i]
+        assert selected.dtype == np.int64
+        assert np.all(np.diff(selected) > 0)
+        assert np.all(probs[selected] > 0.0)
         mask = log.mask(i)
         state = dense_doubled_step(state, mask)
         assert_reports_close(log.gain_trajectory[i], dense_report(state, mask))
-        if policy.is_static:
-            mass = probability_of(state, policy.mask)
-        else:
-            mass = float(policy.probabilities @ state.probabilities())
+        mass = float(probs @ state.probabilities())
         assert log.policy_mass_by_round[i] == pytest.approx(mass, rel=0, abs=1e-12)
+        if watch:
+            watched = probability_of(state, watch_mask)
+            assert log.watched_mass_by_round[i] == pytest.approx(watched, rel=0, abs=1e-12)
         if i + 1 == log.best_round:
             best = state
-    np.testing.assert_allclose(final.amps, best.amps, rtol=0, atol=1e-12)
+    assert log.best_round is None if not keep_best else log.best_round <= log.rounds
+    assert (log.watched_mass_by_round is None) == (not watch)
+    want = best if keep_best else state
+    np.testing.assert_allclose(final.amps, want.amps, rtol=0, atol=1e-12)
+    replayed = replay_round_states(log)[-1]
+    np.testing.assert_allclose(replayed.amps, state.amps, rtol=0, atol=1e-12)
+
+
+def test_small_space_class_policy_draws_like_its_table():
+    # below CLASS_DRAW_MIN_STATES a class policy draws from its per-state
+    # table, so it consumes the random stream as the table policy does
+    n = 9
+    policy = SelectionPolicy.by_similarity(n, 300, np.linspace(0.01, 0.6, n + 1), np.arange(0, 512, 3))
+    table = SelectionPolicy.probabilistic(n, policy.state_probabilities())
+    _, a = run_dynamic(n, policy, np.random.default_rng(4), rounds=6, on_violation="restart")
+    _, b = run_dynamic(n, table, np.random.default_rng(4), rounds=6, on_violation="restart")
+    for x, y in zip(a.selected_indices, b.selected_indices, strict=True):
+        assert np.array_equal(x, y)
+    np.testing.assert_allclose(a.policy_mass_by_round, b.policy_mass_by_round, rtol=0, atol=1e-15)
+
+
+def test_replay_round_states_honours_restarts():
+    policy = SelectionPolicy.probabilistic(8, np.full(256, 0.6))
+    final, log = run_dynamic(
+        8, policy, np.random.default_rng(0), rounds=4, on_violation="restart"
+    )
+    assert log.restart_rounds
+    states = replay_round_states(log)
+    assert len(states) == log.rounds + 1
+    np.testing.assert_allclose(states[-1].amps, final.amps, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("with_catalog", [False, True])
+def test_class_draw_selects_each_state_with_its_class_probability(with_catalog, monkeypatch):
+    """Per round, each state is in the mask with probability P(S) of its class,
+    whatever the run touched before; two states of one class are selected
+    together with probability P(S)**2."""
+    monkeypatch.setattr(dynamic_search, "CLASS_DRAW_MIN_STATES", 0)
+    n, reference, runs, rounds = 5, 0b10110, 3000, 3
+    class_probs = np.array([0.02, 0.1, 0.3, 0.5, 0.8, 1.0])
+    catalog = np.arange(0, 32, 2) if with_catalog else None
+    policy = SelectionPolicy.by_similarity(n, reference, class_probs, catalog)
+    probs = dense_probabilities(policy)
+    counts = np.zeros((rounds, 1 << n))
+    pair = np.zeros(rounds)
+    # two states of similarity 3 (P = 0.5), both in the catalog when there is one
+    same_class = [x for x in range(32) if probs[x] == 0.5][:2]
+    assert len(same_class) == 2
+    for seed in range(runs):
+        _, log = run_dynamic(
+            n, policy, np.random.default_rng(seed), rounds=rounds, on_violation="restart"
+        )
+        for i, selected in enumerate(log.selected_indices):
+            counts[i, selected] += 1
+            pair[i] += np.isin(same_class, selected).all()
+    for i in range(rounds):
+        freq = counts[i] / runs
+        assert np.all(freq[probs == 0.0] == 0.0)
+        assert np.all(freq[probs == 1.0] == 1.0)
+        inner = (probs > 0.0) & (probs < 1.0)
+        z = (freq[inner] - probs[inner]) / np.sqrt(probs[inner] * (1 - probs[inner]) / runs)
+        assert np.max(np.abs(z)) < 4.5
+        z_pair = (pair[i] / runs - 0.25) / math.sqrt(0.25 * 0.75 / runs)
+        assert abs(z_pair) < 4.5
 
 
 def test_log_validation():

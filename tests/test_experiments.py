@@ -38,6 +38,27 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig("steps", fmt="pdf").validate()
 
+    def test_reference_out_of_range(self, tmp_path):
+        # steps checks against the smallest n of the range: 2**10 is fine at
+        # n=11..14 but not at n=10
+        with pytest.raises(ConfigError):
+            experiment_steps(ExperimentConfig(
+                "steps", n_range=(10, 11), seeds=1, reference=1 << 10, output_dir=tmp_path
+            ))
+        with pytest.raises(ConfigError):
+            experiment_steps(ExperimentConfig(
+                "steps", n_range=(5, 6), seeds=1, reference=-1, output_dir=tmp_path
+            ))
+        with pytest.raises(ConfigError):
+            experiment_accuracy(ExperimentConfig(
+                "accuracy", n=6, seeds=1, reference=64, output_dir=tmp_path
+            ))
+        assert main(["experiment", "accuracy", "--n", "6", "--reference", "64"]) == 2
+        outcome = experiment_steps(ExperimentConfig(
+            "steps", n_range=(5, 6), seeds=1, reference=31, output_dir=tmp_path, fmt="csv"
+        ))
+        assert [row.n for row in outcome.rows] == [5, 6]
+
 
 class TestStepsExperiment:
     def test_small_sweep(self, tmp_path):
@@ -169,6 +190,10 @@ class TestCli:
         assert capsys.readouterr().out == first
         assert "outcome=9" in first
 
+    def test_grover_marked_count_out_of_range_exit(self, capsys):
+        assert main(["grover", "--n", "2", "--m", "5"]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+
     def test_grover_unknown_m_not_found(self, tmp_path, capsys):
         # unknown-count schedule over an empty marked set: exit code 4
         rc = main(["grover", "--n", "5", "--marked", "", "--unknown-m", "--seed", "1"])
@@ -229,6 +254,24 @@ class TestCli:
 
     def test_optimize_requires_objective(self, capsys):
         assert main(["optimize", "--method", "dynamic"]) == 2
+
+    @pytest.mark.parametrize("content", [None, "n=4 sense=min\n1 2 x\n", "bogus\n", "n=4 sense=up\n"])
+    def test_optimize_bad_objective_file_exit(self, tmp_path, capsys, content):
+        path = tmp_path / "table.obj"
+        if content is not None:
+            path.write_text(content, encoding="utf-8")
+        assert main(["optimize", "--objective", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("content", [None, "hello\n", "999\n"])
+    def test_recommend_bad_catalog_file_exit(self, tmp_path, capsys, content):
+        path = tmp_path / "catalog.txt"
+        if content is not None:
+            path.write_text(content, encoding="utf-8")
+        assert main(["recommend", "--n", "8", "--m", "2", "--catalog", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
 
     def test_experiment_corollaries_exit_codes(self, tmp_path):
         ok = main([
