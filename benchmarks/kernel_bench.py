@@ -6,7 +6,10 @@ several register sizes, plus a full dynamic round: on a dense state (mask
 draw, one statistics pass, and the doubled step applied as a per-group
 translation) per kernel backend, and on the touched set that
 ``run_dynamic`` keeps (mask draw, statistics and step of ``_TouchedSet``;
-the draw is class-wise from 2**15 states up).  Run from the repo root:
+the draw is class-wise from 2**15 states up).  Also times the end of a
+run, 10 draws from its final state: building the dense vector and
+sampling it against sampling the sparse state ``run_dynamic`` returns.
+Run from the repo root:
 
     python3 benchmarks/kernel_bench.py [--quick]
 """
@@ -18,7 +21,7 @@ import time
 import numpy as np
 
 from qamp import _kernels_py
-from qamp.core import SelectionMask
+from qamp.core import SelectionMask, SparseState, StateVector, sample
 from qamp.dynamic_search import _doubled_step, _GroupStats, _TouchedSet, default_rounds
 from qamp.recommend import SimilaritySpec, calibrate_beta, similarity_policy
 
@@ -100,6 +103,31 @@ def bench_touched_round(n: int, repeats: int) -> float:
     return time_call(one_round, repeats)
 
 
+def bench_end_of_run(n: int, repeats: int) -> dict[str, float]:
+    """10 draws from a run's final state: dense build plus ``sample`` vs the sparse sample.
+
+    A sixth of the space is touched, about as much as the optimizer's two
+    rounds over masks of ~8% of N touch.
+    """
+    size = 1 << n
+    rng = np.random.default_rng(7)
+    idx = np.sort(rng.choice(size, size=size // 6, replace=False))
+    amp = rng.uniform(0.5, 3.0, idx.size)
+    bulk = 1.0
+    scale = 1.0 / math.sqrt(float(amp @ amp) + bulk * bulk * (size - idx.size))
+    state = SparseState(n, bulk * scale, idx, amp * scale)
+
+    def dense():
+        amps = np.full(size, state.bulk)
+        amps[state.idx] = state.amp
+        sample(StateVector(n, amps), rng, size=10)
+
+    return {
+        "dense": time_call(dense, repeats),
+        "sparse": time_call(lambda: sample(state, rng, size=10), repeats),
+    }
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--quick", action="store_true", help="fewer sizes and repeats")
@@ -126,6 +154,12 @@ def main() -> None:
             if "touched" in times:
                 row += f"  touched-set round {times['touched'] * 1e6:.2f} us"
             print(row)
+
+    print(f"{'end_of_run':<14} {'n':>3} {'dense us':>12} {'sparse us':>12}")
+    for n in [14] if args.quick else [14, 16, 18, 20]:
+        times = bench_end_of_run(n, max(5, base_repeats >> max(0, n - 12)))
+        print(f"{'end_of_run':<14} {n:>3} {times['dense'] * 1e6:>12.2f} "
+              f"{times['sparse'] * 1e6:>12.2f}")
 
 
 if __name__ == "__main__":

@@ -9,6 +9,7 @@ from .backend import kernel_backend
 from .core import (
     Decomposition,
     SelectionMask,
+    SparseState,
     StateVector,
     decompose,
     invert_about_mean,
@@ -65,6 +66,7 @@ from .recommend import (
     SimilaritySpec,
     calibrate_beta,
     class_counts,
+    class_masses,
     expected_selected_count,
     load_catalog,
     recommend,

@@ -5,10 +5,10 @@ Subcommands: ``grover``, ``dynamic``, ``recommend``, ``optimize`` and
 (``--config``) mirrors the flags; explicit flags override file entries,
 and the ``QAMP_SEED`` environment variable is the fallback seed base.
 
-Exit codes: 0 success, 2 config error (bad flags, an unreadable or
-malformed --config/--catalog/--objective file, a qubit count outside
-[1, MAX_QUBITS]), 3 invariant or validity failure, 4 under-amplified /
-not found.
+Exit codes: 0 success, 2 config error (bad flags or flag values, an
+unreadable or malformed --config/--catalog/--objective file, a
+non-integer QAMP_SEED, a qubit count outside [1, MAX_QUBITS]), 3
+invariant or validity failure, 4 under-amplified / not found.
 """
 
 from __future__ import annotations
@@ -68,6 +68,13 @@ def _parse_n_range(text: str) -> tuple[int, int]:
     raise ConfigError(f"bad n range {text!r}; expected A:B")
 
 
+def _parse_indices(text: str) -> list[int]:
+    try:
+        return [int(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        raise ConfigError(f"bad index list {text!r}; expected comma-separated integers") from None
+
+
 def _parse_bool(text: str) -> bool:
     lowered = text.strip().lower()
     if lowered in ("1", "true", "yes", "on"):
@@ -106,7 +113,12 @@ class _Options:
         if value is not None:
             return value
         if key in self.file:
-            return parse(self.file[key])
+            try:
+                return parse(self.file[key])
+            except ValueError:
+                raise ConfigError(
+                    f"{self.ns.config}: bad value {self.file[key]!r} for {key}"
+                ) from None
         return default
 
     def seed_base(self, default: int = 0) -> int:
@@ -114,7 +126,12 @@ class _Options:
         if value is not None:
             return value
         env = os.environ.get("QAMP_SEED")
-        return int(env) if env else default
+        if not env:
+            return default
+        try:
+            return int(env)
+        except ValueError:
+            raise ConfigError(f"QAMP_SEED must be an integer, got {env!r}") from None
 
     def seed(self, default: int = 0) -> int:
         value = self.get("seed", int, None)
@@ -153,7 +170,7 @@ def cmd_grover(ns: argparse.Namespace) -> int:
     rng = np.random.default_rng(seed)
     marked_text = opts.get("marked", str, None)
     if marked_text is not None:
-        indices = [int(tok) for tok in str(marked_text).split(",") if tok.strip()]
+        indices = _parse_indices(str(marked_text))
         mask = SelectionMask.from_indices(n, indices)
     else:
         m = opts.get("m", int, 1)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -54,6 +55,57 @@ class StateVector:
 
     def norm_sq(self) -> float:
         return float(self.amps @ self.amps)
+
+    def probabilities(self) -> np.ndarray:
+        return self.amps * self.amps
+
+
+@dataclass(frozen=True)
+class SparseState:
+    """A state in which every amplitude equals ``bulk`` except at a few indices.
+
+    ``idx`` holds those indices, sorted and distinct, and ``amp`` their
+    amplitudes.  This is the form a dynamic run keeps its state in; ``amps``
+    builds the dense vector only when it is asked for (and keeps it).
+    """
+
+    n: int
+    bulk: float
+    idx: np.ndarray
+    amp: np.ndarray
+
+    def __post_init__(self):
+        check_qubit_count(self.n)
+        idx = np.asarray(self.idx, dtype=np.int64)
+        amp = np.asarray(self.amp, dtype=np.float64)
+        if idx.ndim != 1 or amp.shape != idx.shape:
+            raise ShapeMismatchError(
+                f"need one amplitude per index, got shapes {idx.shape} and {amp.shape}"
+            )
+        if idx.size and (idx[0] < 0 or idx[-1] >= (1 << self.n) or np.any(idx[1:] <= idx[:-1])):
+            raise ShapeMismatchError(f"indices must be sorted, distinct and in range for n={self.n}")
+        object.__setattr__(self, "bulk", float(self.bulk))
+        object.__setattr__(self, "idx", idx)
+        object.__setattr__(self, "amp", amp)
+
+    @classmethod
+    def uniform(cls, n: int) -> "SparseState":
+        """The equal-amplitude superposition, with no index stored."""
+        check_qubit_count(n)
+        return cls(n, 1.0 / math.sqrt(1 << n), np.empty(0, dtype=np.int64), np.empty(0))
+
+    @property
+    def size(self) -> int:
+        return 1 << self.n
+
+    @cached_property
+    def amps(self) -> np.ndarray:
+        amps = np.full(self.size, self.bulk)
+        amps[self.idx] = self.amp
+        return amps
+
+    def norm_sq(self) -> float:
+        return float(self.amp @ self.amp) + self.bulk * self.bulk * (self.size - self.idx.size)
 
     def probabilities(self) -> np.ndarray:
         return self.amps * self.amps
@@ -163,21 +215,52 @@ def probability_of(state: StateVector, mask: SelectionMask) -> float:
     return float(sel @ sel)
 
 
-def sample(state: StateVector, rng: np.random.Generator, size: int | None = None):
+def sample(state: StateVector | SparseState, rng: np.random.Generator, size: int | None = None):
     """Draw basis indices with probability equal to the squared amplitudes.
 
+    Draws invert the cumulative mass in index order, from either form of
+    state: a sparse state gives the same indices as its dense ``amps`` up
+    to the rounding of the prefix sums, without building them.
     Deterministic for a fixed generator state.  ``size=None`` returns one
     index as an int; an integer ``size`` returns that many draws as an array.
     """
-    p = state.amps * state.amps
-    total = p.sum()
+    if isinstance(state, SparseState):
+        total = state.norm_sq()
+    else:
+        p = state.amps * state.amps
+        total = p.sum()
     if abs(total - 1.0) > SAMPLE_NORM_ATOL:
         raise NormalizationError(f"state norm**2 deviates from 1 by {abs(total - 1.0):.3e}")
-    cum = np.cumsum(p)
     u = rng.random() if size is None else rng.random(size)
-    idx = np.searchsorted(cum, u * cum[-1], side="right")
+    if isinstance(state, SparseState):
+        idx = _sparse_inverse_cdf(state, u)
+    else:
+        cum = np.cumsum(p)
+        idx = np.searchsorted(cum, u * cum[-1], side="right")
     idx = np.minimum(idx, state.size - 1)
     return int(idx) if size is None else idx.astype(np.int64)
+
+
+def _sparse_inverse_cdf(state: SparseState, u):
+    """First index whose cumulative mass exceeds ``u`` times the total.
+
+    States 0..i hold bulk**2 (i + 1) plus the excess a**2 - bulk**2 of the
+    stored states among them.
+    """
+    bulk_sq = state.bulk * state.bulk
+    excess = np.cumsum(state.amp * state.amp - bulk_sq)
+    # the mass of states 0..idx[j], for each stored index
+    through = bulk_sq * (state.idx + 1) + excess
+    target = u * (bulk_sq * state.size + (excess[-1] if excess.size else 0.0))
+    # j stored states have at most the target mass up to them, so the answer
+    # lies in (bounds[j], bounds[j + 1]]
+    j = np.searchsorted(through, target, side="right")
+    bounds = np.concatenate(([-1], state.idx, [state.size]))
+    if bulk_sq == 0.0:
+        return bounds[j + 1]
+    # states between stored ones hold bulk**2 (i + 1) plus the excess before them
+    first = np.floor((target - np.concatenate(([0.0], excess))[j]) / bulk_sq)
+    return np.clip(first, bounds[j] + 1, bounds[j + 1]).astype(np.int64)
 
 
 def _group_coeff(group: np.ndarray) -> tuple[float, bool]:

@@ -23,7 +23,14 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from . import backend
-from .core import SelectionMask, StateVector, check_dims, check_qubit_count, uniform_init
+from .core import (
+    SelectionMask,
+    SparseState,
+    StateVector,
+    check_dims,
+    check_qubit_count,
+    uniform_init,
+)
 from .errors import ShapeMismatchError, ValidityError
 
 VALIDITY_ATOL = 1e-9  # "positive" is tested as > -VALIDITY_ATOL to absorb float noise
@@ -68,11 +75,14 @@ class SelectionPolicy:
         if self.mask is not None and self.mask.n != self.n:
             raise ValueError(f"mask has n={self.mask.n}, policy has n={self.n}")
         if self.probabilities is not None:
-            probs = np.clip(np.asarray(self.probabilities, dtype=np.float64), 0.0, 1.0)
+            probs = np.asarray(self.probabilities, dtype=np.float64)
             if probs.shape != (1 << self.n,):
                 raise ValueError(
                     f"expected {1 << self.n} selection probabilities, got shape {probs.shape}"
                 )
+            # a table already within [0, 1] is kept as given, not copied
+            if not (probs.min() >= 0.0 and probs.max() <= 1.0):
+                probs = np.clip(probs, 0.0, 1.0)
             object.__setattr__(self, "probabilities", probs)
         if self.class_probabilities is None:
             if self.catalog is not None:
@@ -383,7 +393,8 @@ class _TouchedSet:
     the class-wise draw, a flag per state, ``is_touched``).  A round
     costs O(n + |mask| + |touched|), apart from the O(N) draw from a
     per-state table: that of a table policy, or that built for a class
-    policy on a space smaller than ``CLASS_DRAW_MIN_STATES``.
+    policy on a space smaller than ``CLASS_DRAW_MIN_STATES``.  That draw
+    fills two N-sized buffers kept for the run.
     """
 
     def __init__(self, policy: SelectionPolicy):
@@ -401,6 +412,8 @@ class _TouchedSet:
             self.is_touched = np.zeros(self.n_states, dtype=bool)
         elif not policy.is_static:
             self._table = policy.state_probabilities()
+            self._uniforms = np.empty(self.n_states)
+            self._drawn = np.empty(self.n_states, dtype=bool)
         self.reset()
 
     def reset(self) -> None:
@@ -424,7 +437,8 @@ class _TouchedSet:
             # every round selects the whole mask, so it is all touched or all fresh
             fresh = self._static_idx[:0] if self.idx.size else self._static_idx
             return _Mask(np.ones(self.idx.size, dtype=bool), fresh, np.ones(fresh.size), None)
-        selected = rng.random(self.n_states) < self._table
+        rng.random(out=self._uniforms)
+        selected = np.less(self._uniforms, self._table, out=self._drawn)
         selected_touched = selected[self.idx]
         selected[self.idx] = False
         fresh = np.flatnonzero(selected)
@@ -533,10 +547,10 @@ class _TouchedSet:
         return self.bulk, self.idx, self.amp.copy()
 
 
-def _dense_state(n: int, bulk: float, idx: np.ndarray, amp: np.ndarray) -> StateVector:
-    amps = np.full(1 << n, bulk)
-    amps[idx] = amp
-    return StateVector(n, amps)
+def _sparse_state(n: int, bulk: float, idx: np.ndarray, amp: np.ndarray) -> SparseState:
+    """A snapshot as a :class:`~qamp.core.SparseState` (touched states in index order)."""
+    order = np.argsort(idx, kind="stable")
+    return SparseState(n, bulk, idx[order], amp[order])
 
 
 def dynamic_iteration(state: StateVector, mask: SelectionMask) -> StateVector:
@@ -607,7 +621,7 @@ def run_dynamic(
     watch_mask: SelectionMask | None = None,
     keep_best: bool = False,
     on_violation: str = "abort",
-) -> tuple[StateVector, DynamicRunLog]:
+) -> tuple[SparseState, DynamicRunLog]:
     """Run doubled amplification rounds with freshly sampled masks.
 
     Starts from the uniform state.  Before each round the progress
@@ -623,6 +637,10 @@ def run_dynamic(
     round with the highest expected fresh-selection mass instead of the
     final state (doubled rounds can overshoot the rotation optimum, so the
     best round is the one worth sampling).
+
+    The state comes back as a :class:`~qamp.core.SparseState`: the shared
+    amplitude of the never-selected states plus the touched states, in
+    index order.  Its ``amps`` build the dense vector on first use.
     """
     if rounds is None:
         rounds = default_rounds(n, policy)
@@ -690,11 +708,11 @@ def run_dynamic(
             f"round {log.rounds} would start from an unproductive state "
             f"(post-flip mean {violation.post_flip_mean:.3e}, "
             f"min unselected {violation.min_unsel:.3e})",
-            state=_dense_state(n, *touched.snapshot()),
+            state=_sparse_state(n, *touched.snapshot()),
             log=log,
             round_index=log.rounds,
         )
-    return _dense_state(n, *(best if keep_best else touched.snapshot())), log
+    return _sparse_state(n, *(best if keep_best else touched.snapshot())), log
 
 
 def ordering_witness(n: int, first_mask: SelectionMask, doubled: bool = False) -> OrderingWitness:

@@ -36,6 +36,7 @@ from .recommend import (
     SelectionProbabilityParams,
     SimilaritySpec,
     calibrate_beta,
+    class_masses,
     similarity_policy,
     similarity_table,
 )
@@ -219,10 +220,6 @@ class AccuracyOutcome:
     files: tuple[Path, ...]
 
 
-def _class_masses(state: StateVector, sims: np.ndarray, n: int) -> np.ndarray:
-    return np.bincount(sims, weights=state.probabilities(), minlength=n + 1)
-
-
 def experiment_accuracy(config: ExperimentConfig) -> AccuracyOutcome:
     """Final-state sampling probability per similarity class, static vs dynamic."""
     config.validate()
@@ -239,7 +236,7 @@ def experiment_accuracy(config: ExperimentConfig) -> AccuracyOutcome:
     static_state = uniform_init(n)
     for _ in range(optimal_iterations(n_states, ball.count_selected)):
         static_state = grover_iteration(static_state, ball)
-    p_static = _class_masses(static_state, sims, n)
+    p_static = np.bincount(sims, weights=static_state.probabilities(), minlength=n + 1)
 
     params = _experiment_params(config, n, ball.count_selected)
     policy = similarity_policy(spec, params)
@@ -256,7 +253,7 @@ def experiment_accuracy(config: ExperimentConfig) -> AccuracyOutcome:
             n, policy, rng, rounds=cap, keep_best=True, on_violation="restart"
         )
         wall_ms = (time.perf_counter() - t0) * 1e3
-        curves[trial] = _class_masses(state, sims, n)
+        curves[trial] = class_masses(state, spec)
         for s in range(n + 1):
             run_rows.append(("accuracy", n, seed, "dynamic", s, float(curves[trial, s]), wall_ms))
     med = np.median(curves, axis=0)

@@ -11,10 +11,11 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .core import SelectionMask, sample, uniform_init
+from .core import SelectionMask, SparseState, sample
 from .dynamic_search import SelectionPolicy, run_dynamic
 from .errors import ShapeMismatchError
 from .static_search import StaticSearchSpec, search_unknown_m
@@ -57,7 +58,16 @@ class ObjectiveTable:
         return self.values > threshold
 
     def optimum_value(self) -> float:
+        return self._optimum
+
+    # Each found once per table, on first use: requests on one table reuse them.
+    @cached_property
+    def _optimum(self) -> float:
         return float(self.values.min() if self.sense is Sense.MIN else self.values.max())
+
+    @cached_property
+    def _worst_index(self) -> int:
+        return int(self.values.argmax() if self.sense is Sense.MIN else self.values.argmin())
 
 
 @dataclass(frozen=True)
@@ -138,14 +148,18 @@ def policy_from_estimates(
     worst with probability 1/N.  Equal estimates degenerate to selecting
     everything (the flat-objective signal).
     """
-    n_states = 1 << table.n
     if f_lo == f_hi:
-        return SelectionPolicy.probabilistic(table.n, np.ones(n_states))
-    r = (table.values - f_lo) / (f_hi - f_lo)
+        return SelectionPolicy.probabilistic(table.n, np.ones(1 << table.n))
+    # r = (v - f_lo) / (f_hi - f_lo), flipped for MIN and clipped, then
+    # 2**(n * (r - 1)), all in one buffer
+    probs = np.subtract(table.values, f_lo)
+    np.divide(probs, f_hi - f_lo, out=probs)
     if table.sense is Sense.MIN:
-        r = 1.0 - r
-    np.clip(r, 0.0, 1.0, out=r)
-    return SelectionPolicy.probabilistic(table.n, np.exp2(table.n * (r - 1.0)))
+        np.subtract(1.0, probs, out=probs)
+    np.clip(probs, 0.0, 1.0, out=probs)
+    np.subtract(probs, 1.0, out=probs)
+    np.multiply(table.n, probs, out=probs)
+    return SelectionPolicy.probabilistic(table.n, np.exp2(probs, out=probs))
 
 
 def build_optimization_policy(
@@ -164,8 +178,14 @@ def build_optimization_policy(
     return policy_from_estimates(table, float(probe_values.min()), float(probe_values.max()))
 
 
-def _is_flat_policy(policy: SelectionPolicy) -> bool:
-    return policy.probabilities is not None and float(policy.probabilities.min()) >= 1.0
+def _is_flat_policy(policy: SelectionPolicy, table: ObjectiveTable) -> bool:
+    """True when the probes all read one value (f_lo == f_hi).
+
+    Otherwise the table's worst state lies at or beyond the worse estimate,
+    so the policy selects it with probability 2**-n < 1; a flat policy
+    selects every state with probability 1.
+    """
+    return policy.probabilities[table._worst_index] >= 1.0
 
 
 def nominal_rounds(n: int) -> int:
@@ -194,8 +214,8 @@ def dynamic_optimize(
     and returns the best of 10 uniform samples.
     """
     policy = build_optimization_policy(table, rng, sample_budget=sample_budget)
-    if _is_flat_policy(policy):
-        return _best_of_candidates(table, uniform_init(table.n), rng, iterations=0, rounds=0)
+    if _is_flat_policy(policy, table):
+        return _best_of_candidates(table, SparseState.uniform(table.n), rng, iterations=0, rounds=0)
 
     rounds = nominal_rounds(table.n)
     state, log = run_dynamic(

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import check_qubit_count, sample
+from .core import SparseState, check_qubit_count, sample
 from .dynamic_search import SelectionPolicy, default_rounds, run_dynamic
 from .errors import CalibrationError, InvalidParamsError, ShapeMismatchError, UnderAmplifiedError
 
@@ -125,6 +125,19 @@ def similarity_table(spec: SimilaritySpec) -> np.ndarray:
 def class_counts(n: int) -> np.ndarray:
     """Number of states at each similarity S = 0..n: the binomial curve C(n, S)."""
     return np.array([math.comb(n, s) for s in range(n + 1)], dtype=np.int64)
+
+
+def class_masses(state: SparseState, spec: SimilaritySpec) -> np.ndarray:
+    """Sampling probability of each similarity class S = 0..n under a sparse state.
+
+    Class S holds bulk**2 for each of its C(n, S) states that the state does
+    not store (whether or not they are in a catalog) plus a**2 for each
+    stored state in it.
+    """
+    sims = spec.n - np.bitwise_count(state.idx ^ spec.reference).astype(np.int64)
+    unstored = class_counts(spec.n) - np.bincount(sims, minlength=spec.n + 1)
+    stored = np.bincount(sims, weights=state.amp * state.amp, minlength=spec.n + 1)
+    return state.bulk * state.bulk * unstored + stored
 
 
 def selection_probability(s: int, params: SelectionProbabilityParams) -> float:
@@ -266,16 +279,17 @@ def recommend(
             f"collected {len(seen)} of {m} distinct items within {cap} draws"
         )
 
-    sims = similarity_table(spec)
+    found = list(seen)
     items = tuple(
-        RecommendedItem(index=x, similarity=int(sims[x]))
-        for x in sorted(seen, key=lambda x: (-int(sims[x]), x))
+        sorted(
+            map(RecommendedItem, found, policy.class_of(np.array(found)).tolist()),
+            key=lambda item: (-item.similarity, item.index),
+        )
     )
-    per_class = np.bincount(sims, weights=state.probabilities(), minlength=spec.n + 1)
     return RecommendationResult(
         items=items,
         rounds_used=log.best_round if log.best_round is not None else log.rounds,
-        per_similarity_sampling=per_class,
+        per_similarity_sampling=class_masses(state, spec),
         log=log,
     )
 

@@ -130,7 +130,6 @@ def search_unknown_m(spec: StaticSearchSpec, rng: np.random.Generator) -> Search
     marked = spec.marked.selected
     budget = math.ceil(UNKNOWN_M_BUDGET_FACTOR * math.sqrt(n_states))
     total = 0
-    state = uniform_init(spec.n)
     for attempt in range(_MAX_ATTEMPTS):
         if total >= budget:
             break
@@ -148,6 +147,7 @@ def search_unknown_m(spec: StaticSearchSpec, rng: np.random.Generator) -> Search
                 iterations_used=total,
                 success_probability=probability_of(state, spec.marked),
             )
+    # the budget is at least 3, so the first attempt always ran and set ``state``
     return SearchResult(
         outcome=None,
         iterations_used=total,

@@ -60,6 +60,31 @@ def test_stats_full_mask_infinite_min(impl):
     assert np.isinf(impl.selection_stats(amps, selected)[4])
 
 
+@pytest.mark.parametrize("n", [1, 5, 13, 14, 15])
+@pytest.mark.parametrize("density", [0.0, 0.05, 0.5, 1.0])
+@pytest.mark.parametrize("positive", [False, True])
+def test_python_stats_match_copied_groups(n, density, positive):
+    # the blockwise sums agree with sums over the groups copied out of amps
+    amps, selected = random_case(n, seed=n, density=density)
+    if positive:
+        amps = np.abs(amps)
+    sel, unsel = amps[selected], amps[~selected]
+    want = (sel.sum(), unsel.sum(), sel @ sel, unsel @ unsel)
+    got = _kernels_py.selection_stats(amps, selected)
+    for g, w in zip(got[:4], want):
+        assert g == pytest.approx(w, rel=1e-12, abs=1e-15)
+    assert got[4] == (unsel.min() if unsel.size else np.inf)
+
+
+def test_python_stats_zero_group_sums_exactly_zero():
+    amps = np.zeros(1 << 14)
+    selected = np.zeros(1 << 14, dtype=bool)
+    selected[::3] = True
+    amps[selected] = 0.01
+    stats = _kernels_py.selection_stats(amps, selected)
+    assert stats[1] == 0.0 and stats[3] == 0.0 and stats[4] == 0.0
+
+
 @pytest.mark.parametrize("impl", IMPLS)
 def test_bitwise_determinism(impl):
     # identical inputs give bit-identical outputs on repeat runs

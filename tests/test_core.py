@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qamp import (
@@ -12,6 +12,7 @@ from qamp import (
     SelectionMask,
     ShapeMismatchError,
     SizeError,
+    SparseState,
     StateVector,
     decompose,
     invert_about_mean,
@@ -155,6 +156,64 @@ class TestSample:
         expected = state.probabilities() * draws.size
         chi2 = float(((observed - expected) ** 2 / expected).sum())
         assert chi2 < CHI2_99[(1 << n) - 1]
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    n=st.integers(1, 9),
+    seed=st.integers(0, 2**31),
+    touched=st.sampled_from(["random", "empty", "full"]),
+    zero_bulk=st.booleans(),
+    size=st.sampled_from([None, 1, 50]),
+)
+def test_sparse_sample_matches_dense(n, seed, touched, zero_bulk, size):
+    # the index-order inversion over bulk + stored states picks what the
+    # dense cumsum over the same amplitudes picks, for the same generator
+    rng = np.random.default_rng(seed)
+    n_states = 1 << n
+    if touched == "empty":
+        idx = np.empty(0, dtype=np.int64)
+    elif touched == "full":
+        idx = np.arange(n_states)
+    else:
+        idx = np.sort(rng.choice(n_states, size=int(rng.integers(0, n_states + 1)), replace=False))
+    amp = rng.standard_normal(idx.size)  # both signs
+    amp[rng.random(idx.size) < 0.2] = 0.0
+    bulk = 0.0 if zero_bulk else float(rng.standard_normal())
+    norm_sq = float(amp @ amp) + bulk * bulk * (n_states - idx.size)
+    assume(norm_sq > 0.0)
+    scale = 1.0 / math.sqrt(norm_sq)
+    state = SparseState(n, bulk * scale, idx, amp * scale)
+    dense = StateVector(n, state.amps)
+    assert state.norm_sq() == pytest.approx(dense.norm_sq(), abs=1e-12)
+    got = sample(state, np.random.default_rng(seed + 1), size=size)
+    want = sample(dense, np.random.default_rng(seed + 1), size=size)
+    if size is None:
+        assert type(got) is int and got == want
+    else:
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+
+
+class TestSparseState:
+    def test_dense_form(self):
+        state = SparseState(2, 0.5, [1, 3], [-0.5, 0.5])
+        assert np.array_equal(state.amps, [0.5, -0.5, 0.5, 0.5])
+        assert state.norm_sq() == 1.0
+        assert np.array_equal(state.probabilities(), [0.25] * 4)
+
+    def test_uniform_stores_nothing(self):
+        state = SparseState.uniform(10)
+        assert state.idx.size == 0
+        assert np.array_equal(state.amps, uniform_init(10).amps)
+
+    @pytest.mark.parametrize("idx", [[2, 1], [1, 1], [4], [-1]])
+    def test_bad_indices_rejected(self, idx):
+        with pytest.raises(ShapeMismatchError):
+            SparseState(2, 0.5, idx, np.zeros(len(idx)))
+
+    def test_unnormalized_rejected(self):
+        with pytest.raises(NormalizationError):
+            sample(SparseState(2, 0.5, [0], [0.0]), np.random.default_rng(0))
 
 
 class TestDecompose:

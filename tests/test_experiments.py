@@ -194,6 +194,25 @@ class TestCli:
         assert main(["grover", "--n", "2", "--m", "5"]) == 2
         assert capsys.readouterr().err.startswith("config error: ")
 
+    @pytest.mark.parametrize("marked", ["a", "1,x", "2.5"])
+    def test_grover_unparsable_marked_exit(self, capsys, marked):
+        assert main(["grover", "--n", "4", "--marked", marked]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("entry", ["n=abc", "m=1.5", "seed=x"])
+    def test_config_file_unparsable_value_exit(self, tmp_path, capsys, entry):
+        config = tmp_path / "run.cfg"
+        config.write_text(entry + "\n", encoding="utf-8")
+        assert main(["grover", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+
+    def test_non_integer_seed_environment_exit(self, capsys, monkeypatch):
+        monkeypatch.setenv("QAMP_SEED", "seven")
+        assert main(["grover", "--n", "4", "--m", "1"]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+
     def test_grover_unknown_m_not_found(self, tmp_path, capsys):
         # unknown-count schedule over an empty marked set: exit code 4
         rc = main(["grover", "--n", "5", "--marked", "", "--unknown-m", "--seed", "1"])

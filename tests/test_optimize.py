@@ -170,6 +170,17 @@ class TestDynamicOptimize:
         assert result.grover_iterations_total == 0
         assert result.optimal
 
+    @pytest.mark.parametrize("sense", [Sense.MIN, Sense.MAX])
+    @pytest.mark.parametrize("best_first", [False, True])
+    def test_selected_for_sure_states_do_not_read_as_flat(self, sense, best_first):
+        # the best states get selection probability 1; only equal probes
+        # make the policy flat and skip the rounds
+        values = np.arange(1 << 10, dtype=np.float64)
+        if best_first == (sense is Sense.MAX):
+            values = values[::-1].copy()
+        result = dynamic_optimize(ObjectiveTable(10, values, sense), np.random.default_rng(5))
+        assert result.outer_rounds == nominal_rounds(10)
+
     def test_one_needle_optimal_flag_is_true_statement(self):
         # the probes all miss the needle, so the policy looks flat; the
         # answer is then the best of uniform samples, rarely the needle
@@ -180,6 +191,25 @@ class TestDynamicOptimize:
             result = dynamic_optimize(table, np.random.default_rng(seed))
             assert result.best_value == table.values[result.best_index]
             assert result.optimal == (result.best_value == 0.0)
+
+    # (best_index, rounds, best_round) per table seed, recorded before the
+    # end of a run became sparse; the seeds' requests restart nowhere
+    PINNED = {
+        Sense.MIN: [(12895, 2, 2), (5805, 2, 2), (1176, 2, 2)],
+        Sense.MAX: [(10368, 2, 2), (15740, 2, 2), (6005, 2, 1)],
+    }
+
+    @pytest.mark.parametrize("sense", [Sense.MIN, Sense.MAX])
+    def test_pinned_outputs(self, sense):
+        for seed, (best_index, rounds, best_round) in zip((11, 12, 13), self.PINNED[sense]):
+            values = np.random.default_rng(seed).standard_normal(1 << 14)
+            table = ObjectiveTable(14, values, sense)
+            result = dynamic_optimize(table, np.random.default_rng(seed + 100))
+            assert result.best_index == best_index
+            assert result.best_value == values[best_index]
+            assert (result.outer_rounds, result.log.best_round) == (rounds, best_round)
+            assert result.log.restart_rounds == ()
+            assert not result.optimal
 
     def test_fewer_iterations_than_threshold_loop(self):
         dyn, thresh = [], []

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from qamp import (
     UnderAmplifiedError,
     calibrate_beta,
     class_counts,
+    class_masses,
     expected_selected_count,
     load_catalog,
     recommend,
@@ -22,6 +24,8 @@ from qamp import (
     similarity_policy,
     similarity_table,
 )
+from qamp import dynamic_search
+from qamp.dynamic_search import run_dynamic
 from qamp.recommend import probability_by_class
 
 LN2 = math.log(2.0)
@@ -224,9 +228,65 @@ class TestRecommend:
                 catalog=np.array([0, 1]),
             )
 
+    # items, rounds_used and the top three class masses recorded before the
+    # run's state became sparse (the masses to 1e-12)
+    PINNED = [
+        (0, 1, [(0, 16), (8, 15), (128, 15), (4096, 15), (36, 14)], 181,
+         [0.02581284200447368, 0.16068617575966737, 0.8042017872249463]),
+        (12345, 2, [(12345, 16), (8249, 15), (12313, 15), (45113, 15), (12825, 14)], 91,
+         [0.041417832900052166, 0.13705348594397548, 0.8081366955048779]),
+        (40000, 3, [(40000, 16), (35904, 15), (39936, 15), (40001, 15), (40032, 15)], 181,
+         [0.03991249988735973, 0.14111306147012026, 0.8079017498333855]),
+    ]
+
+    @pytest.mark.parametrize("reference,seed,items,rounds_used,top_masses", PINNED)
+    def test_pinned_outputs(self, reference, seed, items, rounds_used, top_masses):
+        result = recommend(
+            SimilaritySpec(16, reference), 5, calibrate_beta(16, 5.0), np.random.default_rng(seed)
+        )
+        assert [(item.index, item.similarity) for item in result.items] == items
+        assert result.rounds_used == rounds_used
+        np.testing.assert_allclose(
+            result.per_similarity_sampling[-3:], top_masses, rtol=0, atol=1e-12
+        )
+
+    def test_large_space_allocates_less_than_one_dense_vector(self):
+        n = 22
+        spec = SimilaritySpec(n, 0x2AAAAA)
+        params = calibrate_beta(n, 5.0)
+        tracemalloc.start()
+        try:
+            result = recommend(spec, 5, params, np.random.default_rng(0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(result.items) == 5
+        assert peak < (1 << n) * 8
+
     def test_mismatched_params_rejected(self):
         with pytest.raises(ShapeMismatchError):
             similarity_policy(SimilaritySpec(8, 0), SelectionProbabilityParams(9))
+
+
+@pytest.mark.parametrize("class_draw", [False, True])
+@pytest.mark.parametrize("with_catalog", [False, True])
+def test_sparse_class_masses_match_dense(monkeypatch, with_catalog, class_draw):
+    # class masses from bulk**2 * class counts plus the stored states agree
+    # with a bincount over the dense state; non-catalog states carry mass too
+    if class_draw:
+        monkeypatch.setattr(dynamic_search, "CLASS_DRAW_MIN_STATES", 1)
+    n = 12
+    spec = SimilaritySpec(n, 1234)
+    catalog = np.arange(0, 1 << n, 3) if with_catalog else None
+    policy = similarity_policy(spec, calibrate_beta(n, 5.0), catalog=catalog)
+    sims = similarity_table(spec)
+    for seed in range(4):
+        state, _ = run_dynamic(
+            n, policy, np.random.default_rng(seed), rounds=12, keep_best=True,
+            on_violation="restart",
+        )
+        dense = np.bincount(sims, weights=state.amps * state.amps, minlength=n + 1)
+        np.testing.assert_allclose(class_masses(state, spec), dense, rtol=1e-12, atol=0)
 
 
 class TestLoadCatalog:
