@@ -1,15 +1,18 @@
 #!/usr/bin/env python3
-"""Benchmark the compiled amplitude kernels against the numpy fallback.
+"""Benchmark the numpy amplitude kernels of ``qamp.backend``.
 
-Times the fused amplification step and the one-pass group statistics at
-several register sizes, plus a full dynamic round: on a dense state (mask
-draw, one statistics pass, and the doubled step applied as a per-group
-translation) per kernel backend, and on the touched set that
-``run_dynamic`` keeps (mask draw, statistics and step of ``_TouchedSet``;
-the draw is class-wise from 2**15 states up).  Also times the end of a
-run, 10 draws from its final state: building the dense vector and
-sampling it against sampling the sparse state ``run_dynamic`` returns.
-Run from the repo root:
+Times the amplification step and the one-pass group statistics at several
+register sizes, plus a full dynamic round: on a dense state (mask draw,
+one statistics pass, and the doubled step applied as a per-group
+translation) and on the touched set that ``run_dynamic`` keeps (mask
+draw, statistics and step of ``_TouchedSet``; the draw is class-wise from
+2**15 states up).  Also times the end of a run, 10 draws from its final
+state: building the dense vector and sampling it against sampling the
+sparse state ``run_dynamic`` returns.  Each bench returns its timings in
+seconds keyed by what was timed: ``"python"`` for the kernels (the name
+``qamp.kernel_backend()`` reports), ``"touched"`` for the touched-set
+round, ``"dense"``/``"sparse"`` for the end of a run.  Run from the repo
+root:
 
     python3 benchmarks/kernel_bench.py [--quick]
 """
@@ -20,17 +23,10 @@ import time
 
 import numpy as np
 
-from qamp import _kernels_py
+from qamp import backend
 from qamp.core import SelectionMask, SparseState, StateVector, sample
 from qamp.dynamic_search import _doubled_step, _GroupStats, _TouchedSet, default_rounds
 from qamp.recommend import SimilaritySpec, calibrate_beta, similarity_policy
-
-try:
-    from qamp import _kernels
-except ImportError:
-    _kernels = None
-
-BACKENDS = [("python", _kernels_py)] + ([("compiled", _kernels)] if _kernels else [])
 
 
 def time_call(fn, repeats: int) -> float:
@@ -43,14 +39,10 @@ def time_call(fn, repeats: int) -> float:
 def bench_step(n: int, repeats: int) -> dict[str, float]:
     size = 1 << n
     rng = np.random.default_rng(7)
-    amps0 = np.full(size, 1.0 / math.sqrt(size))
+    amps = np.full(size, 1.0 / math.sqrt(size))
     selected = rng.random(size) < 0.05
-    out = {}
-    for name, impl in BACKENDS:
-        amps = amps0.copy()
-        impl.grover_step(amps, selected)  # warmup
-        out[name] = time_call(lambda: impl.grover_step(amps, selected), repeats)
-    return out
+    backend.grover_step(amps, selected)  # warmup
+    return {"python": time_call(lambda: backend.grover_step(amps, selected), repeats)}
 
 
 def bench_stats(n: int, repeats: int) -> dict[str, float]:
@@ -59,32 +51,25 @@ def bench_stats(n: int, repeats: int) -> dict[str, float]:
     amps = rng.standard_normal(size)
     amps /= np.linalg.norm(amps)
     selected = rng.random(size) < 0.05
-    out = {}
-    for name, impl in BACKENDS:
-        impl.selection_stats(amps, selected)
-        out[name] = time_call(lambda: impl.selection_stats(amps, selected), repeats)
-    return out
+    backend.selection_stats(amps, selected)
+    return {"python": time_call(lambda: backend.selection_stats(amps, selected), repeats)}
 
 
 def bench_round(n: int, repeats: int) -> dict[str, float]:
     size = 1 << n
     probs = np.minimum(1.0, 2.0 ** (np.arange(size) % (n + 1) - float(n)))
-    out = {}
-    for name, impl in BACKENDS:
-        rng = np.random.default_rng(7)
-        amps = np.full(size, 1.0 / math.sqrt(size))
+    rng = np.random.default_rng(7)
+    amps = np.full(size, 1.0 / math.sqrt(size))
 
-        def one_round():
-            mask = SelectionMask(n, rng.random(size) < probs)
-            stats = _GroupStats(
-                *impl.selection_stats(amps, mask.selected), mask.count_selected, size
-            )
-            _doubled_step(amps, mask.indices, stats)
+    def one_round():
+        mask = SelectionMask(n, rng.random(size) < probs)
+        stats = _GroupStats(
+            *backend.selection_stats(amps, mask.selected), mask.count_selected, size
+        )
+        _doubled_step(amps, mask.indices, stats)
 
-        one_round()
-        out[name] = time_call(one_round, repeats)
-    out["touched"] = bench_touched_round(n, repeats)
-    return out
+    one_round()
+    return {"python": time_call(one_round, repeats), "touched": bench_touched_round(n, repeats)}
 
 
 def bench_touched_round(n: int, repeats: int) -> float:
@@ -136,21 +121,14 @@ def main() -> None:
     sizes = [10, 14] if args.quick else [10, 14, 18, 20]
     base_repeats = 50 if args.quick else 400
 
-    if _kernels is None:
-        print("compiled kernels unavailable; timing the numpy fallback only")
-    print(f"{'bench':<14} {'n':>3} " + " ".join(f"{name + ' us':>12}" for name, _ in BACKENDS)
-          + ("  speedup" if _kernels else ""))
+    print(f"{'bench':<14} {'n':>3} {'numpy us':>12}")
     for bench_name, bench in (("grover_step", bench_step),
                               ("selection_stats", bench_stats),
                               ("dynamic_round", bench_round)):
         for n in sizes:
             repeats = max(5, base_repeats >> max(0, n - 12))
             times = bench(n, repeats)
-            row = f"{bench_name:<14} {n:>3} " + " ".join(
-                f"{times[name] * 1e6:>12.2f}" for name, _ in BACKENDS
-            )
-            if _kernels is not None:
-                row += f"  {times['python'] / times['compiled']:>6.2f}x"
+            row = f"{bench_name:<14} {n:>3} {times['python'] * 1e6:>12.2f}"
             if "touched" in times:
                 row += f"  touched-set round {times['touched'] * 1e6:.2f} us"
             print(row)

@@ -7,14 +7,15 @@ and the ``QAMP_SEED`` environment variable is the fallback seed base.
 
 Exit codes: 0 success, 2 config error (bad flags or flag values, an
 unreadable or malformed --config/--catalog/--objective file, a
-non-integer QAMP_SEED, a qubit count outside [1, MAX_QUBITS]), 3
+non-integer QAMP_SEED, a negative seed from --seed, --seed-base, a
+config-file seed/seed_base or QAMP_SEED, a negative --rounds, a
+recommend --m below 1, a qubit count outside [1, MAX_QUBITS]), 3
 invariant or validity failure, 4 under-amplified / not found.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 import time
@@ -39,12 +40,11 @@ from .experiments import (
 )
 from .optimize import durr_hoyer, dynamic_optimize, load_objective
 from .recommend import (
-    SelectionProbabilityParams,
-    calibrate_beta,
+    SimilaritySpec,
     load_catalog,
     recommend,
+    similarity_params,
     similarity_policy,
-    SimilaritySpec,
 )
 from .report import write_csv, write_svg
 from .static_search import StaticSearchSpec, search
@@ -82,6 +82,12 @@ def _parse_bool(text: str) -> bool:
     if lowered in ("0", "false", "no", "off"):
         return False
     raise ConfigError(f"bad boolean {text!r}")
+
+
+def _at_least(value: int, low: int, what: str) -> int:
+    if value < low:
+        raise ConfigError(f"{what} must be >= {low}, got {value}")
+    return value
 
 
 def _load_config_file(path: str) -> dict[str, str]:
@@ -124,30 +130,21 @@ class _Options:
     def seed_base(self, default: int = 0) -> int:
         value = self.get("seed_base", int, None)
         if value is not None:
-            return value
+            return _at_least(value, 0, "seed base")
         env = os.environ.get("QAMP_SEED")
         if not env:
             return default
         try:
-            return int(env)
+            value = int(env)
         except ValueError:
             raise ConfigError(f"QAMP_SEED must be an integer, got {env!r}") from None
+        return _at_least(value, 0, "QAMP_SEED")
 
     def seed(self, default: int = 0) -> int:
         value = self.get("seed", int, None)
         if value is not None:
-            return value
+            return _at_least(value, 0, "seed")
         return self.seed_base(default)
-
-
-def _similarity_params(opts: _Options, n: int, fallback_target: float) -> SelectionProbabilityParams:
-    beta = opts.get("beta", float, None)
-    if beta is not None:
-        return SelectionProbabilityParams(
-            n=n, beta=beta, norm_c=min(2.0**-n, math.exp(-beta * n))
-        )
-    m_target = opts.get("m_target", float, None)
-    return calibrate_beta(n, m_target if m_target is not None else fallback_target)
 
 
 def _out_dir(opts: _Options) -> Path | None:
@@ -230,11 +227,14 @@ def cmd_dynamic(ns: argparse.Namespace) -> int:
     seed = opts.seed()
     rng = np.random.default_rng(seed)
     spec = SimilaritySpec(n, reference)
-    params = _similarity_params(opts, n, fallback_target=float(n + 1))
+    params = similarity_params(
+        n, opts.get("beta", float, None), opts.get("m_target", float, None), float(n + 1)
+    )
     policy = similarity_policy(spec, params)
     rounds = opts.get("rounds", int, None)
     if rounds is None:
         rounds = default_rounds(n, policy)
+    _at_least(rounds, 0, "round count")
     strict = bool(opts.get("strict_validity", _parse_bool, False))
     t0 = time.perf_counter()
     try:
@@ -293,11 +293,13 @@ def cmd_recommend(ns: argparse.Namespace) -> int:
     opts = _Options(ns)
     n = opts.get("n", int, 10)
     reference = opts.get("reference", int, 0)
-    m = opts.get("m", int, 5)
+    m = _at_least(opts.get("m", int, 5), 1, "item count")
     seed = opts.seed()
     rng = np.random.default_rng(seed)
     spec = SimilaritySpec(n, reference)
-    params = _similarity_params(opts, n, fallback_target=float(max(1, m)))
+    params = similarity_params(
+        n, opts.get("beta", float, None), opts.get("m_target", float, None), float(m)
+    )
     catalog_path = opts.get("catalog", str, None)
     catalog = None
     if catalog_path:

@@ -97,7 +97,7 @@ class SelectionPolicy:
         if not 0 <= self.reference < (1 << self.n):
             raise ShapeMismatchError(f"reference {self.reference} out of range for n={self.n}")
         if self.catalog is None:
-            sizes = np.array([math.comb(self.n, s) for s in range(self.n + 1)], dtype=np.int64)
+            sizes = class_counts(self.n)
         else:
             catalog = np.unique(np.asarray(self.catalog, dtype=np.int64))
             if catalog.size and (catalog[0] < 0 or catalog[-1] >= (1 << self.n)):
@@ -158,7 +158,7 @@ class SelectionPolicy:
 
     def class_of(self, indices: np.ndarray) -> np.ndarray:
         """Similarity class n - popcount(x ^ reference) of each state."""
-        return self.n - np.bitwise_count(indices ^ self.reference).astype(np.int64)
+        return similarity_classes(self.n, self.reference, indices)
 
     def class_members(self, s: int) -> np.ndarray:
         """Members of similarity class ``s`` (within the catalog, if any)."""
@@ -179,6 +179,16 @@ class SelectionPolicy:
             self.reference ^ sum(map(bit.__getitem__, order[: self.n - s]))
             for s, order in zip(classes, orders)
         ]
+
+
+def similarity_classes(n: int, reference: int, indices) -> np.ndarray:
+    """Similarity n - popcount(x ^ reference) of each n-bit state x, as int64."""
+    return n - np.bitwise_count(indices ^ reference).astype(np.int64)
+
+
+def class_counts(n: int) -> np.ndarray:
+    """Number of states at each similarity S = 0..n: the binomial curve C(n, S)."""
+    return np.array([math.comb(n, s) for s in range(n + 1)], dtype=np.int64)
 
 
 def _words_with_popcount(n: int, d: int) -> np.ndarray:

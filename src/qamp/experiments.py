@@ -33,10 +33,9 @@ from .dynamic_search import (
 )
 from .errors import ConfigError, ValidityError
 from .recommend import (
-    SelectionProbabilityParams,
     SimilaritySpec,
-    calibrate_beta,
     class_masses,
+    similarity_params,
     similarity_policy,
     similarity_table,
 )
@@ -74,6 +73,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown experiment {self.experiment!r}; use one of {EXPERIMENTS}")
         if self.seeds < 1:
             raise ConfigError(f"seed count must be >= 1, got {self.seeds}")
+        if self.seed_base < 0:
+            raise ConfigError(f"seed base must be >= 0, got {self.seed_base}")
         lo, hi = self.resolved_range()
         if not (1 <= lo <= hi <= MAX_EXPERIMENT_QUBITS):
             raise ConfigError(
@@ -103,16 +104,6 @@ def _ball_threshold(config: ExperimentConfig, n: int) -> int:
     if not 0 <= tau <= n:
         raise ConfigError(f"similarity threshold must be in [0, {n}], got {tau}")
     return tau
-
-
-def _experiment_params(config: ExperimentConfig, n: int, ball_size: int) -> SelectionProbabilityParams:
-    """Policy parameters: explicit beta wins, else calibrate to the target count."""
-    if config.beta is not None:
-        return SelectionProbabilityParams(
-            n=n, beta=config.beta, norm_c=min(2.0**-n, math.exp(-config.beta * n))
-        )
-    m_target = config.m_target if config.m_target is not None else float(ball_size)
-    return calibrate_beta(n, m_target)
 
 
 @dataclass(frozen=True)
@@ -146,7 +137,7 @@ def experiment_steps(config: ExperimentConfig) -> StepsOutcome:
         if ball.count_selected == 0:
             raise ConfigError(f"threshold {tau} leaves no target states at n={n}")
         static_steps = optimal_iterations(n_states, ball.count_selected)
-        params = _experiment_params(config, n, ball.count_selected)
+        params = similarity_params(n, config.beta, config.m_target, float(ball.count_selected))
         policy = similarity_policy(spec, params)
         cap = 4 * max(static_steps, 1) + 8
 
@@ -238,7 +229,7 @@ def experiment_accuracy(config: ExperimentConfig) -> AccuracyOutcome:
         static_state = grover_iteration(static_state, ball)
     p_static = np.bincount(sims, weights=static_state.probabilities(), minlength=n + 1)
 
-    params = _experiment_params(config, n, ball.count_selected)
+    params = similarity_params(n, config.beta, config.m_target, float(ball.count_selected))
     policy = similarity_policy(spec, params)
     cap = 2 * default_rounds(n, policy) + 8
     run_rows: list[tuple] = []

@@ -19,7 +19,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import SparseState, check_qubit_count, sample
-from .dynamic_search import SelectionPolicy, default_rounds, run_dynamic
+from .dynamic_search import (
+    SelectionPolicy,
+    class_counts,
+    default_rounds,
+    run_dynamic,
+    similarity_classes,
+)
 from .errors import CalibrationError, InvalidParamsError, ShapeMismatchError, UnderAmplifiedError
 
 RESAMPLE_CAP_FACTOR = 50
@@ -113,18 +119,12 @@ def similarity(x: int, spec: SimilaritySpec) -> int:
     """Bit width minus the Hamming distance to the reference item."""
     if not 0 <= x < (1 << spec.n):
         raise ShapeMismatchError(f"index {x} out of range for n={spec.n}")
-    return spec.n - int(x ^ spec.reference).bit_count()
+    return int(similarity_classes(spec.n, spec.reference, x))
 
 
 def similarity_table(spec: SimilaritySpec) -> np.ndarray:
     """Similarity of every basis state to the reference, as one array."""
-    xor = np.bitwise_xor(np.arange(1 << spec.n, dtype=np.uint32), np.uint32(spec.reference))
-    return (spec.n - np.bitwise_count(xor)).astype(np.int64)
-
-
-def class_counts(n: int) -> np.ndarray:
-    """Number of states at each similarity S = 0..n: the binomial curve C(n, S)."""
-    return np.array([math.comb(n, s) for s in range(n + 1)], dtype=np.int64)
+    return similarity_classes(spec.n, spec.reference, np.arange(1 << spec.n, dtype=np.uint32))
 
 
 def class_masses(state: SparseState, spec: SimilaritySpec) -> np.ndarray:
@@ -134,7 +134,7 @@ def class_masses(state: SparseState, spec: SimilaritySpec) -> np.ndarray:
     not store (whether or not they are in a catalog) plus a**2 for each
     stored state in it.
     """
-    sims = spec.n - np.bitwise_count(state.idx ^ spec.reference).astype(np.int64)
+    sims = similarity_classes(spec.n, spec.reference, state.idx)
     unstored = class_counts(spec.n) - np.bincount(sims, minlength=spec.n + 1)
     stored = np.bincount(sims, weights=state.amp * state.amp, minlength=spec.n + 1)
     return state.bulk * state.bulk * unstored + stored
@@ -221,6 +221,19 @@ def calibrate_beta(
             stacklevel=2,
         )
     return params
+
+
+def similarity_params(
+    n: int, beta: float | None, m_target: float | None, fallback_target: float
+) -> SelectionProbabilityParams:
+    """Policy parameters: an explicit ``beta`` takes the prefactor
+    min(2**-n, exp(-beta * n)); otherwise beta is calibrated to the expected
+    count ``m_target``, or ``fallback_target`` when that is None too."""
+    if beta is not None:
+        return SelectionProbabilityParams(
+            n=n, beta=beta, norm_c=min(2.0**-n, math.exp(-beta * n))
+        )
+    return calibrate_beta(n, m_target if m_target is not None else fallback_target)
 
 
 def similarity_policy(

@@ -37,6 +37,8 @@ class TestConfig:
             ExperimentConfig("steps", n_range=(5, 25)).validate()
         with pytest.raises(ConfigError):
             ExperimentConfig("steps", fmt="pdf").validate()
+        with pytest.raises(ConfigError):
+            ExperimentConfig("steps", seed_base=-1).validate()
 
     def test_reference_out_of_range(self, tmp_path):
         # steps checks against the smallest n of the range: 2**10 is fine at
@@ -212,6 +214,32 @@ class TestCli:
         monkeypatch.setenv("QAMP_SEED", "seven")
         assert main(["grover", "--n", "4", "--m", "1"]) == 2
         assert capsys.readouterr().err.startswith("config error: ")
+
+    @pytest.mark.parametrize("args, config_line, env_seed", [
+        pytest.param(["grover", "--n", "4", "--m", "3", "--seed", "-1"], None, None, id="seed"),
+        pytest.param(["grover", "--n", "4", "--m", "3", "--seed-base", "-2"], None, None,
+                     id="seed-base"),
+        pytest.param(["experiment", "accuracy", "--n", "6", "--seeds", "1", "--seed-base", "-5"],
+                     None, None, id="experiment-seed-base"),
+        pytest.param(["grover", "--n", "4", "--m", "1"], "seed=-4", None, id="config-seed"),
+        pytest.param(["experiment", "steps", "--n-range", "4:4", "--seeds", "1"],
+                     "seed_base=-4", None, id="config-seed-base"),
+        pytest.param(["grover", "--n", "4", "--m", "1"], None, "-3", id="env-seed"),
+        pytest.param(["dynamic", "--n", "8", "--rounds", "-1"], None, None, id="rounds"),
+        pytest.param(["recommend", "--n", "8", "--m", "0"], None, None, id="item-count"),
+    ])
+    def test_out_of_range_value_exit(self, tmp_path, capsys, monkeypatch, args, config_line,
+                                     env_seed):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("QAMP_SEED", raising=False)
+        if env_seed is not None:
+            monkeypatch.setenv("QAMP_SEED", env_seed)
+        if config_line is not None:
+            Path("run.cfg").write_text(config_line + "\n", encoding="utf-8")
+            args = [*args, "--config", "run.cfg"]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
 
     def test_grover_unknown_m_not_found(self, tmp_path, capsys):
         # unknown-count schedule over an empty marked set: exit code 4
