@@ -1,18 +1,18 @@
 #!/usr/bin/env python3
 """Benchmark the numpy amplitude kernels of ``qamp.backend``.
 
-Times the amplification step and the one-pass group statistics at several
-register sizes, plus a full dynamic round: on a dense state (mask draw,
-one statistics pass, and the doubled step applied as a per-group
-translation) and on the touched set that ``run_dynamic`` keeps (mask
-draw, statistics and step of ``_TouchedSet``; the draw is class-wise from
-2**15 states up).  Also times the end of a run, 10 draws from its final
-state: building the dense vector and sampling it against sampling the
-sparse state ``run_dynamic`` returns.  Each bench returns its timings in
-seconds keyed by what was timed: ``"python"`` for the kernels (the name
-``qamp.kernel_backend()`` reports), ``"touched"`` for the touched-set
-round, ``"dense"``/``"sparse"`` for the end of a run.  Run from the repo
-root:
+Times the amplification step and the group statistics of the dense
+diagnostics at several register sizes, plus a full dynamic round: the
+literal dense round of the reference (mask draw and two amplification
+steps) and the round on the touched set that ``run_dynamic`` keeps (mask
+draw, statistics and closed-form step of ``_TouchedSet``; the draw is
+class-wise from 2**15 states up).  Also times the end of a run, 10 draws
+from its final state: building the dense vector and sampling it against
+sampling the sparse state ``run_dynamic`` returns.  Each bench returns its
+timings in seconds keyed by what was timed: ``"python"`` for the kernels
+(the name ``qamp.kernel_backend()`` reports), ``"touched"`` for the
+touched-set round, ``"dense"``/``"sparse"`` for the end of a run.  Run
+from the repo root:
 
     python3 benchmarks/kernel_bench.py [--quick]
 """
@@ -24,8 +24,8 @@ import time
 import numpy as np
 
 from qamp import backend
-from qamp.core import SelectionMask, SparseState, StateVector, sample
-from qamp.dynamic_search import _doubled_step, _GroupStats, _TouchedSet, default_rounds
+from qamp.core import SparseState, StateVector, sample
+from qamp.dynamic_search import _TouchedSet, default_rounds
 from qamp.recommend import SimilaritySpec, calibrate_beta, similarity_policy
 
 
@@ -62,11 +62,9 @@ def bench_round(n: int, repeats: int) -> dict[str, float]:
     amps = np.full(size, 1.0 / math.sqrt(size))
 
     def one_round():
-        mask = SelectionMask(n, rng.random(size) < probs)
-        stats = _GroupStats(
-            *backend.selection_stats(amps, mask.selected), mask.count_selected, size
-        )
-        _doubled_step(amps, mask.indices, stats)
+        selected = rng.random(size) < probs
+        backend.grover_step(amps, selected)
+        backend.grover_step(amps, selected)
 
     one_round()
     return {"python": time_call(one_round, repeats), "touched": bench_touched_round(n, repeats)}

@@ -9,9 +9,6 @@ import math
 
 import numpy as np
 
-# selection_stats works through the state in blocks of this many amplitudes
-_STATS_BLOCK = 1 << 13
-
 
 def grover_step(amps: np.ndarray, selected: np.ndarray) -> None:
     """One amplification step: sign-flip selected entries, reflect all about the mean."""
@@ -21,35 +18,14 @@ def grover_step(amps: np.ndarray, selected: np.ndarray) -> None:
 
 
 def selection_stats(amps: np.ndarray, selected: np.ndarray):
-    """Per-group sums over one pass: (sum_sel, sum_unsel, sumsq_sel, sumsq_unsel, min_unsel).
+    """Per-group sums: (sum_sel, sum_unsel, sumsq_sel, sumsq_unsel, min_unsel).
 
-    ``min_unsel`` is +inf when every state is selected.  Neither group is
-    copied out of ``amps``: each block times the mask is the selected group
-    with zeros elsewhere, and the block minus that is the unselected group
-    (exactly), both formed in one block-sized scratch buffer.
+    ``min_unsel`` is +inf when every state is selected.  The dense
+    diagnostics call this; runs keep their own group sums.
     """
-    if amps.size <= _STATS_BLOCK:
-        return _block_stats(amps, selected, np.empty(amps.size))
-    scratch = np.empty(_STATS_BLOCK)
-    blocks = [
-        _block_stats(
-            amps[start : start + _STATS_BLOCK],
-            selected[start : start + _STATS_BLOCK],
-            scratch[: min(_STATS_BLOCK, amps.size - start)],
-        )
-        for start in range(0, amps.size, _STATS_BLOCK)
-    ]
-    *sums, min_unsel = zip(*blocks)
-    return (*map(sum, sums), min(min_unsel))
-
-
-def _block_stats(block: np.ndarray, mask: np.ndarray, scratch: np.ndarray):
-    group = np.multiply(block, mask, out=scratch)
-    sum_sel, sumsq_sel = float(np.add.reduce(group)), float(group @ group)
-    np.subtract(block, group, out=group)
-    sum_unsel, sumsq_unsel = float(np.add.reduce(group)), float(group @ group)
-    np.putmask(group, mask, math.inf)
-    return sum_sel, sum_unsel, sumsq_sel, sumsq_unsel, float(np.minimum.reduce(group))
+    sel, unsel = amps[selected], amps[~selected]
+    min_unsel = float(unsel.min()) if unsel.size else math.inf
+    return float(sel.sum()), float(unsel.sum()), float(sel @ sel), float(unsel @ unsel), min_unsel
 
 
 def kernel_backend() -> str:

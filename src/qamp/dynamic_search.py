@@ -32,6 +32,7 @@ from .core import (
     uniform_init,
 )
 from .errors import ShapeMismatchError, ValidityError
+from .static_search import optimal_iterations
 
 VALIDITY_ATOL = 1e-9  # "positive" is tested as > -VALIDITY_ATOL to absorb float noise
 # Spaces this large draw class-policy masks class-wise.  A class-wise round
@@ -43,10 +44,11 @@ CLASS_DRAW_MIN_STATES = 1 << 15
 
 @dataclass(frozen=True)
 class SelectionPolicy:
-    """Which states a round selects: a fixed mask, a per-state probability
-    table, or one probability per similarity class.
+    """Which states a round selects: a per-state probability table, or one
+    probability per similarity class.
 
-    The class form selects state x with probability
+    A fixed mask is the 0/1 table ``probabilistic(n, mask.selected)``.  The
+    class form selects state x with probability
     ``class_probabilities[S(x)]``, where S(x) = n - popcount(x ^ reference)
     is its similarity to ``reference``; with a ``catalog`` only catalog
     members can be selected.  On spaces of ``CLASS_DRAW_MIN_STATES`` states
@@ -54,7 +56,6 @@ class SelectionPolicy:
     """
 
     n: int
-    mask: SelectionMask | None = None
     probabilities: np.ndarray | None = None
     class_probabilities: np.ndarray | None = None
     reference: int = 0
@@ -67,13 +68,8 @@ class SelectionPolicy:
 
     def __post_init__(self):
         check_qubit_count(self.n)
-        forms = (self.mask, self.probabilities, self.class_probabilities)
-        if sum(form is not None for form in forms) != 1:
-            raise ValueError(
-                "exactly one of mask / probabilities / class_probabilities must be given"
-            )
-        if self.mask is not None and self.mask.n != self.n:
-            raise ValueError(f"mask has n={self.mask.n}, policy has n={self.n}")
+        if (self.probabilities is None) == (self.class_probabilities is None):
+            raise ValueError("exactly one of probabilities / class_probabilities must be given")
         if self.probabilities is not None:
             probs = np.asarray(self.probabilities, dtype=np.float64)
             if probs.shape != (1 << self.n,):
@@ -110,10 +106,6 @@ class SelectionPolicy:
         object.__setattr__(self, "class_sizes", sizes)
 
     @classmethod
-    def static(cls, mask: SelectionMask) -> "SelectionPolicy":
-        return cls(mask.n, mask=mask)
-
-    @classmethod
     def probabilistic(cls, n: int, probabilities) -> "SelectionPolicy":
         return cls(n, probabilities=probabilities)
 
@@ -131,22 +123,14 @@ class SelectionPolicy:
             n, class_probabilities=class_probabilities, reference=reference, catalog=catalog
         )
 
-    @property
-    def is_static(self) -> bool:
-        return self.mask is not None
-
     def expected_selected(self) -> float:
         """Expected number of selected states per round."""
-        if self.mask is not None:
-            return float(self.mask.count_selected)
         if self.probabilities is not None:
             return float(self.probabilities.sum())
         return float(self.class_sizes @ self.class_probabilities)
 
     def state_probabilities(self) -> np.ndarray:
         """The selection probability of every state, as one table of N entries."""
-        if self.mask is not None:
-            return self.mask.selected.astype(np.float64)
         if self.probabilities is not None:
             return self.probabilities
         probs = self.class_probabilities[self.class_of(np.arange(1 << self.n))]
@@ -260,7 +244,7 @@ class DynamicRunLog:
     Masks are stored as selected-index arrays to keep large-n runs light;
     :meth:`mask` rebuilds the boolean form for any round.
     ``policy_mass_by_round`` is the expected mass a fresh selection round
-    would mark (for a static policy this equals the logged p_selected);
+    would mark (under a 0/1 table this equals the logged p_selected);
     ``best_round`` is the 1-based round maximizing it when the run tracked
     a best state, and ``restart_rounds`` lists rounds that reset to the
     uniform state after a progress-condition violation.
@@ -298,13 +282,15 @@ class OrderingWitness:
 
 def sample_mask(policy: SelectionPolicy, rng: np.random.Generator) -> SelectionMask:
     """Draw one selection mask: each state enters independently with its probability."""
-    if policy.mask is not None:
-        return policy.mask
     return SelectionMask.from_indices(policy.n, _TouchedSet(policy).draw(rng).fresh)
 
 
 class _GroupStats(NamedTuple):
-    """Per-group sums of a state along a mask, from one ``selection_stats`` pass."""
+    """Per-group sums of a state along a mask.
+
+    The dense diagnostics take them from ``backend.selection_stats``; runs
+    keep them in closed form (:meth:`doubling_shifts`, :meth:`translated`).
+    """
 
     sum_sel: float
     sum_unsel: float
@@ -370,19 +356,6 @@ class _GroupStats(NamedTuple):
         )
 
 
-def _doubled_step(amps: np.ndarray, selected_idx: np.ndarray, stats: _GroupStats) -> _GroupStats:
-    """Apply the amplification step twice with one mask, in place, on a dense state.
-
-    ``selected_idx`` holds the selected indices and ``stats`` the group sums of
-    ``amps`` along the same mask.  Returns the stats after the step.  This is
-    the dense reference of the step :class:`_TouchedSet` applies in runs.
-    """
-    shift_sel, shift_unsel = stats.doubling_shifts()
-    amps += shift_unsel
-    amps[selected_idx] += shift_sel - shift_unsel
-    return stats.translated(shift_sel, shift_unsel)
-
-
 class _Mask(NamedTuple):
     """One round's mask, split along the touched set of a run."""
 
@@ -410,7 +383,6 @@ class _TouchedSet:
     def __init__(self, policy: SelectionPolicy):
         self.policy = policy
         self.n_states = 1 << policy.n
-        self._static_idx = policy.mask.indices if policy.is_static else None
         self._class_draw = (
             policy.class_sizes is not None and self.n_states >= CLASS_DRAW_MIN_STATES
         )
@@ -420,7 +392,7 @@ class _TouchedSet:
             self._class_sizes = policy.class_sizes.tolist()
             self._class_p = policy.class_probabilities.tolist()
             self.is_touched = np.zeros(self.n_states, dtype=bool)
-        elif not policy.is_static:
+        else:
             self._table = policy.state_probabilities()
             self._uniforms = np.empty(self.n_states)
             self._drawn = np.empty(self.n_states, dtype=bool)
@@ -443,10 +415,6 @@ class _TouchedSet:
             selected_touched = rng.random(self.idx.size) < self.p
             counts = rng.binomial(self.untouched_by_class, policy.class_probabilities)
             return _Mask(selected_touched, *self._fresh_picks(counts, rng), counts)
-        if policy.is_static:
-            # every round selects the whole mask, so it is all touched or all fresh
-            fresh = self._static_idx[:0] if self.idx.size else self._static_idx
-            return _Mask(np.ones(self.idx.size, dtype=bool), fresh, np.ones(fresh.size), None)
         rng.random(out=self._uniforms)
         selected = np.less(self._uniforms, self._table, out=self._drawn)
         selected_touched = selected[self.idx]
@@ -564,10 +532,15 @@ def _sparse_state(n: int, bulk: float, idx: np.ndarray, amp: np.ndarray) -> Spar
 
 
 def dynamic_iteration(state: StateVector, mask: SelectionMask) -> StateVector:
-    """Apply the amplification step twice with the same stored mask."""
+    """Apply the amplification step twice with the same stored mask.
+
+    Two literal steps: this is the dense reference for the closed form
+    that runs apply.
+    """
     check_dims(state, mask)
     amps = state.amps.copy()
-    _doubled_step(amps, mask.indices, _GroupStats.of(amps, mask))
+    for _ in range(2):
+        backend.grover_step(amps, mask.selected)
     return StateVector(state.n, amps)
 
 
@@ -613,12 +586,10 @@ def selected_count_limit(n_states: int, gain_target: float) -> float:
 def default_rounds(n: int, policy: SelectionPolicy) -> int:
     """floor((pi/4) * sqrt(N / max(1, E[selected count]))).
 
-    Matches the static schedule length when the policy degenerates to a
-    fixed mask.
+    The static schedule with E[selected count] for the marked count, so a
+    0/1 table gets the static schedule length of its mask.
     """
-    n_states = 1 << n
-    expected = max(1.0, policy.expected_selected())
-    return int(math.floor((math.pi / 4.0) * math.sqrt(n_states / expected)))
+    return optimal_iterations(1 << n, max(1.0, policy.expected_selected()))
 
 
 def run_dynamic(
@@ -689,7 +660,7 @@ def run_dynamic(
         report = after.report()
         indices.append(selected_idx)
         reports.append(report)
-        mass = report.p_selected if policy.is_static else touched.mass(touched.p, expected)
+        mass = touched.mass(touched.p, expected)
         policy_mass.append(mass)
         if keep_best and mass > best_score:
             best_score = mass
@@ -737,9 +708,7 @@ def ordering_witness(n: int, first_mask: SelectionMask, doubled: bool = False) -
         raise ValueError(f"mask has n={first_mask.n}, expected {n}")
     amps = uniform_init(n).amps
     for mask in (first_mask, SelectionMask.empty(n)):
-        if doubled:
-            _doubled_step(amps, mask.indices, _GroupStats.of(amps, mask))
-        else:
+        for _ in range(2 if doubled else 1):
             backend.grover_step(amps, mask.selected)
     stats = _GroupStats.of(amps, first_mask)
     n_sel, n_unsel = stats.n_selected, stats.n_states - stats.n_selected
@@ -754,13 +723,9 @@ def replay_round_states(log: DynamicRunLog) -> Sequence[StateVector]:
 
     A round listed in ``log.restart_rounds`` starts from the uniform state.
     """
-    amps = uniform_init(log.n).amps
-    states = [StateVector(log.n, amps.copy())]
+    states = [uniform_init(log.n)]
     restarts = set(log.restart_rounds)
     for round_index in range(log.rounds):
-        if round_index in restarts:
-            amps = uniform_init(log.n).amps
-        mask = log.mask(round_index)
-        _doubled_step(amps, mask.indices, _GroupStats.of(amps, mask))
-        states.append(StateVector(log.n, amps.copy()))
+        start = uniform_init(log.n) if round_index in restarts else states[-1]
+        states.append(dynamic_iteration(start, log.mask(round_index)))
     return states

@@ -18,7 +18,7 @@ import numpy as np
 from .core import SelectionMask, SparseState, sample
 from .dynamic_search import SelectionPolicy, run_dynamic
 from .errors import ShapeMismatchError
-from .static_search import StaticSearchSpec, search_unknown_m
+from .static_search import StaticSearchSpec, optimal_iterations, search_unknown_m
 
 _CANDIDATE_COUNT = 10
 _LN2 = math.log(2.0)
@@ -195,8 +195,8 @@ def nominal_rounds(n: int) -> int:
     N * (1 - 2**-n) / (n ln 2) (the exact mean of 2**(n(r-1)) over a flat
     rescaled objective), keeping the budget deterministic in n alone.
     """
-    expected = max(1.0, (1 << n) * (1.0 - 2.0 ** (-n)) / (n * _LN2))
-    return int(math.floor((math.pi / 4.0) * math.sqrt((1 << n) / expected)))
+    expected = (1 << n) * (1.0 - 2.0 ** (-n)) / (n * _LN2)
+    return optimal_iterations(1 << n, max(1.0, expected))
 
 
 def dynamic_optimize(

@@ -26,7 +26,13 @@ from .dynamic_search import (
     run_dynamic,
     similarity_classes,
 )
-from .errors import CalibrationError, InvalidParamsError, ShapeMismatchError, UnderAmplifiedError
+from .errors import (
+    CalibrationError,
+    ConfigError,
+    InvalidParamsError,
+    ShapeMismatchError,
+    UnderAmplifiedError,
+)
 
 RESAMPLE_CAP_FACTOR = 50
 _ROUND_CAP_FACTOR = 2
@@ -75,6 +81,8 @@ class SelectionProbabilityParams:
                 beta = -math.log(root - 1.0)
             else:
                 beta = math.log(2.0)
+        if not math.isfinite(beta):
+            raise InvalidParamsError(f"beta must be finite, got {beta}")
         norm_c = 2.0 ** (-self.n) if self.norm_c is None else self.norm_c
         object.__setattr__(self, "beta", float(beta))
         object.__setattr__(self, "norm_c", float(norm_c))
@@ -267,11 +275,17 @@ def recommend(
     since pushing past it only overshoots; rounds whose progress
     conditions fail restart from uniform.  Draws continue until ``m``
     distinct items are seen.  Duplicate draws are resampled; exceeding the
-    50*m draw cap raises :class:`~qamp.errors.UnderAmplifiedError`.
+    50*m draw cap raises :class:`~qamp.errors.UnderAmplifiedError`.  Asking
+    for more items than can be selected (the unique catalog items, or all
+    2**n states without a catalog) raises :class:`~qamp.errors.ConfigError`
+    before the run.
     """
     if m < 1:
         raise ValueError(f"item count must be >= 1, got {m}")
     policy = similarity_policy(spec, params, catalog=catalog)
+    selectable = (1 << spec.n) if policy.catalog is None else policy.catalog.size
+    if m > selectable:
+        raise ConfigError(f"asked for {m} distinct items, only {selectable} can be selected")
     if rounds is None:
         rounds = _ROUND_CAP_FACTOR * default_rounds(spec.n, policy) + _ROUND_CAP_SLACK
     state, log = run_dynamic(

@@ -11,6 +11,12 @@ from qamp import backend
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def src_env(**extra):
+    """The environment with ``src`` first on PYTHONPATH, for subprocesses."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return {**os.environ, **extra, "PYTHONPATH": path}
+
+
 def random_case(n, seed, density=0.3):
     rng = np.random.default_rng(seed)
     amps = rng.standard_normal(1 << n)
@@ -29,7 +35,7 @@ def test_stats_full_mask_infinite_min():
 @pytest.mark.parametrize("density", [0.0, 0.05, 0.5, 1.0])
 @pytest.mark.parametrize("positive", [False, True])
 def test_python_stats_match_copied_groups(n, density, positive):
-    # the blockwise sums agree with sums over the groups copied out of amps
+    # the stats agree with plain numpy sums over the two groups
     amps, selected = random_case(n, seed=n, density=density)
     if positive:
         amps = np.abs(amps)
@@ -71,7 +77,7 @@ def test_import_ignores_retired_kernel_switch():
     )
     proc = subprocess.run(
         [sys.executable, "-c", code],
-        env={**os.environ, switch: "compiled"},
+        env=src_env(**{switch: "compiled"}),
         cwd=ROOT,
         capture_output=True,
         text=True,
@@ -83,6 +89,7 @@ def test_import_ignores_retired_kernel_switch():
 def test_benchmark_smoke():
     proc = subprocess.run(
         [sys.executable, "benchmarks/kernel_bench.py", "--quick"],
+        env=src_env(),
         cwd=ROOT,
         capture_output=True,
         text=True,

@@ -32,7 +32,7 @@ from qamp import (
 from qamp import dynamic_search
 from qamp.core import oracle_flip, invert_about_mean
 from qamp.recommend import SimilaritySpec, similarity_table
-from qamp.dynamic_search import _doubled_step, _GroupStats
+from qamp.dynamic_search import _GroupStats
 
 
 def random_state(n, seed):
@@ -58,11 +58,6 @@ class TestSampleMask:
             for seed in range(200)
         ]
         assert abs(np.mean(counts) - 512) <= 35
-
-    def test_static_policy_verbatim(self):
-        mask = SelectionMask.from_indices(4, [2, 9])
-        policy = SelectionPolicy.static(mask)
-        assert sample_mask(policy, np.random.default_rng(0)) is mask
 
     def test_deterministic_for_seed(self):
         policy = SelectionPolicy.probabilistic(8, np.full(256, 0.25))
@@ -253,14 +248,15 @@ class TestRunDynamic:
 
     def test_static_policy_thirteen_rounds(self):
         mask = SelectionMask.from_indices(10, [511])
-        policy = SelectionPolicy.static(mask)
+        policy = SelectionPolicy.probabilistic(mask.n, mask.selected)
         state, log = run_dynamic(10, policy, np.random.default_rng(0), rounds=13)
         assert log.rounds == 13
         assert probability_of(state, mask) >= 0.99
 
     def test_default_rounds_matches_static_schedule(self):
         mask = SelectionMask.from_indices(10, [1, 2])
-        assert default_rounds(10, SelectionPolicy.static(mask)) == optimal_iterations(1024, 2)
+        policy = SelectionPolicy.probabilistic(10, mask.selected)
+        assert default_rounds(10, policy) == optimal_iterations(1024, 2)
 
     def test_validity_abort_carries_log(self):
         # selecting ~60% of the space flips the post-flip mean negative
@@ -299,7 +295,7 @@ class TestRunDynamic:
 
     def test_stop_above_own_mask(self):
         mask = SelectionMask.from_indices(10, [7])
-        policy = SelectionPolicy.static(mask)
+        policy = SelectionPolicy.probabilistic(mask.n, mask.selected)
         state, log = run_dynamic(
             10, policy, np.random.default_rng(0), rounds=40, stop_above=0.5
         )
@@ -326,7 +322,7 @@ class TestRunDynamic:
 
     def test_keep_best_returns_best_round_state(self):
         mask = SelectionMask.from_indices(8, [3])
-        policy = SelectionPolicy.static(mask)
+        policy = SelectionPolicy.probabilistic(mask.n, mask.selected)
         # 24 rounds = 48 steps, far past the ~12-step optimum: final state is
         # poor but the best round is near the peak
         state, log = run_dynamic(
@@ -341,7 +337,7 @@ class TestRunDynamic:
 
     def test_policy_mass_equals_p_selected_for_static(self):
         mask = SelectionMask.from_indices(6, [1])
-        policy = SelectionPolicy.static(mask)
+        policy = SelectionPolicy.probabilistic(mask.n, mask.selected)
         _, log = run_dynamic(
             6, policy, np.random.default_rng(0), rounds=5, on_violation="restart"
         )
@@ -416,7 +412,7 @@ def test_selection_count_ordering_exhaustive(n, rounds):
     assert checked > 0
 
 
-def dense_doubled_step(state, mask):
+def two_dense_steps(state, mask):
     for _ in range(2):
         state = invert_about_mean(oracle_flip(state, mask))
     return state
@@ -466,17 +462,17 @@ def test_doubling_identity_property(n, seed, density):
     random_mask = SelectionMask(n, np.random.default_rng(seed).random(1 << n) < density)
     for mask in (SelectionMask.empty(n), SelectionMask.full(n), random_mask):
         after = dynamic_iteration(state, mask)
-        reference = dense_doubled_step(state, mask)
+        reference = two_dense_steps(state, mask)
         np.testing.assert_allclose(after.amps, reference.amps, rtol=0, atol=1e-12)
-        amps = state.amps.copy()
-        closed_form = _doubled_step(amps, mask.indices, _GroupStats.of(amps, mask)).report()
+        stats = _GroupStats.of(state.amps, mask)
+        closed_form = stats.translated(*stats.doubling_shifts()).report()
         assert_reports_close(closed_form, gain_report(after, mask))
 
 
 def random_policy(kind, n, scale, rng):
     """A policy of the given form with selection probabilities up to ``scale``."""
-    if kind == "static":
-        return SelectionPolicy.static(SelectionMask(n, rng.random(1 << n) < scale))
+    if kind == "static":  # a fixed mask, as a 0/1 table
+        return SelectionPolicy.probabilistic(n, rng.random(1 << n) < scale)
     if kind == "table":
         return SelectionPolicy.probabilistic(n, scale * rng.random(1 << n))
     catalog = None
@@ -489,8 +485,6 @@ def random_policy(kind, n, scale, rng):
 def dense_probabilities(policy):
     """The per-state selection probability table of any policy form."""
     n = policy.n
-    if policy.is_static:
-        return policy.mask.selected.astype(float)
     if policy.probabilities is not None:
         return policy.probabilities
     probs = policy.class_probabilities[similarity_table(SimilaritySpec(n, policy.reference))]
@@ -530,7 +524,7 @@ def test_run_dynamic_matches_dense_replay(n, seed, scale, kind, class_draw, keep
         assert np.all(np.diff(selected) > 0)
         assert np.all(probs[selected] > 0.0)
         mask = log.mask(i)
-        state = dense_doubled_step(state, mask)
+        state = two_dense_steps(state, mask)
         assert_reports_close(log.gain_trajectory[i], dense_report(state, mask))
         mass = float(probs @ state.probabilities())
         assert log.policy_mass_by_round[i] == pytest.approx(mass, rel=0, abs=1e-12)

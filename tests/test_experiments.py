@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qamp import backend
 from qamp.cli import main
 from qamp.errors import ConfigError
 from qamp.experiments import (
@@ -147,6 +148,20 @@ class TestCorollariesExperiment:
         failing = {r.check for r in report.results if not r.passed}
         assert failing == {"reselection-ordering"}
 
+    def test_broken_step_fails_doubled_identities(self, tmp_path, monkeypatch):
+        # the identity checks step the dense state, so a reflection about
+        # 0.9x the mean breaks both of them
+        def off_mean_step(amps, selected):
+            np.negative(amps, out=amps, where=selected)
+            np.subtract(1.8 * amps.mean(), amps, out=amps)
+
+        monkeypatch.setattr(backend, "grover_step", off_mean_step)
+        config = ExperimentConfig(
+            "corollaries", n_range=(3, 5), seeds=6, output_dir=tmp_path, fmt="csv"
+        )
+        failing = {r.check for r in experiment_corollaries(config).results if not r.passed}
+        assert {"doubled-identity-none-selected", "doubled-identity-all-selected"} <= failing
+
 
 class TestReproducibility:
     def test_steps_byte_identical(self, tmp_path):
@@ -272,13 +287,27 @@ class TestCli:
         assert len(items) == 6  # header + 5 items
 
     def test_recommend_under_amplified_exit(self, tmp_path):
+        # a steep beta never selects the two catalog items farthest from the
+        # reference, so 100 draws from the near-uniform state miss them
         catalog = tmp_path / "catalog.txt"
-        catalog.write_text("0\n1\n", encoding="utf-8")
+        catalog.write_text("254\n255\n", encoding="utf-8")
         rc = main([
-            "recommend", "--n", "8", "--reference", "0", "--m", "4",
+            "recommend", "--n", "8", "--reference", "0", "--m", "2", "--beta", "5",
             "--seed", "1", "--catalog", str(catalog),
         ])
         assert rc == 4
+
+    @pytest.mark.parametrize(
+        "args,items",
+        [(["--m", "5"], "1\n2\n3\n"), (["--m", "300", "--beta", "1"], None)],
+        ids=["catalog", "space"],
+    )
+    def test_recommend_more_items_than_selectable_exit(self, tmp_path, capsys, args, items):
+        if items is not None:
+            (tmp_path / "catalog.txt").write_text(items, encoding="utf-8")
+            args = [*args, "--catalog", str(tmp_path / "catalog.txt")]
+        assert main(["recommend", "--n", "8", "--seed", "1", *args]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
 
     def test_optimize_identity_table(self, tmp_path, capsys):
         path = tmp_path / "identity.obj"

@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 
 from qamp import (
     CalibrationError,
+    ConfigError,
     InvalidParamsError,
     SelectionProbabilityParams,
     ShapeMismatchError,
     SimilaritySpec,
-    UnderAmplifiedError,
     calibrate_beta,
     class_counts,
     class_masses,
@@ -25,6 +25,7 @@ from qamp import (
     similarity_table,
 )
 from qamp import dynamic_search
+from qamp.cli import main
 from qamp.dynamic_search import run_dynamic
 from qamp.recommend import probability_by_class
 
@@ -105,6 +106,27 @@ class TestSelectionProbability:
     def test_bottom_limit_enforced(self):
         with pytest.raises(InvalidParamsError):
             SelectionProbabilityParams(10, beta=LN2, norm_c=0.5)
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            ["recommend", "--n", "8", "--m", "5", "--beta", "nan"],
+            ["dynamic", "--n", "8", "--beta", "inf"],
+            ["experiment", "accuracy", "--n", "8", "--seeds", "2", "--beta", "nan"],
+            {"beta": math.inf},
+            {"k_param": math.nan},
+        ],
+        ids=["recommend-cli", "dynamic-cli", "accuracy-cli", "beta-inf", "k-param-nan"],
+    )
+    def test_non_finite_beta_rejected(self, case, tmp_path, monkeypatch):
+        # min(1, nan) is 1, so a nan or inf beta passes both boundary limits
+        # unless it is rejected outright
+        if isinstance(case, dict):
+            with pytest.raises(InvalidParamsError):
+                SelectionProbabilityParams(8, **case)
+        else:
+            monkeypatch.chdir(tmp_path)
+            assert main(case) == 2
 
     def test_monotone_in_similarity(self):
         for params in (
@@ -217,15 +239,18 @@ class TestRecommend:
         )
         assert all(item.index in set(catalog.tolist()) for item in result.items)
 
-    def test_catalog_smaller_than_m_under_amplified(self):
-        spec = SimilaritySpec(8, 0)
-        with pytest.raises(UnderAmplifiedError):
+    @pytest.mark.parametrize(
+        "m,catalog", [(3, [0, 1, 1]), (257, None)], ids=["catalog", "space"]
+    )
+    def test_more_items_than_selectable_rejected(self, m, catalog):
+        # rejected before the run, not after 50*m draws
+        with pytest.raises(ConfigError):
             recommend(
-                spec,
-                3,
+                SimilaritySpec(8, 0),
+                m,
                 calibrate_beta(8, 4.0),
                 np.random.default_rng(1),
-                catalog=np.array([0, 1]),
+                catalog=None if catalog is None else np.array(catalog),
             )
 
     # items, rounds_used and the top three class masses recorded before the
