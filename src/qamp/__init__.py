@@ -73,7 +73,6 @@ from .recommend import (
     selection_probability,
     similarity,
     similarity_policy,
-    similarity_table,
 )
 from .static_search import (
     SearchResult,
@@ -81,7 +80,6 @@ from .static_search import (
     grover_iteration,
     marked_probability,
     optimal_iterations,
-    rotation_angle,
     search,
     search_unknown_m,
 )

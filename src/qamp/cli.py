@@ -9,7 +9,8 @@ Exit codes: 0 success, 2 config error (bad flags or flag values, an
 unreadable or malformed --config/--catalog/--objective file, a
 non-integer QAMP_SEED, a negative seed from --seed, --seed-base, a
 config-file seed/seed_base or QAMP_SEED, a negative --rounds, a
-recommend --m below 1, a qubit count outside [1, MAX_QUBITS]), 3
+recommend --m below 1, a qubit count outside [1, MAX_QUBITS], a
+default calibration target of N/2 or more), 3
 invariant or validity failure, 4 under-amplified / not found.
 """
 
@@ -227,9 +228,11 @@ def cmd_dynamic(ns: argparse.Namespace) -> int:
     seed = opts.seed()
     rng = np.random.default_rng(seed)
     spec = SimilaritySpec(n, reference)
-    params = similarity_params(
-        n, opts.get("beta", float, None), opts.get("m_target", float, None), float(n + 1)
-    )
+    beta, m_target = opts.get("beta", float, None), opts.get("m_target", float, None)
+    if beta is None and m_target is None and 2 * (n + 1) >= 1 << n:
+        raise ConfigError(f"the default target n + 1 = {n + 1} at n={n} is too large; "
+                          f"calibration needs fewer than N/2 = {1 << (n - 1)}")
+    params = similarity_params(n, beta, m_target, float(n + 1))
     policy = similarity_policy(spec, params)
     rounds = opts.get("rounds", int, None)
     if rounds is None:

@@ -133,11 +133,15 @@ class SelectionPolicy:
         """The selection probability of every state, as one table of N entries."""
         if self.probabilities is not None:
             return self.probabilities
-        probs = self.class_probabilities[self.class_of(np.arange(1 << self.n))]
+        return self.probabilities_at(np.arange(1 << self.n))
+
+    def probabilities_at(self, indices: np.ndarray) -> np.ndarray:
+        """The selection probability of each of the given states."""
+        if self.probabilities is not None:
+            return self.probabilities[indices]
+        probs = self.class_probabilities[self.class_of(indices)]
         if self.catalog is not None:
-            in_catalog = np.zeros(1 << self.n, dtype=bool)
-            in_catalog[self.catalog] = True
-            probs[~in_catalog] = 0.0
+            probs[~np.isin(indices, self.catalog)] = 0.0
         return probs
 
     def class_of(self, indices: np.ndarray) -> np.ndarray:
@@ -599,7 +603,7 @@ def run_dynamic(
     rounds: int | None = None,
     *,
     stop_above: float | None = None,
-    watch_mask: SelectionMask | None = None,
+    watch: SelectionPolicy | None = None,
     keep_best: bool = False,
     on_violation: str = "abort",
 ) -> tuple[SparseState, DynamicRunLog]:
@@ -612,12 +616,16 @@ def run_dynamic(
     to the uniform state and keeps going (drivers that must finish use
     this: live runs routinely show small transient negative excursions).
 
-    ``stop_above`` ends the run right after the first round whose watched
-    mass exceeds it -- the mass on ``watch_mask`` when given, else the
-    round's own selected mass.  ``keep_best`` returns the state of the
-    round with the highest expected fresh-selection mass instead of the
-    final state (doubled rounds can overshoot the rotation optimum, so the
-    best round is the one worth sampling).
+    ``watch`` logs each round's watched mass, the sum over x of
+    P_watch(x) * a(x)**2 with P_watch the selection probabilities of that
+    policy.  For a fixed set, the 0/1 table
+    ``SelectionPolicy.probabilistic(n, mask.selected)``, it is the set's
+    probability.  ``stop_above`` needs a ``watch`` and ends the run right
+    after the first round whose watched mass exceeds it.  ``keep_best``
+    returns the state of the round with the highest expected
+    fresh-selection mass instead of the final state (doubled rounds can
+    overshoot the rotation optimum, so the best round is the one worth
+    sampling).
 
     The state comes back as a :class:`~qamp.core.SparseState`: the shared
     amplitude of the never-selected states plus the touched states, in
@@ -631,14 +639,17 @@ def run_dynamic(
         raise ValueError(f"on_violation must be 'abort' or 'restart', got {on_violation!r}")
     if policy.n != n:
         raise ValueError(f"policy has n={policy.n}, run has n={n}")
-    if watch_mask is not None and watch_mask.n != n:
-        raise ValueError(f"watch mask has n={watch_mask.n}, run has n={n}")
+    if watch is not None and watch.n != n:
+        raise ValueError(f"watched policy has n={watch.n}, run has n={n}")
+    if stop_above is not None and watch is None:
+        raise ValueError("stop_above needs a watched policy")
     touched = _TouchedSet(policy)
     expected = policy.expected_selected()
+    watched_total = None if watch is None else watch.expected_selected()
     indices: list[np.ndarray] = []
     reports: list[GainReport] = []
     policy_mass: list[float] = []
-    watched_mass: list[float] | None = None if watch_mask is None else []
+    watched_mass: list[float] | None = None if watch is None else []
     restarts: list[int] = []
     best = touched.snapshot() if keep_best else None
     # the policy mass of the uniform state
@@ -657,9 +668,8 @@ def run_dynamic(
             stats = touched.stats(mask)
             restarts.append(round_index)
         selected_idx, after = touched.step(mask, stats)
-        report = after.report()
         indices.append(selected_idx)
-        reports.append(report)
+        reports.append(after.report())
         mass = touched.mass(touched.p, expected)
         policy_mass.append(mass)
         if keep_best and mass > best_score:
@@ -667,11 +677,8 @@ def run_dynamic(
             best = touched.snapshot()
             best_round = round_index + 1
         if watched_mass is not None:
-            watched = watch_mask.selected[touched.idx].astype(np.float64)
-            watched_mass.append(touched.mass(watched, watch_mask.count_selected))
-        if stop_above is not None:
-            observed = watched_mass[-1] if watched_mass is not None else report.p_selected
-            if observed > stop_above:
+            watched_mass.append(touched.mass(watch.probabilities_at(touched.idx), watched_total))
+            if stop_above is not None and watched_mass[-1] > stop_above:
                 break
 
     log = DynamicRunLog(

@@ -7,6 +7,11 @@ baseline marks the similarity ball S >= threshold around the reference
 the full schedule length floor((pi/4) * sqrt(N/M)).  The dynamic arm runs
 a policy calibrated to the same expected selected count and reports the
 first round at which the ball's probability mass exceeds 1/2.
+
+The ball is a union of similarity classes, watched as a 0/1 class policy,
+and the static arm is closed form: sin**2((2k+1) theta) on the ball, split
+over the classes by size.  So ``steps`` and ``accuracy`` allocate nothing
+of 2**n entries and run to ``MAX_QUBITS``.
 """
 
 from __future__ import annotations
@@ -18,10 +23,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import SelectionMask, StateVector, uniform_init
+from .core import MAX_QUBITS, SelectionMask, StateVector, uniform_init
 from .dynamic_search import (
     VALIDITY_ATOL,
     SelectionPolicy,
+    class_counts,
     default_rounds,
     dynamic_iteration,
     gain_bound,
@@ -33,17 +39,16 @@ from .dynamic_search import (
 )
 from .errors import ConfigError, ValidityError
 from .recommend import (
+    SelectionProbabilityParams,
     SimilaritySpec,
     class_masses,
     similarity_params,
     similarity_policy,
-    similarity_table,
 )
 from .report import write_csv, write_svg
-from .static_search import grover_iteration, optimal_iterations
+from .static_search import grover_iteration, marked_probability, optimal_iterations
 
 EXPERIMENTS = ("steps", "accuracy", "corollaries")
-MAX_EXPERIMENT_QUBITS = 20
 IDENTITY_TOL = 1e-10
 ORDERING_TOL = 1e-12
 
@@ -76,12 +81,10 @@ class ExperimentConfig:
         if self.seed_base < 0:
             raise ConfigError(f"seed base must be >= 0, got {self.seed_base}")
         lo, hi = self.resolved_range()
-        if not (1 <= lo <= hi <= MAX_EXPERIMENT_QUBITS):
-            raise ConfigError(
-                f"n range must satisfy 1 <= lo <= hi <= {MAX_EXPERIMENT_QUBITS}, got {lo}:{hi}"
-            )
-        if self.n is not None and not 1 <= self.n <= MAX_EXPERIMENT_QUBITS:
-            raise ConfigError(f"n must be in [1, {MAX_EXPERIMENT_QUBITS}], got {self.n}")
+        if not (1 <= lo <= hi <= MAX_QUBITS):
+            raise ConfigError(f"n range must satisfy 1 <= lo <= hi <= {MAX_QUBITS}, got {lo}:{hi}")
+        if self.n is not None and not 1 <= self.n <= MAX_QUBITS:
+            raise ConfigError(f"n must be in [1, {MAX_QUBITS}], got {self.n}")
         if self.fmt not in ("csv", "svg", "both"):
             raise ConfigError(f"format must be csv, svg or both, got {self.fmt!r}")
 
@@ -99,11 +102,19 @@ def _check_reference(config: ExperimentConfig, n: int) -> None:
         raise ConfigError(f"reference must be in [0, {1 << n}) for n={n}, got {config.reference}")
 
 
-def _ball_threshold(config: ExperimentConfig, n: int) -> int:
+def _ball(config: ExperimentConfig, n: int) -> tuple[SelectionPolicy, int, SelectionProbabilityParams]:
+    """The similarity ball S >= threshold around the reference as a 0/1 class
+    policy, its size, and the dynamic arm's parameters: the given beta or
+    m_target, else a calibration to the ball size."""
     tau = config.threshold if config.threshold is not None else n - 1
     if not 0 <= tau <= n:
         raise ConfigError(f"similarity threshold must be in [0, {n}], got {tau}")
-    return tau
+    size = int(class_counts(n)[tau:].sum())
+    if config.beta is None and config.m_target is None and 2 * size >= 1 << n:
+        raise ConfigError(f"threshold {tau} gives a ball of {size} states at n={n}; "
+                          f"calibration needs fewer than N/2 = {1 << (n - 1)}")
+    ball = SelectionPolicy.by_similarity(n, config.reference, np.arange(n + 1) >= tau)
+    return ball, size, similarity_params(n, config.beta, config.m_target, float(size))
 
 
 @dataclass(frozen=True)
@@ -129,16 +140,9 @@ def experiment_steps(config: ExperimentConfig) -> StepsOutcome:
     rows: list[StepsRow] = []
     run_rows: list[tuple] = []
     for n in range(lo, hi + 1):
-        n_states = 1 << n
-        tau = _ball_threshold(config, n)
-        spec = SimilaritySpec(n, config.reference)
-        sims = similarity_table(spec)
-        ball = SelectionMask(n, sims >= tau)
-        if ball.count_selected == 0:
-            raise ConfigError(f"threshold {tau} leaves no target states at n={n}")
-        static_steps = optimal_iterations(n_states, ball.count_selected)
-        params = similarity_params(n, config.beta, config.m_target, float(ball.count_selected))
-        policy = similarity_policy(spec, params)
+        ball, size, params = _ball(config, n)
+        static_steps = optimal_iterations(1 << n, size)
+        policy = similarity_policy(SimilaritySpec(n, config.reference), params)
         cap = 4 * max(static_steps, 1) + 8
 
         dyn_rounds = np.empty(config.seeds)
@@ -152,7 +156,7 @@ def experiment_steps(config: ExperimentConfig) -> StepsOutcome:
                 rng,
                 rounds=cap,
                 stop_above=0.5,
-                watch_mask=ball,
+                watch=ball,
                 on_violation="restart",
             )
             wall_ms = (time.perf_counter() - t0) * 1e3
@@ -217,19 +221,15 @@ def experiment_accuracy(config: ExperimentConfig) -> AccuracyOutcome:
     n = config.n if config.n is not None else 13
     n_states = 1 << n
     _check_reference(config, n)
-    tau = _ball_threshold(config, n)
+    ball, size, params = _ball(config, n)
+    p_marked = marked_probability(n_states, size, optimal_iterations(n_states, size))
+    p_static = class_counts(n) * np.where(
+        ball.class_probabilities == 1.0,
+        p_marked / size,
+        (1.0 - p_marked) / max(n_states - size, 1),  # no state is outside a ball of N
+    )
+
     spec = SimilaritySpec(n, config.reference)
-    sims = similarity_table(spec)
-    ball = SelectionMask(n, sims >= tau)
-    if ball.count_selected == 0:
-        raise ConfigError(f"threshold {tau} leaves no target states at n={n}")
-
-    static_state = uniform_init(n)
-    for _ in range(optimal_iterations(n_states, ball.count_selected)):
-        static_state = grover_iteration(static_state, ball)
-    p_static = np.bincount(sims, weights=static_state.probabilities(), minlength=n + 1)
-
-    params = similarity_params(n, config.beta, config.m_target, float(ball.count_selected))
     policy = similarity_policy(spec, params)
     cap = 2 * default_rounds(n, policy) + 8
     run_rows: list[tuple] = []

@@ -130,11 +130,6 @@ def similarity(x: int, spec: SimilaritySpec) -> int:
     return int(similarity_classes(spec.n, spec.reference, x))
 
 
-def similarity_table(spec: SimilaritySpec) -> np.ndarray:
-    """Similarity of every basis state to the reference, as one array."""
-    return similarity_classes(spec.n, spec.reference, np.arange(1 << spec.n, dtype=np.uint32))
-
-
 def class_masses(state: SparseState, spec: SimilaritySpec) -> np.ndarray:
     """Sampling probability of each similarity class S = 0..n under a sparse state.
 

@@ -52,11 +52,6 @@ class SearchResult:
         return self.outcome is not None
 
 
-def rotation_angle(n_states: int, n_marked: int) -> float:
-    """Rotation per iteration in the two-component picture: 2*asin(sqrt(M/N))."""
-    return 2.0 * math.asin(math.sqrt(n_marked / n_states))
-
-
 def marked_probability(n_states: int, n_marked: int, iterations: int) -> float:
     """Closed-form marked-set probability after k iterations from uniform."""
     half_theta = math.asin(math.sqrt(n_marked / n_states))

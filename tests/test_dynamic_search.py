@@ -31,8 +31,7 @@ from qamp import (
 )
 from qamp import dynamic_search
 from qamp.core import oracle_flip, invert_about_mean
-from qamp.recommend import SimilaritySpec, similarity_table
-from qamp.dynamic_search import _GroupStats
+from qamp.dynamic_search import _GroupStats, similarity_classes
 
 
 def random_state(n, seed):
@@ -297,13 +296,18 @@ class TestRunDynamic:
         mask = SelectionMask.from_indices(10, [7])
         policy = SelectionPolicy.probabilistic(mask.n, mask.selected)
         state, log = run_dynamic(
-            10, policy, np.random.default_rng(0), rounds=40, stop_above=0.5
+            10, policy, np.random.default_rng(0), rounds=40, stop_above=0.5, watch=policy
         )
         assert log.rounds < 40
         assert log.gain_trajectory[-1].p_selected > 0.5
         assert all(r.p_selected <= 0.5 for r in log.gain_trajectory[:-1])
 
-    def test_stop_above_watch_mask(self):
+    def test_stop_above_needs_watch(self):
+        policy = SelectionPolicy.probabilistic(6, np.full(64, 0.1))
+        with pytest.raises(ValueError, match="stop_above"):
+            run_dynamic(6, policy, np.random.default_rng(0), rounds=4, stop_above=0.5)
+
+    def test_stop_above_watched_fixed_set(self):
         target = SelectionMask.from_indices(8, range(4))
         policy = SelectionPolicy.probabilistic(
             8, np.where(np.arange(256) < 4, 1.0, 1 / 256.0)
@@ -314,7 +318,7 @@ class TestRunDynamic:
             np.random.default_rng(1),
             rounds=40,
             stop_above=0.5,
-            watch_mask=target,
+            watch=SelectionPolicy.probabilistic(8, target.selected),
             on_violation="restart",
         )
         assert log.watched_mass_by_round[-1] > 0.5
@@ -487,7 +491,7 @@ def dense_probabilities(policy):
     n = policy.n
     if policy.probabilities is not None:
         return policy.probabilities
-    probs = policy.class_probabilities[similarity_table(SimilaritySpec(n, policy.reference))]
+    probs = policy.class_probabilities[similarity_classes(n, policy.reference, np.arange(1 << n))]
     if policy.catalog is not None:
         probs = np.where(np.isin(np.arange(1 << n), policy.catalog), probs, 0.0)
     return probs
@@ -501,18 +505,18 @@ def dense_probabilities(policy):
     kind=st.sampled_from(["table", "static", "class", "catalog"]),
     class_draw=st.booleans(),
     keep_best=st.booleans(),
-    watch=st.booleans(),
+    watch=st.sampled_from([None, "table", "class", "catalog"]),
 )
 def test_run_dynamic_matches_dense_replay(n, seed, scale, kind, class_draw, keep_best, watch):
     rng = np.random.default_rng(seed)
     policy = random_policy(kind, n, scale, rng)
-    watch_mask = SelectionMask(n, rng.random(1 << n) < 0.3) if watch else None
+    watched = random_policy(watch, n, 1.0, rng) if watch else None
     with pytest.MonkeyPatch.context() as patch:
         if class_draw:  # small spaces draw from a per-state table unless told otherwise
             patch.setattr(dynamic_search, "CLASS_DRAW_MIN_STATES", 0)
         final, log = run_dynamic(
             n, policy, rng, rounds=8, keep_best=keep_best, on_violation="restart",
-            watch_mask=watch_mask,
+            watch=watched,
         )
     probs = dense_probabilities(policy)
     state = best = uniform_init(n)
@@ -529,8 +533,8 @@ def test_run_dynamic_matches_dense_replay(n, seed, scale, kind, class_draw, keep
         mass = float(probs @ state.probabilities())
         assert log.policy_mass_by_round[i] == pytest.approx(mass, rel=0, abs=1e-12)
         if watch:
-            watched = probability_of(state, watch_mask)
-            assert log.watched_mass_by_round[i] == pytest.approx(watched, rel=0, abs=1e-12)
+            mass = float(dense_probabilities(watched) @ state.probabilities())
+            assert log.watched_mass_by_round[i] == pytest.approx(mass, rel=0, abs=1e-12)
         if i + 1 == log.best_round:
             best = state
     assert log.best_round is None if not keep_best else log.best_round <= log.rounds

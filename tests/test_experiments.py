@@ -1,11 +1,13 @@
+import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qamp import backend
+from qamp import SelectionMask, backend, grover_iteration, uniform_init
 from qamp.cli import main
+from qamp.dynamic_search import similarity_classes
 from qamp.errors import ConfigError
 from qamp.experiments import (
     ExperimentConfig,
@@ -35,7 +37,7 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig("steps", seeds=0).validate()
         with pytest.raises(ConfigError):
-            ExperimentConfig("steps", n_range=(5, 25)).validate()
+            ExperimentConfig("steps", n_range=(5, 31)).validate()
         with pytest.raises(ConfigError):
             ExperimentConfig("steps", fmt="pdf").validate()
         with pytest.raises(ConfigError):
@@ -118,6 +120,39 @@ class TestAccuracyExperiment:
         )
         outcome = experiment_accuracy(config)
         assert outcome.p_static[8] + outcome.p_static[9] > 0.9
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_closed_form_static_arm_matches_dense_search(self, tmp_path, n):
+        rng = np.random.default_rng(n)
+        reference = int(rng.integers(1 << n))
+        sims = similarity_classes(n, reference, np.arange(1 << n))
+        for tau in range(n + 1):
+            outcome = experiment_accuracy(ExperimentConfig(
+                "accuracy", n=n, seeds=1, beta=1.0, threshold=tau, reference=reference,
+                output_dir=tmp_path, fmt="csv",
+            ))
+            ball = SelectionMask(n, sims >= tau)
+            state = uniform_init(n)
+            for _ in range(optimal_iterations(1 << n, ball.count_selected)):
+                state = grover_iteration(state, ball)
+            dense = np.bincount(sims, weights=state.probabilities(), minlength=n + 1)
+            np.testing.assert_allclose(outcome.p_static, dense, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("run", [experiment_steps, experiment_accuracy])
+def test_class_wise_experiments_build_no_state_table(tmp_path, run):
+    # at n=20 a table of 2**20 float64 entries alone takes 8 MiB
+    config = ExperimentConfig(
+        run.__name__.removeprefix("experiment_"), n=20, n_range=(20, 20), seeds=1,
+        output_dir=tmp_path, fmt="csv",
+    )
+    tracemalloc.start()
+    try:
+        run(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 class TestCorollariesExperiment:
@@ -373,6 +408,23 @@ class TestCli:
 
     def test_experiment_bad_range_exit(self, capsys):
         assert main(["experiment", "steps", "--n-range", "5:40"]) == 2
+
+    def test_experiment_steps_past_twenty_qubits(self, tmp_path, capsys):
+        args = ["experiment", "steps", "--n-range", "21:21", "--seeds", "1"]
+        assert main([*args, "--out", str(tmp_path), "--format", "csv"]) == 0
+
+    @pytest.mark.parametrize("args, message", [
+        (["experiment", "steps", "--n-range", "3:3", "--seeds", "1"],
+         "threshold 2 gives a ball of 4 states at n=3; calibration needs fewer than N/2 = 4"),
+        (["experiment", "accuracy", "--n", "3", "--seeds", "1"],
+         "threshold 2 gives a ball of 4 states at n=3; calibration needs fewer than N/2 = 4"),
+        (["dynamic", "--n", "1"],
+         "the default target n + 1 = 2 at n=1 is too large; calibration needs fewer than N/2 = 1"),
+    ], ids=["steps", "accuracy", "dynamic"])
+    def test_derived_target_too_large_exit(self, tmp_path, capsys, monkeypatch, args, message):
+        monkeypatch.chdir(tmp_path)
+        assert main(args) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
     def test_config_file_and_flag_override(self, tmp_path, capsys):
         config = tmp_path / "run.conf"

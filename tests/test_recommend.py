@@ -22,11 +22,10 @@ from qamp import (
     selection_probability,
     similarity,
     similarity_policy,
-    similarity_table,
 )
 from qamp import dynamic_search
 from qamp.cli import main
-from qamp.dynamic_search import run_dynamic
+from qamp.dynamic_search import run_dynamic, similarity_classes
 from qamp.recommend import probability_by_class
 
 LN2 = math.log(2.0)
@@ -56,14 +55,14 @@ class TestSimilarity:
 
     def test_table_matches_scalar(self):
         spec = SimilaritySpec(6, 41)
-        table = similarity_table(spec)
+        table = similarity_classes(spec.n, spec.reference, np.arange(1 << spec.n))
         for x in range(64):
             assert table[x] == similarity(x, spec)
 
     @pytest.mark.parametrize("n", range(1, 17))
     def test_binomial_class_structure(self, n):
         # states at similarity S number exactly C(n, S)
-        counts = np.bincount(similarity_table(SimilaritySpec(n, 0)), minlength=n + 1)
+        counts = np.bincount(similarity_classes(n, 0, np.arange(1 << n)), minlength=n + 1)
         assert counts.tolist() == [math.comb(n, s) for s in range(n + 1)]
         assert class_counts(n).tolist() == counts.tolist()
 
@@ -304,7 +303,7 @@ def test_sparse_class_masses_match_dense(monkeypatch, with_catalog, class_draw):
     spec = SimilaritySpec(n, 1234)
     catalog = np.arange(0, 1 << n, 3) if with_catalog else None
     policy = similarity_policy(spec, calibrate_beta(n, 5.0), catalog=catalog)
-    sims = similarity_table(spec)
+    sims = similarity_classes(n, spec.reference, np.arange(1 << n))
     for seed in range(4):
         state, _ = run_dynamic(
             n, policy, np.random.default_rng(seed), rounds=12, keep_best=True,
