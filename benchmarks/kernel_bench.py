@@ -4,14 +4,15 @@
 Times the amplification step and the group statistics of the dense
 diagnostics at several register sizes, plus a full dynamic round: the
 literal dense round of the reference (mask draw and two amplification
-steps) and the round on the touched set that ``run_dynamic`` keeps (mask
-draw, statistics and closed-form step of ``_TouchedSet``; the draw is
-class-wise from 2**15 states up).  Also times the end of a run, 10 draws
-from its final state: building the dense vector and sampling it against
-sampling the sparse state ``run_dynamic`` returns.  Each bench returns its
+steps) and the round that ``run_dynamic`` takes on its sparse state (mask
+draw, statistics and closed-form step; below 2**15 states the mask comes
+from a per-state table, from 2**15 states up from the support a
+similarity run draws once when it starts).  Also times the end of a run,
+10 draws from its final state: building the dense vector and sampling it
+against sampling the sparse state ``run_dynamic`` returns.  Each bench returns its
 timings in seconds keyed by what was timed: ``"python"`` for the kernels
 (the name ``qamp.kernel_backend()`` reports), ``"touched"`` for the
-touched-set round, ``"dense"``/``"sparse"`` for the end of a run.  Run
+``run_dynamic`` round, ``"dense"``/``"sparse"`` for the end of a run.  Run
 from the repo root:
 
     python3 benchmarks/kernel_bench.py [--quick]
@@ -25,7 +26,7 @@ import numpy as np
 
 from qamp import backend
 from qamp.core import SparseState, StateVector, sample
-from qamp.dynamic_search import _TouchedSet, default_rounds
+from qamp.dynamic_search import _touched_set, default_rounds
 from qamp.recommend import SimilaritySpec, calibrate_beta, similarity_policy
 
 
@@ -71,17 +72,19 @@ def bench_round(n: int, repeats: int) -> dict[str, float]:
 
 
 def bench_touched_round(n: int, repeats: int) -> float:
-    """One touched-set round under a similarity policy calibrated to m = 5,
-    timed after a schedule's worth of rounds has grown the touched set."""
+    """One round of ``run_dynamic``'s engine under a similarity policy
+    calibrated to m = 5, timed after a schedule's worth of rounds (the run's
+    support is drawn for the schedule plus the timed rounds)."""
     policy = similarity_policy(SimilaritySpec(n, 0), calibrate_beta(n, 5.0))
     rng = np.random.default_rng(7)
-    touched = _TouchedSet(policy)
+    schedule = default_rounds(n, policy)
+    touched = _touched_set(policy, schedule + repeats, rng)
 
     def one_round():
         mask = touched.draw(rng)
         touched.step(mask, touched.stats(mask))
 
-    for _ in range(default_rounds(n, policy)):
+    for _ in range(schedule):
         one_round()
     return time_call(one_round, repeats)
 
@@ -128,7 +131,7 @@ def main() -> None:
             times = bench(n, repeats)
             row = f"{bench_name:<14} {n:>3} {times['python'] * 1e6:>12.2f}"
             if "touched" in times:
-                row += f"  touched-set round {times['touched'] * 1e6:.2f} us"
+                row += f"  run_dynamic round {times['touched'] * 1e6:.2f} us"
             print(row)
 
     print(f"{'end_of_run':<14} {'n':>3} {'dense us':>12} {'sparse us':>12}")

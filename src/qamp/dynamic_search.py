@@ -35,10 +35,13 @@ from .errors import ShapeMismatchError, ValidityError
 from .static_search import optimal_iterations
 
 VALIDITY_ATOL = 1e-9  # "positive" is tested as > -VALIDITY_ATOL to absorb float noise
-# Spaces this large draw class-policy masks class-wise.  A class-wise round
-# has a fixed cost of ~50 numpy and Python steps for its picks, as much as a
-# per-state draw over 2**14 to 2**15 states (measured for m = 5 to 50), so
-# smaller spaces draw from a per-state table built once per run.
+# Spaces this large draw a class policy's masks once per run, as a support
+# (see _ClassSupport).  Per round of a recommend-shaped run, support draw
+# included, a per-state table draw took 63-71 us at n = 10, 114-116 us at
+# n = 14 and 441 us at n = 16; the support took 64-114 us, 54-118 us and
+# 55-113 us (m = 5 to 50).  At m = 50 the support is slower up to n = 13 and
+# even at n = 14, so smaller spaces draw from a per-state table built once
+# per run.
 CLASS_DRAW_MIN_STATES = 1 << 15
 
 
@@ -78,13 +81,16 @@ class SelectionPolicy:
                 )
             # a table already within [0, 1] is kept as given, not copied
             if not (probs.min() >= 0.0 and probs.max() <= 1.0):
+                _check_finite(probs)
                 probs = np.clip(probs, 0.0, 1.0)
             object.__setattr__(self, "probabilities", probs)
         if self.class_probabilities is None:
             if self.catalog is not None:
                 raise ValueError("a catalog needs per-class probabilities")
             return
-        probs = np.clip(np.asarray(self.class_probabilities, dtype=np.float64), 0.0, 1.0)
+        probs = np.asarray(self.class_probabilities, dtype=np.float64)
+        _check_finite(probs)
+        probs = np.clip(probs, 0.0, 1.0)
         if probs.shape != (self.n + 1,):
             raise ValueError(
                 f"expected {self.n + 1} per-class probabilities, got shape {probs.shape}"
@@ -154,19 +160,31 @@ class SelectionPolicy:
             self._members[s] = _words_with_popcount(self.n, self.n - s) ^ self.reference
         return self._members[s]
 
-    def random_members(self, classes: list[int], rng: np.random.Generator) -> list[int]:
+    def random_members(self, classes: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """One uniformly drawn member of each of the given (non-empty) classes."""
         if self.catalog is not None:
-            members = [self.class_members(s) for s in classes]
-            positions = rng.integers(0, [m.size for m in members]).tolist()
-            return [int(m[i]) for m, i in zip(members, positions)]
-        # the reference with a uniformly chosen set of n - S bits flipped
-        orders = np.argsort(rng.random((len(classes), self.n)), axis=1).tolist()
-        bit = [1 << b for b in range(self.n)]
-        return [
-            self.reference ^ sum(map(bit.__getitem__, order[: self.n - s]))
-            for s, order in zip(classes, orders)
-        ]
+            positions = rng.integers(0, self.class_sizes[classes])
+            members = np.empty(classes.size, dtype=np.int64)
+            for s in np.unique(classes).tolist():
+                rows = classes == s
+                members[rows] = self.class_members(s)[positions[rows]]
+            return members
+        # the reference with a uniformly chosen set of d = n - S bits flipped,
+        # by Floyd's subset draw: for bit j = n - d .. n - 1 flip a uniform bit
+        # t <= j, or bit j if t is flipped already
+        d = self.n - classes
+        flips = np.zeros(classes.size, dtype=np.int64)
+        for j in range(self.n - int(d.max(initial=0)), self.n):
+            rows = np.flatnonzero(d >= self.n - j)
+            bit = np.left_shift(1, rng.integers(0, j + 1, size=rows.size))
+            flipped = flips[rows]
+            flips[rows] = flipped | np.where(flipped & bit, 1 << j, bit)
+        return self.reference ^ flips
+
+
+def _check_finite(probs: np.ndarray) -> None:
+    if not np.isfinite(probs).all():
+        raise ValueError("selection probabilities must be finite")
 
 
 def similarity_classes(n: int, reference: int, indices) -> np.ndarray:
@@ -286,7 +304,11 @@ class OrderingWitness:
 
 def sample_mask(policy: SelectionPolicy, rng: np.random.Generator) -> SelectionMask:
     """Draw one selection mask: each state enters independently with its probability."""
-    return SelectionMask.from_indices(policy.n, _TouchedSet(policy).draw(rng).fresh)
+    touched = _touched_set(policy, 1, rng)
+    mask = touched.draw(rng)
+    return SelectionMask.from_indices(
+        policy.n, np.concatenate([touched.idx[mask.selected_touched], mask.fresh])
+    )
 
 
 class _GroupStats(NamedTuple):
@@ -361,112 +383,32 @@ class _GroupStats(NamedTuple):
 
 
 class _Mask(NamedTuple):
-    """One round's mask, split along the touched set of a run."""
+    """One round's mask, split along the stored states of a run."""
 
-    selected_touched: np.ndarray  # boolean over the touched states
-    fresh: np.ndarray  # the selected untouched states
+    selected_touched: np.ndarray  # boolean over the stored states
+    fresh: np.ndarray  # the selected states not stored yet (per-state table draw only)
     fresh_p: np.ndarray  # their selection probabilities
-    fresh_by_class: np.ndarray | None  # their number per similarity class (class form)
 
 
 class _TouchedSet:
-    """The state of a dynamic run, with the never-selected states folded together.
+    """The state of a dynamic run, with the states no round has selected folded together.
 
     A doubled round adds one constant to every selected amplitude and another
     to every unselected one, so every state not selected since the last
-    restart keeps the shared amplitude ``bulk``.  Only the others (the
-    touched states) are stored, in the order they were touched: indices
-    ``idx``, amplitudes ``amp`` and selection probabilities ``p`` (plus, for
-    the class-wise draw, a flag per state, ``is_touched``).  A round
-    costs O(n + |mask| + |touched|), apart from the O(N) draw from a
-    per-state table: that of a table policy, or that built for a class
-    policy on a space smaller than ``CLASS_DRAW_MIN_STATES``.  That draw
-    fills two N-sized buffers kept for the run.
+    restart keeps the shared amplitude ``bulk``.  Only some states are
+    stored: indices ``idx``, amplitudes ``amp``, selection probabilities
+    ``p`` and, when the run watches a policy, watched probabilities ``w``.
+    Which states are stored, and how a round draws its mask, is up to the
+    two forms that :func:`_touched_set` picks between.
     """
 
-    def __init__(self, policy: SelectionPolicy):
-        self.policy = policy
-        self.n_states = 1 << policy.n
-        self._class_draw = (
-            policy.class_sizes is not None and self.n_states >= CLASS_DRAW_MIN_STATES
-        )
-        self._table = None
-        self.idx = np.empty(0, dtype=np.int64)
-        if self._class_draw:
-            self._class_sizes = policy.class_sizes.tolist()
-            self._class_p = policy.class_probabilities.tolist()
-            self.is_touched = np.zeros(self.n_states, dtype=bool)
-        else:
-            self._table = policy.state_probabilities()
-            self._uniforms = np.empty(self.n_states)
-            self._drawn = np.empty(self.n_states, dtype=bool)
-        self.reset()
-
-    def reset(self) -> None:
-        """Back to the uniform state: nothing touched."""
-        if self._class_draw:
-            self.is_touched[self.idx] = False
-            self.untouched_by_class = self.policy.class_sizes.copy()
-        self.bulk = 1.0 / math.sqrt(self.n_states)
-        self.idx = np.empty(0, dtype=np.int64)
-        self.amp = np.empty(0)
-        self.p = np.empty(0)
-
-    def draw(self, rng: np.random.Generator) -> _Mask:
-        """One round's mask."""
-        policy = self.policy
-        if self._class_draw:
-            selected_touched = rng.random(self.idx.size) < self.p
-            counts = rng.binomial(self.untouched_by_class, policy.class_probabilities)
-            return _Mask(selected_touched, *self._fresh_picks(counts, rng), counts)
-        rng.random(out=self._uniforms)
-        selected = np.less(self._uniforms, self._table, out=self._drawn)
-        selected_touched = selected[self.idx]
-        selected[self.idx] = False
-        fresh = np.flatnonzero(selected)
-        return _Mask(selected_touched, fresh, self._table[fresh], None)
-
-    def _fresh_picks(
-        self, counts: np.ndarray, rng: np.random.Generator
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """``counts[S]`` distinct states drawn uniformly from the untouched members
-        of each class S, and their selection probabilities.
-
-        With an independent draw for each touched state this gives every
-        state its own independent Bernoulli(P(S)) selection.  A class whose
-        picks would often hit touched or already picked states has fewer
-        than 2 (touched + picks) members; it is listed and drawn from
-        directly.  Elsewhere members are drawn uniformly and each class takes
-        its first draws that are neither touched nor already picked; every
-        draw succeeds with probability > 1/2.
-        """
-        policy, is_touched, class_p = self.policy, self.is_touched, self._class_p
-        picks: list[int] = []
-        pick_p: list[float] = []
-        need: dict[int, int] = {}
-        for s, k in enumerate(counts.tolist()):
-            if not k:
-                continue
-            size = self._class_sizes[s]
-            if 2 * (size - int(self.untouched_by_class[s]) + k) > size:
-                members = policy.class_members(s)
-                free = members[~is_touched[members]]
-                picks += free[rng.permutation(free.size)[:k]].tolist()
-                pick_p += [class_p[s]] * k
-            else:
-                need[s] = k
-        taken = set(picks)
-        while need:
-            # one spare draw per class, so one pass mostly suffices
-            rows = [s for s, k in need.items() for _ in range(k + 1)]
-            for s, x in zip(rows, policy.random_members(rows, rng)):
-                if need[s] and x not in taken and not is_touched[x]:
-                    taken.add(x)
-                    picks.append(x)
-                    pick_p.append(class_p[s])
-                    need[s] -= 1
-            need = {s: k for s, k in need.items() if k}
-        return np.array(picks, dtype=np.int64), np.array(pick_p)
+    policy: SelectionPolicy
+    n_states: int
+    bulk: float
+    idx: np.ndarray
+    amp: np.ndarray
+    p: np.ndarray
+    w: np.ndarray | None
 
     def stats(self, mask: _Mask) -> _GroupStats:
         """Group sums of the state along a mask."""
@@ -487,40 +429,17 @@ class _TouchedSet:
             self.n_states,
         )
 
-    def restart(self, mask: _Mask) -> _Mask:
-        """Reset to the uniform state; the same mask then selects only untouched states."""
-        selected = np.concatenate([self.idx[mask.selected_touched], mask.fresh])
-        selected_p = np.concatenate([self.p[mask.selected_touched], mask.fresh_p])
-        self.reset()
-        by_class = None
-        if mask.fresh_by_class is not None:
-            by_class = np.bincount(self.policy.class_of(selected), minlength=self.policy.n + 1)
-        return _Mask(np.zeros(0, dtype=bool), selected, selected_p, by_class)
-
-    def step(self, mask: _Mask, stats: _GroupStats) -> tuple[np.ndarray, _GroupStats]:
-        """Apply the doubled step and touch the fresh states.
-
-        Returns the sorted selected indices and the stats after the step.
-        """
+    def _translate(self, mask: _Mask, stats: _GroupStats) -> tuple[float, float]:
+        """Apply the doubled step to the stored states and the bulk; returns its shifts."""
         shift_sel, shift_unsel = stats.doubling_shifts()
         self.amp += shift_unsel
         self.amp[mask.selected_touched] += shift_sel - shift_unsel
-        fresh_amp = (self.bulk + shift_unsel) + (shift_sel - shift_unsel)
         self.bulk += shift_unsel
-        selected, fresh = self.idx[mask.selected_touched], mask.fresh
-        if fresh.size:
-            self.idx = np.concatenate([self.idx, fresh])
-            self.amp = np.concatenate([self.amp, np.full(fresh.size, fresh_amp)])
-            self.p = np.concatenate([self.p, mask.fresh_p])
-            selected = np.concatenate([selected, fresh])
-            if mask.fresh_by_class is not None:
-                self.untouched_by_class -= mask.fresh_by_class
-                self.is_touched[fresh] = True
-        return np.sort(selected), stats.translated(shift_sel, shift_unsel)
+        return shift_sel, shift_unsel
 
     def mass(self, weights: np.ndarray, total: float) -> float:
         """Sum over all states of w(x) a(x)**2, for per-state weights w given on
-        the touched states and summing to ``total`` over the whole space."""
+        the stored states and summing to ``total`` over the whole space."""
         return float(weights @ (self.amp * self.amp)) + self.bulk * self.bulk * (
             total - float(weights.sum())
         )
@@ -528,11 +447,194 @@ class _TouchedSet:
     def snapshot(self) -> tuple[float, np.ndarray, np.ndarray]:
         return self.bulk, self.idx, self.amp.copy()
 
+    def sparse_state(self, snapshot: tuple[float, np.ndarray, np.ndarray]) -> SparseState:
+        """A snapshot as a :class:`~qamp.core.SparseState`."""
+        return SparseState(self.policy.n, *snapshot)
 
-def _sparse_state(n: int, bulk: float, idx: np.ndarray, amp: np.ndarray) -> SparseState:
-    """A snapshot as a :class:`~qamp.core.SparseState` (touched states in index order)."""
-    order = np.argsort(idx, kind="stable")
-    return SparseState(n, bulk, idx[order], amp[order])
+
+class _TableDraw(_TouchedSet):
+    """Masks drawn from a per-state table, one O(N) pass per round.
+
+    The stored states are those touched since the last restart, in the
+    order they were touched.  The draw fills two N-sized buffers kept for
+    the run; the rest of a round costs O(|mask| + |touched|).
+    """
+
+    def __init__(self, policy: SelectionPolicy, watch: SelectionPolicy | None = None):
+        self.policy, self.watch = policy, watch
+        self.n_states = 1 << policy.n
+        self._table = policy.state_probabilities()
+        self._uniforms = np.empty(self.n_states)
+        self._drawn = np.empty(self.n_states, dtype=bool)
+        self.reset()
+
+    def reset(self) -> None:
+        """Back to the uniform state: nothing touched."""
+        self.bulk = 1.0 / math.sqrt(self.n_states)
+        self.idx = np.empty(0, dtype=np.int64)
+        self.amp = np.empty(0)
+        self.p = np.empty(0)
+        self.w = None if self.watch is None else np.empty(0)
+
+    def draw(self, rng: np.random.Generator) -> _Mask:
+        """One round's mask."""
+        rng.random(out=self._uniforms)
+        selected = np.less(self._uniforms, self._table, out=self._drawn)
+        selected_touched = selected[self.idx]
+        selected[self.idx] = False
+        fresh = np.flatnonzero(selected)
+        return _Mask(selected_touched, fresh, self._table[fresh])
+
+    def restart(self, mask: _Mask) -> _Mask:
+        """Reset to the uniform state; the same mask then selects only untouched states."""
+        selected = np.concatenate([self.idx[mask.selected_touched], mask.fresh])
+        selected_p = np.concatenate([self.p[mask.selected_touched], mask.fresh_p])
+        self.reset()
+        return _Mask(np.zeros(0, dtype=bool), selected, selected_p)
+
+    def step(self, mask: _Mask, stats: _GroupStats) -> tuple[np.ndarray, _GroupStats]:
+        """Apply the doubled step and touch the fresh states.
+
+        Returns the sorted selected indices and the stats after the step.
+        """
+        shift_sel, shift_unsel = self._translate(mask, stats)
+        selected, fresh = self.idx[mask.selected_touched], mask.fresh
+        if fresh.size:
+            self.idx = np.concatenate([self.idx, fresh])
+            fresh_amp = self.bulk + (shift_sel - shift_unsel)
+            self.amp = np.concatenate([self.amp, np.full(fresh.size, fresh_amp)])
+            self.p = np.concatenate([self.p, mask.fresh_p])
+            if self.w is not None:
+                self.w = np.concatenate([self.w, self.watch.probabilities_at(fresh)])
+            selected = np.concatenate([selected, fresh])
+        return np.sort(selected), stats.translated(shift_sel, shift_unsel)
+
+    def sparse_state(self, snapshot: tuple[float, np.ndarray, np.ndarray]) -> SparseState:
+        bulk, idx, amp = snapshot
+        order = np.argsort(idx, kind="stable")
+        return SparseState(self.policy.n, bulk, idx[order], amp[order])
+
+
+class _ClassSupport(_TouchedSet):
+    """A class policy's masks for a whole run, drawn when the run starts.
+
+    A mask depends only on the policy, so a run of R rounds first draws its
+    support, the states that any of its rounds will select, and then each
+    round tests only those.  State x of class S is selected in some round
+    with probability q_S = 1 - (1 - P(S))**R, so the support takes
+    Binomial(C_S, q_S) distinct members of each class S (C_S its size,
+    within the catalog if there is one).  Each member gets its first
+    selected round from the geometric law truncated to R rounds; round r
+    then selects it if r is that round, or if r comes later and a fresh
+    uniform falls below P(S).  Every state is thus selected in every round
+    independently with probability P(S), the law of a per-state draw.
+
+    The support is stored in index order and keeps its amplitudes for the
+    whole run (``bulk`` until first selected), so a round costs O(n + T)
+    for T support states, and a restart only resets the amplitudes.
+    """
+
+    def __init__(
+        self,
+        policy: SelectionPolicy,
+        rounds: int,
+        rng: np.random.Generator,
+        watch: SelectionPolicy | None = None,
+    ):
+        self.policy = policy
+        self.n_states = 1 << policy.n
+        class_p = policy.class_probabilities
+        q = 1.0 - (1.0 - class_p) ** rounds
+        self.idx = _distinct_members(policy, rng.binomial(policy.class_sizes, q), rng)
+        classes = policy.class_of(self.idx)
+        self.p = class_p[classes]
+        # inverse CDF of the first selected round, given at least one in R
+        with np.errstate(divide="ignore"):  # log1p(-1) for P = 1, which gives round 0
+            first = np.log1p(-rng.random(self.idx.size) * q[classes]) / np.log1p(-self.p)
+        self._first = np.minimum(np.floor(first), rounds - 1).astype(np.int64)
+        self._round = 0
+        self.w = None if watch is None else watch.probabilities_at(self.idx)
+        self.amp = np.empty(self.idx.size)
+        self.reset()
+
+    def reset(self) -> None:
+        """Back to the uniform state; the support stays."""
+        self.bulk = 1.0 / math.sqrt(self.n_states)
+        self.amp.fill(self.bulk)
+
+    def draw(self, rng: np.random.Generator) -> _Mask:
+        """The next round's mask."""
+        r, first = self._round, self._first
+        self._round += 1
+        selected = (first == r) | ((first < r) & (rng.random(first.size) < self.p))
+        return _Mask(selected, self.idx[:0], self.p[:0])
+
+    def restart(self, mask: _Mask) -> _Mask:
+        """Reset to the uniform state; the round keeps its mask."""
+        self.reset()
+        return mask
+
+    def step(self, mask: _Mask, stats: _GroupStats) -> tuple[np.ndarray, _GroupStats]:
+        """Apply the doubled step.
+
+        Returns the selected indices (sorted, as the support is) and the
+        stats after the step.
+        """
+        return self.idx[mask.selected_touched], stats.translated(*self._translate(mask, stats))
+
+
+def _distinct_members(
+    policy: SelectionPolicy, counts: np.ndarray, rng: np.random.Generator
+) -> np.ndarray:
+    """``counts[S]`` distinct members drawn uniformly from each class S, sorted.
+
+    A class that must give more than half its members is listed and
+    permuted.  Elsewhere members are drawn uniformly and each class takes its
+    first draws it has not taken yet; every draw succeeds with probability
+    > 1/2.
+    """
+    picks: list[np.ndarray] = []
+    need = counts.copy()
+    for s, k in enumerate(counts.tolist()):
+        if 2 * k > policy.class_sizes[s]:
+            members = policy.class_members(s)
+            picks.append(members[rng.permutation(members.size)[:k]])
+            need[s] = 0
+    taken = np.empty(0, dtype=np.int64)
+    while need.any():
+        # half as many spare draws as needed, so one pass mostly suffices
+        classes = np.flatnonzero(need)
+        rows = np.repeat(classes, need[classes] + need[classes] // 2 + 1)
+        drawn = policy.random_members(rows, rng)
+        new = np.zeros(rows.size, dtype=bool)
+        new[np.unique(drawn, return_index=True)[1]] = True
+        new &= ~np.isin(drawn, taken)
+        # each class takes its first new draws, up to its need
+        before = np.cumsum(new) - new
+        group_start = np.searchsorted(rows, rows)
+        accept = new & (before - before[group_start] < need[rows])
+        taken = np.concatenate([taken, drawn[accept]])
+        need -= np.bincount(rows[accept], minlength=need.size)
+    support = np.concatenate(picks + [taken])
+    support.sort()
+    return support
+
+
+def _touched_set(
+    policy: SelectionPolicy,
+    rounds: int,
+    rng: np.random.Generator,
+    watch: SelectionPolicy | None = None,
+) -> _TouchedSet:
+    """The state of a run of ``rounds`` rounds under ``policy``, at uniform.
+
+    A class policy on a space of ``CLASS_DRAW_MIN_STATES`` states or more
+    draws its support for the whole run from ``rng`` here; every other policy
+    draws from a per-state table each round.
+    """
+    if policy.class_sizes is not None and (1 << policy.n) >= CLASS_DRAW_MIN_STATES:
+        return _ClassSupport(policy, rounds, rng, watch)
+    return _TableDraw(policy, watch)
 
 
 def dynamic_iteration(state: StateVector, mask: SelectionMask) -> StateVector:
@@ -628,8 +730,13 @@ def run_dynamic(
     sampling).
 
     The state comes back as a :class:`~qamp.core.SparseState`: the shared
-    amplitude of the never-selected states plus the touched states, in
+    amplitude of the never-selected states plus the stored states, in
     index order.  Its ``amps`` build the dense vector on first use.
+
+    A class policy on a space of ``CLASS_DRAW_MIN_STATES`` states or more
+    draws the masks of all ``rounds`` rounds when the run starts (see
+    :class:`_ClassSupport`); every other policy draws each round's mask from
+    a per-state table.
     """
     if rounds is None:
         rounds = default_rounds(n, policy)
@@ -643,7 +750,7 @@ def run_dynamic(
         raise ValueError(f"watched policy has n={watch.n}, run has n={n}")
     if stop_above is not None and watch is None:
         raise ValueError("stop_above needs a watched policy")
-    touched = _TouchedSet(policy)
+    touched = _touched_set(policy, rounds, rng, watch)
     expected = policy.expected_selected()
     watched_total = None if watch is None else watch.expected_selected()
     indices: list[np.ndarray] = []
@@ -677,7 +784,7 @@ def run_dynamic(
             best = touched.snapshot()
             best_round = round_index + 1
         if watched_mass is not None:
-            watched_mass.append(touched.mass(watch.probabilities_at(touched.idx), watched_total))
+            watched_mass.append(touched.mass(touched.w, watched_total))
             if stop_above is not None and watched_mass[-1] > stop_above:
                 break
 
@@ -696,11 +803,11 @@ def run_dynamic(
             f"round {log.rounds} would start from an unproductive state "
             f"(post-flip mean {violation.post_flip_mean:.3e}, "
             f"min unselected {violation.min_unsel:.3e})",
-            state=_sparse_state(n, *touched.snapshot()),
+            state=touched.sparse_state(touched.snapshot()),
             log=log,
             round_index=log.rounds,
         )
-    return _sparse_state(n, *(best if keep_best else touched.snapshot())), log
+    return touched.sparse_state(best if keep_best else touched.snapshot()), log
 
 
 def ordering_witness(n: int, first_mask: SelectionMask, doubled: bool = False) -> OrderingWitness:

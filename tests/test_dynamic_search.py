@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from qamp import (
 from qamp import dynamic_search
 from qamp.core import oracle_flip, invert_about_mean
 from qamp.dynamic_search import _GroupStats, similarity_classes
+from qamp.recommend import SimilaritySpec, calibrate_beta, similarity_policy
 
 
 def random_state(n, seed):
@@ -573,7 +575,7 @@ def test_replay_round_states_honours_restarts():
 def test_class_draw_selects_each_state_with_its_class_probability(with_catalog, monkeypatch):
     """Per round, each state is in the mask with probability P(S) of its class,
     whatever the run touched before; two states of one class are selected
-    together with probability P(S)**2."""
+    together with probability P(S)**2, and so is one state in two rounds."""
     monkeypatch.setattr(dynamic_search, "CLASS_DRAW_MIN_STATES", 0)
     n, reference, runs, rounds = 5, 0b10110, 3000, 3
     class_probs = np.array([0.02, 0.1, 0.3, 0.5, 0.8, 1.0])
@@ -585,6 +587,9 @@ def test_class_draw_selects_each_state_with_its_class_probability(with_catalog, 
     # two states of similarity 3 (P = 0.5), both in the catalog when there is one
     same_class = [x for x in range(32) if probs[x] == 0.5][:2]
     assert len(same_class) == 2
+    # one state of P = 0.5 and one of P = 0.1, in the catalog when there is one
+    across = np.array([next(x for x in range(32) if probs[x] == p) for p in (0.5, 0.1)])
+    both = np.zeros((rounds, rounds, across.size))
     for seed in range(runs):
         _, log = run_dynamic(
             n, policy, np.random.default_rng(seed), rounds=rounds, on_violation="restart"
@@ -592,6 +597,8 @@ def test_class_draw_selects_each_state_with_its_class_probability(with_catalog, 
         for i, selected in enumerate(log.selected_indices):
             counts[i, selected] += 1
             pair[i] += np.isin(same_class, selected).all()
+        member = np.array([np.isin(across, selected) for selected in log.selected_indices])
+        both += member[:, None, :] & member[None, :, :]
     for i in range(rounds):
         freq = counts[i] / runs
         assert np.all(freq[probs == 0.0] == 0.0)
@@ -601,6 +608,41 @@ def test_class_draw_selects_each_state_with_its_class_probability(with_catalog, 
         assert np.max(np.abs(z)) < 4.5
         z_pair = (pair[i] / runs - 0.25) / math.sqrt(0.25 * 0.75 / runs)
         assert abs(z_pair) < 4.5
+    # rounds 1 and 3 among them: each state is selected in both with P**2
+    want = probs[across] ** 2
+    for i, j in itertools.combinations(range(rounds), 2):
+        z_rounds = (both[i, j] / runs - want) / np.sqrt(want * (1 - want) / runs)
+        assert np.max(np.abs(z_rounds)) < 4.5, (i, j)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("form", ["table", "class"])
+def test_non_finite_selection_probability_rejected(form, bad):
+    n = 16 if form == "class" else 8
+    probs = np.full(n + 1 if form == "class" else 1 << n, 0.1)
+    probs[3] = bad
+    with pytest.raises(ValueError, match="finite"):
+        if form == "class":
+            SelectionPolicy.by_similarity(n, 0, probs)
+        else:
+            SelectionPolicy.probabilistic(n, probs)
+
+
+def test_class_policy_run_allocates_no_flag_per_state():
+    # a class-policy run stores only its support: at n = 24 it stays below
+    # one byte per state
+    n = 24
+    params = calibrate_beta(n, 5.0)
+    policy = similarity_policy(SimilaritySpec(n, 0x5A5A5A), params)
+    tracemalloc.start()
+    try:
+        state, log = run_dynamic(n, policy, np.random.default_rng(0), on_violation="restart")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert log.rounds == default_rounds(n, policy)
+    assert abs(state.norm_sq() - 1.0) < 1e-9
+    assert peak < 1 << n
 
 
 def test_log_validation():

@@ -252,18 +252,21 @@ class TestRecommend:
                 catalog=None if catalog is None else np.array(catalog),
             )
 
-    # items, rounds_used and the top three class masses recorded before the
-    # run's state became sparse (the masses to 1e-12)
+    # items, rounds_used and the top three class masses (to 1e-12) of runs
+    # that draw their support once per run
     PINNED = [
-        (0, 1, [(0, 16), (8, 15), (128, 15), (4096, 15), (36, 14)], 181,
-         [0.02581284200447368, 0.16068617575966737, 0.8042017872249463]),
-        (12345, 2, [(12345, 16), (8249, 15), (12313, 15), (45113, 15), (12825, 14)], 91,
-         [0.041417832900052166, 0.13705348594397548, 0.8081366955048779]),
-        (40000, 3, [(40000, 16), (35904, 15), (39936, 15), (40001, 15), (40032, 15)], 181,
-         [0.03991249988735973, 0.14111306147012026, 0.8079017498333855]),
+        (0, 1, [(0, 16), (2, 15), (8, 15), (16, 15), (256, 15)], 91,
+         [0.021645534418979935, 0.1631174905023673, 0.804646305252142]),
+        (12345, 2, [(12345, 16), (8249, 15), (12349, 15), (12601, 15), (12731, 13)], 92,
+         [0.024567579371957082, 0.14755377403471964, 0.8169295734223064]),
+        (40000, 3, [(40000, 16), (40001, 15), (38464, 14), (38980, 14), (56416, 14)], 181,
+         [0.03385023505260195, 0.1592310805363369, 0.7961058314857762]),
     ]
 
-    @pytest.mark.parametrize("reference,seed,items,rounds_used,top_masses", PINNED)
+    @pytest.mark.parametrize(
+        "reference,seed,items,rounds_used,top_masses", PINNED,
+        ids=[f"reference{case[0]}-seed{case[1]}" for case in PINNED],
+    )
     def test_pinned_outputs(self, reference, seed, items, rounds_used, top_masses):
         result = recommend(
             SimilaritySpec(16, reference), 5, calibrate_beta(16, 5.0), np.random.default_rng(seed)
