@@ -5,15 +5,14 @@ Times the amplification step and the group statistics of the dense
 diagnostics at several register sizes, plus a full dynamic round: the
 literal dense round of the reference (mask draw and two amplification
 steps) and the round that ``run_dynamic`` takes on its sparse state (mask
-draw, statistics and closed-form step; below 2**15 states the mask comes
-from a per-state table, from 2**15 states up from the support a
-similarity run draws once when it starts).  Also times the end of a run,
-10 draws from its final state: building the dense vector and sampling it
-against sampling the sparse state ``run_dynamic`` returns.  Each bench returns its
-timings in seconds keyed by what was timed: ``"python"`` for the kernels
-(the name ``qamp.kernel_backend()`` reports), ``"touched"`` for the
-``run_dynamic`` round, ``"dense"``/``"sparse"`` for the end of a run.  Run
-from the repo root:
+draw over the support the run draws once when it starts, statistics and
+closed-form step).  Also times the end of a run, 10 draws from its final
+state: building the dense vector and sampling it against sampling the
+sparse state ``run_dynamic`` returns.  Each bench returns its timings in
+seconds keyed by what was timed: ``"python"`` for the kernels (the name
+``qamp.kernel_backend()`` reports), ``"touched"`` for the ``run_dynamic``
+round, ``"dense"``/``"sparse"`` for the end of a run.  Run from the repo
+root:
 
     python3 benchmarks/kernel_bench.py [--quick]
 """
@@ -26,7 +25,7 @@ import numpy as np
 
 from qamp import backend
 from qamp.core import SparseState, StateVector, sample
-from qamp.dynamic_search import _touched_set, default_rounds
+from qamp.dynamic_search import _Support, default_rounds
 from qamp.recommend import SimilaritySpec, calibrate_beta, similarity_policy
 
 
@@ -78,11 +77,11 @@ def bench_touched_round(n: int, repeats: int) -> float:
     policy = similarity_policy(SimilaritySpec(n, 0), calibrate_beta(n, 5.0))
     rng = np.random.default_rng(7)
     schedule = default_rounds(n, policy)
-    touched = _touched_set(policy, schedule + repeats, rng)
+    support = _Support(policy, schedule + repeats, rng)
 
     def one_round():
-        mask = touched.draw(rng)
-        touched.step(mask, touched.stats(mask))
+        mask = support.draw(rng)
+        support.step(mask, support.stats(mask))
 
     for _ in range(schedule):
         one_round()

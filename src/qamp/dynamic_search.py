@@ -16,6 +16,7 @@ a target gain G.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
@@ -35,14 +36,6 @@ from .errors import ShapeMismatchError, ValidityError
 from .static_search import optimal_iterations
 
 VALIDITY_ATOL = 1e-9  # "positive" is tested as > -VALIDITY_ATOL to absorb float noise
-# Spaces this large draw a class policy's masks once per run, as a support
-# (see _ClassSupport).  Per round of a recommend-shaped run, support draw
-# included, a per-state table draw took 63-71 us at n = 10, 114-116 us at
-# n = 14 and 441 us at n = 16; the support took 64-114 us, 54-118 us and
-# 55-113 us (m = 5 to 50).  At m = 50 the support is slower up to n = 13 and
-# even at n = 14, so smaller spaces draw from a per-state table built once
-# per run.
-CLASS_DRAW_MIN_STATES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -54,8 +47,7 @@ class SelectionPolicy:
     class form selects state x with probability
     ``class_probabilities[S(x)]``, where S(x) = n - popcount(x ^ reference)
     is its similarity to ``reference``; with a ``catalog`` only catalog
-    members can be selected.  On spaces of ``CLASS_DRAW_MIN_STATES`` states
-    or more, runs under it never build a per-state table.
+    members can be selected.  Runs under it never build a per-state table.
     """
 
     n: int
@@ -135,12 +127,6 @@ class SelectionPolicy:
             return float(self.probabilities.sum())
         return float(self.class_sizes @ self.class_probabilities)
 
-    def state_probabilities(self) -> np.ndarray:
-        """The selection probability of every state, as one table of N entries."""
-        if self.probabilities is not None:
-            return self.probabilities
-        return self.probabilities_at(np.arange(1 << self.n))
-
     def probabilities_at(self, indices: np.ndarray) -> np.ndarray:
         """The selection probability of each of the given states."""
         if self.probabilities is not None:
@@ -197,16 +183,21 @@ def class_counts(n: int) -> np.ndarray:
     return np.array([math.comb(n, s) for s in range(n + 1)], dtype=np.int64)
 
 
+@functools.lru_cache(maxsize=64)
 def _words_with_popcount(n: int, d: int) -> np.ndarray:
-    """Every n-bit word with exactly d bits set."""
+    """Every n-bit word with exactly d bits set, as a read-only array shared
+    by every caller (policies list a class by XOR with their reference)."""
     if 2 * d > n:
-        return ((1 << n) - 1) ^ _words_with_popcount(n, n - d)
-    # by_count[j]: the words over the bits seen so far with j bits set
-    by_count = [np.zeros(1, dtype=np.int64)] + [np.empty(0, dtype=np.int64)] * d
-    for bit in range(n):
-        for j in range(min(bit + 1, d), 0, -1):
-            by_count[j] = np.concatenate([by_count[j], by_count[j - 1] | (1 << bit)])
-    return by_count[d]
+        words = ((1 << n) - 1) ^ _words_with_popcount(n, n - d)
+    else:
+        # by_count[j]: the words over the bits seen so far with j bits set
+        by_count = [np.zeros(1, dtype=np.int64)] + [np.empty(0, dtype=np.int64)] * d
+        for bit in range(n):
+            for j in range(min(bit + 1, d), 0, -1):
+                by_count[j] = np.concatenate([by_count[j], by_count[j - 1] | (1 << bit)])
+        words = by_count[d]
+    words.flags.writeable = False
+    return words
 
 
 @dataclass(frozen=True)
@@ -304,11 +295,7 @@ class OrderingWitness:
 
 def sample_mask(policy: SelectionPolicy, rng: np.random.Generator) -> SelectionMask:
     """Draw one selection mask: each state enters independently with its probability."""
-    touched = _touched_set(policy, 1, rng)
-    mask = touched.draw(rng)
-    return SelectionMask.from_indices(
-        policy.n, np.concatenate([touched.idx[mask.selected_touched], mask.fresh])
-    )
+    return SelectionMask.from_indices(policy.n, _draw_support(policy, 1, rng)[0])
 
 
 class _GroupStats(NamedTuple):
@@ -382,156 +369,26 @@ class _GroupStats(NamedTuple):
         )
 
 
-class _Mask(NamedTuple):
-    """One round's mask, split along the stored states of a run."""
+class _Support:
+    """The state of a dynamic run, with the masks of all its rounds drawn when it starts.
 
-    selected_touched: np.ndarray  # boolean over the stored states
-    fresh: np.ndarray  # the selected states not stored yet (per-state table draw only)
-    fresh_p: np.ndarray  # their selection probabilities
+    A mask depends only on the policy, never on the amplitudes, so a run of
+    R rounds first draws its support (:func:`_draw_support`), the states
+    that any of its rounds will select, and then each round tests only
+    those.  Each support state gets its first selected round from the
+    geometric law truncated to R rounds; round r then selects it if r is
+    that round, or if r comes later and a fresh uniform falls below its
+    probability P(x).  Every state is thus selected in every round
+    independently with probability P(x), the law of a per-round draw.
 
-
-class _TouchedSet:
-    """The state of a dynamic run, with the states no round has selected folded together.
-
-    A doubled round adds one constant to every selected amplitude and another
-    to every unselected one, so every state not selected since the last
-    restart keeps the shared amplitude ``bulk``.  Only some states are
-    stored: indices ``idx``, amplitudes ``amp``, selection probabilities
-    ``p`` and, when the run watches a policy, watched probabilities ``w``.
-    Which states are stored, and how a round draws its mask, is up to the
-    two forms that :func:`_touched_set` picks between.
-    """
-
-    policy: SelectionPolicy
-    n_states: int
-    bulk: float
-    idx: np.ndarray
-    amp: np.ndarray
-    p: np.ndarray
-    w: np.ndarray | None
-
-    def stats(self, mask: _Mask) -> _GroupStats:
-        """Group sums of the state along a mask."""
-        sel, unsel = self.amp[mask.selected_touched], self.amp[~mask.selected_touched]
-        bulk, n_fresh = self.bulk, mask.fresh.size
-        bulk_unsel = self.n_states - self.idx.size - n_fresh
-        min_unsel = min(
-            float(unsel.min()) if unsel.size else math.inf,
-            bulk if bulk_unsel else math.inf,
-        )
-        return _GroupStats(
-            float(sel.sum()) + n_fresh * bulk,
-            float(unsel.sum()) + bulk_unsel * bulk,
-            float(sel @ sel) + n_fresh * bulk * bulk,
-            float(unsel @ unsel) + bulk_unsel * bulk * bulk,
-            min_unsel,
-            sel.size + n_fresh,
-            self.n_states,
-        )
-
-    def _translate(self, mask: _Mask, stats: _GroupStats) -> tuple[float, float]:
-        """Apply the doubled step to the stored states and the bulk; returns its shifts."""
-        shift_sel, shift_unsel = stats.doubling_shifts()
-        self.amp += shift_unsel
-        self.amp[mask.selected_touched] += shift_sel - shift_unsel
-        self.bulk += shift_unsel
-        return shift_sel, shift_unsel
-
-    def mass(self, weights: np.ndarray, total: float) -> float:
-        """Sum over all states of w(x) a(x)**2, for per-state weights w given on
-        the stored states and summing to ``total`` over the whole space."""
-        return float(weights @ (self.amp * self.amp)) + self.bulk * self.bulk * (
-            total - float(weights.sum())
-        )
-
-    def snapshot(self) -> tuple[float, np.ndarray, np.ndarray]:
-        return self.bulk, self.idx, self.amp.copy()
-
-    def sparse_state(self, snapshot: tuple[float, np.ndarray, np.ndarray]) -> SparseState:
-        """A snapshot as a :class:`~qamp.core.SparseState`."""
-        return SparseState(self.policy.n, *snapshot)
-
-
-class _TableDraw(_TouchedSet):
-    """Masks drawn from a per-state table, one O(N) pass per round.
-
-    The stored states are those touched since the last restart, in the
-    order they were touched.  The draw fills two N-sized buffers kept for
-    the run; the rest of a round costs O(|mask| + |touched|).
-    """
-
-    def __init__(self, policy: SelectionPolicy, watch: SelectionPolicy | None = None):
-        self.policy, self.watch = policy, watch
-        self.n_states = 1 << policy.n
-        self._table = policy.state_probabilities()
-        self._uniforms = np.empty(self.n_states)
-        self._drawn = np.empty(self.n_states, dtype=bool)
-        self.reset()
-
-    def reset(self) -> None:
-        """Back to the uniform state: nothing touched."""
-        self.bulk = 1.0 / math.sqrt(self.n_states)
-        self.idx = np.empty(0, dtype=np.int64)
-        self.amp = np.empty(0)
-        self.p = np.empty(0)
-        self.w = None if self.watch is None else np.empty(0)
-
-    def draw(self, rng: np.random.Generator) -> _Mask:
-        """One round's mask."""
-        rng.random(out=self._uniforms)
-        selected = np.less(self._uniforms, self._table, out=self._drawn)
-        selected_touched = selected[self.idx]
-        selected[self.idx] = False
-        fresh = np.flatnonzero(selected)
-        return _Mask(selected_touched, fresh, self._table[fresh])
-
-    def restart(self, mask: _Mask) -> _Mask:
-        """Reset to the uniform state; the same mask then selects only untouched states."""
-        selected = np.concatenate([self.idx[mask.selected_touched], mask.fresh])
-        selected_p = np.concatenate([self.p[mask.selected_touched], mask.fresh_p])
-        self.reset()
-        return _Mask(np.zeros(0, dtype=bool), selected, selected_p)
-
-    def step(self, mask: _Mask, stats: _GroupStats) -> tuple[np.ndarray, _GroupStats]:
-        """Apply the doubled step and touch the fresh states.
-
-        Returns the sorted selected indices and the stats after the step.
-        """
-        shift_sel, shift_unsel = self._translate(mask, stats)
-        selected, fresh = self.idx[mask.selected_touched], mask.fresh
-        if fresh.size:
-            self.idx = np.concatenate([self.idx, fresh])
-            fresh_amp = self.bulk + (shift_sel - shift_unsel)
-            self.amp = np.concatenate([self.amp, np.full(fresh.size, fresh_amp)])
-            self.p = np.concatenate([self.p, mask.fresh_p])
-            if self.w is not None:
-                self.w = np.concatenate([self.w, self.watch.probabilities_at(fresh)])
-            selected = np.concatenate([selected, fresh])
-        return np.sort(selected), stats.translated(shift_sel, shift_unsel)
-
-    def sparse_state(self, snapshot: tuple[float, np.ndarray, np.ndarray]) -> SparseState:
-        bulk, idx, amp = snapshot
-        order = np.argsort(idx, kind="stable")
-        return SparseState(self.policy.n, bulk, idx[order], amp[order])
-
-
-class _ClassSupport(_TouchedSet):
-    """A class policy's masks for a whole run, drawn when the run starts.
-
-    A mask depends only on the policy, so a run of R rounds first draws its
-    support, the states that any of its rounds will select, and then each
-    round tests only those.  State x of class S is selected in some round
-    with probability q_S = 1 - (1 - P(S))**R, so the support takes
-    Binomial(C_S, q_S) distinct members of each class S (C_S its size,
-    within the catalog if there is one).  Each member gets its first
-    selected round from the geometric law truncated to R rounds; round r
-    then selects it if r is that round, or if r comes later and a fresh
-    uniform falls below P(S).  Every state is thus selected in every round
-    independently with probability P(S), the law of a per-state draw.
-
-    The support is stored in index order and keeps its amplitudes for the
-    whole run (``bulk`` until first selected), so a round costs O(n + T)
-    for T support states, and a restart only resets the amplitudes.
+    A doubled round adds one constant to every selected amplitude and
+    another to every unselected one, so every state not selected since the
+    last restart keeps the shared amplitude ``bulk``.  The support is
+    stored in index order: indices ``idx``, amplitudes ``amp`` (``bulk``
+    until first selected), selection probabilities ``p`` and, when the run
+    watches a policy, watched probabilities ``w``.  A mask is a boolean over
+    the support, so a round costs O(n + T) for T support states, and a
+    restart only resets the amplitudes.
     """
 
     def __init__(
@@ -541,16 +398,13 @@ class _ClassSupport(_TouchedSet):
         rng: np.random.Generator,
         watch: SelectionPolicy | None = None,
     ):
-        self.policy = policy
+        self.n = policy.n
         self.n_states = 1 << policy.n
-        class_p = policy.class_probabilities
-        q = 1.0 - (1.0 - class_p) ** rounds
-        self.idx = _distinct_members(policy, rng.binomial(policy.class_sizes, q), rng)
-        classes = policy.class_of(self.idx)
-        self.p = class_p[classes]
+        self.idx, self.p = _draw_support(policy, rounds, rng)
+        q = 1.0 - (1.0 - self.p) ** rounds
         # inverse CDF of the first selected round, given at least one in R
         with np.errstate(divide="ignore"):  # log1p(-1) for P = 1, which gives round 0
-            first = np.log1p(-rng.random(self.idx.size) * q[classes]) / np.log1p(-self.p)
+            first = np.log1p(-rng.random(self.idx.size) * q) / np.log1p(-self.p)
         self._first = np.minimum(np.floor(first), rounds - 1).astype(np.int64)
         self._round = 0
         self.w = None if watch is None else watch.probabilities_at(self.idx)
@@ -558,29 +412,88 @@ class _ClassSupport(_TouchedSet):
         self.reset()
 
     def reset(self) -> None:
-        """Back to the uniform state; the support stays."""
+        """Back to the uniform state; the support and the round's mask stay."""
         self.bulk = 1.0 / math.sqrt(self.n_states)
         self.amp.fill(self.bulk)
 
-    def draw(self, rng: np.random.Generator) -> _Mask:
-        """The next round's mask."""
+    def draw(self, rng: np.random.Generator) -> np.ndarray:
+        """The next round's mask, a boolean over the support."""
         r, first = self._round, self._first
         self._round += 1
-        selected = (first == r) | ((first < r) & (rng.random(first.size) < self.p))
-        return _Mask(selected, self.idx[:0], self.p[:0])
+        return (first == r) | ((first < r) & (rng.random(first.size) < self.p))
 
-    def restart(self, mask: _Mask) -> _Mask:
-        """Reset to the uniform state; the round keeps its mask."""
-        self.reset()
-        return mask
+    def stats(self, mask: np.ndarray) -> _GroupStats:
+        """Group sums of the state along a mask."""
+        sel, unsel = self.amp[mask], self.amp[~mask]
+        bulk, bulk_states = self.bulk, self.n_states - self.idx.size
+        min_unsel = min(
+            float(unsel.min()) if unsel.size else math.inf,
+            bulk if bulk_states else math.inf,
+        )
+        return _GroupStats(
+            float(sel.sum()),
+            float(unsel.sum()) + bulk_states * bulk,
+            float(sel @ sel),
+            float(unsel @ unsel) + bulk_states * bulk * bulk,
+            min_unsel,
+            sel.size,
+            self.n_states,
+        )
 
-    def step(self, mask: _Mask, stats: _GroupStats) -> tuple[np.ndarray, _GroupStats]:
+    def step(self, mask: np.ndarray, stats: _GroupStats) -> tuple[np.ndarray, _GroupStats]:
         """Apply the doubled step.
 
         Returns the selected indices (sorted, as the support is) and the
         stats after the step.
         """
-        return self.idx[mask.selected_touched], stats.translated(*self._translate(mask, stats))
+        shift_sel, shift_unsel = stats.doubling_shifts()
+        self.amp += shift_unsel
+        self.amp[mask] += shift_sel - shift_unsel
+        self.bulk += shift_unsel
+        return self.idx[mask], stats.translated(shift_sel, shift_unsel)
+
+    def mass(self, weights: np.ndarray, total: float) -> float:
+        """Sum over all states of w(x) a(x)**2, for per-state weights w given on
+        the support and summing to ``total`` over the whole space."""
+        return float(weights @ (self.amp * self.amp)) + self.bulk * self.bulk * (
+            total - float(weights.sum())
+        )
+
+    def snapshot(self) -> tuple[float, np.ndarray, np.ndarray]:
+        return self.bulk, self.idx, self.amp.copy()
+
+    def sparse_state(self, snapshot: tuple[float, np.ndarray, np.ndarray]) -> SparseState:
+        """A snapshot as a :class:`~qamp.core.SparseState`."""
+        return SparseState(self.n, *snapshot)
+
+
+def _draw_support(
+    policy: SelectionPolicy, rounds: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """The states any of ``rounds`` rounds under ``policy`` selects, sorted,
+    and their selection probabilities.
+
+    State x is in it independently with probability
+    q(x) = 1 - (1 - P(x))**R.  A class policy takes Binomial(C_S, q_S)
+    distinct members of each class S (C_S its size, within the catalog if
+    there is one).  A per-state table takes x when the least of its R round
+    uniforms, drawn as 1 - (1 - U)**(1/R) from one uniform U, falls below
+    P(x): one pass over one N-sized buffer per run.
+    """
+    if policy.probabilities is None:
+        class_p = policy.class_probabilities
+        q = 1.0 - (1.0 - class_p) ** rounds
+        idx = _distinct_members(policy, rng.binomial(policy.class_sizes, q), rng)
+        return idx, class_p[policy.class_of(idx)]
+    if rounds == 0:
+        idx = np.empty(0, dtype=np.int64)
+    else:
+        least = rng.random(1 << policy.n)
+        np.subtract(1.0, least, out=least)
+        np.power(least, 1.0 / rounds, out=least)
+        np.subtract(1.0, least, out=least)
+        idx = np.flatnonzero(least < policy.probabilities)
+    return idx, policy.probabilities[idx]
 
 
 def _distinct_members(
@@ -618,23 +531,6 @@ def _distinct_members(
     support = np.concatenate(picks + [taken])
     support.sort()
     return support
-
-
-def _touched_set(
-    policy: SelectionPolicy,
-    rounds: int,
-    rng: np.random.Generator,
-    watch: SelectionPolicy | None = None,
-) -> _TouchedSet:
-    """The state of a run of ``rounds`` rounds under ``policy``, at uniform.
-
-    A class policy on a space of ``CLASS_DRAW_MIN_STATES`` states or more
-    draws its support for the whole run from ``rng`` here; every other policy
-    draws from a per-state table each round.
-    """
-    if policy.class_sizes is not None and (1 << policy.n) >= CLASS_DRAW_MIN_STATES:
-        return _ClassSupport(policy, rounds, rng, watch)
-    return _TableDraw(policy, watch)
 
 
 def dynamic_iteration(state: StateVector, mask: SelectionMask) -> StateVector:
@@ -733,10 +629,8 @@ def run_dynamic(
     amplitude of the never-selected states plus the stored states, in
     index order.  Its ``amps`` build the dense vector on first use.
 
-    A class policy on a space of ``CLASS_DRAW_MIN_STATES`` states or more
-    draws the masks of all ``rounds`` rounds when the run starts (see
-    :class:`_ClassSupport`); every other policy draws each round's mask from
-    a per-state table.
+    Every policy draws the masks of all ``rounds`` rounds when the run
+    starts (see :class:`_Support`).
     """
     if rounds is None:
         rounds = default_rounds(n, policy)
@@ -750,7 +644,7 @@ def run_dynamic(
         raise ValueError(f"watched policy has n={watch.n}, run has n={n}")
     if stop_above is not None and watch is None:
         raise ValueError("stop_above needs a watched policy")
-    touched = _touched_set(policy, rounds, rng, watch)
+    support = _Support(policy, rounds, rng, watch)
     expected = policy.expected_selected()
     watched_total = None if watch is None else watch.expected_selected()
     indices: list[np.ndarray] = []
@@ -758,33 +652,33 @@ def run_dynamic(
     policy_mass: list[float] = []
     watched_mass: list[float] | None = None if watch is None else []
     restarts: list[int] = []
-    best = touched.snapshot() if keep_best else None
+    best = support.snapshot() if keep_best else None
     # the policy mass of the uniform state
-    best_score = expected / touched.n_states if keep_best else 0.0
+    best_score = expected / support.n_states if keep_best else 0.0
     best_round = 0
     violation: _GroupStats | None = None
 
     for round_index in range(rounds):
-        mask = touched.draw(rng)
-        stats = touched.stats(mask)
+        mask = support.draw(rng)
+        stats = support.stats(mask)
         if stats.post_flip_mean < -VALIDITY_ATOL or stats.min_unsel < -VALIDITY_ATOL:
             if on_violation == "abort":
                 violation = stats
                 break
-            mask = touched.restart(mask)
-            stats = touched.stats(mask)
+            support.reset()
+            stats = support.stats(mask)
             restarts.append(round_index)
-        selected_idx, after = touched.step(mask, stats)
+        selected_idx, after = support.step(mask, stats)
         indices.append(selected_idx)
         reports.append(after.report())
-        mass = touched.mass(touched.p, expected)
+        mass = support.mass(support.p, expected)
         policy_mass.append(mass)
         if keep_best and mass > best_score:
             best_score = mass
-            best = touched.snapshot()
+            best = support.snapshot()
             best_round = round_index + 1
         if watched_mass is not None:
-            watched_mass.append(touched.mass(touched.w, watched_total))
+            watched_mass.append(support.mass(support.w, watched_total))
             if stop_above is not None and watched_mass[-1] > stop_above:
                 break
 
@@ -803,11 +697,11 @@ def run_dynamic(
             f"round {log.rounds} would start from an unproductive state "
             f"(post-flip mean {violation.post_flip_mean:.3e}, "
             f"min unselected {violation.min_unsel:.3e})",
-            state=touched.sparse_state(touched.snapshot()),
+            state=support.sparse_state(support.snapshot()),
             log=log,
             round_index=log.rounds,
         )
-    return touched.sparse_state(best if keep_best else touched.snapshot()), log
+    return support.sparse_state(best if keep_best else support.snapshot()), log
 
 
 def ordering_witness(n: int, first_mask: SelectionMask, doubled: bool = False) -> OrderingWitness:

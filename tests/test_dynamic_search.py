@@ -30,9 +30,8 @@ from qamp import (
     selected_count_limit,
     uniform_init,
 )
-from qamp import dynamic_search
 from qamp.core import oracle_flip, invert_about_mean
-from qamp.dynamic_search import _GroupStats, similarity_classes
+from qamp.dynamic_search import _GroupStats, _words_with_popcount, similarity_classes
 from qamp.recommend import SimilaritySpec, calibrate_beta, similarity_policy
 
 
@@ -505,21 +504,16 @@ def dense_probabilities(policy):
     seed=st.integers(0, 2**31),
     scale=st.floats(0.0, 1.0),
     kind=st.sampled_from(["table", "static", "class", "catalog"]),
-    class_draw=st.booleans(),
     keep_best=st.booleans(),
     watch=st.sampled_from([None, "table", "class", "catalog"]),
 )
-def test_run_dynamic_matches_dense_replay(n, seed, scale, kind, class_draw, keep_best, watch):
+def test_run_dynamic_matches_dense_replay(n, seed, scale, kind, keep_best, watch):
     rng = np.random.default_rng(seed)
     policy = random_policy(kind, n, scale, rng)
     watched = random_policy(watch, n, 1.0, rng) if watch else None
-    with pytest.MonkeyPatch.context() as patch:
-        if class_draw:  # small spaces draw from a per-state table unless told otherwise
-            patch.setattr(dynamic_search, "CLASS_DRAW_MIN_STATES", 0)
-        final, log = run_dynamic(
-            n, policy, rng, rounds=8, keep_best=keep_best, on_violation="restart",
-            watch=watched,
-        )
+    final, log = run_dynamic(
+        n, policy, rng, rounds=8, keep_best=keep_best, on_violation="restart", watch=watched
+    )
     probs = dense_probabilities(policy)
     state = best = uniform_init(n)
     for i in range(log.rounds):
@@ -547,19 +541,6 @@ def test_run_dynamic_matches_dense_replay(n, seed, scale, kind, class_draw, keep
     np.testing.assert_allclose(replayed.amps, state.amps, rtol=0, atol=1e-12)
 
 
-def test_small_space_class_policy_draws_like_its_table():
-    # below CLASS_DRAW_MIN_STATES a class policy draws from its per-state
-    # table, so it consumes the random stream as the table policy does
-    n = 9
-    policy = SelectionPolicy.by_similarity(n, 300, np.linspace(0.01, 0.6, n + 1), np.arange(0, 512, 3))
-    table = SelectionPolicy.probabilistic(n, policy.state_probabilities())
-    _, a = run_dynamic(n, policy, np.random.default_rng(4), rounds=6, on_violation="restart")
-    _, b = run_dynamic(n, table, np.random.default_rng(4), rounds=6, on_violation="restart")
-    for x, y in zip(a.selected_indices, b.selected_indices, strict=True):
-        assert np.array_equal(x, y)
-    np.testing.assert_allclose(a.policy_mass_by_round, b.policy_mass_by_round, rtol=0, atol=1e-15)
-
-
 def test_replay_round_states_honours_restarts():
     policy = SelectionPolicy.probabilistic(8, np.full(256, 0.6))
     final, log = run_dynamic(
@@ -571,17 +552,19 @@ def test_replay_round_states_honours_restarts():
     np.testing.assert_allclose(states[-1].amps, final.amps, rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("with_catalog", [False, True])
-def test_class_draw_selects_each_state_with_its_class_probability(with_catalog, monkeypatch):
+@pytest.mark.parametrize("with_catalog", [False, True, pytest.param(None, id="table")])
+def test_class_draw_selects_each_state_with_its_class_probability(with_catalog):
     """Per round, each state is in the mask with probability P(S) of its class,
     whatever the run touched before; two states of one class are selected
-    together with probability P(S)**2, and so is one state in two rounds."""
-    monkeypatch.setattr(dynamic_search, "CLASS_DRAW_MIN_STATES", 0)
+    together with probability P(S)**2, and so is one state in two rounds.
+    ``with_catalog=None`` runs the catalog policy as a per-state table."""
     n, reference, runs, rounds = 5, 0b10110, 3000, 3
     class_probs = np.array([0.02, 0.1, 0.3, 0.5, 0.8, 1.0])
-    catalog = np.arange(0, 32, 2) if with_catalog else None
+    catalog = None if with_catalog is False else np.arange(0, 32, 2)
     policy = SelectionPolicy.by_similarity(n, reference, class_probs, catalog)
     probs = dense_probabilities(policy)
+    if with_catalog is None:
+        policy = SelectionPolicy.probabilistic(n, probs)
     counts = np.zeros((rounds, 1 << n))
     pair = np.zeros(rounds)
     # two states of similarity 3 (P = 0.5), both in the catalog when there is one
@@ -613,6 +596,24 @@ def test_class_draw_selects_each_state_with_its_class_probability(with_catalog, 
     for i, j in itertools.combinations(range(rounds), 2):
         z_rounds = (both[i, j] / runs - want) / np.sqrt(want * (1 - want) / runs)
         assert np.max(np.abs(z_rounds)) < 4.5, (i, j)
+
+
+def test_class_member_lists_are_shared_across_references():
+    # a policy per request lists a crowded class by XOR with words cached
+    # per (n, d), so a second reference builds no new list
+    n, s = 12, 7
+    probs = np.full(n + 1, 0.5)
+    first = SelectionPolicy.by_similarity(n, 0b101, probs)
+    second = SelectionPolicy.by_similarity(n, 0b110110, probs)
+    members = first.class_members(s)
+    misses = _words_with_popcount.cache_info().misses
+    assert np.array_equal(second.class_members(s) ^ second.reference, members ^ first.reference)
+    assert _words_with_popcount.cache_info().misses == misses
+    words = _words_with_popcount(n, n - s)
+    assert not words.flags.writeable
+    popcounts = np.bitwise_count(np.arange(1 << n))
+    assert np.array_equal(np.sort(words), np.flatnonzero(popcounts == n - s))
+    assert np.all(similarity_classes(n, second.reference, second.class_members(s)) == s)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])

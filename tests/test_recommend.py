@@ -23,7 +23,6 @@ from qamp import (
     similarity,
     similarity_policy,
 )
-from qamp import dynamic_search
 from qamp.cli import main
 from qamp.dynamic_search import run_dynamic, similarity_classes
 from qamp.recommend import probability_by_class
@@ -295,13 +294,12 @@ class TestRecommend:
             similarity_policy(SimilaritySpec(8, 0), SelectionProbabilityParams(9))
 
 
-@pytest.mark.parametrize("class_draw", [False, True])
+@pytest.mark.parametrize("keep_best", [False, True])
 @pytest.mark.parametrize("with_catalog", [False, True])
-def test_sparse_class_masses_match_dense(monkeypatch, with_catalog, class_draw):
+def test_sparse_class_masses_match_dense(with_catalog, keep_best):
     # class masses from bulk**2 * class counts plus the stored states agree
-    # with a bincount over the dense state; non-catalog states carry mass too
-    if class_draw:
-        monkeypatch.setattr(dynamic_search, "CLASS_DRAW_MIN_STATES", 1)
+    # with a bincount over the dense state, final or best; non-catalog
+    # states carry mass too
     n = 12
     spec = SimilaritySpec(n, 1234)
     catalog = np.arange(0, 1 << n, 3) if with_catalog else None
@@ -309,7 +307,7 @@ def test_sparse_class_masses_match_dense(monkeypatch, with_catalog, class_draw):
     sims = similarity_classes(n, spec.reference, np.arange(1 << n))
     for seed in range(4):
         state, _ = run_dynamic(
-            n, policy, np.random.default_rng(seed), rounds=12, keep_best=True,
+            n, policy, np.random.default_rng(seed), rounds=12, keep_best=keep_best,
             on_violation="restart",
         )
         dense = np.bincount(sims, weights=state.amps * state.amps, minlength=n + 1)
