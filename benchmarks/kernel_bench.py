@@ -8,11 +8,14 @@ steps) and the round that ``run_dynamic`` takes on its sparse state (mask
 draw over the support the run draws once when it starts, statistics and
 closed-form step).  Also times the end of a run, 10 draws from its final
 state: building the dense vector and sampling it against sampling the
-sparse state ``run_dynamic`` returns.  Each bench returns its timings in
-seconds keyed by what was timed: ``"python"`` for the kernels (the name
-``qamp.kernel_backend()`` reports), ``"touched"`` for the ``run_dynamic``
-round, ``"dense"``/``"sparse"`` for the end of a run.  Run from the repo
-root:
+sparse state ``run_dynamic`` returns.  Last, the support draw a
+class-policy run makes once when it starts (``_draw_support``), with and
+without a catalog, over the rounds ``recommend`` caps its run at.  Each
+bench returns its timings in seconds keyed by what was timed: ``"python"``
+for the kernels (the name ``qamp.kernel_backend()`` reports),
+``"touched"`` for the ``run_dynamic`` round, ``"dense"``/``"sparse"`` for
+the end of a run, ``"draw"`` (with the mean ``"support"`` size) for the
+support draw.  Run from the repo root:
 
     python3 benchmarks/kernel_bench.py [--quick]
 """
@@ -25,7 +28,7 @@ import numpy as np
 
 from qamp import backend
 from qamp.core import SparseState, StateVector, sample
-from qamp.dynamic_search import _Support, default_rounds
+from qamp.dynamic_search import SelectionPolicy, _draw_support, _Support, default_rounds
 from qamp.recommend import SimilaritySpec, calibrate_beta, similarity_policy
 
 
@@ -113,6 +116,28 @@ def bench_end_of_run(n: int, repeats: int) -> dict[str, float]:
     }
 
 
+def bench_support_draw(n: int, m: float, with_catalog: bool, repeats: int) -> dict[str, float]:
+    """The support draw of a run of ``recommend``'s round cap under a
+    similarity policy calibrated to m.  The catalog, when there is one, is
+    every state within 4 flipped bits of the reference, where most of the
+    support falls."""
+    spec = SimilaritySpec(n, (1 << n) // 3)
+    policy = similarity_policy(spec, calibrate_beta(n, m))
+    rounds = 2 * default_rounds(n, policy) + 8
+    if with_catalog:
+        sizes = policy.class_sizes[n - 4:]
+        classes = np.repeat(np.arange(n - 4, n + 1), sizes)
+        ranks = np.concatenate([np.arange(size) for size in sizes.tolist()])
+        catalog = policy.states_of_rank(classes, ranks)
+        policy = SelectionPolicy.by_similarity(
+            n, spec.reference, policy.class_probabilities, catalog
+        )
+    rng = np.random.default_rng(7)
+    support = []
+    draw = time_call(lambda: support.append(_draw_support(policy, rounds, rng)[0].size), repeats)
+    return {"draw": draw, "support": float(np.mean(support))}
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--quick", action="store_true", help="fewer sizes and repeats")
@@ -138,6 +163,15 @@ def main() -> None:
         times = bench_end_of_run(n, max(5, base_repeats >> max(0, n - 12)))
         print(f"{'end_of_run':<14} {n:>3} {times['dense'] * 1e6:>12.2f} "
               f"{times['sparse'] * 1e6:>12.2f}")
+
+    print(f"{'support_draw':<14} {'n':>3} {'m':>3} {'catalog':>7} {'support':>9} {'draw us':>12}")
+    for n in [10, 14] if args.quick else range(10, 29, 2):
+        for m in (5, 50):
+            for with_catalog in (False, True):
+                repeats = max(3, (base_repeats // 4) >> max(0, n - 14))
+                times = bench_support_draw(n, m, with_catalog, repeats)
+                print(f"{'support_draw':<14} {n:>3} {m:>3} {str(with_catalog):>7} "
+                      f"{times['support']:>9.0f} {times['draw'] * 1e6:>12.2f}")
 
 
 if __name__ == "__main__":

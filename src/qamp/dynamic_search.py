@@ -16,7 +16,6 @@ a target gain G.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
@@ -25,6 +24,7 @@ import numpy as np
 
 from . import backend
 from .core import (
+    MAX_QUBITS,
     SelectionMask,
     SparseState,
     StateVector,
@@ -47,7 +47,9 @@ class SelectionPolicy:
     class form selects state x with probability
     ``class_probabilities[S(x)]``, where S(x) = n - popcount(x ^ reference)
     is its similarity to ``reference``; with a ``catalog`` only catalog
-    members can be selected.  Runs under it never build a per-state table.
+    members can be selected.  Runs under it never build a per-state table:
+    they draw ranks within each class and map them to states
+    (:meth:`states_of_rank`).
     """
 
     n: int
@@ -57,9 +59,8 @@ class SelectionPolicy:
     catalog: np.ndarray | None = None
     # class form only: member count of each class (within the catalog, if any)
     class_sizes: np.ndarray | None = field(default=None, init=False, repr=False)
-    # class form only: the members of each class, all of them with a catalog,
-    # else each class on first use
-    _members: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # class form with a catalog only: the catalog sorted by class, then index
+    _by_class: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_qubit_count(self.n)
@@ -99,8 +100,7 @@ class SelectionPolicy:
             object.__setattr__(self, "catalog", catalog)
             classes = self.class_of(catalog)
             sizes = np.bincount(classes, minlength=self.n + 1)
-            by_class = catalog[np.argsort(classes, kind="stable")]
-            self._members.update(enumerate(np.split(by_class, np.cumsum(sizes)[:-1])))
+            object.__setattr__(self, "_by_class", catalog[np.argsort(classes, kind="stable")])
         object.__setattr__(self, "class_sizes", sizes)
 
     @classmethod
@@ -140,32 +140,18 @@ class SelectionPolicy:
         """Similarity class n - popcount(x ^ reference) of each state."""
         return similarity_classes(self.n, self.reference, indices)
 
-    def class_members(self, s: int) -> np.ndarray:
-        """Members of similarity class ``s`` (within the catalog, if any)."""
-        if s not in self._members:
-            self._members[s] = _words_with_popcount(self.n, self.n - s) ^ self.reference
-        return self._members[s]
+    def states_of_rank(self, classes: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+        """The member of rank ``ranks[i]`` (0 <= rank < its class size) of each
+        class ``classes[i]``.
 
-    def random_members(self, classes: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """One uniformly drawn member of each of the given (non-empty) classes."""
-        if self.catalog is not None:
-            positions = rng.integers(0, self.class_sizes[classes])
-            members = np.empty(classes.size, dtype=np.int64)
-            for s in np.unique(classes).tolist():
-                rows = classes == s
-                members[rows] = self.class_members(s)[positions[rows]]
-            return members
-        # the reference with a uniformly chosen set of d = n - S bits flipped,
-        # by Floyd's subset draw: for bit j = n - d .. n - 1 flip a uniform bit
-        # t <= j, or bit j if t is flipped already
-        d = self.n - classes
-        flips = np.zeros(classes.size, dtype=np.int64)
-        for j in range(self.n - int(d.max(initial=0)), self.n):
-            rows = np.flatnonzero(d >= self.n - j)
-            bit = np.left_shift(1, rng.integers(0, j + 1, size=rows.size))
-            flipped = flips[rows]
-            flips[rows] = flipped | np.where(flipped & bit, 1 << j, bit)
-        return self.reference ^ flips
+        With a catalog, a class's members rank in index order.  Without one,
+        class S is the reference with n - S bits flipped, and the flipped
+        bits rank in colex order (:func:`_colex_words`).
+        """
+        if self._by_class is not None:
+            starts = np.cumsum(self.class_sizes) - self.class_sizes
+            return self._by_class[starts[classes] + ranks]
+        return self.reference ^ _colex_words(self.n, self.n - classes, ranks)
 
 
 def _check_finite(probs: np.ndarray) -> None:
@@ -178,25 +164,35 @@ def similarity_classes(n: int, reference: int, indices) -> np.ndarray:
     return n - np.bitwise_count(indices ^ reference).astype(np.int64)
 
 
+# _PASCAL[c, i] = C(c, i), zero for i > c
+_PASCAL = np.array(
+    [[math.comb(c, i) for i in range(MAX_QUBITS + 1)] for c in range(MAX_QUBITS + 1)],
+    dtype=np.int64,
+)
+
+
 def class_counts(n: int) -> np.ndarray:
     """Number of states at each similarity S = 0..n: the binomial curve C(n, S)."""
     return np.array([math.comb(n, s) for s in range(n + 1)], dtype=np.int64)
 
 
-@functools.lru_cache(maxsize=64)
-def _words_with_popcount(n: int, d: int) -> np.ndarray:
-    """Every n-bit word with exactly d bits set, as a read-only array shared
-    by every caller (policies list a class by XOR with their reference)."""
-    if 2 * d > n:
-        words = ((1 << n) - 1) ^ _words_with_popcount(n, n - d)
-    else:
-        # by_count[j]: the words over the bits seen so far with j bits set
-        by_count = [np.zeros(1, dtype=np.int64)] + [np.empty(0, dtype=np.int64)] * d
-        for bit in range(n):
-            for j in range(min(bit + 1, d), 0, -1):
-                by_count[j] = np.concatenate([by_count[j], by_count[j - 1] | (1 << bit)])
-        words = by_count[d]
-    words.flags.writeable = False
+def _colex_words(n: int, bits_set: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+    """The n-bit word with ``bits_set[i]`` bits set whose colex rank is ``ranks[i]``.
+
+    In colex order the word with set bits c_k > ... > c_1 has rank
+    sum_i C(c_i, i) (Knuth, TAOCP 4A, 7.2.1.3), so walking the bits from the
+    top, bit c is set exactly when C(c, k) <= r for the k bits and rank r
+    still to place: n vectorised steps for any number of words.
+    """
+    words = np.zeros(ranks.size, dtype=np.int64)
+    left = np.array(bits_set, dtype=np.int64)
+    rest = np.array(ranks, dtype=np.int64)
+    for bit in range(n - 1, -1, -1):
+        binom = _PASCAL[bit].take(left)
+        take = binom <= rest
+        rest -= binom * take
+        left -= take
+        words += take << bit
     return words
 
 
@@ -474,17 +470,26 @@ def _draw_support(
     and their selection probabilities.
 
     State x is in it independently with probability
-    q(x) = 1 - (1 - P(x))**R.  A class policy takes Binomial(C_S, q_S)
-    distinct members of each class S (C_S its size, within the catalog if
-    there is one).  A per-state table takes x when the least of its R round
-    uniforms, drawn as 1 - (1 - U)**(1/R) from one uniform U, falls below
-    P(x): one pass over one N-sized buffer per run.
+    q(x) = 1 - (1 - P(x))**R.  A class policy takes k = Binomial(C_S, q_S)
+    members of each class S (C_S its size, within the catalog if there is
+    one) as k distinct uniform ranks in 0..C_S - 1, all mapped to states in
+    one pass (:meth:`SelectionPolicy.states_of_rank`).  A per-state table
+    takes x when the least of its R round uniforms, drawn as
+    1 - (1 - U)**(1/R) from one uniform U, falls below P(x): one pass over
+    one N-sized buffer per run.
     """
     if policy.probabilities is None:
         class_p = policy.class_probabilities
-        q = 1.0 - (1.0 - class_p) ** rounds
-        idx = _distinct_members(policy, rng.binomial(policy.class_sizes, q), rng)
-        return idx, class_p[policy.class_of(idx)]
+        counts = rng.binomial(policy.class_sizes, 1.0 - (1.0 - class_p) ** rounds)
+        classes = np.repeat(np.arange(policy.n + 1), counts)
+        ranks = [np.empty(0, dtype=np.int64)] + [
+            rng.choice(size, k, replace=False, shuffle=False)
+            for size, k in zip(policy.class_sizes.tolist(), counts.tolist())
+            if k
+        ]
+        idx = policy.states_of_rank(classes, np.concatenate(ranks))
+        order = np.argsort(idx)
+        return idx[order], class_p[classes[order]]
     if rounds == 0:
         idx = np.empty(0, dtype=np.int64)
     else:
@@ -494,43 +499,6 @@ def _draw_support(
         np.subtract(1.0, least, out=least)
         idx = np.flatnonzero(least < policy.probabilities)
     return idx, policy.probabilities[idx]
-
-
-def _distinct_members(
-    policy: SelectionPolicy, counts: np.ndarray, rng: np.random.Generator
-) -> np.ndarray:
-    """``counts[S]`` distinct members drawn uniformly from each class S, sorted.
-
-    A class that must give more than half its members is listed and
-    permuted.  Elsewhere members are drawn uniformly and each class takes its
-    first draws it has not taken yet; every draw succeeds with probability
-    > 1/2.
-    """
-    picks: list[np.ndarray] = []
-    need = counts.copy()
-    for s, k in enumerate(counts.tolist()):
-        if 2 * k > policy.class_sizes[s]:
-            members = policy.class_members(s)
-            picks.append(members[rng.permutation(members.size)[:k]])
-            need[s] = 0
-    taken = np.empty(0, dtype=np.int64)
-    while need.any():
-        # half as many spare draws as needed, so one pass mostly suffices
-        classes = np.flatnonzero(need)
-        rows = np.repeat(classes, need[classes] + need[classes] // 2 + 1)
-        drawn = policy.random_members(rows, rng)
-        new = np.zeros(rows.size, dtype=bool)
-        new[np.unique(drawn, return_index=True)[1]] = True
-        new &= ~np.isin(drawn, taken)
-        # each class takes its first new draws, up to its need
-        before = np.cumsum(new) - new
-        group_start = np.searchsorted(rows, rows)
-        accept = new & (before - before[group_start] < need[rows])
-        taken = np.concatenate([taken, drawn[accept]])
-        need -= np.bincount(rows[accept], minlength=need.size)
-    support = np.concatenate(picks + [taken])
-    support.sort()
-    return support
 
 
 def dynamic_iteration(state: StateVector, mask: SelectionMask) -> StateVector:

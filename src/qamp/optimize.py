@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import SelectionMask, SparseState, sample
+from .core import SelectionMask, SparseState, check_qubit_count, sample
 from .dynamic_search import SelectionPolicy, run_dynamic
 from .errors import ShapeMismatchError
 from .static_search import StaticSearchSpec, optimal_iterations, search_unknown_m
@@ -38,6 +38,7 @@ class ObjectiveTable:
     sense: Sense = Sense.MIN
 
     def __post_init__(self):
+        check_qubit_count(self.n)
         values = np.asarray(self.values, dtype=np.float64)
         if values.shape != (1 << self.n,):
             raise ShapeMismatchError(
@@ -252,6 +253,7 @@ def load_objective(path) -> ObjectiveTable:
         if "n" not in fields or "sense" not in fields:
             raise ValueError(f"bad objective header {header!r}: need n=<int> sense=<min|max>")
         n = int(fields["n"])
+        check_qubit_count(n)  # before reading 2**n values
         try:
             sense = Sense(fields["sense"])
         except ValueError as exc:

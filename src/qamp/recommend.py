@@ -88,9 +88,9 @@ class SelectionProbabilityParams:
         object.__setattr__(self, "norm_c", float(norm_c))
 
         n_states = 1 << self.n
-        if self.norm_c < 0.0:
-            raise InvalidParamsError("norm_c must be nonnegative")
-        top = min(1.0, self.norm_c * math.exp(self.beta * self.n))
+        if not self.norm_c >= 0.0:
+            raise InvalidParamsError(f"norm_c must be nonnegative, got {self.norm_c}")
+        top = float(_capped_exponential(self.norm_c, self.beta, self.n))
         bottom = min(1.0, self.norm_c)
         if top < 1.0 - 1.0 / n_states:
             raise InvalidParamsError(
@@ -143,16 +143,27 @@ def class_masses(state: SparseState, spec: SimilaritySpec) -> np.ndarray:
     return state.bulk * state.bulk * unstored + stored
 
 
+def _capped_exponential(norm_c: float, beta: float, s):
+    """min(1, c * exp(beta * S)), evaluated as exp(min(0, ln c + beta * S)).
+
+    Neither factor is formed on its own, so no beta overflows it, and a
+    prefactor c = 0 gives 0 at every S.
+    """
+    if norm_c == 0.0:
+        return np.zeros_like(s, dtype=np.float64)
+    with np.errstate(over="ignore"):  # beta * S = +-inf caps to 1 or 0 below
+        return np.exp(np.minimum(0.0, math.log(norm_c) + beta * np.asarray(s, dtype=np.float64)))
+
+
 def selection_probability(s: int, params: SelectionProbabilityParams) -> float:
     """Probability min(1, c * exp(beta * S)) of selecting a similarity-S state."""
     if not 0 <= s <= params.n:
         raise ValueError(f"similarity must be in [0, {params.n}], got {s}")
-    return min(1.0, params.norm_c * math.exp(params.beta * s))
+    return float(_capped_exponential(params.norm_c, params.beta, s))
 
 
 def probability_by_class(params: SelectionProbabilityParams) -> np.ndarray:
-    s = np.arange(params.n + 1, dtype=np.float64)
-    return np.minimum(1.0, params.norm_c * np.exp(params.beta * s))
+    return _capped_exponential(params.norm_c, params.beta, np.arange(params.n + 1))
 
 
 def expected_selected_count(params: SelectionProbabilityParams) -> float:
@@ -193,7 +204,7 @@ def calibrate_beta(
         norm_c = 1.0 / n_states
 
         def expected(beta: float) -> float:
-            return float(counts @ np.minimum(1.0, norm_c * np.exp(beta * s)))
+            return float(counts @ _capped_exponential(norm_c, beta, s))
 
         lo = math.log(2.0)
         hi = 2.0 * lo
@@ -233,8 +244,9 @@ def similarity_params(
     min(2**-n, exp(-beta * n)); otherwise beta is calibrated to the expected
     count ``m_target``, or ``fallback_target`` when that is None too."""
     if beta is not None:
+        # exp(-beta * n) only matters below 2**-n, so its exponent is capped at 0
         return SelectionProbabilityParams(
-            n=n, beta=beta, norm_c=min(2.0**-n, math.exp(-beta * n))
+            n=n, beta=beta, norm_c=min(2.0**-n, math.exp(min(0.0, -beta * n)))
         )
     return calibrate_beta(n, m_target if m_target is not None else fallback_target)
 

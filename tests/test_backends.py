@@ -97,3 +97,4 @@ def test_benchmark_smoke():
     assert proc.returncode == 0, proc.stderr
     assert "grover_step" in proc.stdout
     assert "dynamic_round" in proc.stdout
+    assert "support_draw" in proc.stdout

@@ -31,7 +31,13 @@ from qamp import (
     uniform_init,
 )
 from qamp.core import oracle_flip, invert_about_mean
-from qamp.dynamic_search import _GroupStats, _words_with_popcount, similarity_classes
+from qamp.dynamic_search import (
+    _colex_words,
+    _draw_support,
+    _GroupStats,
+    class_counts,
+    similarity_classes,
+)
 from qamp.recommend import SimilaritySpec, calibrate_beta, similarity_policy
 
 
@@ -598,22 +604,58 @@ def test_class_draw_selects_each_state_with_its_class_probability(with_catalog):
         assert np.max(np.abs(z_rounds)) < 4.5, (i, j)
 
 
-def test_class_member_lists_are_shared_across_references():
-    # a policy per request lists a crowded class by XOR with words cached
-    # per (n, d), so a second reference builds no new list
-    n, s = 12, 7
-    probs = np.full(n + 1, 0.5)
-    first = SelectionPolicy.by_similarity(n, 0b101, probs)
-    second = SelectionPolicy.by_similarity(n, 0b110110, probs)
-    members = first.class_members(s)
-    misses = _words_with_popcount.cache_info().misses
-    assert np.array_equal(second.class_members(s) ^ second.reference, members ^ first.reference)
-    assert _words_with_popcount.cache_info().misses == misses
-    words = _words_with_popcount(n, n - s)
-    assert not words.flags.writeable
-    popcounts = np.bitwise_count(np.arange(1 << n))
-    assert np.array_equal(np.sort(words), np.flatnonzero(popcounts == n - s))
-    assert np.all(similarity_classes(n, second.reference, second.class_members(s)) == s)
+def test_ranks_map_one_to_one_onto_each_class():
+    # colex ranks 0..C(n, d) - 1 give every word with d bits set exactly once
+    for n in range(1, 13):
+        popcounts = np.bitwise_count(np.arange(1 << n))
+        for d in range(n + 1):
+            size = math.comb(n, d)
+            words = _colex_words(n, np.full(size, d), np.arange(size))
+            assert np.array_equal(np.sort(words), np.flatnonzero(popcounts == d)), (n, d)
+    n, d = 30, 15
+    words = _colex_words(n, np.full(2, d), np.array([0, math.comb(n, d) - 1]))
+    assert np.all((words >= 0) & (words < 1 << n))
+    assert np.all(np.bitwise_count(words) == d)
+    assert words[0] != words[1]
+
+
+@pytest.mark.parametrize("with_catalog", [False, True])
+def test_policy_ranks_give_each_class_in_full(with_catalog):
+    # a policy's rank map lists each class around its reference, the catalog
+    # members of the class in index order when there is a catalog
+    n, reference = 9, 0b101100110
+    catalog = np.arange(3, 1 << n, 5) if with_catalog else None
+    policy = SelectionPolicy.by_similarity(n, reference, np.full(n + 1, 0.5), catalog)
+    space = np.arange(1 << n) if catalog is None else catalog
+    for s in range(n + 1):
+        size = int(policy.class_sizes[s])
+        states = policy.states_of_rank(np.full(size, s), np.arange(size))
+        members = space[similarity_classes(n, reference, space) == s]
+        if with_catalog:
+            assert np.array_equal(states, members)
+        else:
+            assert np.array_equal(np.sort(states), members)
+
+
+def test_large_class_support_is_sorted_distinct_and_class_consistent():
+    # at n = 30 a support of T states takes O(T) memory, not a list of any
+    # class (the middle one has C(30, 15) ~ 1.6e8 members)
+    n = 30
+    class_probs = np.linspace(1e-6, 3e-6, n + 1)  # one value per class
+    policy = SelectionPolicy.by_similarity(n, 0x2A5A5A5A, class_probs)
+    tracemalloc.start()
+    try:
+        idx, p = _draw_support(policy, 4, np.random.default_rng(0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    expected = float(class_counts(n) @ (1.0 - (1.0 - class_probs) ** 4))
+    assert abs(idx.size - expected) < 5.0 * math.sqrt(expected)
+    assert np.all(np.diff(idx) > 0)
+    assert idx[0] >= 0 and idx[-1] < 1 << n
+    assert np.array_equal(p, class_probs[similarity_classes(n, policy.reference, idx)])
+    # a few int64 words per support state (about 10 here)
+    assert peak < 32 * 8 * idx.size
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])

@@ -375,6 +375,35 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("method", ["durr-hoyer", "dynamic"])
+    @pytest.mark.parametrize("n", [0, 31])
+    def test_optimize_qubit_count_out_of_range_exit(self, tmp_path, capsys, n, method):
+        # the header's n is checked before 2**n values are read
+        path = tmp_path / "table.obj"
+        path.write_text(f"n={n} sense=min\n1.5\n", encoding="utf-8")
+        assert main(["optimize", "--objective", str(path), "--method", method]) == 2
+        assert "qubit count" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["recommend", "--n", "8", "--m", "3", "--beta", "100"],
+            ["recommend", "--n", "8", "--m", "3", "--beta", "1000"],
+            ["recommend", "--n", "8", "--m", "3", "--beta=-1000"],
+            ["recommend", "--n", "8", "--m", "3", "--beta", "1e308"],
+            ["recommend", "--n", "8", "--m", "3", "--beta=-1e308"],
+            ["dynamic", "--n", "8", "--beta", "1000"],
+            ["experiment", "accuracy", "--n", "8", "--seeds", "1", "--beta", "1000"],
+            ["experiment", "steps", "--n-range", "6:7", "--seeds", "1", "--beta", "1000"],
+        ],
+        ids=lambda args: "_".join(args).replace("--", ""),
+    )
+    def test_large_beta_exits_cleanly(self, tmp_path, capsys, monkeypatch, args):
+        # min(1, c * exp(beta * S)) must neither overflow nor turn into nan
+        monkeypatch.chdir(tmp_path)
+        assert main(args) in (0, 2)
+        assert "Traceback" not in capsys.readouterr().err
+
     @pytest.mark.parametrize("content", [None, "hello\n", "999\n"])
     def test_recommend_bad_catalog_file_exit(self, tmp_path, capsys, content):
         path = tmp_path / "catalog.txt"

@@ -7,6 +7,7 @@ from qamp import (
     ObjectiveTable,
     Sense,
     ShapeMismatchError,
+    SizeError,
     build_optimization_policy,
     durr_hoyer,
     dynamic_optimize,
@@ -26,6 +27,11 @@ class TestObjectiveTable:
     def test_length_checked(self):
         with pytest.raises(ShapeMismatchError):
             ObjectiveTable(3, np.zeros(7))
+
+    @pytest.mark.parametrize("n", [0, 31])
+    def test_qubit_count_checked(self, n):
+        with pytest.raises(SizeError):
+            ObjectiveTable(n, np.zeros(1))
 
     def test_finite_checked(self):
         values = np.zeros(8)

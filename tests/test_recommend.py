@@ -25,7 +25,7 @@ from qamp import (
 )
 from qamp.cli import main
 from qamp.dynamic_search import run_dynamic, similarity_classes
-from qamp.recommend import probability_by_class
+from qamp.recommend import probability_by_class, similarity_params
 
 LN2 = math.log(2.0)
 
@@ -125,6 +125,17 @@ class TestSelectionProbability:
         else:
             monkeypatch.chdir(tmp_path)
             assert main(case) == 2
+
+    def test_steep_beta_keeps_both_limits(self):
+        # c = exp(-720) is subnormal and exp(720) overflows: P(S) comes from
+        # exp(min(0, ln c + beta * S)) instead
+        n = 30
+        params = similarity_params(n, 24.0, None, 1.0)
+        probs = probability_by_class(params)
+        assert np.all(np.isfinite(probs))
+        assert probs[-1] >= 1.0 - 2.0**-n and probs[0] <= 2.0**-n
+        assert np.all(np.diff(probs) >= 0)
+        assert similarity_policy(SimilaritySpec(n, 0), params).expected_selected() >= 1.0
 
     def test_monotone_in_similarity(self):
         for params in (
@@ -252,14 +263,14 @@ class TestRecommend:
             )
 
     # items, rounds_used and the top three class masses (to 1e-12) of runs
-    # that draw their support once per run
+    # that draw each class's support as distinct ranks
     PINNED = [
-        (0, 1, [(0, 16), (2, 15), (8, 15), (16, 15), (256, 15)], 91,
-         [0.021645534418979935, 0.1631174905023673, 0.804646305252142]),
-        (12345, 2, [(12345, 16), (8249, 15), (12349, 15), (12601, 15), (12731, 13)], 92,
-         [0.024567579371957082, 0.14755377403471964, 0.8169295734223064]),
-        (40000, 3, [(40000, 16), (40001, 15), (38464, 14), (38980, 14), (56416, 14)], 181,
-         [0.03385023505260195, 0.1592310805363369, 0.7961058314857762]),
+        (0, 1, [(0, 16), (8, 15), (128, 15), (256, 15), (2048, 15)], 181,
+         [0.021757358575241803, 0.1507095843004294, 0.8141577277601332]),
+        (12345, 2, [(12345, 16), (8249, 15), (12329, 15), (12337, 15), (45113, 15)], 180,
+         [0.018235724741486613, 0.14708767374916112, 0.8232826653730527]),
+        (40000, 3, [(40000, 16), (40016, 15), (40032, 15), (40256, 15), (48192, 15)], 90,
+         [0.02707045150394764, 0.17466686038609722, 0.7876518430995707]),
     ]
 
     @pytest.mark.parametrize(
