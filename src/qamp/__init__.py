@@ -1,19 +1,16 @@
 """Amplitude-amplification simulation with probabilistic selection masks.
 
-Desk-scale (n <= ~20 qubits) state-vector engine, static and dynamic
-search drivers, a similarity recommender, optimization loops, and a
-seeded experiment harness with CSV/SVG output.
+Static search on dense state vectors; dynamic runs that store only the
+states their masks select, so similarity policies run to n = 30 qubits;
+a similarity recommender, optimization loops, and a seeded experiment
+harness with CSV/SVG output.
 """
 
 from .backend import kernel_backend
 from .core import (
-    Decomposition,
     SelectionMask,
     SparseState,
     StateVector,
-    decompose,
-    invert_about_mean,
-    oracle_flip,
     probability_of,
     sample,
     uniform_init,
@@ -22,23 +19,18 @@ from .dynamic_search import (
     DynamicRunLog,
     GainReport,
     OrderingWitness,
-    ProgressConditions,
     SelectionPolicy,
     default_rounds,
     dynamic_iteration,
     gain_bound,
     gain_report,
     ordering_witness,
-    progress_conditions,
     replay_round_states,
     run_dynamic,
-    sample_mask,
-    selected_count_limit,
 )
 from .errors import (
     CalibrationError,
     ConfigError,
-    DegenerateMaskError,
     InvalidParamsError,
     NoSolutionError,
     NormalizationError,
@@ -76,7 +68,6 @@ from .recommend import (
 )
 from .static_search import (
     SearchResult,
-    StaticSearchSpec,
     grover_iteration,
     marked_probability,
     optimal_iterations,

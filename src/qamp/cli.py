@@ -48,7 +48,7 @@ from .recommend import (
     similarity_policy,
 )
 from .report import write_csv, write_svg
-from .static_search import StaticSearchSpec, search
+from .static_search import search, search_unknown_m
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -177,10 +177,12 @@ def cmd_grover(ns: argparse.Namespace) -> int:
         indices = rng.choice(1 << n, size=m, replace=False)
         mask = SelectionMask.from_indices(n, indices)
     unknown = bool(opts.get("unknown_m", _parse_bool, False))
-    spec = StaticSearchSpec(n, mask, m_known=not unknown)
     record = bool(opts.get("trajectory", _parse_bool, False))
     t0 = time.perf_counter()
-    result = search(spec, rng, record_trajectory=record and not unknown)
+    if unknown:
+        result = search_unknown_m(mask, rng)
+    else:
+        result = search(mask, rng, record_trajectory=record)
     wall_ms = (time.perf_counter() - t0) * 1e3
     print(f"n={n} marked={mask.count_selected} seed={seed}")
     if result.found:

@@ -15,12 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    DegenerateMaskError,
-    NormalizationError,
-    ShapeMismatchError,
-    SizeError,
-)
+from .errors import NormalizationError, ShapeMismatchError, SizeError
 
 MAX_QUBITS = 30  # memory guard: dense float64 amplitudes up to 8 GiB
 NORM_ATOL = 1e-9
@@ -150,36 +145,8 @@ class SelectionMask:
         return cls(n, np.ones(1 << n, dtype=bool))
 
     @property
-    def indices(self) -> np.ndarray:
-        return np.flatnonzero(self.selected)
-
-    @property
-    def is_empty(self) -> bool:
-        return self.count_selected == 0
-
-    @property
-    def is_full(self) -> bool:
-        return self.count_selected == self.size
-
-    @property
     def size(self) -> int:
         return self.selected.shape[0]
-
-
-@dataclass(frozen=True)
-class Decomposition:
-    """Two-component split of a state along a selection mask.
-
-    Coefficients are Euclidean lengths of the selected / unselected
-    components, carrying the common sign of the group when all of its
-    amplitudes agree; a group with mixed signs yields a magnitude-only
-    coefficient and its ``*_signed`` flag is False.
-    """
-
-    selected_coeff: float
-    unselected_coeff: float
-    selected_signed: bool
-    unselected_signed: bool
 
 
 def check_dims(state: StateVector, mask: SelectionMask) -> None:
@@ -192,20 +159,6 @@ def uniform_init(n: int) -> StateVector:
     check_qubit_count(n)
     size = 1 << n
     return StateVector(n, np.full(size, 1.0 / math.sqrt(size)))
-
-
-def oracle_flip(state: StateVector, mask: SelectionMask) -> StateVector:
-    """Negate the amplitude of every selected basis state (phase-flip oracle)."""
-    check_dims(state, mask)
-    amps = state.amps.copy()
-    np.negative(amps, out=amps, where=mask.selected)
-    return StateVector(state.n, amps)
-
-
-def invert_about_mean(state: StateVector) -> StateVector:
-    """Reflect every amplitude about the mean amplitude: a <- 2*mean - a."""
-    mu = state.amps.mean()
-    return StateVector(state.n, 2.0 * mu - state.amps)
 
 
 def probability_of(state: StateVector, mask: SelectionMask) -> float:
@@ -262,25 +215,3 @@ def _sparse_inverse_cdf(state: SparseState, u):
     first = np.floor((target - np.concatenate(([0.0], excess))[j]) / bulk_sq)
     return np.clip(first, bounds[j] + 1, bounds[j + 1]).astype(np.int64)
 
-
-def _group_coeff(group: np.ndarray) -> tuple[float, bool]:
-    coeff = math.sqrt(float(group @ group))
-    has_pos = bool(np.any(group > 0.0))
-    has_neg = bool(np.any(group < 0.0))
-    if has_pos and has_neg:
-        return coeff, False
-    return (-coeff if has_neg else coeff), True
-
-
-def decompose(state: StateVector, mask: SelectionMask) -> Decomposition:
-    """Split the state into its selected and unselected components.
-
-    Diagnostic for the two-dimensional rotation picture; requires a mask
-    that is neither empty nor full so that both components exist.
-    """
-    check_dims(state, mask)
-    if mask.is_empty or mask.is_full:
-        raise DegenerateMaskError("decomposition needs a mask that is neither empty nor full")
-    sel_coeff, sel_signed = _group_coeff(state.amps[mask.selected])
-    unsel_coeff, unsel_signed = _group_coeff(state.amps[~mask.selected])
-    return Decomposition(sel_coeff, unsel_coeff, sel_signed, unsel_signed)

@@ -10,15 +10,14 @@ identity.
 
 Progress diagnostics follow the two-component analysis: a round is
 productive only while the post-flip mean amplitude and all unselected
-amplitudes stay positive, and the selected count stays under N / (2G) for
-a target gain G.
+amplitudes stay positive (:func:`gain_report` gives both).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -106,12 +105,6 @@ class SelectionPolicy:
     @classmethod
     def probabilistic(cls, n: int, probabilities) -> "SelectionPolicy":
         return cls(n, probabilities=probabilities)
-
-    @classmethod
-    def from_rule(cls, n: int, rule: Callable[[int], float]) -> "SelectionPolicy":
-        check_qubit_count(n)
-        probs = np.array([rule(x) for x in range(1 << n)], dtype=np.float64)
-        return cls.probabilistic(n, probs)
 
     @classmethod
     def by_similarity(
@@ -222,31 +215,6 @@ class GainReport:
 
 
 @dataclass(frozen=True)
-class ProgressConditions:
-    """The three prerequisites for a productive round."""
-
-    mean_amplitude: float
-    min_unselected_amp: float
-    ns_actual: int
-    n_states: int
-
-    @property
-    def mean_positive(self) -> bool:
-        return self.mean_amplitude > -VALIDITY_ATOL
-
-    @property
-    def unselected_positive(self) -> bool:
-        return self.min_unselected_amp > -VALIDITY_ATOL
-
-    def ns_bound_ok(self, gain_target: float) -> bool:
-        """Selected count within the ceiling N / (2 * gain_target)."""
-        return 2.0 * gain_target * self.ns_actual <= self.n_states
-
-    def all_ok(self, gain_target: float) -> bool:
-        return self.mean_positive and self.unselected_positive and self.ns_bound_ok(gain_target)
-
-
-@dataclass(frozen=True)
 class DynamicRunLog:
     """Per-round record of a dynamic run.
 
@@ -277,9 +245,6 @@ class DynamicRunLog:
     def mask(self, round_index: int) -> SelectionMask:
         return SelectionMask.from_indices(self.n, self.selected_indices[round_index])
 
-    def p_selected_by_round(self) -> np.ndarray:
-        return np.array([report.p_selected for report in self.gain_trajectory])
-
 
 @dataclass(frozen=True)
 class OrderingWitness:
@@ -287,11 +252,6 @@ class OrderingWitness:
 
     selected_amp: float
     unselected_amp: float
-
-
-def sample_mask(policy: SelectionPolicy, rng: np.random.Generator) -> SelectionMask:
-    """Draw one selection mask: each state enters independently with its probability."""
-    return SelectionMask.from_indices(policy.n, _draw_support(policy, 1, rng)[0])
 
 
 class _GroupStats(NamedTuple):
@@ -517,23 +477,13 @@ def dynamic_iteration(state: StateVector, mask: SelectionMask) -> StateVector:
 def gain_report(state: StateVector, mask: SelectionMask) -> GainReport:
     """Gain and progress diagnostics of a state with respect to a mask.
 
-    An infinite gain (no unselected mass left) signals that the search is
+    A round from this state is productive while ``mean_amplitude`` (the
+    post-flip mean) and ``min_unselected_amp`` both stay above
+    ``-VALIDITY_ATOL``.  An infinite gain (no unselected mass left) signals that the search is
     complete.
     """
     check_dims(state, mask)
     return _GroupStats.of(state.amps, mask).report()
-
-
-def progress_conditions(state: StateVector, mask: SelectionMask) -> ProgressConditions:
-    """Evaluate the productive-round prerequisites for a state/mask pair."""
-    check_dims(state, mask)
-    stats = _GroupStats.of(state.amps, mask)
-    return ProgressConditions(
-        mean_amplitude=stats.post_flip_mean,
-        min_unselected_amp=stats.min_unsel,
-        ns_actual=mask.count_selected,
-        n_states=state.size,
-    )
 
 
 def gain_bound(n_states: int, n_selected: int) -> float:
@@ -546,11 +496,6 @@ def gain_bound(n_states: int, n_selected: int) -> float:
         raise ValueError("bound defined for 1 <= n_selected < n_states")
     ratio = n_states / (2.0 * n_selected) - 1.0
     return (n_selected / (n_states - n_selected)) * ratio * ratio
-
-
-def selected_count_limit(n_states: int, gain_target: float) -> float:
-    """Largest selected count compatible with a target gain: N / (2G)."""
-    return n_states / (2.0 * gain_target)
 
 
 def default_rounds(n: int, policy: SelectionPolicy) -> int:

@@ -17,10 +17,6 @@ class NormalizationError(QampError):
     """State norm drifted too far from 1 for the requested operation."""
 
 
-class DegenerateMaskError(QampError):
-    """Selection mask is empty or full where a two-component split is required."""
-
-
 class NoSolutionError(QampError):
     """Search requested over an empty marked set with the count assumed known."""
 

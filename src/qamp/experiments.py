@@ -33,7 +33,6 @@ from .dynamic_search import (
     gain_bound,
     gain_report,
     ordering_witness,
-    progress_conditions,
     replay_round_states,
     run_dynamic,
 )
@@ -391,8 +390,8 @@ def _guarded_run_check(n: int, trials: int, rng) -> CheckResult:
             log = err.log
         states = replay_round_states(log)
         for round_index in range(log.rounds):
-            cond = progress_conditions(states[round_index], log.mask(round_index))
-            worst = min(worst, cond.mean_amplitude, cond.min_unselected_amp)
+            report = gain_report(states[round_index], log.mask(round_index))
+            worst = min(worst, report.mean_amplitude, report.min_unselected_amp)
     if math.isinf(worst):
         worst = 0.0
     return CheckResult(

@@ -18,7 +18,7 @@ import numpy as np
 from .core import SelectionMask, SparseState, check_qubit_count, sample
 from .dynamic_search import SelectionPolicy, run_dynamic
 from .errors import ShapeMismatchError
-from .static_search import StaticSearchSpec, optimal_iterations, search_unknown_m
+from .static_search import optimal_iterations, search_unknown_m
 
 _CANDIDATE_COUNT = 10
 _LN2 = math.log(2.0)
@@ -111,8 +111,7 @@ def durr_hoyer(
 
     while True:
         marked = table.better_than(incumbent_value)
-        spec = StaticSearchSpec(table.n, SelectionMask(table.n, marked), m_known=False)
-        result = search_unknown_m(spec, rng)
+        result = search_unknown_m(SelectionMask(table.n, marked), rng)
         total_iterations += result.iterations_used
         outer_rounds += 1
         if record_rounds:

@@ -14,24 +14,11 @@ import numpy as np
 
 from . import backend
 from .core import SelectionMask, StateVector, check_dims, probability_of, sample, uniform_init
-from .errors import NoSolutionError, ShapeMismatchError
+from .errors import NoSolutionError
 
 UNKNOWN_M_LAMBDA = 6.0 / 5.0
 UNKNOWN_M_BUDGET_FACTOR = 3.0
 _MAX_ATTEMPTS = 10_000
-
-
-@dataclass(frozen=True)
-class StaticSearchSpec:
-    """A search problem: marked states within an n-qubit space."""
-
-    n: int
-    marked: SelectionMask
-    m_known: bool = True
-
-    def __post_init__(self):
-        if self.marked.n != self.n:
-            raise ShapeMismatchError(f"marked mask has n={self.marked.n}, spec has n={self.n}")
 
 
 @dataclass(frozen=True)
@@ -76,44 +63,40 @@ def grover_iteration(state: StateVector, mask: SelectionMask) -> StateVector:
 
 
 def search(
-    spec: StaticSearchSpec,
+    marked: SelectionMask,
     rng: np.random.Generator,
     record_trajectory: bool = False,
 ) -> SearchResult:
-    """Run the fixed-count schedule and sample the resulting state.
+    """Run the fixed-count schedule for the marked states and sample the result.
 
     When more than half the space is marked, uniform sampling already
     succeeds with probability > 1/2, so zero iterations are used (the
-    schedule past that point can only hurt).  Specs with ``m_known=False``
-    are dispatched to :func:`search_unknown_m`.
+    schedule past that point can only hurt).
     """
-    if not spec.m_known:
-        return search_unknown_m(spec, rng)
-    n_marked = spec.marked.count_selected
+    n_marked = marked.count_selected
     if n_marked == 0:
         raise NoSolutionError("cannot search for solutions: marked set is empty")
-    n_states = 1 << spec.n
+    n_states = marked.size
     iterations = 0 if 2 * n_marked > n_states else optimal_iterations(n_states, n_marked)
 
-    state = uniform_init(spec.n)
-    amps = state.amps.copy()
-    selected = spec.marked.selected
+    amps = uniform_init(marked.n).amps
+    selected = marked.selected
     trajectory = [] if record_trajectory else None
     for _ in range(iterations):
         backend.grover_step(amps, selected)
         if trajectory is not None:
             sel = amps[selected]
             trajectory.append(float(sel @ sel))
-    final = StateVector(spec.n, amps)
+    final = StateVector(marked.n, amps)
     return SearchResult(
         outcome=sample(final, rng),
         iterations_used=iterations,
-        success_probability=probability_of(final, spec.marked),
+        success_probability=probability_of(final, marked),
         trajectory=tuple(trajectory) if trajectory is not None else None,
     )
 
 
-def search_unknown_m(spec: StaticSearchSpec, rng: np.random.Generator) -> SearchResult:
+def search_unknown_m(marked: SelectionMask, rng: np.random.Generator) -> SearchResult:
     """Exponential schedule for an unknown number of solutions.
 
     Attempt j draws an iteration count uniformly from [0, ceil(lambda**j)]
@@ -121,8 +104,8 @@ def search_unknown_m(spec: StaticSearchSpec, rng: np.random.Generator) -> Search
     The first marked sample wins; once 3*sqrt(N) total iterations have been
     spent the search gives up, which distinguishes "likely no solutions".
     """
-    n_states = 1 << spec.n
-    marked = spec.marked.selected
+    n_states = marked.size
+    selected = marked.selected
     budget = math.ceil(UNKNOWN_M_BUDGET_FACTOR * math.sqrt(n_states))
     total = 0
     for attempt in range(_MAX_ATTEMPTS):
@@ -130,21 +113,21 @@ def search_unknown_m(spec: StaticSearchSpec, rng: np.random.Generator) -> Search
             break
         bound = math.ceil(UNKNOWN_M_LAMBDA**attempt)
         k = int(rng.integers(0, bound + 1))
-        amps = uniform_init(spec.n).amps
+        amps = uniform_init(marked.n).amps
         for _ in range(k):
-            backend.grover_step(amps, marked)
+            backend.grover_step(amps, selected)
         total += k
-        state = StateVector(spec.n, amps)
+        state = StateVector(marked.n, amps)
         outcome = sample(state, rng)
-        if marked[outcome]:
+        if selected[outcome]:
             return SearchResult(
                 outcome=outcome,
                 iterations_used=total,
-                success_probability=probability_of(state, spec.marked),
+                success_probability=probability_of(state, marked),
             )
     # the budget is at least 3, so the first attempt always ran and set ``state``
     return SearchResult(
         outcome=None,
         iterations_used=total,
-        success_probability=probability_of(state, spec.marked),
+        success_probability=probability_of(state, marked),
     )

@@ -15,7 +15,6 @@ from qamp import (
     SelectionMask,
     Sense,
     StateVector,
-    StaticSearchSpec,
     durr_hoyer,
     dynamic_iteration,
     dynamic_optimize,
@@ -51,10 +50,10 @@ def random_state(n, rng) -> StateVector:
 
 def test_criterion_1_exact_small_case_rotation():
     """n=2, one marked state: one iteration reaches probability 1 (fast)."""
-    spec = StaticSearchSpec(2, SelectionMask.from_indices(2, [3]))
-    search(spec, np.random.default_rng(0))  # warmup
+    marked = SelectionMask.from_indices(2, [3])
+    search(marked, np.random.default_rng(0))  # warmup
     start = time.perf_counter()
-    result = search(spec, np.random.default_rng(1))
+    result = search(marked, np.random.default_rng(1))
     elapsed_ms = (time.perf_counter() - start) * 1e3
     assert result.iterations_used == 1
     assert abs(result.success_probability - 1.0) <= 1e-12

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qamp import backend
+from qamp import SelectionMask, ShapeMismatchError, backend, grover_iteration, uniform_init
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -23,6 +23,54 @@ def random_case(n, seed, density=0.3):
     amps /= np.linalg.norm(amps)
     selected = rng.random(1 << n) < density
     return amps, selected
+
+
+def stepped(amps, selected):
+    """``backend.grover_step`` applied to a float copy of ``amps``."""
+    amps = np.array(amps, dtype=np.float64)
+    backend.grover_step(amps, np.asarray(selected, dtype=bool))
+    return amps
+
+
+class TestGroverStep:
+    def test_single_marked(self):
+        # the flip gives [.5, .5, .5, -.5] with mean .25; each entry maps to 2 * .25 - a
+        assert np.array_equal(stepped([0.5] * 4, [0, 0, 0, 1]), [0.0, 0.0, 0.0, 1.0])
+
+    def test_empty_mask_reflects_about_mean(self):
+        # mean of [.5, .5, .5, -.5] is .25; each entry maps to 2 * .25 - a
+        assert np.array_equal(stepped([0.5, 0.5, 0.5, -0.5], [0] * 4), [0.0, 0.0, 0.0, 1.0])
+
+    def test_full_mask_on_equal_amplitudes(self):
+        # every entry flips to -.5, the mean is -.5, and 2 * -.5 + .5 = -.5
+        assert np.array_equal(stepped([0.5] * 4, [1] * 4), [-0.5] * 4)
+
+    def test_equal_amplitudes_fixed_point(self):
+        amps = uniform_init(5).amps
+        np.testing.assert_allclose(stepped(amps, np.zeros(32)), amps, rtol=0, atol=1e-15)
+
+    def test_step_then_empty_step_is_the_flip(self):
+        # the two reflections cancel, leaving the sign flip of the selected states
+        amps, selected = random_case(6, seed=4)
+        got = stepped(stepped(amps, selected), np.zeros(64))
+        np.testing.assert_allclose(got, np.where(selected, -amps, amps), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("full", [False, True])
+    def test_involution(self, full):
+        amps, _ = random_case(6, seed=2)
+        selected = np.full(64, full)
+        np.testing.assert_allclose(
+            stepped(stepped(amps, selected), selected), amps, rtol=0, atol=1e-12
+        )
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ShapeMismatchError):
+            grover_iteration(uniform_init(2), SelectionMask.empty(3))
+
+    def test_input_not_mutated(self):
+        state = uniform_init(2)
+        grover_iteration(state, SelectionMask.from_indices(2, [0]))
+        assert np.array_equal(state.amps, [0.5, 0.5, 0.5, 0.5])
 
 
 def test_stats_full_mask_infinite_min():

@@ -7,16 +7,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qamp import (
-    DegenerateMaskError,
     NormalizationError,
     SelectionMask,
     ShapeMismatchError,
     SizeError,
     SparseState,
     StateVector,
-    decompose,
-    invert_about_mean,
-    oracle_flip,
+    backend,
+    grover_iteration,
     probability_of,
     sample,
     uniform_init,
@@ -56,46 +54,6 @@ class TestUniformInit:
             uniform_init(n)
 
 
-class TestOracleFlip:
-    def test_single_marked(self):
-        state = oracle_flip(uniform_init(2), SelectionMask.from_indices(2, [3]))
-        assert np.array_equal(state.amps, [0.5, 0.5, 0.5, -0.5])
-
-    def test_empty_mask_identity(self):
-        state = uniform_init(3)
-        assert np.array_equal(oracle_flip(state, SelectionMask.empty(3)).amps, state.amps)
-
-    def test_full_mask_involution(self):
-        state = random_state(4, seed=1)
-        mask = SelectionMask.full(4)
-        assert np.array_equal(oracle_flip(oracle_flip(state, mask), mask).amps, state.amps)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ShapeMismatchError):
-            oracle_flip(uniform_init(2), SelectionMask.empty(3))
-
-    def test_input_not_mutated(self):
-        state = uniform_init(2)
-        oracle_flip(state, SelectionMask.from_indices(2, [0]))
-        assert np.array_equal(state.amps, [0.5, 0.5, 0.5, 0.5])
-
-
-class TestInvertAboutMean:
-    def test_hand_computed(self):
-        # mean of [.5,.5,.5,-.5] is .25; each entry maps to 2*.25 - a
-        state = invert_about_mean(StateVector(2, [0.5, 0.5, 0.5, -0.5]))
-        assert np.array_equal(state.amps, [0.0, 0.0, 0.0, 1.0])
-
-    def test_equal_amplitudes_fixed_point(self):
-        state = uniform_init(5)
-        np.testing.assert_allclose(invert_about_mean(state).amps, state.amps, rtol=0, atol=1e-15)
-
-    def test_involution(self):
-        state = random_state(6, seed=2)
-        back = invert_about_mean(invert_about_mean(state))
-        np.testing.assert_allclose(back.amps, state.amps, rtol=0, atol=1e-12)
-
-
 class TestProbabilityOf:
     def test_uniform_single(self):
         assert probability_of(uniform_init(2), SelectionMask.from_indices(2, [3])) == pytest.approx(0.25)
@@ -104,9 +62,9 @@ class TestProbabilityOf:
         assert probability_of(uniform_init(4), SelectionMask.full(4)) == pytest.approx(1.0)
 
     def test_concentrated_state(self):
-        # the state produced by one flip+invert from uniform at n=2
-        state = invert_about_mean(oracle_flip(uniform_init(2), SelectionMask.from_indices(2, [3])))
-        assert probability_of(state, SelectionMask.from_indices(2, [3])) == pytest.approx(1.0)
+        # the state produced by one step from uniform at n=2
+        mask = SelectionMask.from_indices(2, [3])
+        assert probability_of(grover_iteration(uniform_init(2), mask), mask) == pytest.approx(1.0)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ShapeMismatchError):
@@ -216,59 +174,40 @@ class TestSparseState:
             sample(SparseState(2, 0.5, [0], [0.0]), np.random.default_rng(0))
 
 
-class TestDecompose:
-    def test_uniform_split(self):
-        d = decompose(uniform_init(2), SelectionMask.from_indices(2, [3]))
-        assert d.selected_coeff == pytest.approx(math.sqrt(0.25))
-        assert d.unselected_coeff == pytest.approx(math.sqrt(0.75))
-        assert d.selected_signed and d.unselected_signed
-
-    def test_concentrated(self):
-        d = decompose(StateVector(2, [0.0, 0.0, 0.0, 1.0]), SelectionMask.from_indices(2, [3]))
-        assert d.selected_coeff == pytest.approx(1.0)
-        assert d.unselected_coeff == pytest.approx(0.0)
-
-    def test_mixed_signs_flagged(self):
-        # one flip leaves the selected group with both signs
-        state = oracle_flip(uniform_init(2), SelectionMask.from_indices(2, [3]))
-        d = decompose(state, SelectionMask.from_indices(2, [2, 3]))
-        assert not d.selected_signed
-        assert d.selected_coeff == pytest.approx(math.sqrt(0.5))
-        assert d.unselected_signed
-
-    def test_negative_group_signed(self):
-        d = decompose(StateVector(2, [-0.5, -0.5, 0.5, 0.5]), SelectionMask.from_indices(2, [0, 1]))
-        assert d.selected_coeff == pytest.approx(-math.sqrt(0.5))
-        assert d.selected_signed
-
-    @pytest.mark.parametrize("mask", [SelectionMask.empty(3), SelectionMask.full(3)])
-    def test_degenerate_rejected(self, mask):
-        with pytest.raises(DegenerateMaskError):
-            decompose(uniform_init(3), mask)
-
-
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(1, 8), seed=st.integers(0, 2**31), ops=st.lists(st.integers(0, 1), max_size=12))
 def test_norm_preserved_under_op_sequences(n, seed, ops):
+    # op 0 is a step with the mask, op 1 a step with the empty mask (the
+    # reflection about the mean alone)
     rng = np.random.default_rng(seed)
-    state = uniform_init(n)
-    mask = SelectionMask(n, rng.random(1 << n) < 0.5)
+    amps = uniform_init(n).amps
+    masks = (rng.random(1 << n) < 0.5, np.zeros(1 << n, dtype=bool))
     for op in ops:
-        state = oracle_flip(state, mask) if op == 0 else invert_about_mean(state)
-    assert abs(state.norm_sq() - 1.0) < 1e-9
+        backend.grover_step(amps, masks[op])
+    assert abs(float(amps @ amps) - 1.0) < 1e-9
 
 
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(1, 8), seed=st.integers(0, 2**31))
 def test_involutions(n, seed):
+    # a step with the empty mask is the reflection about the mean, and a step
+    # with a mask followed by one with the empty mask is the sign flip alone
+    # (the two reflections cancel): both are involutions
     state = random_state(n, seed)
     mask = random_mask(n, seed ^ 0x5EED)
+    empty = np.zeros(state.size, dtype=bool)
+    amps = state.amps.copy()
+    for selected in (mask.selected, empty):
+        backend.grover_step(amps, selected)
     np.testing.assert_allclose(
-        oracle_flip(oracle_flip(state, mask), mask).amps, state.amps, rtol=0, atol=1e-12
+        amps, np.where(mask.selected, -state.amps, state.amps), rtol=0, atol=1e-12
     )
-    np.testing.assert_allclose(
-        invert_about_mean(invert_about_mean(state)).amps, state.amps, rtol=0, atol=1e-12
-    )
+    for selected in (mask.selected, empty):
+        backend.grover_step(amps, selected)
+    np.testing.assert_allclose(amps, state.amps, rtol=0, atol=1e-12)
+    for _ in range(2):
+        backend.grover_step(amps, empty)
+    np.testing.assert_allclose(amps, state.amps, rtol=0, atol=1e-12)
 
 
 def test_state_vector_validation():
@@ -283,10 +222,10 @@ def test_state_vector_validation():
 def test_mask_counts_and_views():
     mask = SelectionMask.from_indices(3, [1, 5])
     assert mask.count_selected == 2
-    assert list(mask.indices) == [1, 5]
-    assert not mask.is_empty and not mask.is_full
-    assert SelectionMask.empty(3).is_empty
-    assert SelectionMask.full(3).is_full
+    assert mask.size == 8
+    assert np.flatnonzero(mask.selected).tolist() == [1, 5]
+    assert SelectionMask.empty(3).count_selected == 0
+    assert SelectionMask.full(3).count_selected == 8
 
 
 def test_oversized_qubit_count_rejected_before_allocation():
@@ -300,7 +239,6 @@ def test_oversized_qubit_count_rejected_before_allocation():
         lambda: SelectionMask.full(40),
         lambda: SelectionMask(40, np.zeros(4, dtype=bool)),
         lambda: SelectionPolicy.probabilistic(40, np.zeros(4)),
-        lambda: SelectionPolicy.from_rule(40, lambda x: 0.5),
         lambda: SelectionPolicy.by_similarity(40, 0, np.zeros(41)),
         lambda: SimilaritySpec(40, 0),
         lambda: uniform_init(40),

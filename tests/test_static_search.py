@@ -7,7 +7,6 @@ from qamp import (
     NoSolutionError,
     SelectionMask,
     StateVector,
-    StaticSearchSpec,
     grover_iteration,
     optimal_iterations,
     probability_of,
@@ -15,6 +14,7 @@ from qamp import (
     search_unknown_m,
     uniform_init,
 )
+from qamp.cli import main
 
 
 def closed_form(n_states, n_marked, k):
@@ -90,46 +90,45 @@ class TestGroverIteration:
 class TestSearch:
     def test_exact_n2(self):
         rng = np.random.default_rng(0)
-        result = search(StaticSearchSpec(2, SelectionMask.from_indices(2, [3])), rng)
+        result = search(SelectionMask.from_indices(2, [3]), rng)
         assert result.outcome == 3
         assert result.success_probability == pytest.approx(1.0, abs=1e-12)
         assert result.iterations_used == 1
 
     def test_n10_success_probability(self):
         rng = np.random.default_rng(1)
-        result = search(StaticSearchSpec(10, SelectionMask.from_indices(10, [511])), rng)
+        result = search(SelectionMask.from_indices(10, [511]), rng)
         assert result.iterations_used == 25
         assert result.success_probability >= 0.994
 
     def test_all_marked_zero_iterations(self):
         rng = np.random.default_rng(2)
-        result = search(StaticSearchSpec(3, SelectionMask.full(3)), rng)
+        result = search(SelectionMask.full(3), rng)
         assert result.iterations_used == 0
         assert result.success_probability == pytest.approx(1.0)
         assert 0 <= result.outcome < 8
 
     def test_majority_marked_uses_zero_iterations(self):
         rng = np.random.default_rng(3)
-        result = search(StaticSearchSpec(4, SelectionMask.from_indices(4, range(9))), rng)
+        result = search(SelectionMask.from_indices(4, range(9)), rng)
         assert result.iterations_used == 0
         assert result.success_probability == pytest.approx(9 / 16)
 
     def test_empty_marked_rejected(self):
         with pytest.raises(NoSolutionError):
-            search(StaticSearchSpec(3, SelectionMask.empty(3)), np.random.default_rng(0))
+            search(SelectionMask.empty(3), np.random.default_rng(0))
 
     def test_success_rate_over_seeds(self):
         mask = SelectionMask.from_indices(10, [137])
         hits = 0
         for seed in range(200):
-            result = search(StaticSearchSpec(10, mask), np.random.default_rng(seed))
+            result = search(mask, np.random.default_rng(seed))
             hits += result.outcome == 137
         assert hits / 200 >= 0.99
 
     def test_trajectory_recording(self):
         rng = np.random.default_rng(4)
-        spec = StaticSearchSpec(6, SelectionMask.from_indices(6, [9]))
-        result = search(spec, rng, record_trajectory=True)
+        result = search(SelectionMask.from_indices(6, [9]), rng, record_trajectory=True)
         assert len(result.trajectory) == result.iterations_used
         assert result.trajectory[-1] == pytest.approx(result.success_probability)
 
@@ -153,34 +152,34 @@ class TestSearch:
 
 
 class TestSearchUnknownM:
-    def test_dispatch_from_search(self):
-        spec = StaticSearchSpec(6, SelectionMask.from_indices(6, [5]), m_known=False)
-        result = search(spec, np.random.default_rng(8))
+    def test_dispatch_from_search(self, capsys):
+        # `qamp grover --unknown-m` runs this schedule on its mask
+        result = search_unknown_m(SelectionMask.from_indices(6, [5]), np.random.default_rng(8))
         assert result.outcome == 5
+        assert main(["grover", "--n", "6", "--marked", "5", "--unknown-m", "--seed", "8"]) == 0
+        assert f"outcome=5 iterations={result.iterations_used} " in capsys.readouterr().out
 
     def test_finds_single_target(self):
         hits = 0
         for seed in range(50):
-            spec = StaticSearchSpec(8, SelectionMask.from_indices(8, [77]), m_known=False)
-            result = search_unknown_m(spec, np.random.default_rng(seed))
+            marked = SelectionMask.from_indices(8, [77])
+            result = search_unknown_m(marked, np.random.default_rng(seed))
             hits += result.outcome == 77
         assert hits >= 45
 
     def test_empty_marked_gives_up_after_budget(self):
-        spec = StaticSearchSpec(8, SelectionMask.empty(8), m_known=False)
-        result = search_unknown_m(spec, np.random.default_rng(0))
+        result = search_unknown_m(SelectionMask.empty(8), np.random.default_rng(0))
         assert result.outcome is None
         assert not result.found
         assert result.iterations_used >= math.ceil(3 * math.sqrt(256))
 
     def test_all_marked_immediate(self):
-        spec = StaticSearchSpec(5, SelectionMask.full(5), m_known=False)
-        result = search_unknown_m(spec, np.random.default_rng(1))
+        result = search_unknown_m(SelectionMask.full(5), np.random.default_rng(1))
         assert result.found
         assert result.iterations_used <= 2
 
     def test_deterministic_for_seed(self):
-        spec = StaticSearchSpec(8, SelectionMask.from_indices(8, [3, 200]), m_known=False)
-        a = search_unknown_m(spec, np.random.default_rng(9))
-        b = search_unknown_m(spec, np.random.default_rng(9))
+        marked = SelectionMask.from_indices(8, [3, 200])
+        a = search_unknown_m(marked, np.random.default_rng(9))
+        b = search_unknown_m(marked, np.random.default_rng(9))
         assert (a.outcome, a.iterations_used) == (b.outcome, b.iterations_used)
