@@ -382,11 +382,9 @@ def cmd_optimize(ns: argparse.Namespace) -> int:
     flat = bool(np.all(table.values == table.values[0]))
 
     t0 = time.perf_counter()
-    if method == "durr-hoyer":
-        result, rounds = durr_hoyer(table, rng, record_rounds=True)
-    else:
-        result, rounds = dynamic_optimize(table, rng), None
+    result = (durr_hoyer if method == "durr-hoyer" else dynamic_optimize)(table, rng)
     wall_ms = (time.perf_counter() - t0) * 1e3
+    rounds = result.threshold_rounds
 
     print(f"objective n={table.n} sense={table.sense.value} method={method} seed={seed}")
     if flat and method == "dynamic":

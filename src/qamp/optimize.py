@@ -72,16 +72,6 @@ class ObjectiveTable:
 
 
 @dataclass(frozen=True)
-class OptimizationResult:
-    best_index: int
-    best_value: float
-    grover_iterations_total: int
-    outer_rounds: int
-    optimal: bool
-    log: object = field(default=None, repr=False, compare=False)
-
-
-@dataclass(frozen=True)
 class ThresholdRound:
     """One round of the moving-threshold loop (diagnostics)."""
 
@@ -91,51 +81,62 @@ class ThresholdRound:
     iterations: int
 
 
-def durr_hoyer(
-    table: ObjectiveTable,
-    rng: np.random.Generator,
-    record_rounds: bool = False,
-):
+@dataclass(frozen=True)
+class OptimizationResult:
+    """The best state found and what it cost.
+
+    ``threshold_rounds`` lists the rounds of :func:`durr_hoyer` (empty for
+    :func:`dynamic_optimize`); ``log`` is the run log of
+    :func:`dynamic_optimize` (None for :func:`durr_hoyer`).
+    """
+
+    best_index: int
+    best_value: float
+    grover_iterations_total: int
+    outer_rounds: int
+    optimal: bool
+    threshold_rounds: tuple[ThresholdRound, ...] = ()
+    log: object = field(default=None, repr=False, compare=False)
+
+
+def durr_hoyer(table: ObjectiveTable, rng: np.random.Generator) -> OptimizationResult:
     """Moving-threshold optimization.
 
     Starts from incumbent state 0, repeatedly searches the set of states
     strictly better than the incumbent with the unknown-count schedule,
-    and terminates when that search gives up.  Always returns the
-    incumbent; with ``record_rounds`` also returns per-round diagnostics.
+    and terminates when that search gives up.  Returns the incumbent with
+    one :class:`ThresholdRound` per search.
     """
     incumbent = 0
     incumbent_value = float(table.values[0])
     total_iterations = 0
-    outer_rounds = 0
     rounds: list[ThresholdRound] = []
 
     while True:
-        marked = table.better_than(incumbent_value)
-        result = search_unknown_m(SelectionMask(table.n, marked), rng)
+        marked = SelectionMask(table.n, table.better_than(incumbent_value))
+        result = search_unknown_m(marked, rng)
         total_iterations += result.iterations_used
-        outer_rounds += 1
-        if record_rounds:
-            rounds.append(
-                ThresholdRound(
-                    incumbent_before=incumbent,
-                    marked_count=int(np.count_nonzero(marked)),
-                    found=result.outcome,
-                    iterations=result.iterations_used,
-                )
+        rounds.append(
+            ThresholdRound(
+                incumbent_before=incumbent,
+                marked_count=marked.count_selected,
+                found=result.outcome,
+                iterations=result.iterations_used,
             )
+        )
         if result.outcome is None:
             break
         incumbent = result.outcome
         incumbent_value = float(table.values[incumbent])
 
-    outcome = OptimizationResult(
+    return OptimizationResult(
         best_index=incumbent,
         best_value=incumbent_value,
         grover_iterations_total=total_iterations,
-        outer_rounds=outer_rounds,
+        outer_rounds=len(rounds),
         optimal=incumbent_value == table.optimum_value(),
+        threshold_rounds=tuple(rounds),
     )
-    return (outcome, rounds) if record_rounds else outcome
 
 
 def policy_from_estimates(

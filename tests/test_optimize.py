@@ -85,18 +85,19 @@ class TestDurrHoyer:
 
     def test_incumbent_strictly_improves(self):
         table = random_table(6, seed=5)
-        result, rounds = durr_hoyer(table, np.random.default_rng(5), record_rounds=True)
+        result = durr_hoyer(table, np.random.default_rng(5))
+        rounds = result.threshold_rounds
         values = [float(table.values[r.incumbent_before]) for r in rounds]
         for a, b in zip(values, values[1:]):
             assert b < a
         assert rounds[-1].found is None  # loop ends on a give-up round
         assert result.outer_rounds == len(rounds)
+        assert result.log is None
 
     def test_marked_sets_match_bruteforce(self):
         # mask built per round equals the exhaustive strictly-better set
         table = random_table(6, seed=9)
-        _, rounds = durr_hoyer(table, np.random.default_rng(9), record_rounds=True)
-        for r in rounds:
+        for r in durr_hoyer(table, np.random.default_rng(9)).threshold_rounds:
             threshold = float(table.values[r.incumbent_before])
             by_hand = sum(
                 1 for x in range(64) if float(table.values[x]) < threshold
