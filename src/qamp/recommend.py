@@ -90,8 +90,7 @@ class SelectionProbabilityParams:
         n_states = 1 << self.n
         if not self.norm_c >= 0.0:
             raise InvalidParamsError(f"norm_c must be nonnegative, got {self.norm_c}")
-        top = float(_capped_exponential(self.norm_c, self.beta, self.n))
-        bottom = min(1.0, self.norm_c)
+        bottom, top = _capped_exponential(self.norm_c, self.beta, [0, self.n]).tolist()
         if top < 1.0 - 1.0 / n_states:
             raise InvalidParamsError(
                 f"most similar state selected with {top:.3g} < 1 - 1/N"
@@ -147,12 +146,16 @@ def _capped_exponential(norm_c: float, beta: float, s):
     """min(1, c * exp(beta * S)), evaluated as exp(min(0, ln c + beta * S)).
 
     Neither factor is formed on its own, so no beta overflows it, and a
-    prefactor c = 0 gives 0 at every S.
+    prefactor c = 0 gives 0 at every S.  S = 0 gives min(1, c) itself:
+    exp(ln c) can exceed c by a few ulps, which would break P(0) <= 1/N
+    for c = 1/N.
     """
+    s = np.asarray(s, dtype=np.float64)
     if norm_c == 0.0:
-        return np.zeros_like(s, dtype=np.float64)
+        return np.zeros_like(s)
     with np.errstate(over="ignore"):  # beta * S = +-inf caps to 1 or 0 below
-        return np.exp(np.minimum(0.0, math.log(norm_c) + beta * np.asarray(s, dtype=np.float64)))
+        probs = np.exp(np.minimum(0.0, math.log(norm_c) + beta * s))
+    return np.where(s == 0.0, min(1.0, norm_c), probs)
 
 
 def selection_probability(s: int, params: SelectionProbabilityParams) -> float:

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qamp import (
@@ -149,6 +149,7 @@ class TestSelectionProbability:
 
 @settings(max_examples=50, deadline=None)
 @given(n=st.integers(2, 14), beta=st.floats(0.5, 6.0))
+@example(n=3, beta=0.6875)
 def test_constructed_params_meet_limits(n, beta):
     try:
         params = SelectionProbabilityParams(n, beta=beta, norm_c=min(2.0**-n, math.exp(-beta * n)))
@@ -157,6 +158,12 @@ def test_constructed_params_meet_limits(n, beta):
     size = 1 << n
     assert selection_probability(n, params) >= 1.0 - 1.0 / size
     assert selection_probability(0, params) <= 1.0 / size
+
+
+@pytest.mark.parametrize("n", range(1, 31))
+def test_default_family_least_similar_within_limit(n):
+    # exp(ln 2**-n) exceeds 2**-n by a few ulps at n = 3, 6, 7, 8, ...
+    assert probability_by_class(SelectionProbabilityParams(n))[0] <= 2.0**-n
 
 
 class TestCalibrateBeta:
