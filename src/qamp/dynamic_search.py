@@ -479,8 +479,8 @@ def gain_report(state: StateVector, mask: SelectionMask) -> GainReport:
 
     A round from this state is productive while ``mean_amplitude`` (the
     post-flip mean) and ``min_unselected_amp`` both stay above
-    ``-VALIDITY_ATOL``.  An infinite gain (no unselected mass left) signals that the search is
-    complete.
+    ``-VALIDITY_ATOL``.  An infinite gain (no unselected mass left)
+    signals that the search is complete.
     """
     check_dims(state, mask)
     return _GroupStats.of(state.amps, mask).report()

