@@ -29,7 +29,7 @@ import numpy as np
 from qamp import backend
 from qamp.core import SparseState, StateVector, sample
 from qamp.dynamic_search import SelectionPolicy, _draw_support, _Support, default_rounds
-from qamp.recommend import SimilaritySpec, calibrate_beta, similarity_policy
+from qamp.recommend import SimilaritySpec, calibrate_beta, round_cap, similarity_policy
 
 
 def time_call(fn, repeats: int) -> float:
@@ -123,7 +123,7 @@ def bench_support_draw(n: int, m: float, with_catalog: bool, repeats: int) -> di
     support falls."""
     spec = SimilaritySpec(n, (1 << n) // 3)
     policy = similarity_policy(spec, calibrate_beta(n, m))
-    rounds = 2 * default_rounds(n, policy) + 8
+    rounds = round_cap(n, policy)
     if with_catalog:
         sizes = policy.class_sizes[n - 4:]
         classes = np.repeat(np.arange(n - 4, n + 1), sizes)

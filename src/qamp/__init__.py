@@ -62,7 +62,6 @@ from .recommend import (
     expected_selected_count,
     load_catalog,
     recommend,
-    selection_probability,
     similarity,
     similarity_policy,
 )

@@ -10,7 +10,8 @@ unreadable or malformed --config/--catalog/--objective file, a
 non-integer QAMP_SEED, a negative seed from --seed, --seed-base, a
 config-file seed/seed_base or QAMP_SEED, a negative --rounds, a
 recommend --m below 1, a qubit count outside [1, MAX_QUBITS], a
-default calibration target of N/2 or more), 3
+default calibration target of N/2 or more, grover --trajectory with
+--unknown-m), 3
 invariant or validity failure, 4 under-amplified / not found.
 """
 
@@ -165,6 +166,10 @@ def cmd_grover(ns: argparse.Namespace) -> int:
     n = opts.get("n", int, 4)
     check_qubit_count(n)
     seed = opts.seed()
+    unknown = bool(opts.get("unknown_m", _parse_bool, False))
+    record = bool(opts.get("trajectory", _parse_bool, False))
+    if unknown and record:
+        raise ConfigError("--trajectory records the known-count schedule; drop it or --unknown-m")
     rng = np.random.default_rng(seed)
     marked_text = opts.get("marked", str, None)
     if marked_text is not None:
@@ -176,8 +181,6 @@ def cmd_grover(ns: argparse.Namespace) -> int:
             raise ConfigError(f"marked count must be in [0, {1 << n}], got {m}")
         indices = rng.choice(1 << n, size=m, replace=False)
         mask = SelectionMask.from_indices(n, indices)
-    unknown = bool(opts.get("unknown_m", _parse_bool, False))
-    record = bool(opts.get("trajectory", _parse_bool, False))
     t0 = time.perf_counter()
     if unknown:
         result = search_unknown_m(mask, rng)
@@ -495,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--unknown-m", action="store_true", default=None, dest="unknown_m",
                    help="use the unknown-count schedule")
     p.add_argument("--trajectory", action="store_true", default=None,
-                   help="record per-iteration marked probability")
+                   help="record per-iteration marked probability (not with --unknown-m)")
     _add_common(p)
     p.set_defaults(func=cmd_grover)
 

@@ -18,8 +18,7 @@ import numpy as np
 from .errors import NormalizationError, ShapeMismatchError, SizeError
 
 MAX_QUBITS = 30  # memory guard: dense float64 amplitudes up to 8 GiB
-NORM_ATOL = 1e-9
-SAMPLE_NORM_ATOL = 1e-6
+SAMPLE_ATOL = 1e-6  # how far from 1 a sampled state's total probability may be
 
 
 def check_qubit_count(n: int) -> None:
@@ -182,7 +181,7 @@ def sample(state: StateVector | SparseState, rng: np.random.Generator, size: int
     else:
         p = state.amps * state.amps
         total = p.sum()
-    if abs(total - 1.0) > SAMPLE_NORM_ATOL:
+    if abs(total - 1.0) > SAMPLE_ATOL:
         raise NormalizationError(f"state norm**2 deviates from 1 by {abs(total - 1.0):.3e}")
     u = rng.random() if size is None else rng.random(size)
     if isinstance(state, SparseState):

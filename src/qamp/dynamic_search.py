@@ -612,7 +612,6 @@ def run_dynamic(
             f"min unselected {violation.min_unsel:.3e})",
             state=support.sparse_state(support.snapshot()),
             log=log,
-            round_index=log.rounds,
         )
     return support.sparse_state(best if keep_best else support.snapshot()), log
 

@@ -27,12 +27,10 @@ class ValidityError(QampError):
     Carries the state and the log accumulated before the offending round.
     """
 
-    def __init__(self, message, state=None, log=None, round_index=None):
+    def __init__(self, message, state=None, log=None):
         super().__init__(message)
         self.state = state
         self.log = log
-        self.round_index = round_index
-        self.incumbent = None
 
 
 class InvalidParamsError(QampError):

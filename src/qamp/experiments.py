@@ -28,7 +28,6 @@ from .dynamic_search import (
     VALIDITY_ATOL,
     SelectionPolicy,
     class_counts,
-    default_rounds,
     dynamic_iteration,
     gain_bound,
     gain_report,
@@ -41,6 +40,7 @@ from .recommend import (
     SelectionProbabilityParams,
     SimilaritySpec,
     class_masses,
+    round_cap,
     similarity_params,
     similarity_policy,
 )
@@ -230,7 +230,7 @@ def experiment_accuracy(config: ExperimentConfig) -> AccuracyOutcome:
 
     spec = SimilaritySpec(n, config.reference)
     policy = similarity_policy(spec, params)
-    cap = 2 * default_rounds(n, policy) + 8
+    cap = round_cap(n, policy)
     run_rows: list[tuple] = []
     for s in range(n + 1):
         run_rows.append(("accuracy", n, -1, "static", s, float(p_static[s]), 0.0))

@@ -164,17 +164,11 @@ def policy_from_estimates(
 
 
 def build_optimization_policy(
-    table: ObjectiveTable,
-    rng: np.random.Generator,
-    sample_budget: int | None = None,
+    table: ObjectiveTable, rng: np.random.Generator
 ) -> SelectionPolicy:
-    """Estimate the objective range from uniform probes and build the policy."""
+    """Build the policy from the value range seen by ceil(sqrt(N)) uniform probes."""
     n_states = 1 << table.n
-    if sample_budget is None:
-        sample_budget = math.ceil(math.sqrt(n_states))
-    if sample_budget < 2:
-        raise ValueError(f"sample budget must be >= 2, got {sample_budget}")
-    probes = rng.integers(0, n_states, size=sample_budget)
+    probes = rng.integers(0, n_states, size=math.ceil(math.sqrt(n_states)))
     probe_values = table.values[probes]
     return policy_from_estimates(table, float(probe_values.min()), float(probe_values.max()))
 
@@ -200,11 +194,7 @@ def nominal_rounds(n: int) -> int:
     return optimal_iterations(1 << n, max(1.0, expected))
 
 
-def dynamic_optimize(
-    table: ObjectiveTable,
-    rng: np.random.Generator,
-    sample_budget: int | None = None,
-) -> OptimizationResult:
+def dynamic_optimize(table: ObjectiveTable, rng: np.random.Generator) -> OptimizationResult:
     """Single amplification pass driven by the probe-built policy.
 
     Runs ``nominal_rounds(n)`` doubled rounds (2 iterations each), keeping
@@ -214,7 +204,7 @@ def dynamic_optimize(
     from that state and returns the best.  A flat objective skips the run
     and returns the best of 10 uniform samples.
     """
-    policy = build_optimization_policy(table, rng, sample_budget=sample_budget)
+    policy = build_optimization_policy(table, rng)
     if _is_flat_policy(policy, table):
         return _best_of_candidates(table, SparseState.uniform(table.n), rng, iterations=0, rounds=0)
 

@@ -13,7 +13,6 @@ with equality, giving P(S) = 2**(S - n).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,8 +34,6 @@ from .errors import (
 )
 
 RESAMPLE_CAP_FACTOR = 50
-_ROUND_CAP_FACTOR = 2
-_ROUND_CAP_SLACK = 8
 
 
 @dataclass(frozen=True)
@@ -59,28 +56,16 @@ class SelectionProbabilityParams:
     """Parameters of the exponential selection-probability family.
 
     ``beta`` is the decay rate in nats per similarity unit and ``norm_c``
-    the prefactor; ``k_param`` optionally derives beta via
-    beta = -ln(k_param**(1/n) - 1).  Construction validates the two
-    boundary limits and rejects parameters that break them.
+    the prefactor.  Construction validates the two boundary limits and
+    rejects parameters that break them.
     """
 
     n: int
     beta: float | None = None
     norm_c: float | None = None
-    k_param: float | None = None
 
     def __post_init__(self):
-        beta = self.beta
-        if beta is None:
-            if self.k_param is not None:
-                root = self.k_param ** (1.0 / self.n)
-                if root <= 1.0:
-                    raise InvalidParamsError(
-                        f"k_param must satisfy k**(1/n) > 1, got {self.k_param}"
-                    )
-                beta = -math.log(root - 1.0)
-            else:
-                beta = math.log(2.0)
+        beta = math.log(2.0) if self.beta is None else self.beta
         if not math.isfinite(beta):
             raise InvalidParamsError(f"beta must be finite, got {beta}")
         norm_c = 2.0 ** (-self.n) if self.norm_c is None else self.norm_c
@@ -158,13 +143,6 @@ def _capped_exponential(norm_c: float, beta: float, s):
     return np.where(s == 0.0, min(1.0, norm_c), probs)
 
 
-def selection_probability(s: int, params: SelectionProbabilityParams) -> float:
-    """Probability min(1, c * exp(beta * S)) of selecting a similarity-S state."""
-    if not 0 <= s <= params.n:
-        raise ValueError(f"similarity must be in [0, {params.n}], got {s}")
-    return float(_capped_exponential(params.norm_c, params.beta, s))
-
-
 def probability_by_class(params: SelectionProbabilityParams) -> np.ndarray:
     return _capped_exponential(params.norm_c, params.beta, np.arange(params.n + 1))
 
@@ -174,11 +152,7 @@ def expected_selected_count(params: SelectionProbabilityParams) -> float:
     return float(class_counts(params.n) @ probability_by_class(params))
 
 
-def calibrate_beta(
-    n: int,
-    m_target: float,
-    gain_target: float | None = None,
-) -> SelectionProbabilityParams:
+def calibrate_beta(n: int, m_target: float) -> SelectionProbabilityParams:
     """Solve for the decay rate giving an expected selected count of ``m_target``.
 
     The family has a glue point at beta = ln 2 where both boundary limits
@@ -231,12 +205,6 @@ def calibrate_beta(
         raise CalibrationError(
             f"calibration landed at E={achieved:.3f}, target {m_target}"
         )
-    if gain_target is not None and m_target >= n_states / (2.0 * gain_target):
-        warnings.warn(
-            f"target count {m_target} is at or above N/(2G) = "
-            f"{n_states / (2.0 * gain_target):.1f} for gain target {gain_target}",
-            stacklevel=2,
-        )
     return params
 
 
@@ -270,17 +238,21 @@ def similarity_policy(
     )
 
 
+def round_cap(n: int, policy: SelectionPolicy) -> int:
+    """Rounds of a recommender run: twice the static schedule plus 8."""
+    return 2 * default_rounds(n, policy) + 8
+
+
 def recommend(
     spec: SimilaritySpec,
     m: int,
     params: SelectionProbabilityParams,
     rng: np.random.Generator,
     catalog: np.ndarray | None = None,
-    rounds: int | None = None,
 ) -> RecommendationResult:
     """Amplify toward the reference and collect ``m`` distinct items.
 
-    Runs a capped schedule of doubled rounds and samples the state of the
+    Runs :func:`round_cap` doubled rounds and samples the state of the
     best round (the one with the highest expected fresh-selection mass)
     since pushing past it only overshoots; rounds whose progress
     conditions fail restart from uniform.  Draws continue until ``m``
@@ -296,10 +268,9 @@ def recommend(
     selectable = (1 << spec.n) if policy.catalog is None else policy.catalog.size
     if m > selectable:
         raise ConfigError(f"asked for {m} distinct items, only {selectable} can be selected")
-    if rounds is None:
-        rounds = _ROUND_CAP_FACTOR * default_rounds(spec.n, policy) + _ROUND_CAP_SLACK
     state, log = run_dynamic(
-        spec.n, policy, rng, rounds=rounds, keep_best=True, on_violation="restart"
+        spec.n, policy, rng, rounds=round_cap(spec.n, policy), keep_best=True,
+        on_violation="restart",
     )
 
     catalog_set = None if catalog is None else set(int(x) for x in np.asarray(catalog))
@@ -325,7 +296,7 @@ def recommend(
     )
     return RecommendationResult(
         items=items,
-        rounds_used=log.best_round if log.best_round is not None else log.rounds,
+        rounds_used=log.best_round,
         per_similarity_sampling=class_masses(state, spec),
         log=log,
     )

@@ -296,6 +296,24 @@ class TestCli:
         rc = main(["grover", "--n", "5", "--marked", "", "--unknown-m", "--seed", "1"])
         assert rc == 4
 
+    @pytest.mark.parametrize("from_file", [False, True], ids=["flags", "config"])
+    def test_grover_unknown_m_trajectory_rejected(self, tmp_path, capsys, from_file):
+        # the unknown-count schedule records no trajectory, so asking for one
+        # is a config error raised before any search or output
+        out = tmp_path / "out"
+        args = ["grover", "--n", "8", "--m", "1", "--seed", "1", "--out", str(out)]
+        if from_file:
+            config = tmp_path / "grover.cfg"
+            config.write_text("unknown_m=true\ntrajectory=true\n", encoding="utf-8")
+            args += ["--config", str(config)]
+        else:
+            args += ["--unknown-m", "--trajectory"]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: ") and captured.err.count("\n") == 1
+        assert not out.exists()
+
     def test_dynamic_run_table(self, tmp_path, capsys):
         rc = main([
             "dynamic", "--n", "8", "--reference", "0", "--seed", "3",

@@ -131,10 +131,16 @@ class TestOptimizationPolicy:
         by_hand = sum(2.0 ** (8 * (x / 255.0 - 1.0)) for x in range(256))
         assert policy.expected_selected() == pytest.approx(by_hand, rel=1e-12)
 
-    def test_probe_budget_validation(self):
-        table = random_table(4, seed=0)
-        with pytest.raises(ValueError):
-            build_optimization_policy(table, np.random.default_rng(0), sample_budget=1)
+    @pytest.mark.parametrize("n", [1, 8, 18])
+    def test_probe_count_is_ceil_sqrt_n(self, n):
+        # the policy draws exactly ceil(sqrt(N)) uniform probes, and nothing else
+        n_states = 1 << n
+        table = ObjectiveTable(n, np.arange(n_states, dtype=np.float64))
+        rng = np.random.default_rng(5)
+        build_optimization_policy(table, rng)
+        twin = np.random.default_rng(5)
+        twin.integers(0, n_states, size=math.ceil(math.sqrt(n_states)))
+        assert rng.bit_generator.state == twin.bit_generator.state
 
     def test_flat_signal_policy(self):
         table = ObjectiveTable(5, np.full(32, 1.0), Sense.MIN)

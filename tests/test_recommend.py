@@ -19,7 +19,6 @@ from qamp import (
     expected_selected_count,
     load_catalog,
     recommend,
-    selection_probability,
     similarity,
     similarity_policy,
 )
@@ -69,32 +68,20 @@ class TestSimilarity:
 class TestSelectionProbability:
     def test_default_top(self):
         params = SelectionProbabilityParams(10)
-        assert selection_probability(10, params) == 1.0
+        assert probability_by_class(params)[10] == 1.0
 
     def test_default_bottom(self):
         params = SelectionProbabilityParams(10)
-        assert selection_probability(0, params) == pytest.approx(2**-10)
+        assert probability_by_class(params)[0] == pytest.approx(2**-10)
 
     def test_default_next_to_top(self):
-        assert selection_probability(9, SelectionProbabilityParams(10)) == pytest.approx(0.5)
+        assert probability_by_class(SelectionProbabilityParams(10))[9] == pytest.approx(0.5)
 
     def test_default_closed_form(self):
-        params = SelectionProbabilityParams(12)
+        probs = probability_by_class(SelectionProbabilityParams(12))
+        assert probs.shape == (13,)
         for s in range(13):
-            assert selection_probability(s, params) == pytest.approx(2.0 ** (s - 12))
-
-    def test_out_of_range_similarity(self):
-        with pytest.raises(ValueError):
-            selection_probability(11, SelectionProbabilityParams(10))
-
-    def test_k_param_form(self):
-        # k = (3/2)**n reproduces the default decay rate
-        params = SelectionProbabilityParams(10, k_param=1.5**10)
-        assert params.beta == pytest.approx(LN2, abs=1e-12)
-
-    def test_k_param_out_of_domain(self):
-        with pytest.raises(InvalidParamsError):
-            SelectionProbabilityParams(6, k_param=0.5)
+            assert probs[s] == pytest.approx(2.0 ** (s - 12))
 
     def test_top_limit_enforced(self):
         # a gentle decay cannot select the best state almost surely
@@ -112,9 +99,9 @@ class TestSelectionProbability:
             ["dynamic", "--n", "8", "--beta", "inf"],
             ["experiment", "accuracy", "--n", "8", "--seeds", "2", "--beta", "nan"],
             {"beta": math.inf},
-            {"k_param": math.nan},
+            {"norm_c": math.nan},
         ],
-        ids=["recommend-cli", "dynamic-cli", "accuracy-cli", "beta-inf", "k-param-nan"],
+        ids=["recommend-cli", "dynamic-cli", "accuracy-cli", "beta-inf", "norm-c-nan"],
     )
     def test_non_finite_beta_rejected(self, case, tmp_path, monkeypatch):
         # min(1, nan) is 1, so a nan or inf beta passes both boundary limits
@@ -156,8 +143,9 @@ def test_constructed_params_meet_limits(n, beta):
     except InvalidParamsError:
         return
     size = 1 << n
-    assert selection_probability(n, params) >= 1.0 - 1.0 / size
-    assert selection_probability(0, params) <= 1.0 / size
+    probs = probability_by_class(params)
+    assert probs[n] >= 1.0 - 1.0 / size
+    assert probs[0] <= 1.0 / size
 
 
 def test_default_family_least_similar_within_limit():
@@ -192,10 +180,6 @@ class TestCalibrateBeta:
         with pytest.raises(CalibrationError):
             calibrate_beta(10, 512)
 
-    def test_gain_target_warning(self):
-        with pytest.warns(UserWarning):
-            calibrate_beta(10, 100.0, gain_target=8.0)
-
 
 class TestRecommend:
     def test_mean_similarity_over_seeds(self):
@@ -213,8 +197,9 @@ class TestRecommend:
         # a policy selecting only the reference reduces to fixed-mask search
         spec = SimilaritySpec(10, 0)
         params = SelectionProbabilityParams(10, beta=40.0, norm_c=math.exp(-400.0))
-        assert selection_probability(10, params) == pytest.approx(1.0)
-        assert selection_probability(9, params) == pytest.approx(0.0, abs=1e-15)
+        probs = probability_by_class(params)
+        assert probs[10] == pytest.approx(1.0)
+        assert probs[9] == pytest.approx(0.0, abs=1e-15)
         hits = sum(
             recommend(spec, 1, params, np.random.default_rng(seed)).items[0].index == 0
             for seed in range(200)
