@@ -166,7 +166,7 @@ _PASCAL = np.array(
 
 def class_counts(n: int) -> np.ndarray:
     """Number of states at each similarity S = 0..n: the binomial curve C(n, S)."""
-    return np.array([math.comb(n, s) for s in range(n + 1)], dtype=np.int64)
+    return _PASCAL[n, : n + 1].copy()
 
 
 def _colex_words(n: int, bits_set: np.ndarray, ranks: np.ndarray) -> np.ndarray:

@@ -2,7 +2,9 @@
 
 Covers the known-count schedule (floor((pi/4) * sqrt(N/M)) iterations) and
 an exponential schedule for an unknown number of solutions, which the
-optimization drivers rely on.
+optimization drivers rely on.  Both take the state after k iterations from
+its closed form and sample it as a dense vector; ``grover_iteration`` is
+the literal step, kept as the reference.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import backend
-from .core import SelectionMask, StateVector, check_dims, probability_of, sample, uniform_init
+from .core import SelectionMask, StateVector, check_dims, sample
 from .errors import NoSolutionError
 
 UNKNOWN_M_LAMBDA = 6.0 / 5.0
@@ -62,6 +64,20 @@ def grover_iteration(state: StateVector, mask: SelectionMask) -> StateVector:
     return StateVector(state.n, amps)
 
 
+def _state_after(marked: SelectionMask, iterations: int) -> StateVector:
+    """The state after k steps from uniform, in closed form (Boyer et al. 1996).
+
+    Each step rotates by 2*theta, sin(theta) = sqrt(M/N): every marked state
+    holds sin((2k+1)theta)/sqrt(M), every unmarked one cos((2k+1)theta)/sqrt(N-M).
+    M = 0 gives the uniform state; an empty group's amplitude is never used.
+    """
+    n_states, n_marked = marked.size, marked.count_selected
+    angle = (2 * iterations + 1) * math.asin(math.sqrt(n_marked / n_states))
+    marked_amp = math.sin(angle) / math.sqrt(max(n_marked, 1))
+    unmarked_amp = math.cos(angle) / math.sqrt(max(n_states - n_marked, 1))
+    return StateVector(marked.n, np.where(marked.selected, marked_amp, unmarked_amp))
+
+
 def search(
     marked: SelectionMask,
     rng: np.random.Generator,
@@ -78,21 +94,14 @@ def search(
         raise NoSolutionError("cannot search for solutions: marked set is empty")
     n_states = marked.size
     iterations = 0 if 2 * n_marked > n_states else optimal_iterations(n_states, n_marked)
-
-    amps = uniform_init(marked.n).amps
-    selected = marked.selected
-    trajectory = [] if record_trajectory else None
-    for _ in range(iterations):
-        backend.grover_step(amps, selected)
-        if trajectory is not None:
-            sel = amps[selected]
-            trajectory.append(float(sel @ sel))
-    final = StateVector(marked.n, amps)
+    trajectory = None
+    if record_trajectory:
+        trajectory = tuple(marked_probability(n_states, n_marked, k + 1) for k in range(iterations))
     return SearchResult(
-        outcome=sample(final, rng),
+        outcome=sample(_state_after(marked, iterations), rng),
         iterations_used=iterations,
-        success_probability=probability_of(final, marked),
-        trajectory=tuple(trajectory) if trajectory is not None else None,
+        success_probability=marked_probability(n_states, n_marked, iterations),
+        trajectory=trajectory,
     )
 
 
@@ -105,29 +114,20 @@ def search_unknown_m(marked: SelectionMask, rng: np.random.Generator) -> SearchR
     spent the search gives up, which distinguishes "likely no solutions".
     """
     n_states = marked.size
-    selected = marked.selected
     budget = math.ceil(UNKNOWN_M_BUDGET_FACTOR * math.sqrt(n_states))
-    total = 0
+    total, found = 0, None
     for attempt in range(_MAX_ATTEMPTS):
         if total >= budget:
             break
-        bound = math.ceil(UNKNOWN_M_LAMBDA**attempt)
-        k = int(rng.integers(0, bound + 1))
-        amps = uniform_init(marked.n).amps
-        for _ in range(k):
-            backend.grover_step(amps, selected)
+        k = int(rng.integers(0, math.ceil(UNKNOWN_M_LAMBDA**attempt) + 1))
         total += k
-        state = StateVector(marked.n, amps)
-        outcome = sample(state, rng)
-        if selected[outcome]:
-            return SearchResult(
-                outcome=outcome,
-                iterations_used=total,
-                success_probability=probability_of(state, marked),
-            )
-    # the budget is at least 3, so the first attempt always ran and set ``state``
+        outcome = sample(_state_after(marked, k), rng)
+        if marked.selected[outcome]:
+            found = outcome
+            break
+    # the budget is at least 3, so the first attempt always ran and set ``k``
     return SearchResult(
-        outcome=None,
+        outcome=found,
         iterations_used=total,
-        success_probability=probability_of(state, marked),
+        success_probability=marked_probability(n_states, marked.count_selected, k),
     )

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qamp import (
     NoSolutionError,
@@ -10,6 +12,7 @@ from qamp import (
     grover_iteration,
     optimal_iterations,
     probability_of,
+    sample,
     search,
     search_unknown_m,
     uniform_init,
@@ -30,6 +33,20 @@ def iteration_matrix(n, marked_indices):
         oracle[x, x] = -1.0
     diffusion = 2.0 / size * np.ones((size, size)) - np.eye(size)
     return diffusion @ oracle
+
+
+def literal_steps(n, selected, k):
+    """Independent oracle: k flip-and-reflect steps from uniform, in plain numpy.
+
+    Returns the final state and the marked probability after each step.
+    """
+    amps = np.full(1 << n, 1.0 / math.sqrt(1 << n))
+    marked_probs = []
+    for _ in range(k):
+        amps = np.where(selected, -amps, amps)
+        amps = 2.0 * amps.mean() - amps
+        marked_probs.append(float(amps[selected] @ amps[selected]))
+    return StateVector(n, amps), marked_probs
 
 
 class TestOptimalIterations:
@@ -183,3 +200,42 @@ class TestSearchUnknownM:
         a = search_unknown_m(marked, np.random.default_rng(9))
         b = search_unknown_m(marked, np.random.default_rng(9))
         assert (a.outcome, a.iterations_used) == (b.outcome, b.iterations_used)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 10), seed=st.integers(0, 2**31), fraction=st.floats(0.0, 1.0))
+@example(n=6, seed=0, fraction=0.0)
+@example(n=6, seed=1, fraction=0.75)
+@example(n=6, seed=2, fraction=1.0)
+def test_closed_form_matches_literal_steps(n, seed, fraction):
+    """Both schedules sample, for one seed, what k literal steps would give them."""
+    n_states = 1 << n
+    rng = np.random.default_rng(seed)
+    selected = np.zeros(n_states, dtype=bool)
+    selected[rng.choice(n_states, round(fraction * n_states), replace=False)] = True
+    mask, n_marked = SelectionMask(n, selected), int(selected.sum())
+
+    if n_marked:
+        k = math.floor(math.pi / 4 * math.sqrt(n_states / n_marked))
+        k = 0 if 2 * n_marked > n_states else k
+        state, marked_probs = literal_steps(n, selected, k)
+        want = sample(state, np.random.default_rng(seed))
+        got = search(mask, np.random.default_rng(seed), record_trajectory=True)
+        assert (got.outcome, got.iterations_used, got.found) == (want, k, True)
+        assert abs(got.success_probability - probability_of(state, mask)) <= 1e-12
+        assert len(got.trajectory) == k
+        np.testing.assert_allclose(got.trajectory, marked_probs, rtol=0, atol=1e-12)
+
+    rng = np.random.default_rng(seed)
+    budget, total, attempt, want = math.ceil(3 * math.sqrt(n_states)), 0, 0, None
+    while total < budget:
+        k = int(rng.integers(0, math.ceil(1.2**attempt) + 1))
+        total, attempt = total + k, attempt + 1
+        state, _ = literal_steps(n, selected, k)
+        outcome = sample(state, rng)
+        if selected[outcome]:
+            want = outcome
+            break
+    got = search_unknown_m(mask, np.random.default_rng(seed))
+    assert (got.outcome, got.iterations_used, got.found) == (want, total, want is not None)
+    assert abs(got.success_probability - probability_of(state, mask)) <= 1e-12
