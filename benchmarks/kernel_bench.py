@@ -4,9 +4,9 @@
 Times the amplification step and the group statistics of the dense
 diagnostics at several register sizes, plus a full dynamic round: the
 literal dense round of the reference (mask draw and two amplification
-steps) and the round that ``run_dynamic`` takes on its sparse state (mask
-draw over the support the run draws once when it starts, statistics and
-closed-form step).  Also times the end of a run, 10 draws from its final
+steps) and the round that ``run_dynamic`` takes on its sparse state (the
+round's mask, a slice of the events the run draws when it starts, then
+the statistics and closed-form step on the selected states only).  Also times the end of a run, 10 draws from its final
 state: building the dense vector and sampling it against sampling the
 sparse state ``run_dynamic`` returns.  Last, the support draw a
 class-policy run makes once when it starts (``_draw_support``), with and
@@ -76,15 +76,16 @@ def bench_round(n: int, repeats: int) -> dict[str, float]:
 def bench_touched_round(n: int, repeats: int) -> float:
     """One round of ``run_dynamic``'s engine under a similarity policy
     calibrated to m = 5, timed after a schedule's worth of rounds (the run's
-    support is drawn for the schedule plus the timed rounds)."""
+    support and masks are drawn for the schedule plus the timed rounds)."""
     policy = similarity_policy(SimilaritySpec(n, 0), calibrate_beta(n, 5.0))
     rng = np.random.default_rng(7)
     schedule = default_rounds(n, policy)
     support = _Support(policy, schedule + repeats, rng)
+    rounds = iter(range(schedule + repeats))
 
     def one_round():
-        mask = support.draw(rng)
-        support.step(mask, support.stats(mask))
+        selection = support.select(next(rounds))
+        support.step(selection, support.stats(selection))
 
     for _ in range(schedule):
         one_round()

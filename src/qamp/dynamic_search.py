@@ -162,6 +162,13 @@ _PASCAL = np.array(
     [[math.comb(c, i) for i in range(MAX_QUBITS + 1)] for c in range(MAX_QUBITS + 1)],
     dtype=np.int64,
 )
+# Pascal's columns as one sorted array: entry (k, c) is (k << 32) + C(c, k)
+# (every C(c, k) here is below 2**32), with, for unranking, the bit 1 << c
+# it places and what placing it takes off a (k << 32) + rank key
+_COLUMN_K, _COLUMN_C = np.divmod(np.arange((MAX_QUBITS + 1) ** 2), MAX_QUBITS + 1)
+_COLUMN_KEYS = (_COLUMN_K << 32) + _PASCAL[_COLUMN_C, _COLUMN_K]
+_COLUMN_BITS = np.int64(1) << _COLUMN_C
+_COLUMN_STEPS = (np.int64(1) << 32) + _PASCAL[_COLUMN_C, _COLUMN_K]
 
 
 def class_counts(n: int) -> np.ndarray:
@@ -173,20 +180,26 @@ def _colex_words(n: int, bits_set: np.ndarray, ranks: np.ndarray) -> np.ndarray:
     """The n-bit word with ``bits_set[i]`` bits set whose colex rank is ``ranks[i]``.
 
     In colex order the word with set bits c_k > ... > c_1 has rank
-    sum_i C(c_i, i) (Knuth, TAOCP 4A, 7.2.1.3), so walking the bits from the
-    top, bit c is set exactly when C(c, k) <= r for the k bits and rank r
-    still to place: n vectorised steps for any number of words.
+    sum_i C(c_i, i) (Knuth, TAOCP 4A, 7.2.1.3), so the top bit of k bits
+    of rank r is the largest c with C(c, k) <= r, and the rest is the word
+    of k - 1 bits and rank r - C(c, k).  One search of Pascal's columns
+    places the top bit of every unfinished word: max(bits_set) vectorised
+    steps for any number of words (``n`` only bounds the ranks).
     """
-    words = np.zeros(ranks.size, dtype=np.int64)
-    left = np.array(bits_set, dtype=np.int64)
-    rest = np.array(ranks, dtype=np.int64)
-    for bit in range(n - 1, -1, -1):
-        binom = _PASCAL[bit].take(left)
-        take = binom <= rest
-        rest -= binom * take
-        left -= take
-        words += take << bit
-    return words
+    bits = np.asarray(bits_set, dtype=np.int64)
+    # most bits first, so that the unfinished words are a prefix
+    order = np.argsort(-bits, kind="stable")
+    bits = bits[order]
+    keys = (bits << 32) + np.asarray(ranks, dtype=np.int64)[order]
+    unfinished = np.searchsorted(-bits, -np.arange(bits.max(initial=0)), side="left")
+    words = np.zeros(bits.size, dtype=np.int64)
+    for live in unfinished.tolist():
+        at = np.searchsorted(_COLUMN_KEYS, keys[:live], side="right") - 1
+        keys[:live] -= _COLUMN_STEPS[at]
+        words[:live] |= _COLUMN_BITS[at]
+    out = np.empty_like(words)
+    out[order] = words
+    return out
 
 
 @dataclass(frozen=True)
@@ -325,26 +338,42 @@ class _GroupStats(NamedTuple):
         )
 
 
+# from this selection probability on, the later rounds of a support state
+# are drawn as one Bernoulli row rather than by geometric gaps
+_ROW_PROBABILITY = 0.125
+
+
+class _Selection(NamedTuple):
+    """One round's mask on the support, with the sums the round needs of it."""
+
+    pos: np.ndarray  # support positions, ascending
+    selected: np.ndarray  # their state indices
+    e: np.ndarray  # their offsets from bulk
+    sum_ee: float  # sum of e**2
+    weighted_e: list[float]  # sum of v e for each weight row v
+    weight_sums: list[float]  # sum of v for each weight row v
+
+
 class _Support:
     """The state of a dynamic run, with the masks of all its rounds drawn when it starts.
 
     A mask depends only on the policy, never on the amplitudes, so a run of
     R rounds first draws its support (:func:`_draw_support`), the states
-    that any of its rounds will select, and then each round tests only
-    those.  Each support state gets its first selected round from the
-    geometric law truncated to R rounds; round r then selects it if r is
-    that round, or if r comes later and a fresh uniform falls below its
-    probability P(x).  Every state is thus selected in every round
-    independently with probability P(x), the law of a per-round draw.
+    that any of its rounds will select, and then every round in which each
+    of them is selected (:func:`_selection_events`).  The events are sorted
+    by round, so a round's mask is a slice of support positions, ascending.
 
     A doubled round adds one constant to every selected amplitude and
-    another to every unselected one, so every state not selected since the
-    last restart keeps the shared amplitude ``bulk``.  The support is
-    stored in index order: indices ``idx``, amplitudes ``amp`` (``bulk``
-    until first selected), selection probabilities ``p`` and, when the run
-    watches a policy, watched probabilities ``w``.  A mask is a boolean over
-    the support, so a round costs O(n + T) for T support states, and a
-    restart only resets the amplitudes.
+    another to every unselected one.  The state is therefore kept as the
+    shared amplitude ``bulk`` plus, for each support state (in index order:
+    indices ``idx``, selection probabilities ``p``), its offset
+    ``e = a(x) - bulk``.  An offset is zero until its state is first
+    selected, and a round moves only the offsets it selects.  Running sums
+    ``sum_e`` and ``sum_ee`` of v e and v e**2 over the support, for each
+    row v of ``weights`` (1, p and, when the run watches a policy, the
+    watched probabilities), give the group sums and the masses without a
+    pass over the support, so a round costs O(|mask|).  A restart zeroes
+    the offsets: O(T) for T support states.
     """
 
     def __init__(
@@ -357,70 +386,164 @@ class _Support:
         self.n = policy.n
         self.n_states = 1 << policy.n
         self.idx, self.p = _draw_support(policy, rounds, rng)
-        q = 1.0 - (1.0 - self.p) ** rounds
-        # inverse CDF of the first selected round, given at least one in R
-        with np.errstate(divide="ignore"):  # log1p(-1) for P = 1, which gives round 0
-            first = np.log1p(-rng.random(self.idx.size) * q) / np.log1p(-self.p)
-        self._first = np.minimum(np.floor(first), rounds - 1).astype(np.int64)
-        self._round = 0
         self.w = None if watch is None else watch.probabilities_at(self.idx)
-        self.amp = np.empty(self.idx.size)
+        round_of, self._pos = _selection_events(self.p, rounds, rng)
+        starts = np.searchsorted(round_of, np.arange(rounds + 1))
+        self._starts = starts.tolist()
+        self._selected = self.idx[self._pos]
+        # per event, the weights 1, p (and w) of its state; per round, their sums
+        rows = [self.p] if watch is None else [self.p, self.w]
+        self._weights = np.empty((1 + len(rows), self._pos.size))
+        self._weights[0] = 1.0
+        for out, row in zip(self._weights[1:], rows):
+            np.take(row, self._pos, out=out)
+        self._weight_sums = np.stack(
+            [np.diff(starts)]
+            + [np.bincount(round_of, weights=row, minlength=rounds) for row in self._weights[1:]],
+            axis=1,
+        ).tolist()
+        # what each weight sums to over the whole space
+        self._totals = [float(self.n_states), policy.expected_selected()]
+        if watch is not None:
+            self._totals.append(watch.expected_selected())
+        self.e = np.empty(self.idx.size)
         self.reset()
 
     def reset(self) -> None:
-        """Back to the uniform state; the support and the round's mask stay."""
+        """Back to the uniform state; the support and the masks stay."""
         self.bulk = 1.0 / math.sqrt(self.n_states)
-        self.amp.fill(self.bulk)
+        self.e.fill(0.0)
+        self.sum_e = [0.0] * len(self._totals)
+        self.sum_ee = [0.0] * len(self._totals)
+        # the least unselected amplitude is bulk while no offset is
+        # negative and some state lies outside the support
+        self._least_is_bulk = self.idx.size < self.n_states
 
-    def draw(self, rng: np.random.Generator) -> np.ndarray:
-        """The next round's mask, a boolean over the support."""
-        r, first = self._round, self._first
-        self._round += 1
-        return (first == r) | ((first < r) & (rng.random(first.size) < self.p))
-
-    def stats(self, mask: np.ndarray) -> _GroupStats:
-        """Group sums of the state along a mask."""
-        sel, unsel = self.amp[mask], self.amp[~mask]
-        bulk, bulk_states = self.bulk, self.n_states - self.idx.size
-        min_unsel = min(
-            float(unsel.min()) if unsel.size else math.inf,
-            bulk if bulk_states else math.inf,
+    def select(self, round_index: int) -> _Selection:
+        """The mask of a round (0-based)."""
+        start, stop = self._starts[round_index], self._starts[round_index + 1]
+        pos = self._pos[start:stop]
+        e = self.e[pos]
+        return _Selection(
+            pos,
+            self._selected[start:stop],
+            e,
+            float(e.dot(e)),
+            self._weights[:, start:stop].dot(e).tolist(),
+            self._weight_sums[round_index],
         )
+
+    def stats(self, sel: _Selection) -> _GroupStats:
+        """Group sums of the state along a mask."""
+        bulk, n_sel = self.bulk, sel.pos.size
+        n_unsel = self.n_states - n_sel
+        sum_e = sel.weighted_e[0]
+        # sums of e and e**2 over the unselected support states
+        rest_e, rest_ee = 0.0, 0.0
+        if n_sel < self.idx.size:
+            rest_e = self.sum_e[0] - sum_e
+            rest_ee = max(0.0, self.sum_ee[0] - sel.sum_ee)
+        if self._least_is_bulk:
+            min_unsel = bulk
+        else:
+            unselected = np.ones(self.idx.size, dtype=bool)
+            unselected[sel.pos] = False
+            least = float(self.e[unselected].min(initial=math.inf))
+            if self.idx.size < self.n_states:
+                least = min(least, 0.0)
+            min_unsel = bulk + least
         return _GroupStats(
-            float(sel.sum()),
-            float(unsel.sum()) + bulk_states * bulk,
-            float(sel @ sel),
-            float(unsel @ unsel) + bulk_states * bulk * bulk,
+            n_sel * bulk + sum_e,
+            n_unsel * bulk + rest_e,
+            bulk * (n_sel * bulk + 2.0 * sum_e) + sel.sum_ee,
+            max(0.0, bulk * (n_unsel * bulk + 2.0 * rest_e) + rest_ee),
             min_unsel,
-            sel.size,
+            n_sel,
             self.n_states,
         )
 
-    def step(self, mask: np.ndarray, stats: _GroupStats) -> tuple[np.ndarray, _GroupStats]:
-        """Apply the doubled step.
-
-        Returns the selected indices (sorted, as the support is) and the
-        stats after the step.
-        """
+    def step(self, sel: _Selection, stats: _GroupStats) -> _GroupStats:
+        """Apply the doubled step and return the stats after it."""
         shift_sel, shift_unsel = stats.doubling_shifts()
-        self.amp += shift_unsel
-        self.amp[mask] += shift_sel - shift_unsel
+        moved = shift_sel - shift_unsel
+        e = sel.e + moved
+        self.e[sel.pos] = e
+        if moved < 0.0 and e.size and e.min() < 0.0:
+            self._least_is_bulk = False
         self.bulk += shift_unsel
-        return self.idx[mask], stats.translated(shift_sel, shift_unsel)
+        # sum of v (e + moved)**2 = sum of v e**2 + moved (2 sum of v e + moved sum of v)
+        self.sum_ee = [
+            vee + moved * (2.0 * ve + moved * v)
+            for vee, ve, v in zip(self.sum_ee, sel.weighted_e, sel.weight_sums)
+        ]
+        self.sum_e = [ve + moved * v for ve, v in zip(self.sum_e, sel.weight_sums)]
+        return stats.translated(shift_sel, shift_unsel)
 
-    def mass(self, weights: np.ndarray, total: float) -> float:
-        """Sum over all states of w(x) a(x)**2, for per-state weights w given on
-        the support and summing to ``total`` over the whole space."""
-        return float(weights @ (self.amp * self.amp)) + self.bulk * self.bulk * (
-            total - float(weights.sum())
-        )
+    def masses(self) -> list[float]:
+        """Sum over all states of v(x) a(x)**2 for each weight row v: the
+        norm, the policy mass and, when the run watches, the watched mass."""
+        bulk = self.bulk
+        return [
+            bulk * (bulk * total + 2.0 * ve) + vee
+            for total, ve, vee in zip(self._totals, self.sum_e, self.sum_ee)
+        ]
 
-    def snapshot(self) -> tuple[float, np.ndarray, np.ndarray]:
-        return self.bulk, self.idx, self.amp.copy()
+    def snapshot(self) -> tuple[float, np.ndarray]:
+        return self.bulk, self.e.copy()
 
-    def sparse_state(self, snapshot: tuple[float, np.ndarray, np.ndarray]) -> SparseState:
+    def sparse_state(self, snapshot: tuple[float, np.ndarray]) -> SparseState:
         """A snapshot as a :class:`~qamp.core.SparseState`."""
-        return SparseState(self.n, *snapshot)
+        bulk, e = snapshot
+        return SparseState(self.n, bulk, self.idx, bulk + e)
+
+
+def _selection_events(
+    p: np.ndarray, rounds: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every (round, position) at which a run of ``rounds`` rounds selects a
+    state of its support, for support states of selection probabilities
+    ``p``: the rounds and the positions, sorted by round, then position.
+
+    Each support state has its first selected round from the geometric law
+    truncated to the run, as it is in the support because some round
+    selects it.  Every later round then selects it independently with
+    probability P, so each state is selected in every round independently
+    with probability P, the law of a per-round draw.  The later rounds come
+    as one Bernoulli row over the rounds left when P >= 1/8 (a row costs at
+    most 8 uniforms per selection), and otherwise as geometric gaps
+    1 + floor(ln U / ln(1 - P)) (Devroye 1986), one wave of gaps per pass
+    over the states not yet past the last round.
+    """
+    size = p.size
+    q = 1.0 - (1.0 - p) ** rounds
+    # inverse CDF of the first selected round, given at least one in R
+    with np.errstate(divide="ignore"):  # log1p(-1) for P = 1, which gives round 0
+        log_skip = np.log1p(-p)
+        first = np.log1p(-rng.random(size) * q) / log_skip
+    first = np.minimum(np.floor(first), rounds - 1).astype(np.int64)
+    keys = [first * size + np.arange(size)]
+    more = first < rounds - 1
+
+    rows = np.flatnonzero(more & (p >= _ROW_PROBABILITY))
+    later = np.arange(1, max(rounds, 1))
+    hit = np.flatnonzero(
+        (rng.random((rows.size, later.size)) < p[rows, None]) & (later > first[rows, None])
+    )
+    row = hit // max(later.size, 1)
+    keys.append((hit - row * later.size + 1) * size + rows[row])
+
+    gapped = np.flatnonzero(more & (p < _ROW_PROBABILITY))
+    at, log_skip = first[gapped].astype(np.float64), log_skip[gapped]
+    while gapped.size:
+        at += 1.0 + np.floor(np.log1p(-rng.random(gapped.size)) / log_skip)
+        going = np.flatnonzero(at < rounds)
+        gapped, at, log_skip = gapped[going], at[going], log_skip[going]
+        keys.append(at.astype(np.int64) * size + gapped)
+
+    keys = np.concatenate(keys)
+    keys.sort()
+    round_of = keys // max(size, 1)
+    return round_of, keys - round_of * size
 
 
 def _draw_support(
@@ -558,8 +681,6 @@ def run_dynamic(
     if stop_above is not None and watch is None:
         raise ValueError("stop_above needs a watched policy")
     support = _Support(policy, rounds, rng, watch)
-    expected = policy.expected_selected()
-    watched_total = None if watch is None else watch.expected_selected()
     indices: list[np.ndarray] = []
     reports: list[GainReport] = []
     policy_mass: list[float] = []
@@ -567,31 +688,32 @@ def run_dynamic(
     restarts: list[int] = []
     best = support.snapshot() if keep_best else None
     # the policy mass of the uniform state
-    best_score = expected / support.n_states if keep_best else 0.0
+    best_score = support.masses()[1]
     best_round = 0
     violation: _GroupStats | None = None
 
     for round_index in range(rounds):
-        mask = support.draw(rng)
-        stats = support.stats(mask)
+        selection = support.select(round_index)
+        stats = support.stats(selection)
         if stats.post_flip_mean < -VALIDITY_ATOL or stats.min_unsel < -VALIDITY_ATOL:
             if on_violation == "abort":
                 violation = stats
                 break
             support.reset()
-            stats = support.stats(mask)
+            selection = support.select(round_index)
+            stats = support.stats(selection)
             restarts.append(round_index)
-        selected_idx, after = support.step(mask, stats)
-        indices.append(selected_idx)
+        after = support.step(selection, stats)
+        indices.append(selection.selected)
         reports.append(after.report())
-        mass = support.mass(support.p, expected)
+        _, mass, *watched = support.masses()
         policy_mass.append(mass)
         if keep_best and mass > best_score:
             best_score = mass
             best = support.snapshot()
             best_round = round_index + 1
         if watched_mass is not None:
-            watched_mass.append(support.mass(support.w, watched_total))
+            watched_mass.append(watched[0])
             if stop_above is not None and watched_mass[-1] > stop_above:
                 break
 

@@ -28,14 +28,16 @@ from qamp import (
     uniform_init,
 )
 from qamp.dynamic_search import (
+    _PASCAL,
     VALIDITY_ATOL,
     _colex_words,
     _draw_support,
     _GroupStats,
+    _Support,
     class_counts,
     similarity_classes,
 )
-from qamp.recommend import SimilaritySpec, calibrate_beta, similarity_policy
+from qamp.recommend import SimilaritySpec, calibrate_beta, round_cap, similarity_policy
 
 
 def random_state(n, seed):
@@ -572,6 +574,56 @@ def test_class_draw_selects_each_state_with_its_class_probability(with_catalog):
         assert np.max(np.abs(z_rounds)) < 4.5, (i, j)
 
 
+def test_masks_keep_their_law_over_many_rounds():
+    """Over 12 rounds each state is selected at most once per round, in each
+    round with probability P and in each pair of rounds with P**2.  P = 0.1
+    takes its later rounds from geometric gaps, P = 0.5 from a Bernoulli row."""
+    probs = np.array([0.1, 0.5, 0.02, 1.0, 0.0, 0.3, 0.1, 0.5])
+    policy = SelectionPolicy.probabilistic(3, probs)
+    runs, rounds = 3000, 12
+    watched = np.array([0, 1])  # P = 0.1 and P = 0.5
+    member = np.zeros((runs, rounds, probs.size), dtype=bool)
+    for seed in range(runs):
+        support = _Support(policy, rounds, np.random.default_rng(seed))
+        for r in range(rounds):
+            selected = support.select(r).selected
+            assert np.all(np.diff(selected) > 0)
+            member[seed, r, selected] = True
+    member = member[:, :, watched]
+    want = probs[watched]
+    freq = member.mean(axis=0)
+    z = (freq - want) / np.sqrt(want * (1 - want) / runs)
+    assert np.max(np.abs(z)) < 4.5
+    both = np.einsum("sik,sjk->ijk", member.astype(float), member.astype(float)) / runs
+    want2 = want**2
+    for i, j in itertools.combinations(range(rounds), 2):
+        z_pair = (both[i, j] - want2) / np.sqrt(want2 * (1 - want2) / runs)
+        assert np.max(np.abs(z_pair)) < 4.5, (i, j)
+
+
+def test_running_sums_do_not_drift():
+    """After a recommend-shaped run at n = 24 (its round cap, with restarts
+    as they come), the running sums equal the sums of the stored offsets."""
+    n = 24
+    policy = similarity_policy(SimilaritySpec(n, 0x5A5A5A), calibrate_beta(n, 5.0))
+    watch = SelectionPolicy.by_similarity(n, 0x5A5A5A, (np.arange(n + 1) >= n - 2) * 1.0)
+    rounds = round_cap(n, policy)
+    support = _Support(policy, rounds, np.random.default_rng(0), watch)
+    for r in range(rounds):
+        selection = support.select(r)
+        stats = support.stats(selection)
+        if stats.post_flip_mean < -VALIDITY_ATOL or stats.min_unsel < -VALIDITY_ATOL:
+            support.reset()
+            selection = support.select(r)
+            stats = support.stats(selection)
+        support.step(selection, stats)
+    weights = np.stack([np.ones_like(support.p), support.p, support.w])
+    e = support.e
+    assert rounds > 2800 and np.any(e != 0.0)
+    np.testing.assert_allclose(support.sum_e, weights @ e, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(support.sum_ee, weights @ (e * e), rtol=0, atol=1e-12)
+
+
 def test_ranks_map_one_to_one_onto_each_class():
     # colex ranks 0..C(n, d) - 1 give every word with d bits set exactly once
     for n in range(1, 13):
@@ -585,6 +637,32 @@ def test_ranks_map_one_to_one_onto_each_class():
     assert np.all((words >= 0) & (words < 1 << n))
     assert np.all(np.bitwise_count(words) == d)
     assert words[0] != words[1]
+
+
+def colex_walk(n, bits_set, ranks):
+    """Colex unranking one bit position at a time, from the top: bit c is
+    set exactly when C(c, k) <= r for the k bits and rank r still to place."""
+    words = np.zeros(ranks.size, dtype=np.int64)
+    left = np.array(bits_set, dtype=np.int64)
+    rest = np.array(ranks, dtype=np.int64)
+    for bit in range(n - 1, -1, -1):
+        binom = _PASCAL[bit].take(left)
+        take = binom <= rest
+        rest -= binom * take
+        left -= take
+        words += take << bit
+    return words
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(0, 30), seed=st.integers(0, 2**31), size=st.integers(0, 300))
+def test_colex_words_match_the_bit_walk(n, seed, size):
+    rng = np.random.default_rng(seed)
+    bits = rng.integers(0, n + 1, size)
+    ranks = (rng.random(size) * _PASCAL[n, bits]).astype(np.int64)
+    # the last rank of each class too
+    ranks[::3] = _PASCAL[n, bits[::3]] - 1
+    assert np.array_equal(_colex_words(n, bits, ranks), colex_walk(n, bits, ranks))
 
 
 @pytest.mark.parametrize("with_catalog", [False, True])

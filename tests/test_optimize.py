@@ -206,10 +206,11 @@ class TestDynamicOptimize:
             assert result.optimal == (result.best_value == 0.0)
 
     # (best_index, rounds, best_round) per table seed, recorded when a run
-    # came to draw its support once; the seeds' requests restart nowhere
+    # came to draw every round's mask when it starts; the seeds' requests
+    # restart nowhere
     PINNED = {
-        Sense.MIN: [(6196, 2, 2), (12212, 2, 2), (6888, 2, 2)],
-        Sense.MAX: [(2266, 2, 2), (10938, 2, 2), (5388, 2, 1)],
+        Sense.MIN: [(13691, 2, 2), (3900, 2, 2), (6210, 2, 2)],
+        Sense.MAX: [(1912, 2, 2), (3942, 2, 2), (5208, 2, 1)],
     }
 
     @pytest.mark.parametrize("sense", [Sense.MIN, Sense.MAX])
@@ -222,7 +223,7 @@ class TestDynamicOptimize:
             assert result.best_value == values[best_index]
             assert (result.outer_rounds, result.log.best_round) == (rounds, best_round)
             assert result.log.restart_rounds == ()
-            assert not result.optimal
+            assert result.optimal == (result.best_value == table.optimum_value())
 
     def test_fewer_iterations_than_threshold_loop(self):
         dyn, thresh = [], []

@@ -255,14 +255,14 @@ class TestRecommend:
             )
 
     # items, rounds_used and the top three class masses (to 1e-12) of runs
-    # that draw each class's support as distinct ranks
+    # that draw every round's mask when they start
     PINNED = [
-        (0, 1, [(0, 16), (8, 15), (128, 15), (256, 15), (2048, 15)], 181,
-         [0.021757358575241803, 0.1507095843004294, 0.8141577277601332]),
-        (12345, 2, [(12345, 16), (8249, 15), (12329, 15), (12337, 15), (45113, 15)], 180,
-         [0.018235724741486613, 0.14708767374916112, 0.8232826653730527]),
-        (40000, 3, [(40000, 16), (40016, 15), (40032, 15), (40256, 15), (48192, 15)], 90,
-         [0.02707045150394764, 0.17466686038609722, 0.7876518430995707]),
+        (0, 1, [(0, 16), (4, 15), (8192, 15), (8193, 14), (98, 13)], 91,
+         [0.031529122339140896, 0.15509084456598712, 0.8016524529863689]),
+        (12345, 2, [(12345, 16), (12337, 15), (12473, 15), (14393, 15), (12585, 14)], 183,
+         [0.020091499814121658, 0.14666196840942144, 0.8221701874912014]),
+        (40000, 3, [(40000, 16), (7232, 15), (38976, 15), (7234, 14), (40040, 14)], 185,
+         [0.028310453214718187, 0.1237582839738779, 0.8360526594776173]),
     ]
 
     @pytest.mark.parametrize(
