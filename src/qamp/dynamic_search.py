@@ -370,10 +370,10 @@ class _Support:
     ``e = a(x) - bulk``.  An offset is zero until its state is first
     selected, and a round moves only the offsets it selects.  Running sums
     ``sum_e`` and ``sum_ee`` of v e and v e**2 over the support, for each
-    row v of ``weights`` (1, p and, when the run watches a policy, the
-    watched probabilities), give the group sums and the masses without a
-    pass over the support, so a round costs O(|mask|).  A restart zeroes
-    the offsets: O(T) for T support states.
+    weight v in (1, p, w), w the watched probabilities when the run
+    watches a policy, give the group sums and the masses without a pass
+    over the support, so a round costs O(|mask|).  A restart zeroes the
+    offsets: O(T) for T support states.
     """
 
     def __init__(
@@ -455,7 +455,7 @@ class _Support:
         return _GroupStats(
             n_sel * bulk + sum_e,
             n_unsel * bulk + rest_e,
-            bulk * (n_sel * bulk + 2.0 * sum_e) + sel.sum_ee,
+            max(0.0, bulk * (n_sel * bulk + 2.0 * sum_e) + sel.sum_ee),
             max(0.0, bulk * (n_unsel * bulk + 2.0 * rest_e) + rest_ee),
             min_unsel,
             n_sel,
@@ -511,34 +511,45 @@ def _selection_events(
     with probability P, the law of a per-round draw.  The later rounds come
     as one Bernoulli row over the rounds left when P >= 1/8 (a row costs at
     most 8 uniforms per selection), and otherwise as geometric gaps
-    1 + floor(ln U / ln(1 - P)) (Devroye 1986), one wave of gaps per pass
-    over the states not yet past the last round.
+    1 + floor(ln U / ln(1 - P)) for uniforms U (Devroye 1986).  The gaps come in passes
+    over the states not yet at the last round, 1, 2, 4, ... gaps per state
+    in successive passes, so that a state selected K more times takes
+    O(log K) passes and about 2K + 1 gaps at most.
     """
     size = p.size
     q = 1.0 - (1.0 - p) ** rounds
+    # ln(1 - P), -inf for P = 1, whose first round is then round 0
+    log_skip = np.log1p(-p, out=np.full(size, -np.inf), where=p < 1.0)
     # inverse CDF of the first selected round, given at least one in R
-    with np.errstate(divide="ignore"):  # log1p(-1) for P = 1, which gives round 0
-        log_skip = np.log1p(-p)
-        first = np.log1p(-rng.random(size) * q) / log_skip
+    first = np.log1p(-rng.random(size) * q) / log_skip
     first = np.minimum(np.floor(first), rounds - 1).astype(np.int64)
     keys = [first * size + np.arange(size)]
     more = first < rounds - 1
 
     rows = np.flatnonzero(more & (p >= _ROW_PROBABILITY))
-    later = np.arange(1, max(rounds, 1))
+    width = int(rounds - 1 - first[rows].min(initial=rounds - 1))
+    last = np.arange(rounds - width, rounds)  # the last `width` rounds
     hit = np.flatnonzero(
-        (rng.random((rows.size, later.size)) < p[rows, None]) & (later > first[rows, None])
+        (rng.random((rows.size, width)) < p[rows, None]) & (last > first[rows, None])
     )
-    row = hit // max(later.size, 1)
-    keys.append((hit - row * later.size + 1) * size + rows[row])
+    row = hit // max(width, 1)
+    keys.append(last[hit - row * width] * size + rows[row])
 
     gapped = np.flatnonzero(more & (p < _ROW_PROBABILITY))
-    at, log_skip = first[gapped].astype(np.float64), log_skip[gapped]
+    at, rate = first[gapped].astype(np.float64), -log_skip[gapped, None]
+    block = 1
     while gapped.size:
-        at += 1.0 + np.floor(np.log1p(-rng.random(gapped.size)) / log_skip)
-        going = np.flatnonzero(at < rounds)
-        gapped, at, log_skip = gapped[going], at[going], log_skip[going]
-        keys.append(at.astype(np.int64) * size + gapped)
+        # -ln U for a uniform U is a standard exponential
+        gaps = rng.standard_exponential((gapped.size, block))
+        gaps /= rate
+        np.floor(gaps, out=gaps)
+        gaps += 1.0
+        np.cumsum(gaps, axis=1, out=gaps)
+        gaps += at[:, None]  # now the rounds themselves
+        keys.append((gaps * size + gapped[:, None])[gaps < rounds].astype(np.int64))
+        going = np.flatnonzero(gaps[:, -1] < rounds - 1)
+        gapped, at, rate = gapped[going], gaps[going, -1], rate[going]
+        block *= 2
 
     keys = np.concatenate(keys)
     keys.sort()

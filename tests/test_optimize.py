@@ -209,8 +209,8 @@ class TestDynamicOptimize:
     # came to draw every round's mask when it starts; the seeds' requests
     # restart nowhere
     PINNED = {
-        Sense.MIN: [(13691, 2, 2), (3900, 2, 2), (6210, 2, 2)],
-        Sense.MAX: [(1912, 2, 2), (3942, 2, 2), (5208, 2, 1)],
+        Sense.MIN: [(4336, 2, 2), (15374, 2, 2), (5368, 2, 2)],
+        Sense.MAX: [(2712, 2, 2), (5765, 2, 2), (156, 2, 1)],
     }
 
     @pytest.mark.parametrize("sense", [Sense.MIN, Sense.MAX])
@@ -223,7 +223,7 @@ class TestDynamicOptimize:
             assert result.best_value == values[best_index]
             assert (result.outer_rounds, result.log.best_round) == (rounds, best_round)
             assert result.log.restart_rounds == ()
-            assert result.optimal == (result.best_value == table.optimum_value())
+            assert not result.optimal
 
     def test_fewer_iterations_than_threshold_loop(self):
         dyn, thresh = [], []

@@ -257,12 +257,12 @@ class TestRecommend:
     # items, rounds_used and the top three class masses (to 1e-12) of runs
     # that draw every round's mask when they start
     PINNED = [
-        (0, 1, [(0, 16), (4, 15), (8192, 15), (8193, 14), (98, 13)], 91,
-         [0.031529122339140896, 0.15509084456598712, 0.8016524529863689]),
-        (12345, 2, [(12345, 16), (12337, 15), (12473, 15), (14393, 15), (12585, 14)], 183,
-         [0.020091499814121658, 0.14666196840942144, 0.8221701874912014]),
-        (40000, 3, [(40000, 16), (7232, 15), (38976, 15), (7234, 14), (40040, 14)], 185,
-         [0.028310453214718187, 0.1237582839738779, 0.8360526594776173]),
+        (0, 1, [(0, 16), (4096, 15), (32768, 15), (544, 14), (18432, 14)], 92,
+         [0.033828768863498775, 0.13008682801939825, 0.8250508805348671]),
+        (12345, 2, [(12345, 16), (12313, 15), (12329, 15), (12337, 15), (12347, 15)], 183,
+         [0.025050381057388615, 0.13669292960678603, 0.8244171139942764]),
+        (40000, 3, [(40000, 16), (40002, 15), (40256, 15), (35906, 14), (33864, 13)], 180,
+         [0.027902196646657565, 0.16564851131612854, 0.7938184241515511]),
     ]
 
     @pytest.mark.parametrize(
