@@ -338,11 +338,6 @@ class _GroupStats(NamedTuple):
         )
 
 
-# from this selection probability on, the later rounds of a support state
-# are drawn as one Bernoulli row rather than by geometric gaps
-_ROW_PROBABILITY = 0.125
-
-
 class _Selection(NamedTuple):
     """One round's mask on the support, with the sums the round needs of it."""
 
@@ -350,8 +345,8 @@ class _Selection(NamedTuple):
     selected: np.ndarray  # their state indices
     e: np.ndarray  # their offsets from bulk
     sum_ee: float  # sum of e**2
-    weighted_e: list[float]  # sum of v e for each weight row v
-    weight_sums: list[float]  # sum of v for each weight row v
+    weighted_e: list[float]  # sum of v e for each weight v in (1, p, w)
+    weight_sums: tuple[float, ...]  # sum of v for each weight v
 
 
 class _Support:
@@ -388,8 +383,7 @@ class _Support:
         self.idx, self.p = _draw_support(policy, rounds, rng)
         self.w = None if watch is None else watch.probabilities_at(self.idx)
         round_of, self._pos = _selection_events(self.p, rounds, rng)
-        starts = np.searchsorted(round_of, np.arange(rounds + 1))
-        self._starts = starts.tolist()
+        self._starts = np.searchsorted(round_of, np.arange(rounds + 1)).tolist()
         self._selected = self.idx[self._pos]
         # per event, the weights 1, p (and w) of its state; per round, their sums
         rows = [self.p] if watch is None else [self.p, self.w]
@@ -397,11 +391,10 @@ class _Support:
         self._weights[0] = 1.0
         for out, row in zip(self._weights[1:], rows):
             np.take(row, self._pos, out=out)
-        self._weight_sums = np.stack(
-            [np.diff(starts)]
-            + [np.bincount(round_of, weights=row, minlength=rounds) for row in self._weights[1:]],
-            axis=1,
-        ).tolist()
+        sums = [np.bincount(round_of, minlength=rounds)] + [
+            np.bincount(round_of, weights=row, minlength=rounds) for row in self._weights[1:]
+        ]
+        self._weight_sums = list(zip(*(row.tolist() for row in sums)))
         # what each weight sums to over the whole space
         self._totals = [float(self.n_states), policy.expected_selected()]
         if watch is not None:
@@ -480,8 +473,8 @@ class _Support:
         return stats.translated(shift_sel, shift_unsel)
 
     def masses(self) -> list[float]:
-        """Sum over all states of v(x) a(x)**2 for each weight row v: the
-        norm, the policy mass and, when the run watches, the watched mass."""
+        """Sum over all states of v(x) a(x)**2 for each weight v: the norm,
+        the policy mass and, when the run watches, the watched mass."""
         bulk = self.bulk
         return [
             bulk * (bulk * total + 2.0 * ve) + vee
@@ -508,25 +501,30 @@ def _selection_events(
     truncated to the run, as it is in the support because some round
     selects it.  Every later round then selects it independently with
     probability P, so each state is selected in every round independently
-    with probability P, the law of a per-round draw.  The later rounds come
-    as one Bernoulli row over the rounds left when P >= 1/8 (a row costs at
-    most 8 uniforms per selection), and otherwise as geometric gaps
-    1 + floor(ln U / ln(1 - P)) for uniforms U (Devroye 1986).  The gaps come in passes
-    over the states not yet at the last round, 1, 2, 4, ... gaps per state
+    with probability P, the law of a per-round draw.  A state is selected
+    about R P / q times in the run, q = 1 - (1 - P)**R the chance that it
+    is in the support.  When a Bernoulli row over the R rounds costs at
+    most 8 uniforms per selection, P >= q / 8 (so always when R <= 8, and
+    for R >> 1/P when P >= 1/8), its later rounds come as such a row over
+    the rounds left.  Otherwise they come as geometric gaps
+    1 + floor(ln U / ln(1 - P)) for uniforms U (Devroye 1986), in passes
+    over the states not yet at the last round: 4, 8, 16, ... gaps per state
     in successive passes, so that a state selected K more times takes
-    O(log K) passes and about 2K + 1 gaps at most.
+    O(log K) passes and at most about 2K + 4 gaps.  One sort of the keys
+    round * T + position, for T support states, orders them all.
     """
     size = p.size
     q = 1.0 - (1.0 - p) ** rounds
-    # ln(1 - P), -inf for P = 1, whose first round is then round 0
-    log_skip = np.log1p(-p, out=np.full(size, -np.inf), where=p < 1.0)
     # inverse CDF of the first selected round, given at least one in R
+    with np.errstate(divide="ignore"):  # log1p(-1) for P = 1, which gives round 0
+        log_skip = np.log1p(-p)
     first = np.log1p(-rng.random(size) * q) / log_skip
     first = np.minimum(np.floor(first), rounds - 1).astype(np.int64)
     keys = [first * size + np.arange(size)]
     more = first < rounds - 1
 
-    rows = np.flatnonzero(more & (p >= _ROW_PROBABILITY))
+    rowed = p >= q / 8.0
+    rows = np.flatnonzero(more & rowed)
     width = int(rounds - 1 - first[rows].min(initial=rounds - 1))
     last = np.arange(rounds - width, rounds)  # the last `width` rounds
     hit = np.flatnonzero(
@@ -535,9 +533,9 @@ def _selection_events(
     row = hit // max(width, 1)
     keys.append(last[hit - row * width] * size + rows[row])
 
-    gapped = np.flatnonzero(more & (p < _ROW_PROBABILITY))
+    gapped = np.flatnonzero(more & ~rowed)
     at, rate = first[gapped].astype(np.float64), -log_skip[gapped, None]
-    block = 1
+    block = 4
     while gapped.size:
         # -ln U for a uniform U is a standard exponential
         gaps = rng.standard_exponential((gapped.size, block))
@@ -551,7 +549,8 @@ def _selection_events(
         gapped, at, rate = gapped[going], gaps[going, -1], rate[going]
         block *= 2
 
-    keys = np.concatenate(keys)
+    # 32-bit keys sort about twice as fast, where they fit
+    keys = np.concatenate(keys, dtype=np.int32 if rounds * size < 2**31 else np.int64)
     keys.sort()
     round_of = keys // max(size, 1)
     return round_of, keys - round_of * size

@@ -575,12 +575,13 @@ def test_class_draw_selects_each_state_with_its_class_probability(with_catalog):
 
 
 def test_masks_keep_their_law_over_many_rounds():
-    """Over 12 rounds each state is selected at most once per round, in each
+    """Over 20 rounds each state is selected at most once per round, in each
     round with probability P and in each pair of rounds with P**2.  P = 0.1
-    takes its later rounds from geometric gaps, P = 0.5 from a Bernoulli row."""
+    takes its later rounds from geometric gaps (from 16 rounds on), P = 0.5
+    from a Bernoulli row."""
     probs = np.array([0.1, 0.5, 0.02, 1.0, 0.0, 0.3, 0.1, 0.5])
     policy = SelectionPolicy.probabilistic(3, probs)
-    runs, rounds = 3000, 12
+    runs, rounds = 3000, 20
     watched = np.array([0, 1])  # P = 0.1 and P = 0.5
     member = np.zeros((runs, rounds, probs.size), dtype=bool)
     for seed in range(runs):

@@ -257,12 +257,12 @@ class TestRecommend:
     # items, rounds_used and the top three class masses (to 1e-12) of runs
     # that draw every round's mask when they start
     PINNED = [
-        (0, 1, [(0, 16), (4096, 15), (32768, 15), (544, 14), (18432, 14)], 92,
-         [0.033828768863498775, 0.13008682801939825, 0.8250508805348671]),
-        (12345, 2, [(12345, 16), (12313, 15), (12329, 15), (12337, 15), (12347, 15)], 183,
-         [0.025050381057388615, 0.13669292960678603, 0.8244171139942764]),
-        (40000, 3, [(40000, 16), (40002, 15), (40256, 15), (35906, 14), (33864, 13)], 180,
-         [0.027902196646657565, 0.16564851131612854, 0.7938184241515511]),
+        (0, 1, [(0, 16), (1, 15), (512, 15), (8192, 15), (24, 14)], 179,
+         [0.032799524021353575, 0.16625821008063713, 0.7884821810516774]),
+        (12345, 2, [(12345, 16), (12601, 15), (12857, 15), (4155, 14), (61481, 13)], 183,
+         [0.017782779227270704, 0.12379210933488823, 0.8444982761753341]),
+        (40000, 3, [(40000, 16), (35904, 15), (38976, 15), (39936, 15), (40512, 15)], 92,
+         [0.026721633480040034, 0.15089063667109007, 0.8113435655948873]),
     ]
 
     @pytest.mark.parametrize(
