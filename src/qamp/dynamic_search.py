@@ -549,11 +549,12 @@ def _selection_events(
         gapped, at, rate = gapped[going], gaps[going, -1], rate[going]
         block *= 2
 
-    # 32-bit keys sort about twice as fast, where they fit
+    # 32-bit keys sort about twice as fast, where they fit; the positions
+    # come back as index-sized integers, which indexing takes without a cast
     keys = np.concatenate(keys, dtype=np.int32 if rounds * size < 2**31 else np.int64)
     keys.sort()
     round_of = keys // max(size, 1)
-    return round_of, keys - round_of * size
+    return round_of, (keys - round_of * size).astype(np.intp)
 
 
 def _draw_support(
