@@ -6,9 +6,10 @@ diagnostics at several register sizes, plus a full dynamic round: the
 literal dense round of the reference (mask draw and two amplification
 steps) and the round that ``run_dynamic`` takes on its sparse state (the
 round's mask, a slice of the events the run draws when it starts, then
-the statistics and closed-form step on the selected states only).  Also times the end of a run, 10 draws from its final
-state: building the dense vector and sampling it against sampling the
-sparse state ``run_dynamic`` returns.  Last, the support draw a
+the statistics and closed-form step on the selected states only).  Also
+times the end of a run, 10 draws from its final state: building the
+dense vector and sampling it against sampling the sparse state
+``run_dynamic`` returns.  Last, the support draw a
 class-policy run makes once when it starts (``_draw_support``), with and
 without a catalog, over the rounds ``recommend`` caps its run at.  Each
 bench returns its timings in seconds keyed by what was timed: ``"python"``
