@@ -9,14 +9,18 @@ round's mask, a slice of the events the run draws when it starts, then
 the statistics and closed-form step on the selected states only).  Also
 times the end of a run, 10 draws from its final state: building the
 dense vector and sampling it against sampling the sparse state
-``run_dynamic`` returns.  Last, the support draw a
-class-policy run makes once when it starts (``_draw_support``), with and
-without a catalog, over the rounds ``recommend`` caps its run at.  Each
-bench returns its timings in seconds keyed by what was timed: ``"python"``
-for the kernels (the name ``qamp.kernel_backend()`` reports),
-``"touched"`` for the ``run_dynamic`` round, ``"dense"``/``"sparse"`` for
-the end of a run, ``"draw"`` (with the mean ``"support"`` size) for the
-support draw.  Run from the repo root:
+``run_dynamic`` returns.  Then one attempt of static search's
+unknown-count schedule, the state after k steps and one draw from it:
+the closed-form amplitudes written over all N states and sampled dense,
+against the ``SparseState`` that ``search_unknown_m`` samples.  Last, the
+support draw a class-policy run makes once when it starts
+(``_draw_support``), with and without a catalog, over the rounds
+``recommend`` caps its run at.  Each bench returns its timings in seconds
+keyed by what was timed: ``"python"`` for the kernels (the name
+``qamp.kernel_backend()`` reports), ``"touched"`` for the ``run_dynamic``
+round, ``"dense"``/``"sparse"`` for the end of a run and (per marked
+count) for a static attempt, ``"draw"`` (with the mean ``"support"``
+size) for the support draw.  Run from the repo root:
 
     python3 benchmarks/kernel_bench.py [--quick]
 """
@@ -31,6 +35,7 @@ from qamp import backend
 from qamp.core import SparseState, StateVector, sample
 from qamp.dynamic_search import SelectionPolicy, _draw_support, _Support, default_rounds
 from qamp.recommend import SimilaritySpec, calibrate_beta, round_cap, similarity_policy
+from qamp.static_search import _state_after
 
 
 def time_call(fn, repeats: int) -> float:
@@ -118,6 +123,31 @@ def bench_end_of_run(n: int, repeats: int) -> dict[str, float]:
     }
 
 
+def bench_static_attempt(n: int, repeats: int) -> dict[int, dict[str, float]]:
+    """One unknown-count attempt, the state after k = floor(sqrt(N)) / 2
+    steps plus one draw, at M = 1 and M = N/64 marked states, keyed by M."""
+    size = 1 << n
+    rng = np.random.default_rng(7)
+    k = math.isqrt(size) // 2
+    times = {}
+    for n_marked in (1, max(1, size // 64)):
+        marked_idx = np.sort(rng.choice(size, size=n_marked, replace=False))
+        selected = np.zeros(size, dtype=bool)
+        selected[marked_idx] = True
+
+        def dense():
+            angle = (2 * k + 1) * math.asin(math.sqrt(n_marked / size))
+            amps = np.where(selected, math.sin(angle) / math.sqrt(n_marked),
+                            math.cos(angle) / math.sqrt(size - n_marked))
+            sample(StateVector(n, amps), rng)
+
+        times[n_marked] = {
+            "dense": time_call(dense, repeats),
+            "sparse": time_call(lambda: sample(_state_after(n, marked_idx, k), rng), repeats),
+        }
+    return times
+
+
 def bench_support_draw(n: int, m: float, with_catalog: bool, repeats: int) -> dict[str, float]:
     """The support draw of a run of ``recommend``'s round cap under a
     similarity policy calibrated to m.  The catalog, when there is one, is
@@ -165,6 +195,13 @@ def main() -> None:
         times = bench_end_of_run(n, max(5, base_repeats >> max(0, n - 12)))
         print(f"{'end_of_run':<14} {n:>3} {times['dense'] * 1e6:>12.2f} "
               f"{times['sparse'] * 1e6:>12.2f}")
+
+    print(f"{'static_attempt':<14} {'n':>3} {'M':>7} {'dense us':>12} {'sparse us':>12}")
+    for n in [14] if args.quick else [14, 16, 18, 20]:
+        repeats = max(5, base_repeats >> max(0, n - 12))
+        for n_marked, times in bench_static_attempt(n, repeats).items():
+            print(f"{'static_attempt':<14} {n:>3} {n_marked:>7} {times['dense'] * 1e6:>12.2f} "
+                  f"{times['sparse'] * 1e6:>12.2f}")
 
     print(f"{'support_draw':<14} {'n':>3} {'m':>3} {'catalog':>7} {'support':>9} {'draw us':>12}")
     for n in [10, 14] if args.quick else range(10, 29, 2):

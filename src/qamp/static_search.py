@@ -3,8 +3,9 @@
 Covers the known-count schedule (floor((pi/4) * sqrt(N/M)) iterations) and
 an exponential schedule for an unknown number of solutions, which the
 optimization drivers rely on.  Both take the state after k iterations from
-its closed form and sample it as a dense vector; ``grover_iteration`` is
-the literal step, kept as the reference.
+its closed form, as a ``SparseState`` that stores only the marked indices,
+and sample it in O(M); ``grover_iteration`` is the literal step, kept as
+the reference.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import backend
-from .core import SelectionMask, StateVector, check_dims, sample
+from .core import SelectionMask, SparseState, StateVector, check_dims, sample
 from .errors import NoSolutionError
 
 UNKNOWN_M_LAMBDA = 6.0 / 5.0
@@ -64,18 +65,20 @@ def grover_iteration(state: StateVector, mask: SelectionMask) -> StateVector:
     return StateVector(state.n, amps)
 
 
-def _state_after(marked: SelectionMask, iterations: int) -> StateVector:
+def _state_after(n: int, marked_idx: np.ndarray, iterations: int) -> SparseState:
     """The state after k steps from uniform, in closed form (Boyer et al. 1996).
 
-    Each step rotates by 2*theta, sin(theta) = sqrt(M/N): every marked state
-    holds sin((2k+1)theta)/sqrt(M), every unmarked one cos((2k+1)theta)/sqrt(N-M).
-    M = 0 gives the uniform state; an empty group's amplitude is never used.
+    ``marked_idx`` holds the M marked indices, sorted.  Each step rotates by
+    2*theta, sin(theta) = sqrt(M/N): every marked state holds
+    sin((2k+1)theta)/sqrt(M), stored at its index, and every unmarked one
+    the ``bulk`` cos((2k+1)theta)/sqrt(N-M).  M = 0 gives the uniform state;
+    an empty group's amplitude is never used.
     """
-    n_states, n_marked = marked.size, marked.count_selected
+    n_states, n_marked = 1 << n, marked_idx.size
     angle = (2 * iterations + 1) * math.asin(math.sqrt(n_marked / n_states))
     marked_amp = math.sin(angle) / math.sqrt(max(n_marked, 1))
     unmarked_amp = math.cos(angle) / math.sqrt(max(n_states - n_marked, 1))
-    return StateVector(marked.n, np.where(marked.selected, marked_amp, unmarked_amp))
+    return SparseState(n, unmarked_amp, marked_idx, np.full(n_marked, marked_amp))
 
 
 def search(
@@ -97,8 +100,9 @@ def search(
     trajectory = None
     if record_trajectory:
         trajectory = tuple(marked_probability(n_states, n_marked, k + 1) for k in range(iterations))
+    state = _state_after(marked.n, np.flatnonzero(marked.selected), iterations)
     return SearchResult(
-        outcome=sample(_state_after(marked, iterations), rng),
+        outcome=sample(state, rng),
         iterations_used=iterations,
         success_probability=marked_probability(n_states, n_marked, iterations),
         trajectory=trajectory,
@@ -116,12 +120,13 @@ def search_unknown_m(marked: SelectionMask, rng: np.random.Generator) -> SearchR
     n_states = marked.size
     budget = math.ceil(UNKNOWN_M_BUDGET_FACTOR * math.sqrt(n_states))
     total, found = 0, None
+    marked_idx = np.flatnonzero(marked.selected)
     for attempt in range(_MAX_ATTEMPTS):
         if total >= budget:
             break
         k = int(rng.integers(0, math.ceil(UNKNOWN_M_LAMBDA**attempt) + 1))
         total += k
-        outcome = sample(_state_after(marked, k), rng)
+        outcome = sample(_state_after(marked.n, marked_idx, k), rng)
         if marked.selected[outcome]:
             found = outcome
             break

@@ -47,6 +47,7 @@ CASES = {
     "grover-known-m-n20": "grover --n 20 --m 1 --seed 1 --trajectory",
     "grover-unknown-m": "grover --n 7 --m 3 --seed 4 --unknown-m",
     "grover-unknown-m-trajectory": "grover --n 8 --m 1 --seed 1 --unknown-m --trajectory",
+    "grover-unknown-m-n20": "grover --n 20 --m 3 --seed 2 --unknown-m",
     "dynamic": "dynamic --n 8 --seed 5",
     "recommend": "recommend --n 10 --m 4 --seed 6",
     "recommend-catalog": "recommend --n 9 --m 3 --seed 8 --catalog {catalog}",

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from qamp import (
     uniform_init,
 )
 from qamp.cli import main
+from qamp.static_search import _state_after
 
 
 def closed_form(n_states, n_marked, k):
@@ -166,6 +168,60 @@ class TestSearch:
             for n_marked in range(1, n_states // 2 + 1):
                 k = optimal_iterations(n_states, n_marked)
                 assert closed_form(n_states, n_marked, k) >= 0.5 - 1e-9
+
+
+class TestSparseState:
+    """The closed-form state is stored as ``bulk`` plus the marked amplitudes."""
+
+    @staticmethod
+    def dense_state_after(n, selected, k):
+        """Independent oracle: both closed-form amplitudes written over all N states."""
+        n_states, n_marked = 1 << n, int(selected.sum())
+        angle = (2 * k + 1) * math.asin(math.sqrt(n_marked / n_states))
+        marked_amp = math.sin(angle) / math.sqrt(max(n_marked, 1))
+        unmarked_amp = math.cos(angle) / math.sqrt(max(n_states - n_marked, 1))
+        return StateVector(n, np.where(selected, marked_amp, unmarked_amp))
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 8, 10])
+    @pytest.mark.parametrize("which", ["none", "one", "half", "all-but-one", "all"])
+    def test_matches_dense_state_and_its_draws(self, n, which):
+        n_states = 1 << n
+        n_marked = {"none": 0, "one": 1, "half": n_states // 2,
+                    "all-but-one": n_states - 1, "all": n_states}[which]
+        rng = np.random.default_rng([n, n_marked])
+        selected = np.zeros(n_states, dtype=bool)
+        selected[rng.choice(n_states, n_marked, replace=False)] = True
+        ks = {0, 1, 2, 7}
+        if n_marked:
+            ks.add(optimal_iterations(n_states, n_marked))
+        for k in sorted(ks):
+            dense = self.dense_state_after(n, selected, k)
+            state = _state_after(n, np.flatnonzero(selected), k)
+            assert state.idx.size == n_marked
+            np.testing.assert_array_equal(state.amps, dense.amps)
+            # M = N leaves bulk at cos(pi/2) ~ 6e-17, M = 0 stores no index
+            seed = 1000 * k + n
+            got = sample(state, np.random.default_rng(seed), size=2000)
+            want = sample(dense, np.random.default_rng(seed), size=2000)
+            np.testing.assert_array_equal(got, want)
+
+    def test_all_marked_bulk_is_rounding_only(self):
+        state = _state_after(4, np.arange(16), 0)
+        assert 0.0 < abs(state.bulk) < 1e-16
+        assert state.amp == pytest.approx(np.full(16, 0.25), abs=1e-15)
+
+    @pytest.mark.parametrize("run", [search, search_unknown_m])
+    def test_memory_is_o_marked(self, run):
+        # at n = 22 one dense float64 vector is 32 MiB; the marked set is one state
+        mask = SelectionMask.from_indices(22, [1 << 21])
+        tracemalloc.start()
+        try:
+            result = run(mask, np.random.default_rng(5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.found
+        assert peak < 1 << 20
 
 
 class TestSearchUnknownM:
