@@ -12,7 +12,8 @@ dense vector and sampling it against sampling the sparse state
 ``run_dynamic`` returns.  Then one attempt of static search's
 unknown-count schedule, the state after k steps and one draw from it:
 the closed-form amplitudes written over all N states and sampled dense,
-against the ``SparseState`` that ``search_unknown_m`` samples.  Last, the
+against the ``SparseState`` that ``search_unknown_m`` samples (its marked
+indices checked once per search, then one scalar draw per attempt).  Last, the
 support draw a class-policy run makes once when it starts
 (``_draw_support``), with and without a catalog, over the rounds
 ``recommend`` caps its run at.  Each bench returns its timings in seconds
@@ -35,7 +36,7 @@ from qamp import backend
 from qamp.core import SparseState, StateVector, sample
 from qamp.dynamic_search import SelectionPolicy, _draw_support, _Support, default_rounds
 from qamp.recommend import SimilaritySpec, calibrate_beta, round_cap, similarity_policy
-from qamp.static_search import _state_after
+from qamp.static_search import _Rotation
 
 
 def time_call(fn, repeats: int) -> float:
@@ -125,15 +126,21 @@ def bench_end_of_run(n: int, repeats: int) -> dict[str, float]:
 
 def bench_static_attempt(n: int, repeats: int) -> dict[int, dict[str, float]]:
     """One unknown-count attempt, the state after k = floor(sqrt(N)) / 2
-    steps plus one draw, at M = 1 and M = N/64 marked states, keyed by M."""
+    steps plus one draw, at M = 1, N/64 and N/2 marked states, keyed by M.
+
+    M = N/2 is about the marked set of Dürr–Høyer's first threshold round,
+    whose incumbent is a uniform draw.  The sparse attempt is timed as
+    ``search_unknown_m`` makes it: the marked indices are checked once,
+    outside the timed call."""
     size = 1 << n
     rng = np.random.default_rng(7)
     k = math.isqrt(size) // 2
     times = {}
-    for n_marked in (1, max(1, size // 64)):
+    for n_marked in (1, max(1, size // 64), size // 2):
         marked_idx = np.sort(rng.choice(size, size=n_marked, replace=False))
         selected = np.zeros(size, dtype=bool)
         selected[marked_idx] = True
+        rotation = _Rotation(n, marked_idx)
 
         def dense():
             angle = (2 * k + 1) * math.asin(math.sqrt(n_marked / size))
@@ -143,7 +150,7 @@ def bench_static_attempt(n: int, repeats: int) -> dict[int, dict[str, float]]:
 
         times[n_marked] = {
             "dense": time_call(dense, repeats),
-            "sparse": time_call(lambda: sample(_state_after(n, marked_idx, k), rng), repeats),
+            "sparse": time_call(lambda: sample(rotation.state_after(k), rng), repeats),
         }
     return times
 

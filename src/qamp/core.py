@@ -98,6 +98,23 @@ class SparseState:
         amps[self.idx] = self.amp
         return amps
 
+    def with_amplitudes(self, bulk: float, amp) -> "SparseState":
+        """The state over the same indices with new amplitudes.
+
+        ``idx`` was checked when this state was made, so only the shape of
+        ``amp`` is checked: a search validates its marked indices once and
+        builds each attempt's state with this.
+        """
+        amp = np.asarray(amp, dtype=np.float64)
+        if amp.shape != self.idx.shape:
+            raise ShapeMismatchError(
+                f"need one amplitude per index, got shapes {self.idx.shape} and {amp.shape}"
+            )
+        state = object.__new__(SparseState)
+        for name, value in (("n", self.n), ("bulk", float(bulk)), ("idx", self.idx), ("amp", amp)):
+            object.__setattr__(state, name, value)
+        return state
+
     def norm_sq(self) -> float:
         return float(self.amp @ self.amp) + self.bulk * self.bulk * (self.size - self.idx.size)
 
@@ -189,28 +206,37 @@ def sample(state: StateVector | SparseState, rng: np.random.Generator, size: int
     else:
         cum = np.cumsum(p)
         idx = np.searchsorted(cum, u * cum[-1], side="right")
-    idx = np.minimum(idx, state.size - 1)
-    return int(idx) if size is None else idx.astype(np.int64)
+    if size is None:
+        return min(int(idx), state.size - 1)
+    return np.minimum(idx, state.size - 1).astype(np.int64)
 
 
 def _sparse_inverse_cdf(state: SparseState, u):
     """First index whose cumulative mass exceeds ``u`` times the total.
 
     States 0..i hold bulk**2 (i + 1) plus the excess a**2 - bulk**2 of the
-    stored states among them.
+    stored states among them.  A float ``u`` (one draw) takes the same
+    arithmetic on Python scalars, so it gives the index an array holding
+    ``u`` gives, without the O(M) bounds arrays of the batch.
     """
     bulk_sq = state.bulk * state.bulk
-    excess = np.cumsum(state.amp * state.amp - bulk_sq)
+    excess = (state.amp * state.amp - bulk_sq).cumsum()
     # the mass of states 0..idx[j], for each stored index
     through = bulk_sq * (state.idx + 1) + excess
-    target = u * (bulk_sq * state.size + (excess[-1] if excess.size else 0.0))
+    target = u * (bulk_sq * state.size + (float(excess[-1]) if excess.size else 0.0))
     # j stored states have at most the target mass up to them, so the answer
     # lies in (bounds[j], bounds[j + 1]]
-    j = np.searchsorted(through, target, side="right")
+    j = through.searchsorted(target, side="right")
+    if isinstance(u, float):
+        j = int(j)
+        upper = int(state.idx[j]) if j < state.idx.size else state.size
+        if bulk_sq == 0.0:
+            return upper
+        lower, before = (int(state.idx[j - 1]) + 1, float(excess[j - 1])) if j else (0, 0.0)
+        return min(max(math.floor((target - before) / bulk_sq), lower), upper)
     bounds = np.concatenate(([-1], state.idx, [state.size]))
     if bulk_sq == 0.0:
         return bounds[j + 1]
     # states between stored ones hold bulk**2 (i + 1) plus the excess before them
     first = np.floor((target - np.concatenate(([0.0], excess))[j]) / bulk_sq)
     return np.clip(first, bounds[j] + 1, bounds[j + 1]).astype(np.int64)
-

@@ -273,14 +273,16 @@ def recommend(
         on_violation="restart",
     )
 
-    catalog_set = None if catalog is None else set(int(x) for x in np.asarray(catalog))
     cap = RESAMPLE_CAP_FACTOR * m
+    draws = sample(state, rng, size=cap)
+    if policy.catalog is not None:
+        # the policy keeps its catalog sorted and distinct, and m >= 1 items in it
+        at = np.minimum(np.searchsorted(policy.catalog, draws), policy.catalog.size - 1)
+        draws = draws[policy.catalog[at] == draws]
     seen: set[int] = set()
-    for x in sample(state, rng, size=cap).tolist():
+    for x in draws.tolist():
         if len(seen) >= m:
             break
-        if catalog_set is not None and x not in catalog_set:
-            continue
         seen.add(x)
     if len(seen) < m:
         raise UnderAmplifiedError(

@@ -65,20 +65,30 @@ def grover_iteration(state: StateVector, mask: SelectionMask) -> StateVector:
     return StateVector(state.n, amps)
 
 
-def _state_after(n: int, marked_idx: np.ndarray, iterations: int) -> SparseState:
-    """The state after k steps from uniform, in closed form (Boyer et al. 1996).
+class _Rotation:
+    """The states a search samples, in closed form (Boyer et al. 1996).
 
-    ``marked_idx`` holds the M marked indices, sorted.  Each step rotates by
-    2*theta, sin(theta) = sqrt(M/N): every marked state holds
+    ``marked_idx`` holds the M marked indices, sorted; they are checked
+    once, here.  Each step rotates by 2*theta, sin(theta) = sqrt(M/N):
+    after k steps from uniform every marked state holds
     sin((2k+1)theta)/sqrt(M), stored at its index, and every unmarked one
-    the ``bulk`` cos((2k+1)theta)/sqrt(N-M).  M = 0 gives the uniform state;
-    an empty group's amplitude is never used.
+    the ``bulk`` cos((2k+1)theta)/sqrt(N-M).  M = 0 gives the uniform
+    state; an empty group's amplitude is never used.
     """
-    n_states, n_marked = 1 << n, marked_idx.size
-    angle = (2 * iterations + 1) * math.asin(math.sqrt(n_marked / n_states))
-    marked_amp = math.sin(angle) / math.sqrt(max(n_marked, 1))
-    unmarked_amp = math.cos(angle) / math.sqrt(max(n_states - n_marked, 1))
-    return SparseState(n, unmarked_amp, marked_idx, np.full(n_marked, marked_amp))
+
+    def __init__(self, n: int, marked_idx: np.ndarray):
+        n_states, n_marked = 1 << n, marked_idx.size
+        self._marked = SparseState(n, 0.0, marked_idx, np.zeros(n_marked))
+        self._half_theta = math.asin(math.sqrt(n_marked / n_states))
+        self._marked_norm = math.sqrt(max(n_marked, 1))
+        self._unmarked_norm = math.sqrt(max(n_states - n_marked, 1))
+
+    def state_after(self, iterations: int) -> SparseState:
+        angle = (2 * iterations + 1) * self._half_theta
+        return self._marked.with_amplitudes(
+            math.cos(angle) / self._unmarked_norm,
+            np.full(self._marked.idx.size, math.sin(angle) / self._marked_norm),
+        )
 
 
 def search(
@@ -100,7 +110,7 @@ def search(
     trajectory = None
     if record_trajectory:
         trajectory = tuple(marked_probability(n_states, n_marked, k + 1) for k in range(iterations))
-    state = _state_after(marked.n, np.flatnonzero(marked.selected), iterations)
+    state = _Rotation(marked.n, np.flatnonzero(marked.selected)).state_after(iterations)
     return SearchResult(
         outcome=sample(state, rng),
         iterations_used=iterations,
@@ -120,13 +130,13 @@ def search_unknown_m(marked: SelectionMask, rng: np.random.Generator) -> SearchR
     n_states = marked.size
     budget = math.ceil(UNKNOWN_M_BUDGET_FACTOR * math.sqrt(n_states))
     total, found = 0, None
-    marked_idx = np.flatnonzero(marked.selected)
+    rotation = _Rotation(marked.n, np.flatnonzero(marked.selected))
     for attempt in range(_MAX_ATTEMPTS):
         if total >= budget:
             break
         k = int(rng.integers(0, math.ceil(UNKNOWN_M_LAMBDA**attempt) + 1))
         total += k
-        outcome = sample(_state_after(marked.n, marked_idx, k), rng)
+        outcome = sample(rotation.state_after(k), rng)
         if marked.selected[outcome]:
             found = outcome
             break

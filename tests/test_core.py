@@ -19,6 +19,7 @@ from qamp import (
     sample,
     uniform_init,
 )
+from qamp.core import _sparse_inverse_cdf
 
 # chi-square 99% critical values, df -> value (standard table)
 CHI2_99 = {3: 11.345, 15: 30.578}
@@ -116,18 +117,9 @@ class TestSample:
         assert chi2 < CHI2_99[(1 << n) - 1]
 
 
-@settings(max_examples=120, deadline=None)
-@given(
-    n=st.integers(1, 9),
-    seed=st.integers(0, 2**31),
-    touched=st.sampled_from(["random", "empty", "full"]),
-    zero_bulk=st.booleans(),
-    size=st.sampled_from([None, 1, 50]),
-)
-def test_sparse_sample_matches_dense(n, seed, touched, zero_bulk, size):
-    # the index-order inversion over bulk + stored states picks what the
-    # dense cumsum over the same amplitudes picks, for the same generator
-    rng = np.random.default_rng(seed)
+def random_sparse_state(n, rng, touched, zero_bulk, sign=1.0):
+    """A normalised sparse state with stored amplitudes of both signs, some
+    of them 0; None when every amplitude came out 0."""
     n_states = 1 << n
     if touched == "empty":
         idx = np.empty(0, dtype=np.int64)
@@ -139,9 +131,25 @@ def test_sparse_sample_matches_dense(n, seed, touched, zero_bulk, size):
     amp[rng.random(idx.size) < 0.2] = 0.0
     bulk = 0.0 if zero_bulk else float(rng.standard_normal())
     norm_sq = float(amp @ amp) + bulk * bulk * (n_states - idx.size)
-    assume(norm_sq > 0.0)
-    scale = 1.0 / math.sqrt(norm_sq)
-    state = SparseState(n, bulk * scale, idx, amp * scale)
+    if norm_sq == 0.0:
+        return None
+    scale = sign / math.sqrt(norm_sq)
+    return SparseState(n, bulk * scale, idx, amp * scale)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    n=st.integers(1, 9),
+    seed=st.integers(0, 2**31),
+    touched=st.sampled_from(["random", "empty", "full"]),
+    zero_bulk=st.booleans(),
+    size=st.sampled_from([None, 1, 50]),
+)
+def test_sparse_sample_matches_dense(n, seed, touched, zero_bulk, size):
+    # the index-order inversion over bulk + stored states picks what the
+    # dense cumsum over the same amplitudes picks, for the same generator
+    state = random_sparse_state(n, np.random.default_rng(seed), touched, zero_bulk)
+    assume(state is not None)
     dense = StateVector(n, state.amps)
     assert state.norm_sq() == pytest.approx(dense.norm_sq(), abs=1e-12)
     got = sample(state, np.random.default_rng(seed + 1), size=size)
@@ -152,7 +160,68 @@ def test_sparse_sample_matches_dense(n, seed, touched, zero_bulk, size):
         assert got.dtype == np.int64 and np.array_equal(got, want)
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 9),
+    seed=st.integers(0, 2**31),
+    touched=st.sampled_from(["random", "empty", "full"]),
+    zero_bulk=st.booleans(),
+    sign=st.sampled_from([1.0, -1.0]),
+)
+def test_scalar_sparse_draw_matches_batch_of_one(n, seed, touched, zero_bulk, sign):
+    # the scalar path and the batch path invert the same uniform alike
+    state = random_sparse_state(n, np.random.default_rng(seed), touched, zero_bulk, sign)
+    assume(state is not None)
+    for draw in range(5):
+        got = sample(state, np.random.default_rng([seed, draw]))
+        want = sample(state, np.random.default_rng([seed, draw]), size=1)
+        assert type(got) is int and got == want[0]
+
+
+# masses a**2 that are exact dyadic fractions, so u can sit exactly on a
+# cumulative boundary; each case lists (u, first index whose mass through it exceeds u)
+BOUNDARY_CASES = {
+    # masses (1, 4, 1, 4, 4, 1, 0, 1) / 16, stored states of both signs and one of 0
+    "bulk and stored": (SparseState(3, 0.25, [1, 3, 4, 6], [0.5, -0.5, 0.5, 0.0]),
+                        [(0.0, 0), (1 / 16, 1), (5 / 16, 2), (6 / 16, 3), (10 / 16, 4),
+                         (14 / 16, 5), (15 / 16, 7), (np.nextafter(1.0, 0.0), 7)]),
+    # zero bulk: the states between stored ones are never drawn
+    "zero bulk": (SparseState(3, 0.0, [1, 2, 5, 6], [0.5, 0.5, -0.5, 0.5]),
+                  [(0.0, 1), (0.25, 2), (0.5, 5), (0.75, 6), (np.nextafter(1.0, 0.0), 6)]),
+    "no stored index": (SparseState.uniform(2), [(0.0, 0), (0.25, 1), (0.5, 2), (0.75, 3)]),
+    "every index stored": (SparseState(2, 0.0, [0, 1, 2, 3], [0.5, -0.5, 0.5, 0.5]),
+                           [(0.0, 0), (0.25, 1), (0.5, 2), (0.75, 3)]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BOUNDARY_CASES))
+def test_sparse_inverse_cdf_on_cumulative_boundaries(case):
+    state, points = BOUNDARY_CASES[case]
+    cum = np.cumsum(state.probabilities())
+    assert cum[-1] == 1.0
+    for u, want in points:
+        assert np.searchsorted(cum, u, side="right") == want  # the dense inversion
+        got = _sparse_inverse_cdf(state, u)
+        assert type(got) is int and got == want
+        assert _sparse_inverse_cdf(state, np.array([u])).tolist() == [want]
+    us = np.array([u for u, _ in points])
+    assert _sparse_inverse_cdf(state, us).tolist() == [want for _, want in points]
+
+
 class TestSparseState:
+    def test_with_amplitudes_keeps_indices(self):
+        state = SparseState(2, 0.5, [1, 3], [-0.5, 0.5])
+        moved = state.with_amplitudes(0.0, [0.6, -0.8])
+        assert moved.idx is state.idx
+        assert moved.bulk == 0.0 and type(moved.bulk) is float
+        assert np.array_equal(moved.amps, [0.0, 0.6, 0.0, -0.8])
+        assert np.array_equal(state.amp, [-0.5, 0.5])
+
+    @pytest.mark.parametrize("amp", [[0.5], [0.5, 0.5, 0.5], [[0.5, 0.5]]])
+    def test_with_amplitudes_rejects_wrong_shape(self, amp):
+        with pytest.raises(ShapeMismatchError):
+            SparseState(2, 0.5, [1, 3], [-0.5, 0.5]).with_amplitudes(0.5, amp)
+
     def test_dense_form(self):
         state = SparseState(2, 0.5, [1, 3], [-0.5, 0.5])
         assert np.array_equal(state.amps, [0.5, -0.5, 0.5, 0.5])

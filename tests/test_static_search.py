@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from qamp import (
     NoSolutionError,
     SelectionMask,
+    ShapeMismatchError,
     StateVector,
     grover_iteration,
     optimal_iterations,
@@ -19,7 +20,7 @@ from qamp import (
     uniform_init,
 )
 from qamp.cli import main
-from qamp.static_search import _state_after
+from qamp.static_search import _Rotation
 
 
 def closed_form(n_states, n_marked, k):
@@ -196,7 +197,7 @@ class TestSparseState:
             ks.add(optimal_iterations(n_states, n_marked))
         for k in sorted(ks):
             dense = self.dense_state_after(n, selected, k)
-            state = _state_after(n, np.flatnonzero(selected), k)
+            state = _Rotation(n, np.flatnonzero(selected)).state_after(k)
             assert state.idx.size == n_marked
             np.testing.assert_array_equal(state.amps, dense.amps)
             # M = N leaves bulk at cos(pi/2) ~ 6e-17, M = 0 stores no index
@@ -205,8 +206,14 @@ class TestSparseState:
             want = sample(dense, np.random.default_rng(seed), size=2000)
             np.testing.assert_array_equal(got, want)
 
+    def test_marked_indices_checked_once_per_search(self):
+        with pytest.raises(ShapeMismatchError):
+            _Rotation(3, np.array([5, 2]))
+        rotation = _Rotation(3, np.array([2, 5]))
+        assert all(rotation.state_after(k).idx is rotation.state_after(0).idx for k in range(3))
+
     def test_all_marked_bulk_is_rounding_only(self):
-        state = _state_after(4, np.arange(16), 0)
+        state = _Rotation(4, np.arange(16)).state_after(0)
         assert 0.0 < abs(state.bulk) < 1e-16
         assert state.amp == pytest.approx(np.full(16, 0.25), abs=1e-15)
 
