@@ -16,18 +16,22 @@ against the ``SparseState`` that ``search_unknown_m`` samples (its marked
 indices checked once per search, then one scalar draw per attempt).  Last, the
 support draw a class-policy run makes once when it starts
 (``_draw_support``), with and without a catalog, over the rounds
-``recommend`` caps its run at.  Each bench returns its timings in seconds
-keyed by what was timed: ``"python"`` for the kernels (the name
+``recommend`` caps its run at, and the one ``dynamic_optimize`` makes
+from its per-state table, with the minor page faults per draw.  Each
+bench returns its timings in seconds keyed by what was timed:
+``"python"`` for the kernels (the name
 ``qamp.kernel_backend()`` reports), ``"touched"`` for the ``run_dynamic``
 round, ``"dense"``/``"sparse"`` for the end of a run and (per marked
 count) for a static attempt, ``"draw"`` (with the mean ``"support"``
-size) for the support draw.  Run from the repo root:
+size, and ``"faults"`` for a table) for the support draw.  Run from the
+repo root:
 
     python3 benchmarks/kernel_bench.py [--quick]
 """
 
 import argparse
 import math
+import resource
 import time
 
 import numpy as np
@@ -35,6 +39,7 @@ import numpy as np
 from qamp import backend
 from qamp.core import SparseState, StateVector, sample
 from qamp.dynamic_search import SelectionPolicy, _draw_support, _Support, default_rounds
+from qamp.optimize import ObjectiveTable, build_optimization_policy, nominal_rounds
 from qamp.recommend import SimilaritySpec, calibrate_beta, round_cap, similarity_policy
 from qamp.static_search import _Rotation
 
@@ -177,6 +182,22 @@ def bench_support_draw(n: int, m: float, with_catalog: bool, repeats: int) -> di
     return {"draw": draw, "support": float(np.mean(support))}
 
 
+def bench_table_support_draw(n: int, repeats: int) -> dict[str, float]:
+    """The support draw of ``dynamic_optimize``: the probe-built policy of a
+    seeded normal table over ``nominal_rounds(n)`` rounds.  Also counts the
+    minor page faults this process takes per draw."""
+    table = ObjectiveTable(n, np.random.default_rng(7).standard_normal(1 << n))
+    policy = build_optimization_policy(table, np.random.default_rng(7))
+    rounds = nominal_rounds(n)
+    rng = np.random.default_rng(7)
+    _draw_support(policy, rounds, rng)
+    support = []
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    draw = time_call(lambda: support.append(_draw_support(policy, rounds, rng)[0].size), repeats)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+    return {"draw": draw, "support": float(np.mean(support)), "faults": faults / repeats}
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--quick", action="store_true", help="fewer sizes and repeats")
@@ -218,6 +239,13 @@ def main() -> None:
                 times = bench_support_draw(n, m, with_catalog, repeats)
                 print(f"{'support_draw':<14} {n:>3} {m:>3} {str(with_catalog):>7} "
                       f"{times['support']:>9.0f} {times['draw'] * 1e6:>12.2f}")
+
+    print(f"{'support_draw':<14} {'n':>3} {'R':>3} {'policy':>7} {'support':>9} {'draw us':>12} "
+          f"{'faults/draw':>12}")
+    for n in (14, 18):
+        times = bench_table_support_draw(n, max(5, (base_repeats // 4) >> max(0, n - 14)))
+        print(f"{'support_draw':<14} {n:>3} {nominal_rounds(n):>3} {'table':>7} "
+              f"{times['support']:>9.0f} {times['draw'] * 1e6:>12.2f} {times['faults']:>12.1f}")
 
 
 if __name__ == "__main__":

@@ -35,6 +35,10 @@ from .errors import ShapeMismatchError, ValidityError
 from .static_search import optimal_iterations
 
 VALIDITY_ATOL = 1e-9  # "positive" is tested as > -VALIDITY_ATOL to absorb float noise
+# states per block of a per-state table's support draw (_draw_support): a
+# float64 block is 64 KiB, under glibc's default 128 KiB mmap threshold, so
+# its buffers come from the heap instead of fresh pages on every run
+_DRAW_BLOCK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -126,7 +130,12 @@ class SelectionPolicy:
             return self.probabilities[indices]
         probs = self.class_probabilities[self.class_of(indices)]
         if self.catalog is not None:
-            probs[~np.isin(indices, self.catalog)] = 0.0
+            # the catalog is sorted and distinct, so a member sits where
+            # searchsorted would insert it
+            at = np.searchsorted(self.catalog, indices)
+            member = at < self.catalog.size
+            member[member] = self.catalog[at[member]] == indices[member]
+            probs[~member] = 0.0
         return probs
 
     def class_of(self, indices: np.ndarray) -> np.ndarray:
@@ -569,8 +578,11 @@ def _draw_support(
     one) as k distinct uniform ranks in 0..C_S - 1, all mapped to states in
     one pass (:meth:`SelectionPolicy.states_of_rank`).  A per-state table
     takes x when the least of its R round uniforms, drawn as
-    1 - (1 - U)**(1/R) from one uniform U, falls below P(x): one pass over
-    one N-sized buffer per run.
+    1 - (1 - U)**(1/R) from one uniform U, falls below P(x).  It makes one
+    pass over the table in blocks of ``_DRAW_BLOCK`` states through two
+    block-sized buffers, so nothing of size N is allocated.  The generator
+    fills its output in order, so the blocks take the uniforms of one
+    ``rng.random(N)``.
     """
     if policy.probabilities is None:
         class_p = policy.class_probabilities
@@ -584,15 +596,23 @@ def _draw_support(
         idx = policy.states_of_rank(classes, np.concatenate(ranks))
         order = np.argsort(idx)
         return idx[order], class_p[classes[order]]
+    probs = policy.probabilities
     if rounds == 0:
         idx = np.empty(0, dtype=np.int64)
     else:
-        least = rng.random(1 << policy.n)
-        np.subtract(1.0, least, out=least)
-        np.power(least, 1.0 / rounds, out=least)
-        np.subtract(1.0, least, out=least)
-        idx = np.flatnonzero(least < policy.probabilities)
-    return idx, policy.probabilities[idx]
+        # N and the block size are powers of two, so the blocks tile the table
+        least = np.empty(min(probs.size, _DRAW_BLOCK))
+        hit = np.empty(least.size, dtype=bool)
+        pieces = []
+        for start in range(0, probs.size, least.size):
+            rng.random(out=least)
+            np.subtract(1.0, least, out=least)
+            least **= 1.0 / rounds  # numpy takes sqrt for R = 2
+            np.subtract(1.0, least, out=least)
+            np.less(least, probs[start : start + least.size], out=hit)
+            pieces.append(np.flatnonzero(hit) + start)
+        idx = np.concatenate(pieces)
+    return idx, probs[idx]
 
 
 def dynamic_iteration(state: StateVector, mask: SelectionMask) -> StateVector:

@@ -11,15 +11,18 @@ from hypothesis import strategies as st
 from qamp import (
     DynamicRunLog,
     GainReport,
+    ObjectiveTable,
     SelectionMask,
     SelectionPolicy,
     StateVector,
     ValidityError,
+    build_optimization_policy,
     default_rounds,
     dynamic_iteration,
     gain_bound,
     gain_report,
     grover_iteration,
+    nominal_rounds,
     optimal_iterations,
     ordering_witness,
     probability_of,
@@ -52,6 +55,19 @@ class TestSelectionPolicy:
         policy = SelectionPolicy.probabilistic(2, [-1.0, 0.5, 2.0, 0.0])
         assert policy.probabilities.min() == 0.0
         assert policy.probabilities.max() == 1.0
+
+    def test_probabilities_at_zero_outside_the_catalog(self):
+        n, reference = 6, 0b101101
+        class_probs = np.linspace(0.1, 0.9, n + 1)
+        catalog = [40, 3, 17, 3, 58]  # unsorted, with a repeat
+        policy = SelectionPolicy.by_similarity(n, reference, class_probs, catalog)
+        # members, non-members between them, below the first and above the last
+        indices = np.array([3, 17, 40, 58, 0, 2, 4, 18, 41, 59, 63])
+        want = class_probs[similarity_classes(n, reference, indices)]
+        want[4:] = 0.0
+        assert np.array_equal(policy.probabilities_at(indices), want)
+        empty = SelectionPolicy.by_similarity(n, reference, class_probs, [])
+        assert np.array_equal(empty.probabilities_at(indices), np.zeros(indices.size))
 
 
 class TestDynamicIteration:
@@ -703,6 +719,46 @@ def test_large_class_support_is_sorted_distinct_and_class_consistent():
     assert np.array_equal(p, class_probs[similarity_classes(n, policy.reference, idx)])
     # a few int64 words per support state (about 10 here)
     assert peak < 32 * 8 * idx.size
+
+
+@pytest.mark.parametrize("rounds", [0, 1, 2, 3, 6])
+@pytest.mark.parametrize("n", [3, 12, 13, 14, 18])
+def test_table_support_draw_is_the_whole_table_formula(n, rounds):
+    # one short block (n < 13), exactly one block (n = 13) and several: the
+    # support is the whole-table formula over the uniforms of one
+    # rng.random(N), and the generator ends where that call leaves it
+    size = 1 << n
+    probs = np.random.default_rng(n).random(size) ** 4
+    probs[::7] = 0.0
+    probs[::11] = 1.0
+    policy = SelectionPolicy.probabilistic(n, probs)
+    rng, reference = np.random.default_rng(rounds), np.random.default_rng(rounds)
+    idx, p = _draw_support(policy, rounds, rng)
+    if rounds == 0:
+        want = np.empty(0, dtype=np.int64)
+    else:
+        uniforms = reference.random(size)
+        want = np.flatnonzero(1.0 - np.power(1.0 - uniforms, 1.0 / rounds) < probs)
+        assert np.all(np.isin(np.arange(0, size, 11), want))
+    assert idx.dtype == want.dtype and np.array_equal(idx, want)
+    assert np.array_equal(p, probs[want])
+    assert rng.bit_generator.state == reference.bit_generator.state
+
+
+def test_table_support_draw_allocates_nothing_per_state():
+    # the optimizer's policy at n = 18, whose support is a few % of N: the
+    # draw peaks below a quarter of one float64 N-vector
+    n = 18
+    table = ObjectiveTable(n, np.random.default_rng(3).standard_normal(1 << n))
+    policy = build_optimization_policy(table, np.random.default_rng(3))
+    tracemalloc.start()
+    try:
+        idx, _ = _draw_support(policy, nominal_rounds(n), np.random.default_rng(3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 0 < idx.size < (1 << n) // 10
+    assert peak < 2 << n
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -224,6 +225,20 @@ class TestDynamicOptimize:
             assert (result.outer_rounds, result.log.best_round) == (rounds, best_round)
             assert result.log.restart_rounds == ()
             assert not result.optimal
+
+    def test_request_allocates_under_two_per_state_vectors(self):
+        # the policy table is the one float64 N-vector a request needs; the
+        # support draw and the run add well under another
+        n = 18
+        table = random_table(n, seed=3)
+        tracemalloc.start()
+        try:
+            result = dynamic_optimize(table, np.random.default_rng(3))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.outer_rounds == nominal_rounds(n)
+        assert peak < 2 * 8 << n
 
     def test_fewer_iterations_than_threshold_loop(self):
         dyn, thresh = [], []
