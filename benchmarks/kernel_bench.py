@@ -13,7 +13,8 @@ dense vector and sampling it against sampling the sparse state
 unknown-count schedule, the state after k steps and one draw from it:
 the closed-form amplitudes written over all N states and sampled dense,
 against the ``SparseState`` that ``search_unknown_m`` samples (its marked
-indices checked once per search, then one scalar draw per attempt).  Last, the
+indices checked once per search, then one scalar draw per attempt), each
+with its test of whether the draw is marked.  Last, the
 support draw a class-policy run makes once when it starts
 (``_draw_support``), with and without a catalog, over the rounds
 ``recommend`` caps its run at, and the one ``dynamic_optimize`` makes
@@ -37,7 +38,7 @@ import time
 import numpy as np
 
 from qamp import backend
-from qamp.core import SparseState, StateVector, sample
+from qamp.core import SparseState, StateVector, in_sorted, sample
 from qamp.dynamic_search import SelectionPolicy, _draw_support, _Support, default_rounds
 from qamp.optimize import ObjectiveTable, build_optimization_policy, nominal_rounds
 from qamp.recommend import SimilaritySpec, calibrate_beta, round_cap, similarity_policy
@@ -134,9 +135,11 @@ def bench_static_attempt(n: int, repeats: int) -> dict[int, dict[str, float]]:
     steps plus one draw, at M = 1, N/64 and N/2 marked states, keyed by M.
 
     M = N/2 is about the marked set of Dürr–Høyer's first threshold round,
-    whose incumbent is a uniform draw.  The sparse attempt is timed as
-    ``search_unknown_m`` makes it: the marked indices are checked once,
-    outside the timed call."""
+    whose incumbent is a uniform draw.  Each attempt ends with the test of
+    whether its draw is marked: a mask lookup for the dense attempt, and
+    for the sparse one ``in_sorted`` on the marked indices, as
+    ``search_unknown_m`` makes it (the indices are checked once, outside
+    the timed call)."""
     size = 1 << n
     rng = np.random.default_rng(7)
     k = math.isqrt(size) // 2
@@ -151,12 +154,12 @@ def bench_static_attempt(n: int, repeats: int) -> dict[int, dict[str, float]]:
             angle = (2 * k + 1) * math.asin(math.sqrt(n_marked / size))
             amps = np.where(selected, math.sin(angle) / math.sqrt(n_marked),
                             math.cos(angle) / math.sqrt(size - n_marked))
-            sample(StateVector(n, amps), rng)
+            return selected[sample(StateVector(n, amps), rng)]
 
-        times[n_marked] = {
-            "dense": time_call(dense, repeats),
-            "sparse": time_call(lambda: sample(rotation.state_after(k), rng), repeats),
-        }
+        def sparse():
+            return in_sorted(rotation.marked, sample(rotation.state_after(k), rng))
+
+        times[n_marked] = {"dense": time_call(dense, repeats), "sparse": time_call(sparse, repeats)}
     return times
 
 

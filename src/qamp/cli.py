@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import SelectionMask, check_qubit_count
+from .core import check_qubit_count
 from .dynamic_search import default_rounds, run_dynamic
 from .errors import (
     ConfigError,
@@ -174,20 +174,22 @@ def cmd_grover(ns: argparse.Namespace) -> int:
     marked_text = opts.get("marked", str, None)
     if marked_text is not None:
         indices = _parse_indices(str(marked_text))
-        mask = SelectionMask.from_indices(n, indices)
+        for x in indices:
+            if not 0 <= x < 1 << n:
+                raise ConfigError(f"marked index {x} out of range for n={n}")
     else:
         m = opts.get("m", int, 1)
         if not 0 <= m <= 1 << n:
             raise ConfigError(f"marked count must be in [0, {1 << n}], got {m}")
         indices = rng.choice(1 << n, size=m, replace=False)
-        mask = SelectionMask.from_indices(n, indices)
+    marked = np.unique(np.asarray(indices, dtype=np.int64))
     t0 = time.perf_counter()
     if unknown:
-        result = search_unknown_m(mask, rng)
+        result = search_unknown_m(n, marked, rng)
     else:
-        result = search(mask, rng, record_trajectory=record)
+        result = search(n, marked, rng, record_trajectory=record)
     wall_ms = (time.perf_counter() - t0) * 1e3
-    print(f"n={n} marked={mask.count_selected} seed={seed}")
+    print(f"n={n} marked={marked.size} seed={seed}")
     if result.found:
         print(
             f"outcome={result.outcome} iterations={result.iterations_used} "
@@ -204,7 +206,7 @@ def cmd_grover(ns: argparse.Namespace) -> int:
                 out / "grover_run.csv",
                 ["experiment", "n", "seed", "marked_count", "outcome",
                  "iterations", "success_probability", "wall_time_ms"],
-                [("grover", n, seed, mask.count_selected,
+                [("grover", n, seed, marked.size,
                   result.outcome if result.found else "", result.iterations_used,
                   result.success_probability, wall_ms)],
             )

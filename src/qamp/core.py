@@ -165,6 +165,14 @@ class SelectionMask:
         return self.selected.shape[0]
 
 
+def in_sorted(members: np.ndarray, x):
+    """Whether ``x`` (an index or an array) is in ``members``, sorted and distinct."""
+    if not members.size:
+        return x != x  # False in the shape of x, without np.shape's cost on an int
+    # the last member <= x; below the first member, index -1 is the largest, > x
+    return members[members.searchsorted(x, "right") - 1] == x
+
+
 def check_dims(state: StateVector, mask: SelectionMask) -> None:
     if state.n != mask.n:
         raise ShapeMismatchError(f"state has n={state.n} but mask has n={mask.n}")

@@ -29,6 +29,7 @@ from .core import (
     StateVector,
     check_dims,
     check_qubit_count,
+    in_sorted,
     uniform_init,
 )
 from .errors import ShapeMismatchError, ValidityError
@@ -130,12 +131,7 @@ class SelectionPolicy:
             return self.probabilities[indices]
         probs = self.class_probabilities[self.class_of(indices)]
         if self.catalog is not None:
-            # the catalog is sorted and distinct, so a member sits where
-            # searchsorted would insert it
-            at = np.searchsorted(self.catalog, indices)
-            member = at < self.catalog.size
-            member[member] = self.catalog[at[member]] == indices[member]
-            probs[~member] = 0.0
+            probs[~in_sorted(self.catalog, indices)] = 0.0
         return probs
 
     def class_of(self, indices: np.ndarray) -> np.ndarray:

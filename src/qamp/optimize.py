@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import SelectionMask, SparseState, check_qubit_count, sample
+from .core import SparseState, check_qubit_count, sample
 from .dynamic_search import SelectionPolicy, run_dynamic
 from .errors import ShapeMismatchError
 from .static_search import optimal_iterations, search_unknown_m
@@ -113,13 +113,13 @@ def durr_hoyer(table: ObjectiveTable, rng: np.random.Generator) -> OptimizationR
     rounds: list[ThresholdRound] = []
 
     while True:
-        marked = SelectionMask(table.n, table.better_than(incumbent_value))
-        result = search_unknown_m(marked, rng)
+        marked = np.flatnonzero(table.better_than(incumbent_value))
+        result = search_unknown_m(table.n, marked, rng)
         total_iterations += result.iterations_used
         rounds.append(
             ThresholdRound(
                 incumbent_before=incumbent,
-                marked_count=marked.count_selected,
+                marked_count=marked.size,
                 found=result.outcome,
                 iterations=result.iterations_used,
             )

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import SparseState, check_qubit_count, sample
+from .core import SparseState, check_qubit_count, in_sorted, sample
 from .dynamic_search import (
     SelectionPolicy,
     class_counts,
@@ -276,9 +276,7 @@ def recommend(
     cap = RESAMPLE_CAP_FACTOR * m
     draws = sample(state, rng, size=cap)
     if policy.catalog is not None:
-        # the policy keeps its catalog sorted and distinct, and m >= 1 items in it
-        at = np.minimum(np.searchsorted(policy.catalog, draws), policy.catalog.size - 1)
-        draws = draws[policy.catalog[at] == draws]
+        draws = draws[in_sorted(policy.catalog, draws)]
     seen: set[int] = set()
     for x in draws.tolist():
         if len(seen) >= m:

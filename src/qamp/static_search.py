@@ -2,10 +2,10 @@
 
 Covers the known-count schedule (floor((pi/4) * sqrt(N/M)) iterations) and
 an exponential schedule for an unknown number of solutions, which the
-optimization drivers rely on.  Both take the state after k iterations from
-its closed form, as a ``SparseState`` that stores only the marked indices,
-and sample it in O(M); ``grover_iteration`` is the literal step, kept as
-the reference.
+optimization drivers rely on.  Both take the marked set as sorted, distinct
+indices, build the state after k iterations from its closed form as a
+``SparseState`` that stores only those indices, and sample it in O(M);
+``grover_iteration`` is the literal step, kept as the reference.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import backend
-from .core import SelectionMask, SparseState, StateVector, check_dims, sample
+from .core import SelectionMask, SparseState, StateVector, check_dims, in_sorted, sample
 from .errors import NoSolutionError
 
 UNKNOWN_M_LAMBDA = 6.0 / 5.0
@@ -68,33 +68,31 @@ def grover_iteration(state: StateVector, mask: SelectionMask) -> StateVector:
 class _Rotation:
     """The states a search samples, in closed form (Boyer et al. 1996).
 
-    ``marked_idx`` holds the M marked indices, sorted; they are checked
-    once, here.  Each step rotates by 2*theta, sin(theta) = sqrt(M/N):
-    after k steps from uniform every marked state holds
+    ``marked`` holds the M marked indices, sorted and distinct; they are
+    checked once, here.  Each step rotates by 2*theta, sin(theta) =
+    sqrt(M/N): after k steps from uniform every marked state holds
     sin((2k+1)theta)/sqrt(M), stored at its index, and every unmarked one
     the ``bulk`` cos((2k+1)theta)/sqrt(N-M).  M = 0 gives the uniform
     state; an empty group's amplitude is never used.
     """
 
-    def __init__(self, n: int, marked_idx: np.ndarray):
-        n_states, n_marked = 1 << n, marked_idx.size
-        self._marked = SparseState(n, 0.0, marked_idx, np.zeros(n_marked))
-        self._half_theta = math.asin(math.sqrt(n_marked / n_states))
-        self._marked_norm = math.sqrt(max(n_marked, 1))
-        self._unmarked_norm = math.sqrt(max(n_states - n_marked, 1))
+    def __init__(self, n: int, marked: np.ndarray):
+        self._zero = SparseState(n, 0.0, marked, np.zeros(np.shape(marked)))
+        self.marked, self.n_states = self._zero.idx, 1 << n
+        self._half_theta = math.asin(math.sqrt(self.marked.size / self.n_states))
+        self._marked_norm = math.sqrt(max(self.marked.size, 1))
+        self._unmarked_norm = math.sqrt(max(self.n_states - self.marked.size, 1))
 
     def state_after(self, iterations: int) -> SparseState:
         angle = (2 * iterations + 1) * self._half_theta
-        return self._marked.with_amplitudes(
+        return self._zero.with_amplitudes(
             math.cos(angle) / self._unmarked_norm,
-            np.full(self._marked.idx.size, math.sin(angle) / self._marked_norm),
+            np.full(self.marked.size, math.sin(angle) / self._marked_norm),
         )
 
 
 def search(
-    marked: SelectionMask,
-    rng: np.random.Generator,
-    record_trajectory: bool = False,
+    n: int, marked: np.ndarray, rng: np.random.Generator, record_trajectory: bool = False
 ) -> SearchResult:
     """Run the fixed-count schedule for the marked states and sample the result.
 
@@ -102,24 +100,23 @@ def search(
     succeeds with probability > 1/2, so zero iterations are used (the
     schedule past that point can only hurt).
     """
-    n_marked = marked.count_selected
+    rotation = _Rotation(n, marked)
+    n_states, n_marked = rotation.n_states, rotation.marked.size
     if n_marked == 0:
         raise NoSolutionError("cannot search for solutions: marked set is empty")
-    n_states = marked.size
     iterations = 0 if 2 * n_marked > n_states else optimal_iterations(n_states, n_marked)
     trajectory = None
     if record_trajectory:
         trajectory = tuple(marked_probability(n_states, n_marked, k + 1) for k in range(iterations))
-    state = _Rotation(marked.n, np.flatnonzero(marked.selected)).state_after(iterations)
     return SearchResult(
-        outcome=sample(state, rng),
+        outcome=sample(rotation.state_after(iterations), rng),
         iterations_used=iterations,
         success_probability=marked_probability(n_states, n_marked, iterations),
         trajectory=trajectory,
     )
 
 
-def search_unknown_m(marked: SelectionMask, rng: np.random.Generator) -> SearchResult:
+def search_unknown_m(n: int, marked: np.ndarray, rng: np.random.Generator) -> SearchResult:
     """Exponential schedule for an unknown number of solutions.
 
     Attempt j draws an iteration count uniformly from [0, ceil(lambda**j)]
@@ -127,22 +124,21 @@ def search_unknown_m(marked: SelectionMask, rng: np.random.Generator) -> SearchR
     The first marked sample wins; once 3*sqrt(N) total iterations have been
     spent the search gives up, which distinguishes "likely no solutions".
     """
-    n_states = marked.size
-    budget = math.ceil(UNKNOWN_M_BUDGET_FACTOR * math.sqrt(n_states))
+    rotation = _Rotation(n, marked)
+    budget = math.ceil(UNKNOWN_M_BUDGET_FACTOR * math.sqrt(rotation.n_states))
     total, found = 0, None
-    rotation = _Rotation(marked.n, np.flatnonzero(marked.selected))
     for attempt in range(_MAX_ATTEMPTS):
         if total >= budget:
             break
         k = int(rng.integers(0, math.ceil(UNKNOWN_M_LAMBDA**attempt) + 1))
         total += k
         outcome = sample(rotation.state_after(k), rng)
-        if marked.selected[outcome]:
+        if in_sorted(rotation.marked, outcome):
             found = outcome
             break
     # the budget is at least 3, so the first attempt always ran and set ``k``
     return SearchResult(
         outcome=found,
         iterations_used=total,
-        success_probability=marked_probability(n_states, marked.count_selected, k),
+        success_probability=marked_probability(rotation.n_states, rotation.marked.size, k),
     )

@@ -50,10 +50,10 @@ def random_state(n, rng) -> StateVector:
 
 def test_criterion_1_exact_small_case_rotation():
     """n=2, one marked state: one iteration reaches probability 1 (fast)."""
-    marked = SelectionMask.from_indices(2, [3])
-    search(marked, np.random.default_rng(0))  # warmup
+    marked = np.array([3])
+    search(2, marked, np.random.default_rng(0))  # warmup
     start = time.perf_counter()
-    result = search(marked, np.random.default_rng(1))
+    result = search(2, marked, np.random.default_rng(1))
     elapsed_ms = (time.perf_counter() - start) * 1e3
     assert result.iterations_used == 1
     assert abs(result.success_probability - 1.0) <= 1e-12

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qamp import (
@@ -19,7 +19,7 @@ from qamp import (
     sample,
     uniform_init,
 )
-from qamp.core import _sparse_inverse_cdf
+from qamp.core import _sparse_inverse_cdf, in_sorted
 
 # chi-square 99% critical values, df -> value (standard table)
 CHI2_99 = {3: 11.345, 15: 30.578}
@@ -277,6 +277,19 @@ def test_involutions(n, seed):
     for _ in range(2):
         backend.grover_step(amps, empty)
     np.testing.assert_allclose(amps, state.amps, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**31), size=st.integers(0, 40))
+@example(seed=0, size=0)
+def test_in_sorted_matches_isin(seed, size):
+    rng = np.random.default_rng(seed)
+    members = np.sort(rng.choice(64, size=size, replace=False))
+    # queries reach below the first member and past the last
+    x = rng.integers(-3, 80, size=50)
+    np.testing.assert_array_equal(in_sorted(members, x), np.isin(x, members))
+    for value in x[:10].tolist():
+        assert in_sorted(members, value) == np.isin(value, members)
 
 
 def test_state_vector_validation():

@@ -246,7 +246,7 @@ class TestCli:
         assert main(["grover", "--n", "2", "--m", "5"]) == 2
         assert capsys.readouterr().err.startswith("config error: ")
 
-    @pytest.mark.parametrize("marked", ["a", "1,x", "2.5"])
+    @pytest.mark.parametrize("marked", ["a", "1,x", "2.5", "99", "-1"])
     def test_grover_unparsable_marked_exit(self, capsys, marked):
         assert main(["grover", "--n", "4", "--marked", marked]) == 2
         err = capsys.readouterr().err

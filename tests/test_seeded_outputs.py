@@ -45,6 +45,7 @@ def _inputs(root: Path) -> dict[str, Path]:
 CASES = {
     "grover-known-m": "grover --n 6 --m 2 --seed 3 --trajectory",
     "grover-known-m-n20": "grover --n 20 --m 1 --seed 1 --trajectory",
+    "grover-marked": "grover --n 6 --marked 40,9,40,3 --seed 3 --trajectory",
     "grover-unknown-m": "grover --n 7 --m 3 --seed 4 --unknown-m",
     "grover-unknown-m-trajectory": "grover --n 8 --m 1 --seed 1 --unknown-m --trajectory",
     "grover-unknown-m-n20": "grover --n 20 --m 3 --seed 2 --unknown-m",

@@ -110,45 +110,44 @@ class TestGroverIteration:
 class TestSearch:
     def test_exact_n2(self):
         rng = np.random.default_rng(0)
-        result = search(SelectionMask.from_indices(2, [3]), rng)
+        result = search(2, np.array([3]), rng)
         assert result.outcome == 3
         assert result.success_probability == pytest.approx(1.0, abs=1e-12)
         assert result.iterations_used == 1
 
     def test_n10_success_probability(self):
         rng = np.random.default_rng(1)
-        result = search(SelectionMask.from_indices(10, [511]), rng)
+        result = search(10, np.array([511]), rng)
         assert result.iterations_used == 25
         assert result.success_probability >= 0.994
 
     def test_all_marked_zero_iterations(self):
         rng = np.random.default_rng(2)
-        result = search(SelectionMask.full(3), rng)
+        result = search(3, np.arange(8), rng)
         assert result.iterations_used == 0
         assert result.success_probability == pytest.approx(1.0)
         assert 0 <= result.outcome < 8
 
     def test_majority_marked_uses_zero_iterations(self):
         rng = np.random.default_rng(3)
-        result = search(SelectionMask.from_indices(4, range(9)), rng)
+        result = search(4, np.arange(9), rng)
         assert result.iterations_used == 0
         assert result.success_probability == pytest.approx(9 / 16)
 
     def test_empty_marked_rejected(self):
         with pytest.raises(NoSolutionError):
-            search(SelectionMask.empty(3), np.random.default_rng(0))
+            search(3, np.array([], dtype=np.int64), np.random.default_rng(0))
 
     def test_success_rate_over_seeds(self):
-        mask = SelectionMask.from_indices(10, [137])
         hits = 0
         for seed in range(200):
-            result = search(mask, np.random.default_rng(seed))
+            result = search(10, np.array([137]), np.random.default_rng(seed))
             hits += result.outcome == 137
         assert hits / 200 >= 0.99
 
     def test_trajectory_recording(self):
         rng = np.random.default_rng(4)
-        result = search(SelectionMask.from_indices(6, [9]), rng, record_trajectory=True)
+        result = search(6, np.array([9]), rng, record_trajectory=True)
         assert len(result.trajectory) == result.iterations_used
         assert result.trajectory[-1] == pytest.approx(result.success_probability)
 
@@ -212,6 +211,12 @@ class TestSparseState:
         rotation = _Rotation(3, np.array([2, 5]))
         assert all(rotation.state_after(k).idx is rotation.state_after(0).idx for k in range(3))
 
+    @pytest.mark.parametrize("run", [search, search_unknown_m])
+    @pytest.mark.parametrize("marked", [[5, 2], [2, 2], [-1, 3], [3, 8]])
+    def test_bad_marked_indices_rejected(self, run, marked):
+        with pytest.raises(ShapeMismatchError):
+            run(3, np.array(marked), np.random.default_rng(0))
+
     def test_all_marked_bulk_is_rounding_only(self):
         state = _Rotation(4, np.arange(16)).state_after(0)
         assert 0.0 < abs(state.bulk) < 1e-16
@@ -220,21 +225,33 @@ class TestSparseState:
     @pytest.mark.parametrize("run", [search, search_unknown_m])
     def test_memory_is_o_marked(self, run):
         # at n = 22 one dense float64 vector is 32 MiB; the marked set is one state
-        mask = SelectionMask.from_indices(22, [1 << 21])
+        marked = np.array([1 << 21])
         tracemalloc.start()
         try:
-            result = run(mask, np.random.default_rng(5))
+            result = run(22, marked, np.random.default_rng(5))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert result.found
         assert peak < 1 << 20
 
+    @pytest.mark.parametrize("schedule", [[], ["--unknown-m"]])
+    def test_grover_command_memory_is_o_marked(self, capsys, schedule):
+        # at n = 30 a dense mask would take 1 GiB; the command keeps three indices
+        tracemalloc.start()
+        try:
+            code = main(["grover", "--n", "30", "--m", "3", "--seed", "1", *schedule])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and "outcome=" in capsys.readouterr().out
+        assert peak < 1 << 24
+
 
 class TestSearchUnknownM:
     def test_dispatch_from_search(self, capsys):
-        # `qamp grover --unknown-m` runs this schedule on its mask
-        result = search_unknown_m(SelectionMask.from_indices(6, [5]), np.random.default_rng(8))
+        # `qamp grover --unknown-m` runs this schedule on its marked indices
+        result = search_unknown_m(6, np.array([5]), np.random.default_rng(8))
         assert result.outcome == 5
         assert main(["grover", "--n", "6", "--marked", "5", "--unknown-m", "--seed", "8"]) == 0
         assert f"outcome=5 iterations={result.iterations_used} " in capsys.readouterr().out
@@ -242,26 +259,25 @@ class TestSearchUnknownM:
     def test_finds_single_target(self):
         hits = 0
         for seed in range(50):
-            marked = SelectionMask.from_indices(8, [77])
-            result = search_unknown_m(marked, np.random.default_rng(seed))
+            result = search_unknown_m(8, np.array([77]), np.random.default_rng(seed))
             hits += result.outcome == 77
         assert hits >= 45
 
     def test_empty_marked_gives_up_after_budget(self):
-        result = search_unknown_m(SelectionMask.empty(8), np.random.default_rng(0))
+        result = search_unknown_m(8, np.array([], dtype=np.int64), np.random.default_rng(0))
         assert result.outcome is None
         assert not result.found
         assert result.iterations_used >= math.ceil(3 * math.sqrt(256))
 
     def test_all_marked_immediate(self):
-        result = search_unknown_m(SelectionMask.full(5), np.random.default_rng(1))
+        result = search_unknown_m(5, np.arange(32), np.random.default_rng(1))
         assert result.found
         assert result.iterations_used <= 2
 
     def test_deterministic_for_seed(self):
-        marked = SelectionMask.from_indices(8, [3, 200])
-        a = search_unknown_m(marked, np.random.default_rng(9))
-        b = search_unknown_m(marked, np.random.default_rng(9))
+        marked = np.array([3, 200])
+        a = search_unknown_m(8, marked, np.random.default_rng(9))
+        b = search_unknown_m(8, marked, np.random.default_rng(9))
         assert (a.outcome, a.iterations_used) == (b.outcome, b.iterations_used)
 
 
@@ -283,7 +299,9 @@ def test_closed_form_matches_literal_steps(n, seed, fraction):
         k = 0 if 2 * n_marked > n_states else k
         state, marked_probs = literal_steps(n, selected, k)
         want = sample(state, np.random.default_rng(seed))
-        got = search(mask, np.random.default_rng(seed), record_trajectory=True)
+        got = search(
+            n, np.flatnonzero(selected), np.random.default_rng(seed), record_trajectory=True
+        )
         assert (got.outcome, got.iterations_used, got.found) == (want, k, True)
         assert abs(got.success_probability - probability_of(state, mask)) <= 1e-12
         assert len(got.trajectory) == k
@@ -299,6 +317,6 @@ def test_closed_form_matches_literal_steps(n, seed, fraction):
         if selected[outcome]:
             want = outcome
             break
-    got = search_unknown_m(mask, np.random.default_rng(seed))
+    got = search_unknown_m(n, np.flatnonzero(selected), np.random.default_rng(seed))
     assert (got.outcome, got.iterations_used, got.found) == (want, total, want is not None)
     assert abs(got.success_probability - probability_of(state, mask)) <= 1e-12
