@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Benchmark the numpy amplitude kernels of ``qamp.backend``.
+"""Benchmark the numpy amplitude kernels of ``qamp.backend``, the dense reference.
 
 Times the amplification step and the group statistics of the dense
 diagnostics at several register sizes, plus a full dynamic round: the
@@ -14,7 +14,9 @@ unknown-count schedule, the state after k steps and one draw from it:
 the closed-form amplitudes written over all N states and sampled dense,
 against the ``SparseState`` that ``search_unknown_m`` samples (its marked
 indices checked once per search, then one scalar draw per attempt), each
-with its test of whether the draw is marked.  Last, the
+with its test of whether the draw is marked.  The dense side of both
+takes ``StateVector`` and the cumsum sampler ``sample_dense`` from
+``qamp.backend``, the one module that holds the dense form.  Last, the
 support draw a class-policy run makes once when it starts
 (``_draw_support``), with and without a catalog, over the rounds
 ``recommend`` caps its run at, and the one ``dynamic_optimize`` makes
@@ -38,7 +40,8 @@ import time
 import numpy as np
 
 from qamp import backend
-from qamp.core import SparseState, StateVector, in_sorted, sample
+from qamp.backend import StateVector, sample_dense
+from qamp.core import SparseState, in_sorted, sample
 from qamp.dynamic_search import SelectionPolicy, _draw_support, _Support, default_rounds
 from qamp.optimize import ObjectiveTable, build_optimization_policy, nominal_rounds
 from qamp.recommend import SimilaritySpec, calibrate_beta, round_cap, similarity_policy
@@ -106,7 +109,7 @@ def bench_touched_round(n: int, repeats: int) -> float:
 
 
 def bench_end_of_run(n: int, repeats: int) -> dict[str, float]:
-    """10 draws from a run's final state: dense build plus ``sample`` vs the sparse sample.
+    """10 draws from a run's final state: dense build plus ``sample_dense`` vs the sparse ``sample``.
 
     A sixth of the space is touched, about as much as the optimizer's two
     rounds over masks of ~8% of N touch.
@@ -122,7 +125,7 @@ def bench_end_of_run(n: int, repeats: int) -> dict[str, float]:
     def dense():
         amps = np.full(size, state.bulk)
         amps[state.idx] = state.amp
-        sample(StateVector(n, amps), rng, size=10)
+        sample_dense(StateVector(n, amps), rng, size=10)
 
     return {
         "dense": time_call(dense, repeats),
@@ -154,7 +157,7 @@ def bench_static_attempt(n: int, repeats: int) -> dict[int, dict[str, float]]:
             angle = (2 * k + 1) * math.asin(math.sqrt(n_marked / size))
             amps = np.where(selected, math.sin(angle) / math.sqrt(n_marked),
                             math.cos(angle) / math.sqrt(size - n_marked))
-            return selected[sample(StateVector(n, amps), rng)]
+            return selected[sample_dense(StateVector(n, amps), rng)]
 
         def sparse():
             return in_sorted(rotation.marked, sample(rotation.state_after(k), rng))

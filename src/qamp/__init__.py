@@ -1,31 +1,31 @@
 """Amplitude-amplification simulation with probabilistic selection masks.
 
-Static search on dense state vectors; dynamic runs that store only the
+Static search as a closed-form rotation; dynamic runs that store only the
 states their masks select, so similarity policies run to n = 30 qubits;
-a similarity recommender, optimization loops, and a seeded experiment
-harness with CSV/SVG output.
+a similarity recommender, optimization loops, a seeded experiment
+harness with CSV/SVG output, and one dense reference (``qamp.backend``).
 """
 
-from .backend import kernel_backend
-from .core import (
+from .backend import (
+    OrderingWitness,
     SelectionMask,
-    SparseState,
     StateVector,
+    dynamic_iteration,
+    gain_report,
+    grover_iteration,
+    kernel_backend,
+    ordering_witness,
     probability_of,
-    sample,
+    replay_round_states,
     uniform_init,
 )
+from .core import SparseState, sample
 from .dynamic_search import (
     DynamicRunLog,
     GainReport,
-    OrderingWitness,
     SelectionPolicy,
     default_rounds,
-    dynamic_iteration,
     gain_bound,
-    gain_report,
-    ordering_witness,
-    replay_round_states,
     run_dynamic,
 )
 from .errors import (
@@ -67,7 +67,6 @@ from .recommend import (
 )
 from .static_search import (
     SearchResult,
-    grover_iteration,
     marked_probability,
     optimal_iterations,
     search,

@@ -1,16 +1,19 @@
-"""Real-amplitude state-vector engine.
+"""Sparse real-amplitude states and their sampling.
 
-Every operator used here maps real vectors to real vectors, so amplitudes
-are stored as plain float64 arrays over the N = 2**n basis states.  Public
-operations are pure: they never mutate their inputs and return fresh
-values.  All randomness flows through an explicitly seeded
-``numpy.random.Generator`` passed by the caller; there is no global RNG.
+Every amplification operator maps real vectors to real vectors, so
+amplitudes are real.  A state is kept as ``SparseState``: one shared
+amplitude plus the few states that differ from it, so nothing of size
+N = 2**n is needed to hold or sample it (the dense reference is
+``qamp.backend``).  Public operations are pure: they never mutate their
+inputs and return fresh values.  All randomness flows through an
+explicitly seeded ``numpy.random.Generator`` passed by the caller; there
+is no global RNG.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -25,33 +28,6 @@ def check_qubit_count(n: int) -> None:
     """Reject a qubit count outside [1, MAX_QUBITS] before anything of size 2**n exists."""
     if not 1 <= n <= MAX_QUBITS:
         raise SizeError(f"qubit count must be in [1, {MAX_QUBITS}], got {n}")
-
-
-@dataclass(frozen=True)
-class StateVector:
-    """Amplitudes over the computational basis of an n-qubit register."""
-
-    n: int
-    amps: np.ndarray
-
-    def __post_init__(self):
-        check_qubit_count(self.n)
-        amps = np.asarray(self.amps, dtype=np.float64)
-        if amps.shape != (1 << self.n,):
-            raise ShapeMismatchError(
-                f"expected {1 << self.n} amplitudes for n={self.n}, got shape {amps.shape}"
-            )
-        object.__setattr__(self, "amps", amps)
-
-    @property
-    def size(self) -> int:
-        return self.amps.shape[0]
-
-    def norm_sq(self) -> float:
-        return float(self.amps @ self.amps)
-
-    def probabilities(self) -> np.ndarray:
-        return self.amps * self.amps
 
 
 @dataclass(frozen=True)
@@ -118,52 +94,6 @@ class SparseState:
     def norm_sq(self) -> float:
         return float(self.amp @ self.amp) + self.bulk * self.bulk * (self.size - self.idx.size)
 
-    def probabilities(self) -> np.ndarray:
-        return self.amps * self.amps
-
-
-@dataclass(frozen=True)
-class SelectionMask:
-    """Boolean membership of each basis state in the selected set."""
-
-    n: int
-    selected: np.ndarray
-    count_selected: int = field(init=False)
-
-    def __post_init__(self):
-        check_qubit_count(self.n)
-        selected = np.asarray(self.selected, dtype=bool)
-        if selected.shape != (1 << self.n,):
-            raise ShapeMismatchError(
-                f"expected {1 << self.n} mask entries for n={self.n}, got shape {selected.shape}"
-            )
-        object.__setattr__(self, "selected", selected)
-        object.__setattr__(self, "count_selected", int(np.count_nonzero(selected)))
-
-    @classmethod
-    def from_indices(cls, n: int, indices) -> "SelectionMask":
-        check_qubit_count(n)
-        selected = np.zeros(1 << n, dtype=bool)
-        idx = np.asarray(indices, dtype=np.int64)
-        if idx.size and (idx.min() < 0 or idx.max() >= (1 << n)):
-            raise ShapeMismatchError(f"mask index out of range for n={n}")
-        selected[idx] = True
-        return cls(n, selected)
-
-    @classmethod
-    def empty(cls, n: int) -> "SelectionMask":
-        check_qubit_count(n)
-        return cls(n, np.zeros(1 << n, dtype=bool))
-
-    @classmethod
-    def full(cls, n: int) -> "SelectionMask":
-        check_qubit_count(n)
-        return cls(n, np.ones(1 << n, dtype=bool))
-
-    @property
-    def size(self) -> int:
-        return self.selected.shape[0]
-
 
 def in_sorted(members: np.ndarray, x):
     """Whether ``x`` (an index or an array) is in ``members``, sorted and distinct."""
@@ -173,47 +103,19 @@ def in_sorted(members: np.ndarray, x):
     return members[members.searchsorted(x, "right") - 1] == x
 
 
-def check_dims(state: StateVector, mask: SelectionMask) -> None:
-    if state.n != mask.n:
-        raise ShapeMismatchError(f"state has n={state.n} but mask has n={mask.n}")
-
-
-def uniform_init(n: int) -> StateVector:
-    """Equal-amplitude superposition over all N = 2**n basis states."""
-    check_qubit_count(n)
-    size = 1 << n
-    return StateVector(n, np.full(size, 1.0 / math.sqrt(size)))
-
-
-def probability_of(state: StateVector, mask: SelectionMask) -> float:
-    """Total sampling probability carried by the selected states."""
-    check_dims(state, mask)
-    sel = state.amps[mask.selected]
-    return float(sel @ sel)
-
-
-def sample(state: StateVector | SparseState, rng: np.random.Generator, size: int | None = None):
+def sample(state: SparseState, rng: np.random.Generator, size: int | None = None):
     """Draw basis indices with probability equal to the squared amplitudes.
 
-    Draws invert the cumulative mass in index order, from either form of
-    state: a sparse state gives the same indices as its dense ``amps`` up
-    to the rounding of the prefix sums, without building them.
-    Deterministic for a fixed generator state.  ``size=None`` returns one
-    index as an int; an integer ``size`` returns that many draws as an array.
+    Draws invert the cumulative mass in index order, which gives the
+    indices the dense ``amps`` would give up to the rounding of the prefix
+    sums, without building them.  Deterministic for a fixed generator
+    state.  ``size=None`` returns one index as an int; an integer ``size``
+    returns that many draws as an array.
     """
-    if isinstance(state, SparseState):
-        total = state.norm_sq()
-    else:
-        p = state.amps * state.amps
-        total = p.sum()
+    total = state.norm_sq()
     if abs(total - 1.0) > SAMPLE_ATOL:
         raise NormalizationError(f"state norm**2 deviates from 1 by {abs(total - 1.0):.3e}")
-    u = rng.random() if size is None else rng.random(size)
-    if isinstance(state, SparseState):
-        idx = _sparse_inverse_cdf(state, u)
-    else:
-        cum = np.cumsum(p)
-        idx = np.searchsorted(cum, u * cum[-1], side="right")
+    idx = _sparse_inverse_cdf(state, rng.random() if size is None else rng.random(size))
     if size is None:
         return min(int(idx), state.size - 1)
     return np.minimum(idx, state.size - 1).astype(np.int64)

@@ -4,34 +4,25 @@ Each round samples a fresh selection mask from the policy, stores it, and
 applies the amplification step twice with that stored mask.  The doubling
 cancels the ordering artifact of single steps: a state selected in one
 round and skipped in the next would otherwise end up *below* states never
-selected at all (see :func:`ordering_witness`).  Degenerate masks are
-harmless under doubling: two steps with an empty or full mask are the
-identity.
+selected at all (see :func:`qamp.backend.ordering_witness`).  Degenerate
+masks are harmless under doubling: two steps with an empty or full mask
+are the identity.
 
 Progress diagnostics follow the two-component analysis: a round is
 productive only while the post-flip mean amplitude and all unselected
-amplitudes stay positive (:func:`gain_report` gives both).
+amplitudes stay positive (``_GroupStats.report`` gives both; the dense
+reference ``qamp.backend.gain_report`` takes them from the amplitudes).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
-from . import backend
-from .core import (
-    MAX_QUBITS,
-    SelectionMask,
-    SparseState,
-    StateVector,
-    check_dims,
-    check_qubit_count,
-    in_sorted,
-    uniform_init,
-)
+from .core import MAX_QUBITS, SparseState, check_qubit_count, in_sorted
 from .errors import ShapeMismatchError, ValidityError
 from .static_search import optimal_iterations
 
@@ -236,8 +227,7 @@ class GainReport:
 class DynamicRunLog:
     """Per-round record of a dynamic run.
 
-    Masks are stored as selected-index arrays to keep large-n runs light;
-    :meth:`mask` rebuilds the boolean form for any round.
+    Masks are stored as selected-index arrays to keep large-n runs light.
     ``policy_mass_by_round`` is the expected mass a fresh selection round
     would mark (under a 0/1 table this equals the logged p_selected);
     ``best_round`` is the 1-based round maximizing it when the run tracked
@@ -260,22 +250,11 @@ class DynamicRunLog:
         if self.policy_mass_by_round and len(self.policy_mass_by_round) != self.rounds:
             raise ValueError("policy-mass trace length disagrees with round count")
 
-    def mask(self, round_index: int) -> SelectionMask:
-        return SelectionMask.from_indices(self.n, self.selected_indices[round_index])
-
-
-@dataclass(frozen=True)
-class OrderingWitness:
-    """Group amplitudes after a selection round followed by an empty round."""
-
-    selected_amp: float
-    unselected_amp: float
-
 
 class _GroupStats(NamedTuple):
     """Per-group sums of a state along a mask.
 
-    The dense diagnostics take them from ``backend.selection_stats``; runs
+    The dense reference takes them from ``backend.selection_stats``; runs
     keep them in closed form (:meth:`doubling_shifts`, :meth:`translated`).
     """
 
@@ -286,10 +265,6 @@ class _GroupStats(NamedTuple):
     min_unsel: float  # +inf when every state is selected
     n_selected: int
     n_states: int
-
-    @classmethod
-    def of(cls, amps: np.ndarray, mask: SelectionMask) -> "_GroupStats":
-        return cls(*backend.selection_stats(amps, mask.selected), mask.count_selected, amps.size)
 
     @property
     def post_flip_mean(self) -> float:
@@ -611,31 +586,6 @@ def _draw_support(
     return idx, probs[idx]
 
 
-def dynamic_iteration(state: StateVector, mask: SelectionMask) -> StateVector:
-    """Apply the amplification step twice with the same stored mask.
-
-    Two literal steps: this is the dense reference for the closed form
-    that runs apply.
-    """
-    check_dims(state, mask)
-    amps = state.amps.copy()
-    for _ in range(2):
-        backend.grover_step(amps, mask.selected)
-    return StateVector(state.n, amps)
-
-
-def gain_report(state: StateVector, mask: SelectionMask) -> GainReport:
-    """Gain and progress diagnostics of a state with respect to a mask.
-
-    A round from this state is productive while ``mean_amplitude`` (the
-    post-flip mean) and ``min_unselected_amp`` both stay above
-    ``-VALIDITY_ATOL``.  An infinite gain (no unselected mass left)
-    signals that the search is complete.
-    """
-    check_dims(state, mask)
-    return _GroupStats.of(state.amps, mask).report()
-
-
 def gain_bound(n_states: int, n_selected: int) -> float:
     """Gain ceiling (Ns/(N-Ns)) * (N/(2Ns) - 1)**2 for group-uniform amplitudes.
 
@@ -763,38 +713,3 @@ def run_dynamic(
             log=log,
         )
     return support.sparse_state(best if keep_best else support.snapshot()), log
-
-
-def ordering_witness(n: int, first_mask: SelectionMask, doubled: bool = False) -> OrderingWitness:
-    """Amplitudes after a round with ``first_mask`` then a round with no selection.
-
-    With single (undoubled) steps the once-selected group provably ends
-    below the never-selected group; with doubled steps it stays at or above
-    it whenever at most half the space was selected.  This is the
-    executable witness of why each round applies the step twice.
-    """
-    if first_mask.n != n:
-        raise ValueError(f"mask has n={first_mask.n}, expected {n}")
-    amps = uniform_init(n).amps
-    for mask in (first_mask, SelectionMask.empty(n)):
-        for _ in range(2 if doubled else 1):
-            backend.grover_step(amps, mask.selected)
-    stats = _GroupStats.of(amps, first_mask)
-    n_sel, n_unsel = stats.n_selected, stats.n_states - stats.n_selected
-    # an empty group takes the other group's mean
-    sel_mean = stats.sum_sel / n_sel if n_sel else stats.sum_unsel / n_unsel
-    unsel_mean = stats.sum_unsel / n_unsel if n_unsel else sel_mean
-    return OrderingWitness(sel_mean, unsel_mean)
-
-
-def replay_round_states(log: DynamicRunLog) -> Sequence[StateVector]:
-    """States at every round boundary of a completed run (index 0 = initial).
-
-    A round listed in ``log.restart_rounds`` starts from the uniform state.
-    """
-    states = [uniform_init(log.n)]
-    restarts = set(log.restart_rounds)
-    for round_index in range(log.rounds):
-        start = uniform_init(log.n) if round_index in restarts else states[-1]
-        states.append(dynamic_iteration(start, log.mask(round_index)))
-    return states

@@ -23,18 +23,18 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import MAX_QUBITS, SelectionMask, StateVector, uniform_init
-from .dynamic_search import (
-    VALIDITY_ATOL,
-    SelectionPolicy,
-    class_counts,
+from .backend import (
+    SelectionMask,
+    StateVector,
     dynamic_iteration,
-    gain_bound,
     gain_report,
+    grover_iteration,
     ordering_witness,
     replay_round_states,
-    run_dynamic,
+    uniform_init,
 )
+from .core import MAX_QUBITS
+from .dynamic_search import VALIDITY_ATOL, SelectionPolicy, class_counts, gain_bound, run_dynamic
 from .errors import ConfigError, ValidityError
 from .recommend import (
     SelectionProbabilityParams,
@@ -45,7 +45,7 @@ from .recommend import (
     similarity_policy,
 )
 from .report import write_csv, write_svg
-from .static_search import grover_iteration, marked_probability, optimal_iterations
+from .static_search import marked_probability, optimal_iterations
 
 EXPERIMENTS = ("steps", "accuracy", "corollaries")
 IDENTITY_TOL = 1e-10
@@ -390,7 +390,8 @@ def _guarded_run_check(n: int, trials: int, rng) -> CheckResult:
             log = err.log
         states = replay_round_states(log)
         for round_index in range(log.rounds):
-            report = gain_report(states[round_index], log.mask(round_index))
+            mask = SelectionMask.from_indices(n, log.selected_indices[round_index])
+            report = gain_report(states[round_index], mask)
             worst = min(worst, report.mean_amplitude, report.min_unselected_amp)
     if math.isinf(worst):
         worst = 0.0

@@ -48,10 +48,6 @@ class ObjectiveTable:
             raise ValueError("objective values must be finite")
         object.__setattr__(self, "values", values)
 
-    def better(self, a: float, b: float) -> bool:
-        """True when value ``a`` strictly improves on ``b``."""
-        return a < b if self.sense is Sense.MIN else a > b
-
     def better_than(self, threshold: float) -> np.ndarray:
         """Boolean table of states strictly better than ``threshold``."""
         if self.sense is Sense.MIN:

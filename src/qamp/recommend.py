@@ -175,7 +175,13 @@ def calibrate_beta(n: int, m_target: float) -> SelectionProbabilityParams:
     if m_target <= glue:
         root = max(m_target, 1.0 + 1e-12) ** (1.0 / n) - 1.0
         beta = -math.log(root)
-        params = SelectionProbabilityParams(n=n, beta=beta, norm_c=math.exp(-beta * n))
+        norm_c = math.exp(-beta * n)
+        if norm_c == 0.0:
+            # near m = 1 from n = 25 on: the least positive double, with the
+            # (smaller) beta that keeps P(n) = 1; E grows by under 1e-9
+            norm_c = math.ulp(0.0)
+            beta = -math.log(norm_c) / n
+        params = SelectionProbabilityParams(n=n, beta=beta, norm_c=norm_c)
         achieved = expected_selected_count(params)
     else:
         norm_c = 1.0 / n_states

@@ -5,7 +5,7 @@ an exponential schedule for an unknown number of solutions, which the
 optimization drivers rely on.  Both take the marked set as sorted, distinct
 indices, build the state after k iterations from its closed form as a
 ``SparseState`` that stores only those indices, and sample it in O(M);
-``grover_iteration`` is the literal step, kept as the reference.
+``qamp.backend.grover_iteration`` is the literal step, kept as the reference.
 """
 
 from __future__ import annotations
@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import backend
-from .core import SelectionMask, SparseState, StateVector, check_dims, in_sorted, sample
+from .core import SparseState, in_sorted, sample
 from .errors import NoSolutionError
 
 UNKNOWN_M_LAMBDA = 6.0 / 5.0
@@ -55,14 +54,6 @@ def optimal_iterations(n_states: int, n_marked: int) -> int:
     if not 1 <= n_marked <= n_states:
         raise ValueError(f"need 1 <= M <= N, got M={n_marked}, N={n_states}")
     return int(math.floor((math.pi / 4.0) * math.sqrt(n_states / n_marked)))
-
-
-def grover_iteration(state: StateVector, mask: SelectionMask) -> StateVector:
-    """One oracle flip followed by inversion about the mean."""
-    check_dims(state, mask)
-    amps = state.amps.copy()
-    backend.grover_step(amps, mask.selected)
-    return StateVector(state.n, amps)
 
 
 class _Rotation:

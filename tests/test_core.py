@@ -74,25 +74,25 @@ class TestProbabilityOf:
 
 class TestSample:
     def test_deterministic_outcome(self):
-        state = StateVector(2, [0.0, 0.0, 0.0, 1.0])
+        state = SparseState(2, 0.0, [3], [1.0])
         for seed in range(5):
             assert sample(state, np.random.default_rng(seed)) == 3
 
     def test_uniform_frequencies(self):
         rng = np.random.default_rng(11)
-        draws = sample(uniform_init(1), rng, size=100_000)
+        draws = sample(SparseState.uniform(1), rng, size=100_000)
         freq = np.bincount(draws, minlength=2) / draws.size
         assert abs(freq[0] - 0.5) < 0.01
         assert abs(freq[1] - 0.5) < 0.01
 
     def test_seed_reproducibility(self):
-        state = random_state(4, seed=3)
+        state = random_sparse_state(4, np.random.default_rng(3), "random", zero_bulk=False)
         a = [sample(state, np.random.default_rng(42)) for _ in range(20)]
         b = [sample(state, np.random.default_rng(42)) for _ in range(20)]
         assert a == b
 
     def test_unnormalized_rejected(self):
-        state = StateVector(2, [0.5, 0.5, 0.5, 0.4])
+        state = SparseState(2, 0.5, [3], [0.4])
         with pytest.raises(NormalizationError):
             sample(state, np.random.default_rng(0))
 
@@ -103,16 +103,18 @@ class TestSample:
     def test_chi_square_consistency(self, n, weights):
         # 1e5 draws against amps**2 at 99% confidence
         if weights is None:
-            state = uniform_init(n)
+            state = SparseState.uniform(n)
         else:
+            # half the states stored, at weights around the bulk's
             rng = np.random.default_rng(5)
-            amps = rng.uniform(0.5, 1.5, 1 << n)
-            amps /= np.linalg.norm(amps)
-            state = StateVector(n, amps)
+            idx = np.sort(rng.choice(1 << n, size=1 << (n - 1), replace=False))
+            amp = rng.uniform(0.5, 1.5, idx.size)
+            scale = 1.0 / math.sqrt(float(amp @ amp) + (1 << n) - idx.size)
+            state = SparseState(n, scale, idx, amp * scale)
         rng = np.random.default_rng(1234)
         draws = sample(state, rng, size=100_000)
         observed = np.bincount(draws, minlength=1 << n)
-        expected = state.probabilities() * draws.size
+        expected = state.amps**2 * draws.size
         chi2 = float(((observed - expected) ** 2 / expected).sum())
         assert chi2 < CHI2_99[(1 << n) - 1]
 
@@ -153,7 +155,7 @@ def test_sparse_sample_matches_dense(n, seed, touched, zero_bulk, size):
     dense = StateVector(n, state.amps)
     assert state.norm_sq() == pytest.approx(dense.norm_sq(), abs=1e-12)
     got = sample(state, np.random.default_rng(seed + 1), size=size)
-    want = sample(dense, np.random.default_rng(seed + 1), size=size)
+    want = backend.sample_dense(dense, np.random.default_rng(seed + 1), size=size)
     if size is None:
         assert type(got) is int and got == want
     else:
@@ -197,7 +199,7 @@ BOUNDARY_CASES = {
 @pytest.mark.parametrize("case", sorted(BOUNDARY_CASES))
 def test_sparse_inverse_cdf_on_cumulative_boundaries(case):
     state, points = BOUNDARY_CASES[case]
-    cum = np.cumsum(state.probabilities())
+    cum = np.cumsum(state.amps**2)
     assert cum[-1] == 1.0
     for u, want in points:
         assert np.searchsorted(cum, u, side="right") == want  # the dense inversion
@@ -226,7 +228,6 @@ class TestSparseState:
         state = SparseState(2, 0.5, [1, 3], [-0.5, 0.5])
         assert np.array_equal(state.amps, [0.5, -0.5, 0.5, 0.5])
         assert state.norm_sq() == 1.0
-        assert np.array_equal(state.probabilities(), [0.25] * 4)
 
     def test_uniform_stores_nothing(self):
         state = SparseState.uniform(10)

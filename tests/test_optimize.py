@@ -43,8 +43,6 @@ class TestObjectiveTable:
     def test_better_orientation(self):
         table_min = ObjectiveTable(2, [3.0, 1.0, 2.0, 0.5], Sense.MIN)
         table_max = ObjectiveTable(2, [3.0, 1.0, 2.0, 0.5], Sense.MAX)
-        assert table_min.better(1.0, 2.0) and not table_min.better(2.0, 2.0)
-        assert table_max.better(2.0, 1.0) and not table_max.better(2.0, 2.0)
         assert table_min.optimum_value() == 0.5
         assert table_max.optimum_value() == 3.0
 

@@ -172,6 +172,17 @@ class TestCalibrateBeta:
         assert expected_selected_count(params) == pytest.approx(m_target, abs=0.5)
         assert expected_selected_count(params) < 512
 
+    @pytest.mark.parametrize("n", range(2, 31))
+    def test_single_item_target_at_every_n(self, n):
+        # from n = 25 on the prefactor exp(-beta n) of m = 1 underflows to 0
+        params = calibrate_beta(n, 1.0)
+        assert probability_by_class(params)[n] >= 1.0 - 1.0 / (1 << n)
+        assert expected_selected_count(params) == pytest.approx(1.0, abs=0.5)
+
+    def test_single_item_cli_at_n25(self):
+        # m = 1 lies in the documented domain [1, N/2) at every n
+        assert main(["recommend", "--n", "25", "--m", "1", "--seed", "3"]) == 0
+
     def test_target_of_n_rejected(self):
         with pytest.raises(CalibrationError):
             calibrate_beta(10, 1024)

@@ -19,6 +19,7 @@ from qamp import (
     search_unknown_m,
     uniform_init,
 )
+from qamp.backend import sample_dense
 from qamp.cli import main
 from qamp.static_search import _Rotation
 
@@ -202,7 +203,7 @@ class TestSparseState:
             # M = N leaves bulk at cos(pi/2) ~ 6e-17, M = 0 stores no index
             seed = 1000 * k + n
             got = sample(state, np.random.default_rng(seed), size=2000)
-            want = sample(dense, np.random.default_rng(seed), size=2000)
+            want = sample_dense(dense, np.random.default_rng(seed), size=2000)
             np.testing.assert_array_equal(got, want)
 
     def test_marked_indices_checked_once_per_search(self):
@@ -298,7 +299,7 @@ def test_closed_form_matches_literal_steps(n, seed, fraction):
         k = math.floor(math.pi / 4 * math.sqrt(n_states / n_marked))
         k = 0 if 2 * n_marked > n_states else k
         state, marked_probs = literal_steps(n, selected, k)
-        want = sample(state, np.random.default_rng(seed))
+        want = sample_dense(state, np.random.default_rng(seed))
         got = search(
             n, np.flatnonzero(selected), np.random.default_rng(seed), record_trajectory=True
         )
@@ -313,7 +314,7 @@ def test_closed_form_matches_literal_steps(n, seed, fraction):
         k = int(rng.integers(0, math.ceil(1.2**attempt) + 1))
         total, attempt = total + k, attempt + 1
         state, _ = literal_steps(n, selected, k)
-        outcome = sample(state, rng)
+        outcome = sample_dense(state, rng)
         if selected[outcome]:
             want = outcome
             break
