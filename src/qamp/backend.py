@@ -121,8 +121,7 @@ def check_dims(state: StateVector, mask: SelectionMask) -> None:
 def uniform_init(n: int) -> StateVector:
     """Equal-amplitude superposition over all N = 2**n basis states."""
     check_qubit_count(n)
-    size = 1 << n
-    return StateVector(n, np.full(size, 1.0 / math.sqrt(size)))
+    return StateVector(n, np.full(1 << n, 1.0 / math.sqrt(1 << n)))
 
 
 def probability_of(state: StateVector, mask: SelectionMask) -> float:

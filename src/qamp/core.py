@@ -54,9 +54,8 @@ class SparseState:
             )
         if idx.size and (idx[0] < 0 or idx[-1] >= (1 << self.n) or np.any(idx[1:] <= idx[:-1])):
             raise ShapeMismatchError(f"indices must be sorted, distinct and in range for n={self.n}")
-        object.__setattr__(self, "bulk", float(self.bulk))
-        object.__setattr__(self, "idx", idx)
-        object.__setattr__(self, "amp", amp)
+        for name, value in (("bulk", float(self.bulk)), ("idx", idx), ("amp", amp)):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def uniform(cls, n: int) -> "SparseState":
@@ -93,6 +92,9 @@ class SparseState:
 
     def norm_sq(self) -> float:
         return float(self.amp @ self.amp) + self.bulk * self.bulk * (self.size - self.idx.size)
+
+    def probabilities(self) -> np.ndarray:
+        return self.amps * self.amps
 
 
 def in_sorted(members: np.ndarray, x):

@@ -389,9 +389,8 @@ def _guarded_run_check(n: int, trials: int, rng) -> CheckResult:
         except ValidityError as err:
             log = err.log
         states = replay_round_states(log)
-        for round_index in range(log.rounds):
-            mask = SelectionMask.from_indices(n, log.selected_indices[round_index])
-            report = gain_report(states[round_index], mask)
+        for state, indices in zip(states, log.selected_indices):
+            report = gain_report(state, SelectionMask.from_indices(n, indices))
             worst = min(worst, report.mean_amplitude, report.min_unselected_amp)
     if math.isinf(worst):
         worst = 0.0

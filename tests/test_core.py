@@ -114,7 +114,7 @@ class TestSample:
         rng = np.random.default_rng(1234)
         draws = sample(state, rng, size=100_000)
         observed = np.bincount(draws, minlength=1 << n)
-        expected = state.amps**2 * draws.size
+        expected = state.probabilities() * draws.size
         chi2 = float(((observed - expected) ** 2 / expected).sum())
         assert chi2 < CHI2_99[(1 << n) - 1]
 
@@ -199,7 +199,7 @@ BOUNDARY_CASES = {
 @pytest.mark.parametrize("case", sorted(BOUNDARY_CASES))
 def test_sparse_inverse_cdf_on_cumulative_boundaries(case):
     state, points = BOUNDARY_CASES[case]
-    cum = np.cumsum(state.amps**2)
+    cum = np.cumsum(state.probabilities())
     assert cum[-1] == 1.0
     for u, want in points:
         assert np.searchsorted(cum, u, side="right") == want  # the dense inversion
@@ -228,6 +228,7 @@ class TestSparseState:
         state = SparseState(2, 0.5, [1, 3], [-0.5, 0.5])
         assert np.array_equal(state.amps, [0.5, -0.5, 0.5, 0.5])
         assert state.norm_sq() == 1.0
+        assert np.array_equal(state.probabilities(), [0.25] * 4)
 
     def test_uniform_stores_nothing(self):
         state = SparseState.uniform(10)
