@@ -4,14 +4,19 @@ Subcommands: ``grover``, ``dynamic``, ``recommend``, ``optimize`` and
 ``experiment steps|accuracy|corollaries``.  A flat key=value config file
 (``--config``) mirrors the flags; explicit flags override file entries,
 and the ``QAMP_SEED`` environment variable is the fallback seed base.
+Each command returns its tables and charts, and ``main`` hands them to
+``experiments.write_outputs`` when ``--out`` is given; experiments write
+their own files through the same writer.
 
 Exit codes: 0 success, 2 config error (bad flags or flag values, an
-unreadable or malformed --config/--catalog/--objective file, a
-non-integer QAMP_SEED, a negative seed from --seed, --seed-base, a
-config-file seed/seed_base or QAMP_SEED, a negative --rounds, a
-recommend --m below 1, a qubit count outside [1, MAX_QUBITS], a
-default calibration target of N/2 or more, grover --trajectory with
---unknown-m), 3
+unreadable or malformed --config/--catalog/--objective file, a config
+key that is not an option of the subcommand, a --format other than
+csv, svg or both (checked before the run), an experiment given --seed
+or a config-file seed (experiments take --seed-base), a non-integer
+QAMP_SEED, a negative seed from --seed, --seed-base, a config-file
+seed/seed_base or QAMP_SEED, a negative --rounds, a recommend --m
+below 1, a qubit count outside [1, MAX_QUBITS], a default calibration
+target of N/2 or more, grover --trajectory with --unknown-m), 3
 invariant or validity failure, 4 under-amplified / not found.
 """
 
@@ -36,9 +41,11 @@ from .errors import (
 )
 from .experiments import (
     ExperimentConfig,
+    check_format,
     experiment_accuracy,
     experiment_corollaries,
     experiment_steps,
+    write_outputs,
 )
 from .optimize import durr_hoyer, dynamic_optimize, load_objective
 from .recommend import (
@@ -48,7 +55,6 @@ from .recommend import (
     similarity_params,
     similarity_policy,
 )
-from .report import write_csv, write_svg
 from .static_search import search, search_unknown_m
 
 EXIT_OK = 0
@@ -92,7 +98,7 @@ def _at_least(value: int, low: int, what: str) -> int:
     return value
 
 
-def _load_config_file(path: str) -> dict[str, str]:
+def _load_config_file(path: str, keys) -> dict[str, str]:
     entries: dict[str, str] = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -105,7 +111,10 @@ def _load_config_file(path: str) -> dict[str, str]:
         if "=" not in line:
             raise ConfigError(f"{path}:{line_number}: expected key=value, got {line!r}")
         key, value = line.split("=", 1)
-        entries[key.strip().replace("-", "_")] = value.strip()
+        key = key.strip().replace("-", "_")
+        if key not in keys:
+            raise ConfigError(f"{path}:{line_number}: unknown key {key!r}")
+        entries[key] = value.strip()
     return entries
 
 
@@ -114,7 +123,8 @@ class _Options:
 
     def __init__(self, ns: argparse.Namespace):
         self.ns = ns
-        self.file = _load_config_file(ns.config) if getattr(ns, "config", None) else {}
+        keys = set(vars(ns)) - {"config", "command", "func", "which"}
+        self.file = _load_config_file(ns.config, keys) if ns.config else {}
 
     def get(self, key: str, parse, default):
         value = getattr(self.ns, key, None)
@@ -149,20 +159,7 @@ class _Options:
         return self.seed_base(default)
 
 
-def _out_dir(opts: _Options) -> Path | None:
-    out = opts.get("out", Path, None)
-    return Path(out) if out is not None else None
-
-
-def _fmt(opts: _Options) -> str:
-    fmt = opts.get("format", str, "both")
-    if fmt not in ("csv", "svg", "both"):
-        raise ConfigError(f"format must be csv, svg or both, got {fmt!r}")
-    return fmt
-
-
-def cmd_grover(ns: argparse.Namespace) -> int:
-    opts = _Options(ns)
+def cmd_grover(opts: _Options) -> tuple[int, list, list]:
     n = opts.get("n", int, 4)
     check_qubit_count(n)
     seed = opts.seed()
@@ -198,38 +195,29 @@ def cmd_grover(ns: argparse.Namespace) -> int:
     else:
         print(f"not found after {result.iterations_used} iterations (likely no solutions)")
 
-    out = _out_dir(opts)
-    if out is not None:
-        fmt = _fmt(opts)
-        if fmt in ("csv", "both"):
-            write_csv(
-                out / "grover_run.csv",
-                ["experiment", "n", "seed", "marked_count", "outcome",
-                 "iterations", "success_probability", "wall_time_ms"],
-                [("grover", n, seed, marked.size,
-                  result.outcome if result.found else "", result.iterations_used,
-                  result.success_probability, wall_ms)],
-            )
-            if result.trajectory:
-                write_csv(
-                    out / "grover_trajectory.csv",
-                    ["experiment", "n", "seed", "iteration", "marked_probability"],
-                    [("grover", n, seed, i + 1, p) for i, p in enumerate(result.trajectory)],
-                )
-        if fmt in ("svg", "both") and result.trajectory:
-            ks = list(range(1, len(result.trajectory) + 1))
-            write_svg(
-                out / "grover_trajectory.svg",
-                "Marked-set probability per iteration",
-                "iteration",
-                "probability",
-                [("marked probability", ks, list(result.trajectory))],
-            )
-    return EXIT_OK if result.found else EXIT_NOT_FOUND
+    tables = [(
+        "grover_run.csv",
+        ["experiment", "n", "seed", "marked_count", "outcome",
+         "iterations", "success_probability", "wall_time_ms"],
+        [("grover", n, seed, marked.size, result.outcome if result.found else "",
+          result.iterations_used, result.success_probability, wall_ms)],
+    )]
+    charts = []
+    if result.trajectory:
+        ks = list(range(1, len(result.trajectory) + 1))
+        tables.append((
+            "grover_trajectory.csv",
+            ["experiment", "n", "seed", "iteration", "marked_probability"],
+            [("grover", n, seed, k, p) for k, p in zip(ks, result.trajectory)],
+        ))
+        charts.append((
+            "grover_trajectory.svg", "Marked-set probability per iteration",
+            "iteration", "probability", [("marked probability", ks, list(result.trajectory))],
+        ))
+    return (EXIT_OK if result.found else EXIT_NOT_FOUND), tables, charts
 
 
-def cmd_dynamic(ns: argparse.Namespace) -> int:
-    opts = _Options(ns)
+def cmd_dynamic(opts: _Options) -> tuple[int, list, list]:
     n = opts.get("n", int, 10)
     reference = opts.get("reference", int, 0)
     seed = opts.seed()
@@ -247,14 +235,9 @@ def cmd_dynamic(ns: argparse.Namespace) -> int:
     _at_least(rounds, 0, "round count")
     strict = bool(opts.get("strict_validity", _parse_bool, False))
     t0 = time.perf_counter()
-    try:
-        _, log = run_dynamic(
-            n, policy, rng, rounds=rounds,
-            on_violation="abort" if strict else "restart",
-        )
-    except ValidityError as err:
-        print(f"validity failure: {err}", file=sys.stderr)
-        return EXIT_INVARIANT
+    _, log = run_dynamic(
+        n, policy, rng, rounds=rounds, on_violation="abort" if strict else "restart"
+    )
     wall_ms = (time.perf_counter() - t0) * 1e3
 
     print(f"n={n} reference={reference} beta={params.beta:.6f} rounds={log.rounds} seed={seed}")
@@ -267,40 +250,26 @@ def cmd_dynamic(ns: argparse.Namespace) -> int:
             f"{report.gain:>12.6g} {report.mean_amplitude:>12.4e}"
         )
 
-    out = _out_dir(opts)
-    if out is not None:
-        fmt = _fmt(opts)
-        rows = [
-            ("dynamic", n, seed, i + 1, r.ns_actual, r.p_selected, r.p_unselected,
-             r.gain, r.mean_amplitude, r.min_unselected_amp)
-            for i, r in enumerate(log.gain_trajectory)
-        ]
-        if fmt in ("csv", "both"):
-            write_csv(
-                out / "dynamic_rounds.csv",
-                ["experiment", "n", "seed", "round", "n_selected", "p_selected",
-                 "p_unselected", "gain", "mean_amplitude", "min_unselected_amp"],
-                rows,
-            )
-            write_csv(
-                out / "dynamic_summary.csv",
-                ["experiment", "n", "seed", "rounds", "inner_iterations", "wall_time_ms"],
-                [("dynamic", n, seed, log.rounds, 2 * log.rounds, wall_ms)],
-            )
-        if fmt in ("svg", "both") and log.rounds:
-            ks = list(range(1, log.rounds + 1))
-            write_svg(
-                out / "dynamic_gain.svg",
-                "Selected mass per round",
-                "round",
-                "probability",
-                [("selected mass", ks, [r.p_selected for r in log.gain_trajectory])],
-            )
-    return EXIT_OK
+    tables = [
+        ("dynamic_rounds.csv",
+         ["experiment", "n", "seed", "round", "n_selected", "p_selected",
+          "p_unselected", "gain", "mean_amplitude", "min_unselected_amp"],
+         [("dynamic", n, seed, i + 1, r.ns_actual, r.p_selected, r.p_unselected,
+           r.gain, r.mean_amplitude, r.min_unselected_amp)
+          for i, r in enumerate(log.gain_trajectory)]),
+        ("dynamic_summary.csv",
+         ["experiment", "n", "seed", "rounds", "inner_iterations", "wall_time_ms"],
+         [("dynamic", n, seed, log.rounds, 2 * log.rounds, wall_ms)]),
+    ]
+    charts = [(
+        "dynamic_gain.svg", "Selected mass per round", "round", "probability",
+        [("selected mass", list(range(1, log.rounds + 1)),
+          [r.p_selected for r in log.gain_trajectory])],
+    )] if log.rounds else []
+    return EXIT_OK, tables, charts
 
 
-def cmd_recommend(ns: argparse.Namespace) -> int:
-    opts = _Options(ns)
+def cmd_recommend(opts: _Options) -> tuple[int, list, list]:
     n = opts.get("n", int, 10)
     reference = opts.get("reference", int, 0)
     m = _at_least(opts.get("m", int, 5), 1, "item count")
@@ -331,47 +300,34 @@ def cmd_recommend(ns: argparse.Namespace) -> int:
         gains = ", ".join(f"{r.gain:.3g}" for r in log.gain_trajectory)
         print(f"gain trajectory: {gains}")
 
-    out = _out_dir(opts)
-    if out is not None:
-        fmt = _fmt(opts)
-        if fmt in ("csv", "both"):
-            write_csv(
-                out / "recommend_items.csv",
-                ["experiment", "n", "seed", "index", "similarity"],
-                [("recommend", n, seed, item.index, item.similarity) for item in result.items],
-            )
-            write_csv(
-                out / "recommend_classes.csv",
-                ["experiment", "n", "seed", "S", "probability"],
-                [("recommend", n, seed, s, float(p))
-                 for s, p in enumerate(result.per_similarity_sampling)],
-            )
-            if log is not None:
-                write_csv(
-                    out / "recommend_rounds.csv",
-                    ["experiment", "n", "seed", "round", "n_selected", "p_selected", "gain"],
-                    [("recommend", n, seed, i + 1, r.ns_actual, r.p_selected, r.gain)
-                     for i, r in enumerate(log.gain_trajectory)],
-                )
-            write_csv(
-                out / "recommend_summary.csv",
-                ["experiment", "n", "seed", "m", "rounds_used", "inner_iterations", "wall_time_ms"],
-                [("recommend", n, seed, m, result.rounds_used, 2 * result.rounds_used, wall_ms)],
-            )
-        if fmt in ("svg", "both"):
-            ss = list(range(n + 1))
-            write_svg(
-                out / "recommend_classes.svg",
-                "Sampling probability by similarity class",
-                "similarity S",
-                "class probability",
-                [("dynamic", ss, [float(p) for p in result.per_similarity_sampling])],
-            )
-    return EXIT_OK
+    tables = [
+        ("recommend_items.csv", ["experiment", "n", "seed", "index", "similarity"],
+         [("recommend", n, seed, item.index, item.similarity) for item in result.items]),
+        ("recommend_classes.csv", ["experiment", "n", "seed", "S", "probability"],
+         [("recommend", n, seed, s, float(p))
+          for s, p in enumerate(result.per_similarity_sampling)]),
+    ]
+    if log is not None:
+        tables.append((
+            "recommend_rounds.csv",
+            ["experiment", "n", "seed", "round", "n_selected", "p_selected", "gain"],
+            [("recommend", n, seed, i + 1, r.ns_actual, r.p_selected, r.gain)
+             for i, r in enumerate(log.gain_trajectory)],
+        ))
+    tables.append((
+        "recommend_summary.csv",
+        ["experiment", "n", "seed", "m", "rounds_used", "inner_iterations", "wall_time_ms"],
+        [("recommend", n, seed, m, result.rounds_used, 2 * result.rounds_used, wall_ms)],
+    ))
+    charts = [(
+        "recommend_classes.svg", "Sampling probability by similarity class",
+        "similarity S", "class probability",
+        [("dynamic", list(range(n + 1)), [float(p) for p in result.per_similarity_sampling])],
+    )]
+    return EXIT_OK, tables, charts
 
 
-def cmd_optimize(ns: argparse.Namespace) -> int:
-    opts = _Options(ns)
+def cmd_optimize(opts: _Options) -> tuple[int, list, list]:
     objective = opts.get("objective", str, None)
     if not objective:
         raise ConfigError("optimize requires --objective <path>")
@@ -408,31 +364,32 @@ def cmd_optimize(ns: argparse.Namespace) -> int:
         gains = ", ".join(f"{r.gain:.3g}" for r in result.log.gain_trajectory)
         print(f"gain trajectory: {gains}")
 
-    out = _out_dir(opts)
-    if out is not None and _fmt(opts) in ("csv", "both"):
-        write_csv(
-            out / "optimize_summary.csv",
-            ["experiment", "method", "n", "seed", "best_index", "best_value",
-             "iterations", "outer_rounds", "optimal", "wall_time_ms"],
-            [("optimize", method, table.n, seed, result.best_index, result.best_value,
-              result.grover_iterations_total, result.outer_rounds, result.optimal, wall_ms)],
-        )
-        if rounds:
-            write_csv(
-                out / "optimize_rounds.csv",
-                ["experiment", "n", "seed", "round", "incumbent", "marked_count",
-                 "found", "iterations"],
-                [("optimize", table.n, seed, i + 1, r.incumbent_before, r.marked_count,
-                  r.found if r.found is not None else "", r.iterations)
-                 for i, r in enumerate(rounds)],
-            )
-    return EXIT_OK
+    tables = [(
+        "optimize_summary.csv",
+        ["experiment", "method", "n", "seed", "best_index", "best_value",
+         "iterations", "outer_rounds", "optimal", "wall_time_ms"],
+        [("optimize", method, table.n, seed, result.best_index, result.best_value,
+          result.grover_iterations_total, result.outer_rounds, result.optimal, wall_ms)],
+    )]
+    if rounds:
+        tables.append((
+            "optimize_rounds.csv",
+            ["experiment", "n", "seed", "round", "incumbent", "marked_count",
+             "found", "iterations"],
+            [("optimize", table.n, seed, i + 1, r.incumbent_before, r.marked_count,
+              r.found if r.found is not None else "", r.iterations)
+             for i, r in enumerate(rounds)],
+        ))
+    return EXIT_OK, tables, []
 
 
-def cmd_experiment(ns: argparse.Namespace) -> int:
-    opts = _Options(ns)
+def cmd_experiment(opts: _Options) -> tuple[int, list, list]:
+    """Runs one experiment, which writes its own files (to ``out`` by default)."""
+    if opts.ns.seed is not None or "seed" in opts.file:
+        raise ConfigError("experiments take no seed; trial seeds are --seed-base + trial index")
+    which = opts.ns.which
     config = ExperimentConfig(
-        experiment=ns.which,
+        experiment=which,
         n=opts.get("n", int, None),
         n_range=opts.get("n_range", _parse_n_range, None),
         seeds=opts.get("seeds", int, 20),
@@ -442,39 +399,38 @@ def cmd_experiment(ns: argparse.Namespace) -> int:
         threshold=opts.get("threshold", int, None),
         reference=opts.get("reference", int, 0),
         output_dir=Path(opts.get("out", Path, Path("out"))),
-        fmt=_fmt(opts),
+        fmt=opts.get("format", str, "both"),
         inject_fault=bool(opts.get("inject_fault", _parse_bool, False)),
     )
-    if ns.which == "steps":
+    if which == "steps":
         outcome = experiment_steps(config)
-        print("n static_steps dynamic_rounds dynamic_inner_iterations")
-        for row in outcome.rows:
-            print(f"{row.n} {row.static_steps:g} {row.dynamic_rounds:g} "
-                  f"{row.dynamic_inner_iterations:g}")
-        for path in outcome.files:
-            print(f"wrote {path}")
-        return EXIT_OK
-    if ns.which == "accuracy":
+        lines = ["n static_steps dynamic_rounds dynamic_inner_iterations"] + [
+            f"{row.n} {row.static_steps:g} {row.dynamic_rounds:g} "
+            f"{row.dynamic_inner_iterations:g}" for row in outcome.rows
+        ]
+    elif which == "accuracy":
         outcome = experiment_accuracy(config)
-        print("S p_static p_dynamic")
-        for s in range(outcome.n + 1):
-            print(f"{s} {outcome.p_static[s]:.6g} {outcome.p_dynamic[s]:.6g}")
-        for path in outcome.files:
-            print(f"wrote {path}")
-        return EXIT_OK
-    report = experiment_corollaries(config)
-    print(f"{'check':<32} {'n':>3} {'trials':>6} {'max_deviation':>14} {'tolerance':>10} passed")
-    for r in report.results:
-        print(f"{r.check:<32} {r.n:>3} {r.trials:>6} {r.max_deviation:>14.3e} "
-              f"{r.tolerance:>10.1e} {r.passed}")
-    for path in report.files:
-        print(f"wrote {path}")
-    if not report.passed:
-        failed = [r.check for r in report.results if not r.passed]
+        lines = ["S p_static p_dynamic"] + [
+            f"{s} {outcome.p_static[s]:.6g} {outcome.p_dynamic[s]:.6g}"
+            for s in range(outcome.n + 1)
+        ]
+    else:
+        outcome = experiment_corollaries(config)
+        lines = [
+            f"{'check':<32} {'n':>3} {'trials':>6} {'max_deviation':>14} {'tolerance':>10} passed"
+        ] + [
+            f"{r.check:<32} {r.n:>3} {r.trials:>6} {r.max_deviation:>14.3e} "
+            f"{r.tolerance:>10.1e} {r.passed}" for r in outcome.results
+        ]
+    print("\n".join(lines + [f"wrote {path}" for path in outcome.files]))
+    if which != "corollaries":
+        return EXIT_OK, [], []
+    if not outcome.passed:
+        failed = [r.check for r in outcome.results if not r.passed]
         print(f"FAILED checks: {', '.join(sorted(set(failed)))}", file=sys.stderr)
-        return EXIT_INVARIANT
+        return EXIT_INVARIANT, [], []
     print("all checks passed")
-    return EXIT_OK
+    return EXIT_OK, [], []
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -482,7 +438,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", type=Path, help="output directory for CSV/SVG")
     parser.add_argument("--format", choices=["csv", "svg", "both"], dest="format")
     parser.add_argument("--seed", type=int, help="seed for single-run commands")
-    parser.add_argument("--seed-base", type=int, dest="seed_base")
+    parser.add_argument("--seed-base", type=int, dest="seed_base",
+                        help="experiment trial seeds are seed base + trial index; "
+                             "single-run commands fall back to it without --seed")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -549,10 +507,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
     try:
-        return ns.func(ns)
+        ns = build_parser().parse_args(argv)
+        opts = _Options(ns)
+        fmt = check_format(opts.get("format", str, "both"))
+        code, tables, charts = ns.func(opts)
+        out = opts.get("out", Path, None)
+        if out is not None:
+            write_outputs(out, fmt, tables, charts)
+        return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -84,16 +84,30 @@ class ExperimentConfig:
             raise ConfigError(f"n range must satisfy 1 <= lo <= hi <= {MAX_QUBITS}, got {lo}:{hi}")
         if self.n is not None and not 1 <= self.n <= MAX_QUBITS:
             raise ConfigError(f"n must be in [1, {MAX_QUBITS}], got {self.n}")
-        if self.fmt not in ("csv", "svg", "both"):
-            raise ConfigError(f"format must be csv, svg or both, got {self.fmt!r}")
+        check_format(self.fmt)
 
-    @property
-    def want_csv(self) -> bool:
-        return self.fmt in ("csv", "both")
 
-    @property
-    def want_svg(self) -> bool:
-        return self.fmt in ("svg", "both")
+def check_format(fmt: str) -> str:
+    if fmt not in ("csv", "svg", "both"):
+        raise ConfigError(f"format must be csv, svg or both, got {fmt!r}")
+    return fmt
+
+
+def write_outputs(out_dir, fmt: str, tables, charts) -> tuple[Path, ...]:
+    """Write ``(name, header, rows)`` tables as CSV and ``(name, title,
+    x_label, y_label, series)`` charts as SVG under ``out_dir``, as ``fmt``
+    (csv, svg or both) selects; tables first.  Returns the paths written."""
+    out = Path(out_dir)
+    files: list[Path] = []
+    if fmt in ("csv", "both"):
+        for name, header, rows in tables:
+            files.append(out / name)
+            write_csv(files[-1], header, rows)
+    if fmt in ("svg", "both"):
+        for name, title, x_label, y_label, series in charts:
+            files.append(out / name)
+            write_svg(files[-1], title, x_label, y_label, series)
+    return tuple(files)
 
 
 def _check_reference(config: ExperimentConfig, n: int) -> None:
@@ -171,38 +185,19 @@ def experiment_steps(config: ExperimentConfig) -> StepsOutcome:
         med = float(np.median(dyn_rounds))
         rows.append(StepsRow(n, float(static_steps), med, 2.0 * med))
 
-    files: list[Path] = []
-    out = Path(config.output_dir)
-    if config.want_csv:
-        agg = out / "steps.csv"
-        write_csv(
-            agg,
-            ["n", "static_steps", "dynamic_rounds", "dynamic_inner_iterations"],
-            [(r.n, r.static_steps, r.dynamic_rounds, r.dynamic_inner_iterations) for r in rows],
-        )
-        runs = out / "steps_runs.csv"
-        write_csv(
-            runs,
-            ["experiment", "n", "seed", "static_steps", "dynamic_rounds",
-             "dynamic_inner_iterations", "wall_time_ms"],
-            run_rows,
-        )
-        files += [agg, runs]
-    if config.want_svg:
-        svg = out / "steps.svg"
-        ns = [r.n for r in rows]
-        write_svg(
-            svg,
-            "Steps to majority mass on the target set",
-            "bit width n",
-            "steps (median over seeds)",
-            [
-                ("static schedule", ns, [r.static_steps for r in rows]),
-                ("dynamic rounds", ns, [r.dynamic_rounds for r in rows]),
-            ],
-        )
-        files.append(svg)
-    return StepsOutcome(tuple(rows), tuple(run_rows), tuple(files))
+    ns = [r.n for r in rows]
+    files = write_outputs(config.output_dir, config.fmt, [
+        ("steps.csv", ["n", "static_steps", "dynamic_rounds", "dynamic_inner_iterations"],
+         [(r.n, r.static_steps, r.dynamic_rounds, r.dynamic_inner_iterations) for r in rows]),
+        ("steps_runs.csv", ["experiment", "n", "seed", "static_steps", "dynamic_rounds",
+                            "dynamic_inner_iterations", "wall_time_ms"], run_rows),
+    ], [
+        ("steps.svg", "Steps to majority mass on the target set", "bit width n",
+         "steps (median over seeds)",
+         [("static schedule", ns, [r.static_steps for r in rows]),
+          ("dynamic rounds", ns, [r.dynamic_rounds for r in rows])]),
+    ])
+    return StepsOutcome(tuple(rows), tuple(run_rows), files)
 
 
 @dataclass(frozen=True)
@@ -249,37 +244,19 @@ def experiment_accuracy(config: ExperimentConfig) -> AccuracyOutcome:
     med = np.median(curves, axis=0)
     p_dynamic = med / med.sum()
 
-    files: list[Path] = []
-    out = Path(config.output_dir)
-    if config.want_csv:
-        agg = out / "accuracy.csv"
-        write_csv(
-            agg,
-            ["S", "p_static", "p_dynamic"],
-            [(s, float(p_static[s]), float(p_dynamic[s])) for s in range(n + 1)],
-        )
-        runs = out / "accuracy_runs.csv"
-        write_csv(
-            runs,
-            ["experiment", "n", "seed", "variant", "S", "p", "wall_time_ms"],
-            run_rows,
-        )
-        files += [agg, runs]
-    if config.want_svg:
-        svg = out / "accuracy.svg"
-        ss = list(range(n + 1))
-        write_svg(
-            svg,
-            "Sampling probability by similarity class",
-            "similarity S",
-            "class probability",
-            [
-                ("static", ss, [float(v) for v in p_static]),
-                ("dynamic", ss, [float(v) for v in p_dynamic]),
-            ],
-        )
-        files.append(svg)
-    return AccuracyOutcome(n, p_static, p_dynamic, tuple(run_rows), tuple(files))
+    ss = list(range(n + 1))
+    files = write_outputs(config.output_dir, config.fmt, [
+        ("accuracy.csv", ["S", "p_static", "p_dynamic"],
+         [(s, float(p_static[s]), float(p_dynamic[s])) for s in ss]),
+        ("accuracy_runs.csv", ["experiment", "n", "seed", "variant", "S", "p", "wall_time_ms"],
+         run_rows),
+    ], [
+        ("accuracy.svg", "Sampling probability by similarity class", "similarity S",
+         "class probability",
+         [("static", ss, [float(v) for v in p_static]),
+          ("dynamic", ss, [float(v) for v in p_dynamic])]),
+    ])
+    return AccuracyOutcome(n, p_static, p_dynamic, tuple(run_rows), files)
 
 
 @dataclass(frozen=True)
@@ -421,13 +398,8 @@ def experiment_corollaries(config: ExperimentConfig) -> CorollariesReport:
         if n <= 8:
             results.append(_guarded_run_check(n, max(2, trials // 2), rng))
 
-    files: list[Path] = []
-    if config.want_csv:
-        path = Path(config.output_dir) / "corollaries.csv"
-        write_csv(
-            path,
-            ["check", "n", "trials", "max_deviation", "tolerance", "passed"],
-            [(r.check, r.n, r.trials, r.max_deviation, r.tolerance, r.passed) for r in results],
-        )
-        files.append(path)
-    return CorollariesReport(tuple(results), tuple(files))
+    files = write_outputs(config.output_dir, config.fmt, [
+        ("corollaries.csv", ["check", "n", "trials", "max_deviation", "tolerance", "passed"],
+         [(r.check, r.n, r.trials, r.max_deviation, r.tolerance, r.passed) for r in results]),
+    ], ())
+    return CorollariesReport(tuple(results), files)

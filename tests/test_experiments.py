@@ -260,6 +260,52 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
 
+    def test_config_file_unknown_key_exit(self, tmp_path, capsys):
+        # misspelt keys used to be dropped, so the run went ahead with seed 0
+        # and a random marked state
+        config = tmp_path / "run.cfg"
+        config.write_text("n=6\nsed=9\nmarkd=3\n", encoding="utf-8")
+        assert main(["grover", "--config", str(config)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"config error: {config}:2: unknown key 'sed'\n"
+
+    @pytest.mark.parametrize("from_file", [False, True], ids=["flag", "config"])
+    def test_experiment_seed_rejected(self, tmp_path, capsys, from_file):
+        args = ["experiment", "steps", "--n-range", "6:7", "--seeds", "2",
+                "--out", str(tmp_path / "out")]
+        if from_file:
+            (tmp_path / "run.cfg").write_text("seed=9\n", encoding="utf-8")
+            args += ["--config", str(tmp_path / "run.cfg")]
+        else:
+            args += ["--seed", "99"]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: ") and "--seed-base" in captured.err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("with_out", [False, True], ids=["no-out", "out"])
+    def test_bad_format_rejected_before_the_run(self, tmp_path, capsys, with_out):
+        config = tmp_path / "run.cfg"
+        config.write_text("format=xml\n", encoding="utf-8")
+        args = ["grover", "--n", "5", "--config", str(config)]
+        if with_out:
+            args += ["--out", str(tmp_path / "out")]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "config error: format must be csv, svg or both, got 'xml'\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_dynamic_strict_validity_exit(self, capsys):
+        assert main(["dynamic", "--n", "8", "--seed", "5", "--strict-validity"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "validity failure: round 3 would start from an unproductive state"
+        )
+
     def test_non_integer_seed_environment_exit(self, capsys, monkeypatch):
         monkeypatch.setenv("QAMP_SEED", "seven")
         assert main(["grover", "--n", "4", "--m", "1"]) == 2
@@ -277,6 +323,7 @@ class TestCli:
         pytest.param(["grover", "--n", "4", "--m", "1"], None, "-3", id="env-seed"),
         pytest.param(["dynamic", "--n", "8", "--rounds", "-1"], None, None, id="rounds"),
         pytest.param(["recommend", "--n", "8", "--m", "0"], None, None, id="item-count"),
+        pytest.param(["experiment", "steps", "--n-range", "abc"], None, None, id="n-range-flag"),
     ])
     def test_out_of_range_value_exit(self, tmp_path, capsys, monkeypatch, args, config_line,
                                      env_seed):

@@ -22,6 +22,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from qamp.cli import main
 from qamp.optimize import ObjectiveTable, Sense, save_objective
@@ -102,6 +103,20 @@ def test_seeded_outputs_match_manifest():
     assert sorted(got) == sorted(want)
     for name in CASES:
         assert got[name] == want[name], name
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_format_writes_its_part_of_both(name, tmp_path):
+    """``--format csv`` writes exactly the CSVs of the ``both`` run (wall time
+    aside) and ``--format svg`` exactly its SVGs, byte for byte."""
+    inputs = _inputs(tmp_path)
+    both, csv_run, svg_run = (
+        _run(fmt, f"{CASES[name]} --format {fmt}", inputs, tmp_path)
+        for fmt in ("both", "csv", "svg")
+    )
+    assert both["exit"] == csv_run["exit"] == svg_run["exit"]
+    assert csv_run["files"] == {k: v for k, v in both["files"].items() if k.endswith(".csv")}
+    assert svg_run["files"] == {k: v for k, v in both["files"].items() if k.endswith(".svg")}
 
 
 if __name__ == "__main__":
