@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import SAMPLE_ATOL, check_qubit_count
-from .dynamic_search import DynamicRunLog, GainReport, _GroupStats
+from .dynamic_search import DynamicRunLog, GainReport
 from .errors import NormalizationError, ShapeMismatchError
 
 
@@ -174,8 +174,9 @@ def gain_report(state: StateVector, mask: SelectionMask) -> GainReport:
     signals that the search is complete.
     """
     check_dims(state, mask)
-    stats = selection_stats(state.amps, mask.selected)
-    return _GroupStats(*stats, mask.count_selected, state.size).report()
+    sum_sel, sum_unsel, p_sel, p_unsel, min_unsel = selection_stats(state.amps, mask.selected)
+    mean = (sum_unsel - sum_sel) / state.size
+    return GainReport.of(p_sel, p_unsel, mean, min_unsel, mask.count_selected, state.size)
 
 
 @dataclass(frozen=True)
@@ -214,8 +215,7 @@ def replay_round_states(log: DynamicRunLog) -> Sequence[StateVector]:
     """
     states = [uniform_init(log.n)]
     restarts = set(log.restart_rounds)
-    for round_index in range(log.rounds):
+    for round_index, selected in enumerate(log.selected_indices):
         start = uniform_init(log.n) if round_index in restarts else states[-1]
-        mask = SelectionMask.from_indices(log.n, log.selected_indices[round_index])
-        states.append(dynamic_iteration(start, mask))
+        states.append(dynamic_iteration(start, SelectionMask.from_indices(log.n, selected)))
     return states

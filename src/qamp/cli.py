@@ -242,31 +242,36 @@ def cmd_dynamic(opts: _Options) -> tuple[int, list, list]:
 
     print(f"n={n} reference={reference} beta={params.beta:.6f} rounds={log.rounds} seed={seed}")
     if log.restart_rounds:
-        print(f"restarts at rounds: {', '.join(str(r) for r in log.restart_rounds)}")
+        print(f"restarts at rounds: {', '.join(str(r + 1) for r in log.restart_rounds)}")
     print(f"{'round':>5} {'N_s':>6} {'p_selected':>11} {'gain':>12} {'mean_amp':>12}")
-    for i, report in enumerate(log.gain_trajectory):
-        print(
-            f"{i + 1:>5} {report.ns_actual:>6} {report.p_selected:>11.6f} "
-            f"{report.gain:>12.6g} {report.mean_amplitude:>12.4e}"
-        )
+    columns = [log.n_selected, log.p_selected, log.p_unselected, log.gains,
+               log.mean_amplitude, log.min_unselected_amp]
+    rows = list(zip(range(1, log.rounds + 1), *(column.tolist() for column in columns)))
+    for i, n_sel, p_sel, _, gain, mean, _ in rows:
+        print(f"{i:>5} {n_sel:>6} {p_sel:>11.6f} {gain:>12.6g} {mean:>12.4e}")
 
     tables = [
         ("dynamic_rounds.csv",
          ["experiment", "n", "seed", "round", "n_selected", "p_selected",
           "p_unselected", "gain", "mean_amplitude", "min_unselected_amp"],
-         [("dynamic", n, seed, i + 1, r.ns_actual, r.p_selected, r.p_unselected,
-           r.gain, r.mean_amplitude, r.min_unselected_amp)
-          for i, r in enumerate(log.gain_trajectory)]),
+         [("dynamic", n, seed, *row) for row in rows]),
         ("dynamic_summary.csv",
          ["experiment", "n", "seed", "rounds", "inner_iterations", "wall_time_ms"],
          [("dynamic", n, seed, log.rounds, 2 * log.rounds, wall_ms)]),
     ]
     charts = [(
         "dynamic_gain.svg", "Selected mass per round", "round", "probability",
-        [("selected mass", list(range(1, log.rounds + 1)),
-          [r.p_selected for r in log.gain_trajectory])],
+        [("selected mass", list(range(1, log.rounds + 1)), log.p_selected.tolist())],
     )] if log.rounds else []
     return EXIT_OK, tables, charts
+
+
+def _gain_summary(log) -> str:
+    """One line on a run's gains: the rounds logged, the first, the largest and the last."""
+    gains = log.gains
+    best = int(np.argmax(gains))
+    return (f"gain trajectory: rounds={log.rounds} first={gains[0]:.3g} "
+            f"max={gains[best]:.3g} (round {best + 1}) last={gains[-1]:.3g}")
 
 
 def cmd_recommend(opts: _Options) -> tuple[int, list, list]:
@@ -295,10 +300,9 @@ def cmd_recommend(opts: _Options) -> tuple[int, list, list]:
     print(f"{'index':>7} {'bits':>{n + 2}} {'similarity':>11}")
     for item in result.items:
         print(f"{item.index:>7} {item.index:>0{n}b}   {item.similarity:>9}")
-    log = result.log
-    if log is not None and log.rounds:
-        gains = ", ".join(f"{r.gain:.3g}" for r in log.gain_trajectory)
-        print(f"gain trajectory: {gains}")
+    log = result.log  # recommend() always returns its run's log
+    if log.rounds:
+        print(_gain_summary(log))
 
     tables = [
         ("recommend_items.csv", ["experiment", "n", "seed", "index", "similarity"],
@@ -306,19 +310,15 @@ def cmd_recommend(opts: _Options) -> tuple[int, list, list]:
         ("recommend_classes.csv", ["experiment", "n", "seed", "S", "probability"],
          [("recommend", n, seed, s, float(p))
           for s, p in enumerate(result.per_similarity_sampling)]),
+        ("recommend_rounds.csv",
+         ["experiment", "n", "seed", "round", "n_selected", "p_selected", "gain"],
+         [("recommend", n, seed, *row) for row in zip(
+             range(1, log.rounds + 1), log.n_selected.tolist(), log.p_selected.tolist(),
+             log.gains.tolist())]),
+        ("recommend_summary.csv",
+         ["experiment", "n", "seed", "m", "rounds_used", "inner_iterations", "wall_time_ms"],
+         [("recommend", n, seed, m, result.rounds_used, 2 * result.rounds_used, wall_ms)]),
     ]
-    if log is not None:
-        tables.append((
-            "recommend_rounds.csv",
-            ["experiment", "n", "seed", "round", "n_selected", "p_selected", "gain"],
-            [("recommend", n, seed, i + 1, r.ns_actual, r.p_selected, r.gain)
-             for i, r in enumerate(log.gain_trajectory)],
-        ))
-    tables.append((
-        "recommend_summary.csv",
-        ["experiment", "n", "seed", "m", "rounds_used", "inner_iterations", "wall_time_ms"],
-        [("recommend", n, seed, m, result.rounds_used, 2 * result.rounds_used, wall_ms)],
-    ))
     charts = [(
         "recommend_classes.svg", "Sampling probability by similarity class",
         "similarity S", "class probability",
@@ -361,8 +361,7 @@ def cmd_optimize(opts: _Options) -> tuple[int, list, list]:
         )
         print(f"threshold rounds: {chain}")
     elif result.log is not None and result.log.rounds:
-        gains = ", ".join(f"{r.gain:.3g}" for r in result.log.gain_trajectory)
-        print(f"gain trajectory: {gains}")
+        print(_gain_summary(result.log))
 
     tables = [(
         "optimize_summary.csv",

@@ -10,8 +10,9 @@ are the identity.
 
 Progress diagnostics follow the two-component analysis: a round is
 productive only while the post-flip mean amplitude and all unselected
-amplitudes stay positive (``_GroupStats.report`` gives both; the dense
-reference ``qamp.backend.gain_report`` takes them from the amplitudes).
+amplitudes stay positive (a run's :class:`DynamicRunLog` keeps both per
+round; the dense reference ``qamp.backend.gain_report`` takes them from
+the amplitudes).
 """
 
 from __future__ import annotations
@@ -217,38 +218,74 @@ class GainReport:
     ns_bound: float
     ns_actual: int
 
+    @staticmethod
+    def of(p_sel: float, p_unsel: float, mean: float, min_unsel: float, n_sel: int,
+           n_states: int) -> "GainReport":
+        """The report of a mask of ``n_sel`` states out of ``n_states``."""
+        gain = p_sel / p_unsel if p_unsel > 0.0 else math.inf
+        ns_bound = n_states / (2.0 * gain) if gain else math.inf  # 0.0 for an infinite gain
+        return GainReport(p_sel, p_unsel, gain, mean, min_unsel, ns_bound, n_sel)
+
     @property
     def complete(self) -> bool:
         """True when no probability mass remains outside the selected set."""
         return math.isinf(self.gain)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DynamicRunLog:
-    """Per-round record of a dynamic run.
+    """Record of a dynamic run, one column entry per completed round.
 
-    Masks are stored as selected-index arrays to keep large-n runs light.
-    ``policy_mass_by_round`` is the expected mass a fresh selection round
-    would mark (under a 0/1 table this equals the logged p_selected);
-    ``best_round`` is the 1-based round maximizing it when the run tracked
-    a best state, and ``restart_rounds`` lists rounds that reset to the
-    uniform state after a progress-condition violation.
+    Round i (0-based) selected ``events[starts[i]:starts[i + 1]]``, in
+    index order.  Entry i of each float64 column describes the state after
+    round i's doubled step, along round i's mask, as :meth:`report` does:
+    its mass on and off the mask, its post-flip mean and its least
+    unselected amplitude (+inf for a full mask); the mass a fresh
+    selection round would mark from it (under a 0/1 table, p_selected);
+    and the watched policy's mass (the column is None when the run
+    watched none).  ``best_round`` is the 1-based round of the state a
+    ``keep_best`` run returned, 0 when no round beat the uniform state
+    (None without ``keep_best``).  ``restart_rounds`` holds the 0-based
+    indices of the rounds that restarted from the uniform state.
     """
 
     n: int
     rounds: int
-    selected_indices: tuple[np.ndarray, ...]
-    gain_trajectory: tuple[GainReport, ...]
-    policy_mass_by_round: tuple[float, ...] = ()
-    watched_mass_by_round: tuple[float, ...] | None = None
-    best_round: int | None = None
-    restart_rounds: tuple[int, ...] = ()
+    events: np.ndarray  # int64
+    starts: np.ndarray  # int64, rounds + 1 entries
+    p_selected: np.ndarray
+    p_unselected: np.ndarray
+    mean_amplitude: np.ndarray
+    min_unselected_amp: np.ndarray
+    policy_mass_by_round: np.ndarray
+    watched_mass_by_round: np.ndarray | None
+    best_round: int | None
+    restart_rounds: tuple[int, ...]
 
-    def __post_init__(self):
-        if len(self.selected_indices) != self.rounds or len(self.gain_trajectory) != self.rounds:
-            raise ValueError("log length disagrees with round count")
-        if self.policy_mass_by_round and len(self.policy_mass_by_round) != self.rounds:
-            raise ValueError("policy-mass trace length disagrees with round count")
+    @property
+    def n_selected(self) -> np.ndarray:
+        """Selected count of each round."""
+        return np.diff(self.starts)
+
+    @property
+    def gains(self) -> np.ndarray:
+        """p_selected / p_unselected of each round, inf where no unselected mass is left."""
+        p_unsel = self.p_unselected
+        inf = np.full(self.rounds, math.inf)
+        return np.divide(self.p_selected, p_unsel, out=inf, where=p_unsel > 0.0)
+
+    @property
+    def selected_indices(self) -> tuple[np.ndarray, ...]:
+        """Each round's selected states, as views of ``events``."""
+        starts = self.starts.tolist()
+        return tuple(self.events[a:b] for a, b in zip(starts, starts[1:]))
+
+    def report(self, i: int) -> GainReport:
+        """The diagnostics of round i (0-based), as a :class:`GainReport`."""
+        i = range(self.rounds)[i]
+        columns = (self.p_selected, self.p_unselected, self.mean_amplitude, self.min_unselected_amp)
+        n_sel = int(self.starts[i + 1] - self.starts[i])
+        return GainReport.of(*(float(column[i]) for column in columns), n_sel, 1 << self.n)
 
 
 class _GroupStats(NamedTuple):
@@ -269,25 +306,6 @@ class _GroupStats(NamedTuple):
     @property
     def post_flip_mean(self) -> float:
         return (self.sum_unsel - self.sum_sel) / self.n_states
-
-    def report(self) -> GainReport:
-        p_sel, p_unsel = self.sumsq_sel, self.sumsq_unsel
-        gain = p_sel / p_unsel if p_unsel > 0.0 else math.inf
-        if gain == 0.0:
-            ns_bound = math.inf
-        elif math.isinf(gain):
-            ns_bound = 0.0
-        else:
-            ns_bound = self.n_states / (2.0 * gain)
-        return GainReport(
-            p_selected=p_sel,
-            p_unselected=p_unsel,
-            gain=gain,
-            mean_amplitude=self.post_flip_mean,
-            min_unselected_amp=self.min_unsel,
-            ns_bound=ns_bound,
-            ns_actual=self.n_selected,
-        )
 
     def doubling_shifts(self) -> tuple[float, float]:
         """What two steps with this mask add to each selected and each unselected amplitude.
@@ -322,7 +340,6 @@ class _Selection(NamedTuple):
     """One round's mask on the support, with the sums the round needs of it."""
 
     pos: np.ndarray  # support positions, ascending
-    selected: np.ndarray  # their state indices
     e: np.ndarray  # their offsets from bulk
     sum_ee: float  # sum of e**2
     weighted_e: list[float]  # sum of v e for each weight v in (1, p, w)
@@ -399,7 +416,6 @@ class _Support:
         e = self.e[pos]
         return _Selection(
             pos,
-            self._selected[start:stop],
             e,
             float(e.dot(e)),
             self._weights[:, start:stop].dot(e).tolist(),
@@ -452,14 +468,11 @@ class _Support:
         self.sum_e = [ve + moved * v for ve, v in zip(self.sum_e, sel.weight_sums)]
         return stats.translated(shift_sel, shift_unsel)
 
-    def masses(self) -> list[float]:
-        """Sum over all states of v(x) a(x)**2 for each weight v: the norm,
-        the policy mass and, when the run watches, the watched mass."""
+    def mass(self, weight: int) -> float:
+        """Sum over all states of v(x) a(x)**2 for weight ``weight`` of
+        (1, p, w): the norm, the policy mass or the watched mass."""
         bulk = self.bulk
-        return [
-            bulk * (bulk * total + 2.0 * ve) + vee
-            for total, ve, vee in zip(self._totals, self.sum_e, self.sum_ee)
-        ]
+        return bulk * (bulk * self._totals[weight] + 2.0 * self.sum_e[weight]) + self.sum_ee[weight]
 
     def snapshot(self) -> tuple[float, np.ndarray]:
         return self.bulk, self.e.copy()
@@ -658,14 +671,11 @@ def run_dynamic(
     if stop_above is not None and watch is None:
         raise ValueError("stop_above needs a watched policy")
     support = _Support(policy, rounds, rng, watch)
-    indices: list[np.ndarray] = []
-    reports: list[GainReport] = []
-    policy_mass: list[float] = []
-    watched_mass: list[float] | None = None if watch is None else []
+    # the log's columns, one entry per completed round
+    p_sel, p_unsel, mean, min_unsel, policy_mass, watched_mass = ([] for _ in range(6))
     restarts: list[int] = []
     best = support.snapshot() if keep_best else None
-    # the policy mass of the uniform state
-    best_score = support.masses()[1]
+    best_score = support.mass(1)  # the policy mass of the uniform state
     best_round = 0
     violation: _GroupStats | None = None
 
@@ -681,32 +691,36 @@ def run_dynamic(
             stats = support.stats(selection)
             restarts.append(round_index)
         after = support.step(selection, stats)
-        indices.append(selection.selected)
-        reports.append(after.report())
-        _, mass, *watched = support.masses()
-        policy_mass.append(mass)
-        if keep_best and mass > best_score:
-            best_score = mass
+        p_sel.append(after.sumsq_sel)
+        p_unsel.append(after.sumsq_unsel)
+        mean.append(after.post_flip_mean)
+        min_unsel.append(after.min_unsel)
+        policy_mass.append(support.mass(1))
+        if keep_best and policy_mass[-1] > best_score:
+            best_score = policy_mass[-1]
             best = support.snapshot()
             best_round = round_index + 1
-        if watched_mass is not None:
-            watched_mass.append(watched[0])
+        if watch is not None:
+            watched_mass.append(support.mass(2))
             if stop_above is not None and watched_mass[-1] > stop_above:
                 break
 
+    done = len(policy_mass)
+    # the logged rounds' masks are a prefix of the events the run drew
     log = DynamicRunLog(
         n,
-        len(reports),
-        tuple(indices),
-        tuple(reports),
-        tuple(policy_mass),
-        None if watched_mass is None else tuple(watched_mass),
+        done,
+        support._selected[: support._starts[done]],
+        np.array(support._starts[: done + 1], dtype=np.int64),
+        *(np.array(column, dtype=np.float64) for column in (p_sel, p_unsel, mean, min_unsel)),
+        np.array(policy_mass, dtype=np.float64),
+        None if watch is None else np.array(watched_mass, dtype=np.float64),
         best_round if keep_best else None,
         tuple(restarts),
     )
     if violation is not None:
         raise ValidityError(
-            f"round {log.rounds} would start from an unproductive state "
+            f"round {log.rounds + 1} would start from an unproductive state "
             f"(post-flip mean {violation.post_flip_mean:.3e}, "
             f"min unselected {violation.min_unsel:.3e})",
             state=support.sparse_state(support.snapshot()),

@@ -163,25 +163,12 @@ def experiment_steps(config: ExperimentConfig) -> StepsOutcome:
             seed = config.seed_base + trial
             rng = np.random.default_rng(seed)
             t0 = time.perf_counter()
-            _, log = run_dynamic(
-                n,
-                policy,
-                rng,
-                rounds=cap,
-                stop_above=0.5,
-                watch=ball,
-                on_violation="restart",
-            )
+            _, log = run_dynamic(n, policy, rng, rounds=cap, stop_above=0.5, watch=ball,
+                                 on_violation="restart")
             wall_ms = (time.perf_counter() - t0) * 1e3
-            crossed = (
-                log.rounds
-                if log.watched_mass_by_round and log.watched_mass_by_round[-1] > 0.5
-                else cap
-            )
+            crossed = log.rounds if log.rounds and log.watched_mass_by_round[-1] > 0.5 else cap
             dyn_rounds[trial] = crossed
-            run_rows.append(
-                ("steps", n, seed, static_steps, crossed, 2 * crossed, wall_ms)
-            )
+            run_rows.append(("steps", n, seed, static_steps, crossed, 2 * crossed, wall_ms))
         med = float(np.median(dyn_rounds))
         rows.append(StepsRow(n, float(static_steps), med, 2.0 * med))
 

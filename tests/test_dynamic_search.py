@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import math
 import tracemalloc
@@ -49,6 +50,13 @@ def random_state(n, seed):
     amps = rng.standard_normal(1 << n)
     amps /= np.linalg.norm(amps)
     return StateVector(n, amps)
+
+
+# a log's columns, derived ones first; each has one entry per round
+LOG_COLUMNS = (
+    "n_selected", "gains", "p_selected", "p_unselected", "mean_amplitude",
+    "min_unselected_amp", "policy_mass_by_round", "watched_mass_by_round",
+)
 
 
 class TestSelectionPolicy:
@@ -235,7 +243,11 @@ class TestRunDynamic:
         state, log = run_dynamic(4, policy, np.random.default_rng(0), rounds=0)
         np.testing.assert_allclose(state.amps, uniform_init(4).amps)
         assert log.rounds == 0
-        assert log.gain_trajectory == ()
+        for name in ("events", *LOG_COLUMNS[:-1]):
+            assert getattr(log, name).shape == (0,), name
+        assert log.watched_mass_by_round is None
+        assert log.starts.tolist() == [0]
+        assert log.selected_indices == ()
 
     def test_static_policy_thirteen_rounds(self):
         mask = SelectionMask.from_indices(10, [511])
@@ -278,9 +290,8 @@ class TestRunDynamic:
             except ValidityError as err:
                 log = err.log
             states = replay_round_states(log)
-            for i in range(log.rounds):
-                mask = SelectionMask.from_indices(log.n, log.selected_indices[i])
-                report = gain_report(states[i], mask)
+            for state, selected in zip(states, log.selected_indices):
+                report = gain_report(state, SelectionMask.from_indices(log.n, selected))
                 assert report.mean_amplitude > -VALIDITY_ATOL
                 assert report.min_unselected_amp > -VALIDITY_ATOL
 
@@ -291,8 +302,8 @@ class TestRunDynamic:
             10, policy, np.random.default_rng(0), rounds=40, stop_above=0.5, watch=policy
         )
         assert log.rounds < 40
-        assert log.gain_trajectory[-1].p_selected > 0.5
-        assert all(r.p_selected <= 0.5 for r in log.gain_trajectory[:-1])
+        assert log.p_selected[-1] > 0.5
+        assert np.all(log.p_selected[:-1] <= 0.5)
 
     def test_stop_above_needs_watch(self):
         policy = SelectionPolicy.probabilistic(6, np.full(64, 0.1))
@@ -337,24 +348,25 @@ class TestRunDynamic:
         _, log = run_dynamic(
             6, policy, np.random.default_rng(0), rounds=5, on_violation="restart"
         )
-        p_selected = [report.p_selected for report in log.gain_trajectory]
-        np.testing.assert_allclose(log.policy_mass_by_round, p_selected, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(log.policy_mass_by_round, log.p_selected, rtol=0, atol=1e-15)
 
     def test_deterministic_for_seed(self):
         policy = SelectionPolicy.probabilistic(8, np.full(256, 0.02))
         a_state, a_log = run_dynamic(8, policy, np.random.default_rng(3), rounds=6)
         b_state, b_log = run_dynamic(8, policy, np.random.default_rng(3), rounds=6)
         assert np.array_equal(a_state.amps, b_state.amps)
-        assert a_log.gain_trajectory == b_log.gain_trajectory
+        for name in ("events", "starts", *LOG_COLUMNS):
+            assert np.array_equal(getattr(a_log, name), getattr(b_log, name)), name
+        assert a_log.restart_rounds == b_log.restart_rounds
 
     def test_log_mask_roundtrip(self):
         policy = SelectionPolicy.probabilistic(5, np.full(32, 0.3))
         _, log = run_dynamic(
             5, policy, np.random.default_rng(0), rounds=3, on_violation="restart"
         )
-        for i in range(log.rounds):
-            mask = SelectionMask.from_indices(log.n, log.selected_indices[i])
-            assert mask.count_selected == log.gain_trajectory[i].ns_actual
+        for i, selected in enumerate(log.selected_indices):
+            mask = SelectionMask.from_indices(log.n, selected)
+            assert mask.count_selected == log.report(i).ns_actual == log.n_selected[i]
 
 
 def _compositions(total, buckets):
@@ -466,7 +478,11 @@ def test_doubling_identity_property(n, seed, density):
         stats = _GroupStats(
             *backend.selection_stats(state.amps, mask.selected), mask.count_selected, state.size
         )
-        closed_form = stats.translated(*stats.doubling_shifts()).report()
+        closed = stats.translated(*stats.doubling_shifts())
+        closed_form = GainReport.of(
+            closed.sumsq_sel, closed.sumsq_unsel, closed.post_flip_mean, closed.min_unsel,
+            closed.n_selected, closed.n_states,
+        )
         assert_reports_close(closed_form, gain_report(after, mask))
 
 
@@ -512,16 +528,15 @@ def test_run_dynamic_matches_dense_replay(n, seed, scale, kind, keep_best, watch
     )
     probs = dense_probabilities(policy)
     state = best = uniform_init(n)
-    for i in range(log.rounds):
+    for i, selected in enumerate(log.selected_indices):
         if i in log.restart_rounds:
             state = uniform_init(n)
-        selected = log.selected_indices[i]
         assert selected.dtype == np.int64
         assert np.all(np.diff(selected) > 0)
         assert np.all(probs[selected] > 0.0)
         mask = SelectionMask.from_indices(n, selected)
         state = two_dense_steps(state, mask)
-        assert_reports_close(log.gain_trajectory[i], dense_report(state, mask))
+        assert_reports_close(log.report(i), dense_report(state, mask))
         mass = float(probs @ state.probabilities())
         assert log.policy_mass_by_round[i] == pytest.approx(mass, rel=0, abs=1e-12)
         if watch:
@@ -607,7 +622,7 @@ def test_masks_keep_their_law_over_many_rounds():
     for seed in range(runs):
         support = _Support(policy, rounds, np.random.default_rng(seed))
         for r in range(rounds):
-            selected = support.select(r).selected
+            selected = support.idx[support.select(r).pos]
             assert np.all(np.diff(selected) > 0)
             member[seed, r, selected] = True
     member = member[:, :, watched]
@@ -795,6 +810,74 @@ def test_class_policy_run_allocates_no_flag_per_state():
     assert peak < 1 << n
 
 
-def test_log_validation():
-    with pytest.raises(ValueError):
-        DynamicRunLog(2, 2, (np.array([0]),), ())
+def digest_runs():
+    """(name, log) of each run of a seeded grid: class, catalog and table
+    policies, keep_best on and off, watch on and off, one run that aborts
+    (the error's log) and one that restarts."""
+    n, reference = 9, 0b101100101
+    by_class = similarity_policy(SimilaritySpec(n, reference), calibrate_beta(n, 4.0))
+    catalog = SelectionPolicy.by_similarity(
+        n, reference, by_class.class_probabilities, np.arange(0, 1 << n, 3)
+    )
+    ball = SelectionPolicy.by_similarity(n, reference, (np.arange(n + 1) >= n - 1) * 1.0)
+    table = SelectionPolicy.probabilistic(8, 0.08 * np.random.default_rng(5).random(256))
+    table_watch = SelectionPolicy.probabilistic(8, np.arange(256) % 7 == 0)
+    crowded = SelectionPolicy.probabilistic(8, np.full(256, 0.3))
+    grid = [
+        ("class", by_class, {}),
+        ("class-best-watch", by_class,
+         {"rounds": round_cap(n, by_class), "keep_best": True, "watch": ball}),
+        ("catalog-best", catalog, {"rounds": round_cap(n, catalog), "keep_best": True}),
+        ("catalog-watch-stop", catalog, {"rounds": 40, "watch": ball, "stop_above": 0.5}),
+        ("table", table, {"rounds": 12}),
+        ("table-best-watch", table, {"rounds": 12, "keep_best": True, "watch": table_watch}),
+        ("restart", crowded, {"rounds": 4}),
+    ]
+    for seed, (name, policy, kwargs) in enumerate(grid):
+        _, log = run_dynamic(
+            policy.n, policy, np.random.default_rng(seed), on_violation="restart", **kwargs
+        )
+        yield name, log
+    with pytest.raises(ValidityError) as excinfo:
+        run_dynamic(8, crowded, np.random.default_rng(0), rounds=4)
+    yield "abort", excinfo.value.log
+
+
+def log_digest(head, arrays):
+    """sha256 of ``repr(head)`` followed by the bytes of each array (b"none" for None)."""
+    digest = hashlib.sha256(repr(head).encode())
+    for array in arrays:
+        digest.update(b"none" if array is None else np.ascontiguousarray(array).tobytes())
+    return digest.hexdigest()
+
+
+# log_digest((n, rounds, best_round, restart_rounds), (events, starts, *LOG_COLUMNS))
+# of each run of digest_runs(), computed from the per-round reports and
+# index arrays the log kept before it kept columns
+PINNED_LOG_DIGESTS = {
+    "class": "2aee12f958f7306eceb8796b59dbe2bf8ebf7a8282d402f5d9dc6698969a562f",
+    "class-best-watch": "e2ab238d62e318168f5d1be66f52f146c52a1beea5da1db36b2397ff167cefb2",
+    "catalog-best": "6318cc460d8763707686c2026c458134bed73afa2e5e0cd6783e5e32c10b79c5",
+    "catalog-watch-stop": "29d33e92a687674f554975b2e68be03236ff70794e182d9416997d4dd9ff88f8",
+    "table": "5b53ac8bb2029a2f002c6a448949ae00588234ec50df3bcf0df80f2375407ff6",
+    "table-best-watch": "22891266cc6211a686119e9f191621fb8ed379ac605d083ca53aac836b0b014f",
+    "restart": "53460c702efe2b3de8e757e69bdddb47ee1bc72ed72a91169e6aad616beb3bd4",
+    "abort": "3fecfc5e6d4da71ccf3b48bbadeec29f0969b1b9e93ee3ca2d9f785affe826ee",
+}
+
+
+def test_log_columns_match_pinned_digests():
+    logs = dict(digest_runs())
+    assert sorted(logs) == sorted(PINNED_LOG_DIGESTS)
+    stored = {field.name for field in dataclasses.fields(DynamicRunLog)}
+    assert stored == {"n", "rounds", "best_round", "restart_rounds", "events", "starts",
+                      *LOG_COLUMNS} - {"n_selected", "gains"}
+    assert logs["abort"].rounds and logs["restart"].restart_rounds
+    for name, log in logs.items():
+        head = (log.n, log.rounds, log.best_round, log.restart_rounds)
+        columns = [getattr(log, column) for column in LOG_COLUMNS]
+        assert log.events.dtype == log.starts.dtype == log.n_selected.dtype == np.int64, name
+        assert all(c is None or c.dtype == np.float64 for c in columns[1:]), name
+        assert np.array_equal(np.concatenate([log.starts[:0], *log.selected_indices]), log.events)
+        digest = log_digest(head, [log.events, log.starts, *columns])
+        assert digest == PINNED_LOG_DIGESTS[name], name

@@ -303,7 +303,7 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(
-            "validity failure: round 3 would start from an unproductive state"
+            "validity failure: round 4 would start from an unproductive state"
         )
 
     def test_non_integer_seed_environment_exit(self, capsys, monkeypatch):
@@ -385,6 +385,13 @@ class TestCli:
         assert capsys.readouterr().out == first
         assert read_lines(tmp_path / "recommend_items.csv") == items
         assert len(items) == 6  # header + 5 items
+
+    def test_recommend_gain_summary_stays_short(self, capsys):
+        # a run of 9,106 rounds prints one summary line of its gains
+        assert main(["recommend", "--n", "25", "--m", "1", "--seed", "3"]) == 0
+        out = capsys.readouterr().out
+        assert len(out.encode()) < 1024
+        assert "\ngain trajectory: rounds=9106 first=" in out
 
     def test_recommend_under_amplified_exit(self, tmp_path):
         # a steep beta never selects the two catalog items farthest from the
