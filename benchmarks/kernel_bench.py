@@ -42,9 +42,15 @@ import numpy as np
 from qamp import backend
 from qamp.backend import StateVector, sample_dense
 from qamp.core import SparseState, in_sorted, sample
-from qamp.dynamic_search import SelectionPolicy, _draw_support, _Support, default_rounds
+from qamp.dynamic_search import (
+    SelectionPolicy,
+    _draw_support,
+    _Support,
+    default_rounds,
+    planned_rounds,
+)
 from qamp.optimize import ObjectiveTable, build_optimization_policy, nominal_rounds
-from qamp.recommend import SimilaritySpec, calibrate_beta, round_cap, similarity_policy
+from qamp.recommend import SimilaritySpec, calibrate_beta, similarity_policy
 from qamp.static_search import _Rotation
 
 
@@ -167,13 +173,12 @@ def bench_static_attempt(n: int, repeats: int) -> dict[int, dict[str, float]]:
 
 
 def bench_support_draw(n: int, m: float, with_catalog: bool, repeats: int) -> dict[str, float]:
-    """The support draw of a run of ``recommend``'s round cap under a
+    """The support draw of a run of ``recommend``'s planned rounds under a
     similarity policy calibrated to m.  The catalog, when there is one, is
     every state within 4 flipped bits of the reference, where most of the
     support falls."""
     spec = SimilaritySpec(n, (1 << n) // 3)
     policy = similarity_policy(spec, calibrate_beta(n, m))
-    rounds = round_cap(n, policy)
     if with_catalog:
         sizes = policy.class_sizes[n - 4:]
         classes = np.repeat(np.arange(n - 4, n + 1), sizes)
@@ -182,6 +187,7 @@ def bench_support_draw(n: int, m: float, with_catalog: bool, repeats: int) -> di
         policy = SelectionPolicy.by_similarity(
             n, spec.reference, policy.class_probabilities, catalog
         )
+    rounds = planned_rounds(policy)
     rng = np.random.default_rng(7)
     support = []
     draw = time_call(lambda: support.append(_draw_support(policy, rounds, rng)[0].size), repeats)

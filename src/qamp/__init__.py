@@ -26,6 +26,7 @@ from .dynamic_search import (
     SelectionPolicy,
     default_rounds,
     gain_bound,
+    planned_rounds,
     run_dynamic,
 )
 from .errors import (

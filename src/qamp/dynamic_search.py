@@ -620,6 +620,52 @@ def default_rounds(n: int, policy: SelectionPolicy) -> int:
     return optimal_iterations(1 << n, max(1.0, policy.expected_selected()))
 
 
+def planned_rounds(policy: SelectionPolicy) -> int:
+    """The round count at which a run under a class policy is predicted to peak.
+
+    A mask never depends on the amplitudes, and a doubled round adds one
+    shift to every selected amplitude and another to every unselected one
+    (:meth:`_GroupStats.doubling_shifts`).  After rounds with selected
+    shifts summing to A, unselected shifts summing to B and squared
+    differences summing to D, a state of selection probability P has
+    amplitude mean u + B + P (A - B) and variance P (1 - P) D, u the
+    uniform amplitude.  Taking each round's shifts from the expected group
+    sums, the predicted policy mass, the sum over x of P(x) a(x)**2,
+    needs only the moments M_j = sum_S C_S P_S**j for j = 1..3 (C_S the
+    class sizes, within the catalog if there is one), so a predicted
+    round is O(1) float work.
+
+    Returns the first round after which the predicted mass falls (0 when
+    the first round already lowers it).  The search stops at
+    ``8 * default_rounds + 8``; a mass still rising there falls back to
+    ``2 * default_rounds + 8``, so a policy that barely selects anything
+    runs no longer than that.
+    """
+    if policy.class_probabilities is None:
+        raise ValueError("planned_rounds needs a class policy")
+    powers = np.vander(policy.class_probabilities, 4, increasing=True)[:, 1:]  # P, P**2, P**3
+    m1, m2, m3 = (policy.class_sizes @ powers).tolist()
+    n_states = float(1 << policy.n)
+    schedule = default_rounds(policy.n, policy)
+    # An amplitude of selection probability P has mean bulk + P offset and
+    # variance P (1 - P) spread.  The expected group sums are then
+    # sum_sel = bulk m1 + offset m2 and sum_all = N bulk + offset m1, with
+    # which doubling_shifts moves offset by 4 mu1 and bulk by 2 (mu2 - mu1).
+    keep, tilt, drag = 1.0 - 2.0 * m1 / n_states, (m1 - 2.0 * m2) / n_states, m1 / n_states
+    bulk, offset, spread = 1.0 / math.sqrt(n_states), 0.0, 0.0
+    mass = bulk * bulk * m1
+    for done in range(8 * schedule + 8):
+        mu1 = keep * bulk + tilt * offset  # (sum_all - 2 sum_sel) / N
+        bulk += 2.0 * (2.0 * mu1 * keep - bulk - drag * offset - mu1)
+        offset += 4.0 * mu1
+        spread += 16.0 * mu1 * mu1
+        after = bulk * (bulk * m1 + 2.0 * offset * m2) + offset * offset * m3 + spread * (m2 - m3)
+        if after < mass:
+            return done
+        mass = after
+    return 2 * schedule + 8
+
+
 def run_dynamic(
     n: int,
     policy: SelectionPolicy,
@@ -634,11 +680,18 @@ def run_dynamic(
     """Run doubled amplification rounds with freshly sampled masks.
 
     Starts from the uniform state.  Before each round the progress
-    conditions are checked against the fresh mask; on a violation the
-    default is to abort with :class:`~qamp.errors.ValidityError` carrying
-    the state and the log so far, while ``on_violation="restart"`` resets
-    to the uniform state and keeps going (drivers that must finish use
-    this: live runs routinely show small transient negative excursions).
+    conditions are checked against the fresh mask.  ``on_violation``
+    says what a violating round does:
+
+    - ``"abort"`` (the default) raises :class:`~qamp.errors.ValidityError`
+      carrying the state and the log so far;
+    - ``"restart"`` resets to the uniform state, steps from it and logs
+      the round in ``restart_rounds``; a round that violates while no
+      round has stepped since the start or the last reset steps from the
+      uniform state it is already in, and is not logged;
+    - ``"continue"`` steps anyway, for runs whose length is planned
+      before they start (:func:`planned_rounds`); the log's
+      ``mean_amplitude`` and ``min_unselected_amp`` keep the diagnostics.
 
     ``watch`` logs each round's watched mass, the sum over x of
     P_watch(x) * a(x)**2 with P_watch the selection probabilities of that
@@ -662,8 +715,10 @@ def run_dynamic(
         rounds = default_rounds(n, policy)
     if rounds < 0:
         raise ValueError(f"round count must be >= 0, got {rounds}")
-    if on_violation not in ("abort", "restart"):
-        raise ValueError(f"on_violation must be 'abort' or 'restart', got {on_violation!r}")
+    if on_violation not in ("abort", "restart", "continue"):
+        raise ValueError(
+            f"on_violation must be 'abort', 'restart' or 'continue', got {on_violation!r}"
+        )
     if policy.n != n:
         raise ValueError(f"policy has n={policy.n}, run has n={n}")
     if watch is not None and watch.n != n:
@@ -678,6 +733,7 @@ def run_dynamic(
     best_score = support.mass(1)  # the policy mass of the uniform state
     best_round = 0
     violation: _GroupStats | None = None
+    uniform = True  # no round has stepped since the start or the last reset
 
     for round_index in range(rounds):
         selection = support.select(round_index)
@@ -686,11 +742,13 @@ def run_dynamic(
             if on_violation == "abort":
                 violation = stats
                 break
-            support.reset()
-            selection = support.select(round_index)
-            stats = support.stats(selection)
-            restarts.append(round_index)
+            if on_violation == "restart" and not uniform:
+                support.reset()
+                selection = support.select(round_index)
+                stats = support.stats(selection)
+                restarts.append(round_index)
         after = support.step(selection, stats)
+        uniform = False
         p_sel.append(after.sumsq_sel)
         p_unsel.append(after.sumsq_unsel)
         mean.append(after.post_flip_mean)

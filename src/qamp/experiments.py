@@ -34,13 +34,19 @@ from .backend import (
     uniform_init,
 )
 from .core import MAX_QUBITS
-from .dynamic_search import VALIDITY_ATOL, SelectionPolicy, class_counts, gain_bound, run_dynamic
+from .dynamic_search import (
+    VALIDITY_ATOL,
+    SelectionPolicy,
+    class_counts,
+    gain_bound,
+    planned_rounds,
+    run_dynamic,
+)
 from .errors import ConfigError, ValidityError
 from .recommend import (
     SelectionProbabilityParams,
     SimilaritySpec,
     class_masses,
-    round_cap,
     similarity_params,
     similarity_policy,
 )
@@ -197,7 +203,11 @@ class AccuracyOutcome:
 
 
 def experiment_accuracy(config: ExperimentConfig) -> AccuracyOutcome:
-    """Final-state sampling probability per similarity class, static vs dynamic."""
+    """Final-state sampling probability per similarity class, static vs dynamic.
+
+    Each dynamic run makes the rounds :func:`~qamp.dynamic_search.planned_rounds`
+    plans for its policy and keeps its final state, with no restart.
+    """
     config.validate()
     n = config.n if config.n is not None else 13
     n_states = 1 << n
@@ -212,7 +222,7 @@ def experiment_accuracy(config: ExperimentConfig) -> AccuracyOutcome:
 
     spec = SimilaritySpec(n, config.reference)
     policy = similarity_policy(spec, params)
-    cap = round_cap(n, policy)
+    rounds = planned_rounds(policy)
     run_rows: list[tuple] = []
     for s in range(n + 1):
         run_rows.append(("accuracy", n, -1, "static", s, float(p_static[s]), 0.0))
@@ -221,9 +231,7 @@ def experiment_accuracy(config: ExperimentConfig) -> AccuracyOutcome:
         seed = config.seed_base + trial
         rng = np.random.default_rng(seed)
         t0 = time.perf_counter()
-        state, _ = run_dynamic(
-            n, policy, rng, rounds=cap, keep_best=True, on_violation="restart"
-        )
+        state, _ = run_dynamic(n, policy, rng, rounds=rounds, on_violation="continue")
         wall_ms = (time.perf_counter() - t0) * 1e3
         curves[trial] = class_masses(state, spec)
         for s in range(n + 1):

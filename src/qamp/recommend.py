@@ -21,7 +21,7 @@ from .core import SparseState, check_qubit_count, in_sorted, sample
 from .dynamic_search import (
     SelectionPolicy,
     class_counts,
-    default_rounds,
+    planned_rounds,
     run_dynamic,
     similarity_classes,
 )
@@ -96,6 +96,8 @@ class RecommendedItem:
 class RecommendationResult:
     """Distinct recommended items plus run diagnostics.
 
+    ``rounds_used`` is the number of doubled rounds the run made (two
+    oracle calls each), ``log.rounds``;
     ``per_similarity_sampling[S]`` is the total sampling probability the
     final state puts on the similarity-S class; ``log`` carries the full
     per-round record of the amplification run.
@@ -244,11 +246,6 @@ def similarity_policy(
     )
 
 
-def round_cap(n: int, policy: SelectionPolicy) -> int:
-    """Rounds of a recommender run: twice the static schedule plus 8."""
-    return 2 * default_rounds(n, policy) + 8
-
-
 def recommend(
     spec: SimilaritySpec,
     m: int,
@@ -258,15 +255,15 @@ def recommend(
 ) -> RecommendationResult:
     """Amplify toward the reference and collect ``m`` distinct items.
 
-    Runs :func:`round_cap` doubled rounds and samples the state of the
-    best round (the one with the highest expected fresh-selection mass)
-    since pushing past it only overshoots; rounds whose progress
-    conditions fail restart from uniform.  Draws continue until ``m``
-    distinct items are seen.  Duplicate draws are resampled; exceeding the
-    50*m draw cap raises :class:`~qamp.errors.UnderAmplifiedError`.  Asking
-    for more items than can be selected (the unique catalog items, or all
-    2**n states without a catalog) raises :class:`~qamp.errors.ConfigError`
-    before the run.
+    Runs the doubled rounds :func:`~qamp.dynamic_search.planned_rounds`
+    plans before the run starts, the predicted peak of the policy mass, and
+    samples the final state.  A round whose progress conditions fail steps
+    anyway (``on_violation="continue"``); the log keeps the diagnostics.
+    Draws continue until ``m`` distinct items are seen.  Duplicate draws
+    are resampled; exceeding the 50*m draw cap raises
+    :class:`~qamp.errors.UnderAmplifiedError`.  Asking for more items than
+    can be selected (the unique catalog items, or all 2**n states without
+    a catalog) raises :class:`~qamp.errors.ConfigError` before the run.
     """
     if m < 1:
         raise ValueError(f"item count must be >= 1, got {m}")
@@ -275,8 +272,7 @@ def recommend(
     if m > selectable:
         raise ConfigError(f"asked for {m} distinct items, only {selectable} can be selected")
     state, log = run_dynamic(
-        spec.n, policy, rng, rounds=round_cap(spec.n, policy), keep_best=True,
-        on_violation="restart",
+        spec.n, policy, rng, rounds=planned_rounds(policy), on_violation="continue"
     )
 
     cap = RESAMPLE_CAP_FACTOR * m
@@ -302,7 +298,7 @@ def recommend(
     )
     return RecommendationResult(
         items=items,
-        rounds_used=log.best_round,
+        rounds_used=log.rounds,
         per_similarity_sampling=class_masses(state, spec),
         log=log,
     )

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import itertools
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -27,6 +28,7 @@ from qamp import (
     nominal_rounds,
     optimal_iterations,
     ordering_witness,
+    planned_rounds,
     probability_of,
     replay_round_states,
     run_dynamic,
@@ -42,7 +44,12 @@ from qamp.dynamic_search import (
     class_counts,
     similarity_classes,
 )
-from qamp.recommend import SimilaritySpec, calibrate_beta, round_cap, similarity_policy
+from qamp.recommend import (
+    SelectionProbabilityParams,
+    SimilaritySpec,
+    calibrate_beta,
+    similarity_policy,
+)
 
 
 def random_state(n, seed):
@@ -563,6 +570,93 @@ def test_replay_round_states_honours_restarts():
     np.testing.assert_allclose(states[-1].amps, final.amps, rtol=0, atol=1e-12)
 
 
+def test_restart_from_the_uniform_state_steps_without_reset():
+    # ~60% of the space selected: the first round violates from the uniform
+    # state itself, so it steps from it and no restart is logged; every
+    # later round violates from a stepped state and restarts
+    policy = SelectionPolicy.probabilistic(8, np.full(256, 0.6))
+    final, log = run_dynamic(
+        8, policy, np.random.default_rng(0), rounds=4, on_violation="restart"
+    )
+    assert log.restart_rounds == (1, 2, 3)
+    # a reset draws nothing, so the masks are those of a run that never resets
+    _, stepped = run_dynamic(
+        8, policy, np.random.default_rng(0), rounds=4, on_violation="continue"
+    )
+    assert np.array_equal(log.events, stepped.events)
+    assert np.array_equal(log.starts, stepped.starts)
+    np.testing.assert_allclose(
+        replay_round_states(log)[-1].amps, final.amps, rtol=0, atol=1e-12
+    )
+
+
+def test_continue_steps_through_violations():
+    policy = SelectionPolicy.probabilistic(8, np.full(256, 0.6))
+    final, log = run_dynamic(
+        8, policy, np.random.default_rng(0), rounds=4, on_violation="continue"
+    )
+    assert log.rounds == 4 and log.restart_rounds == () and log.best_round is None
+    states = replay_round_states(log)
+    np.testing.assert_allclose(states[-1].amps, final.amps, rtol=0, atol=1e-12)
+    for i, selected in enumerate(log.selected_indices):
+        mask = SelectionMask.from_indices(8, selected)
+        # every round started from a state its mask violates, and stepped anyway
+        before = gain_report(states[i], mask)
+        assert min(before.mean_amplitude, before.min_unselected_amp) < -VALIDITY_ATOL
+        # the log's columns are the diagnostics after the step, along the same mask
+        after = gain_report(states[i + 1], mask)
+        assert log.mean_amplitude[i] == pytest.approx(after.mean_amplitude, abs=1e-12)
+        assert log.min_unselected_amp[i] == pytest.approx(after.min_unselected_amp, abs=1e-12)
+
+
+def test_unknown_violation_mode_rejected():
+    policy = SelectionPolicy.probabilistic(4, np.full(16, 0.1))
+    with pytest.raises(ValueError, match="on_violation"):
+        run_dynamic(4, policy, np.random.default_rng(0), rounds=2, on_violation="skip")
+
+
+@pytest.mark.parametrize("n", range(10, 21))
+def test_planned_round_is_the_engine_peak(n):
+    """The plan lands within max(2, 2%) of the median best round of 16
+    seeded runs of 1.5 plans, and the median mass there is at least 0.98
+    of the median peak mass: with and without an every-third catalog that
+    holds the reference, for m = 1, 5 and 50."""
+    reference = 3 * ((1 << n) // 9)
+    for m, catalog in itertools.product((1, 5, 50), (None, np.arange(0, 1 << n, 3))):
+        policy = similarity_policy(
+            SimilaritySpec(n, reference), calibrate_beta(n, m), catalog=catalog
+        )
+        plan = planned_rounds(policy)
+        masses = np.array([
+            run_dynamic(
+                n, policy, np.random.default_rng(seed), rounds=int(1.5 * plan),
+                on_violation="continue",
+            )[1].policy_mass_by_round
+            for seed in range(16)
+        ])
+        best = np.median(np.argmax(masses, axis=1) + 1)
+        case = (m, catalog is not None, plan, best)
+        assert abs(plan - best) <= max(2.0, 0.02 * best), case
+        assert np.median(masses[:, plan - 1]) >= 0.98 * np.median(masses.max(axis=1)), case
+
+
+def test_plan_of_a_policy_that_selects_almost_nothing_falls_back():
+    # beta = 5 gives the two catalog items, far from the reference,
+    # selection probabilities below 1e-15: the predicted mass is still
+    # rising at the search bound, 8 * 12 + 8 rounds
+    params = SelectionProbabilityParams(8, beta=5.0, norm_c=math.exp(-40.0))
+    policy = similarity_policy(SimilaritySpec(8, 0), params, catalog=np.array([254, 255]))
+    assert default_rounds(8, policy) == 12
+    t0 = time.perf_counter()
+    assert planned_rounds(policy) == 2 * 12 + 8
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_plan_needs_a_class_policy():
+    with pytest.raises(ValueError, match="class policy"):
+        planned_rounds(SelectionPolicy.probabilistic(4, np.full(16, 0.1)))
+
+
 @pytest.mark.parametrize("with_catalog", [False, True, pytest.param(None, id="table")])
 def test_class_draw_selects_each_state_with_its_class_probability(with_catalog):
     """Per round, each state is in the mask with probability P(S) of its class,
@@ -638,12 +732,12 @@ def test_masks_keep_their_law_over_many_rounds():
 
 
 def test_running_sums_do_not_drift():
-    """After a recommend-shaped run at n = 24 (its round cap, with restarts
-    as they come), the running sums equal the sums of the stored offsets."""
+    """After a run at n = 24 of 2 * default_rounds + 8 rounds (restarts as
+    they come), the running sums equal the sums of the stored offsets."""
     n = 24
     policy = similarity_policy(SimilaritySpec(n, 0x5A5A5A), calibrate_beta(n, 5.0))
     watch = SelectionPolicy.by_similarity(n, 0x5A5A5A, (np.arange(n + 1) >= n - 2) * 1.0)
-    rounds = round_cap(n, policy)
+    rounds = 2 * default_rounds(n, policy) + 8
     support = _Support(policy, rounds, np.random.default_rng(0), watch)
     for r in range(rounds):
         selection = support.select(r)
@@ -826,8 +920,9 @@ def digest_runs():
     grid = [
         ("class", by_class, {}),
         ("class-best-watch", by_class,
-         {"rounds": round_cap(n, by_class), "keep_best": True, "watch": ball}),
-        ("catalog-best", catalog, {"rounds": round_cap(n, catalog), "keep_best": True}),
+         {"rounds": 2 * default_rounds(n, by_class) + 8, "keep_best": True, "watch": ball}),
+        ("catalog-best", catalog,
+         {"rounds": 2 * default_rounds(n, catalog) + 8, "keep_best": True}),
         ("catalog-watch-stop", catalog, {"rounds": 40, "watch": ball, "stop_above": 0.5}),
         ("table", table, {"rounds": 12}),
         ("table-best-watch", table, {"rounds": 12, "keep_best": True, "watch": table_watch}),

@@ -387,11 +387,11 @@ class TestCli:
         assert len(items) == 6  # header + 5 items
 
     def test_recommend_gain_summary_stays_short(self, capsys):
-        # a run of 9,106 rounds prints one summary line of its gains
+        # a run of 2,275 rounds prints one summary line of its gains
         assert main(["recommend", "--n", "25", "--m", "1", "--seed", "3"]) == 0
         out = capsys.readouterr().out
         assert len(out.encode()) < 1024
-        assert "\ngain trajectory: rounds=9106 first=" in out
+        assert "\ngain trajectory: rounds=2275 first=" in out
 
     def test_recommend_under_amplified_exit(self, tmp_path):
         # a steep beta never selects the two catalog items farthest from the

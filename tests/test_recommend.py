@@ -266,14 +266,14 @@ class TestRecommend:
             )
 
     # items, rounds_used and the top three class masses (to 1e-12) of runs
-    # that draw every round's mask when they start
+    # of the planned round count that sample their final state
     PINNED = [
-        (0, 1, [(0, 16), (1, 15), (512, 15), (8192, 15), (24, 14)], 179,
-         [0.032799524021353575, 0.16625821008063713, 0.7884821810516774]),
-        (12345, 2, [(12345, 16), (12601, 15), (12857, 15), (4155, 14), (61481, 13)], 183,
-         [0.017782779227270704, 0.12379210933488823, 0.8444982761753341]),
-        (40000, 3, [(40000, 16), (35904, 15), (38976, 15), (39936, 15), (40512, 15)], 92,
-         [0.026721633480040034, 0.15089063667109007, 0.8113435655948873]),
+        (0, 1, [(0, 16), (1, 15), (128, 15), (8192, 15), (9736, 12)], 91,
+         [0.035212099057383484, 0.14653421958473284, 0.8065928238323156]),
+        (12345, 2, [(12345, 16), (4153, 15), (12473, 15), (12601, 15), (58892, 7)], 91,
+         [0.02259901548771126, 0.13497903786891163, 0.8276723004358607]),
+        (40000, 3, [(40000, 16), (40002, 15), (40008, 15), (40006, 14), (40040, 14)], 91,
+         [0.02664164286748847, 0.1523318726441237, 0.8087018707561673]),
     ]
 
     @pytest.mark.parametrize(
