@@ -4,9 +4,10 @@
 Times the amplification step and the group statistics of the dense
 diagnostics at several register sizes, plus a full dynamic round: the
 literal dense round of the reference (mask draw and two amplification
-steps) and the round that ``run_dynamic`` takes on its sparse state (the
-round's mask, a slice of the events the run draws when it starts, then
-the statistics and closed-form step on the selected states only).  Also
+steps) and the round that ``run_dynamic`` takes on its sparse state
+(``_Support.take_round``: the round's mask, a slice of the events the
+run draws when it starts, then the statistics, the closed-form step and
+the log's entries, from the selected states only).  Also
 times the end of a run, 10 draws from its final state: building the
 dense vector and sampling it against sampling the sparse state
 ``run_dynamic`` returns.  Then one attempt of static search's
@@ -19,7 +20,7 @@ takes ``StateVector`` and the cumsum sampler ``sample_dense`` from
 ``qamp.backend``, the one module that holds the dense form.  Last, the
 support draw a class-policy run makes once when it starts
 (``_draw_support``), with and without a catalog, over the rounds
-``recommend`` caps its run at, and the one ``dynamic_optimize`` makes
+``recommend`` plans for its run (``planned_rounds``), and the one ``dynamic_optimize`` makes
 from its per-state table, with the minor page faults per draw.  Each
 bench returns its timings in seconds keyed by what was timed:
 ``"python"`` for the kernels (the name
@@ -98,7 +99,8 @@ def bench_round(n: int, repeats: int) -> dict[str, float]:
 def bench_touched_round(n: int, repeats: int) -> float:
     """One round of ``run_dynamic``'s engine under a similarity policy
     calibrated to m = 5, timed after a schedule's worth of rounds (the run's
-    support and masks are drawn for the schedule plus the timed rounds)."""
+    support and masks are drawn for the schedule plus the timed rounds).
+    The rounds step unchecked, as ``recommend``'s planned run does."""
     policy = similarity_policy(SimilaritySpec(n, 0), calibrate_beta(n, 5.0))
     rng = np.random.default_rng(7)
     schedule = default_rounds(n, policy)
@@ -106,8 +108,7 @@ def bench_touched_round(n: int, repeats: int) -> float:
     rounds = iter(range(schedule + repeats))
 
     def one_round():
-        selection = support.select(next(rounds))
-        support.step(selection, support.stats(selection))
+        support.take_round(next(rounds), check=False)
 
     for _ in range(schedule):
         one_round()

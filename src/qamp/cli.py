@@ -139,24 +139,24 @@ class _Options:
                 ) from None
         return default
 
-    def seed_base(self, default: int = 0) -> int:
+    def seed_base(self) -> int:
         value = self.get("seed_base", int, None)
         if value is not None:
             return _at_least(value, 0, "seed base")
         env = os.environ.get("QAMP_SEED")
         if not env:
-            return default
+            return 0
         try:
             value = int(env)
         except ValueError:
             raise ConfigError(f"QAMP_SEED must be an integer, got {env!r}") from None
         return _at_least(value, 0, "QAMP_SEED")
 
-    def seed(self, default: int = 0) -> int:
+    def seed(self) -> int:
         value = self.get("seed", int, None)
         if value is not None:
             return _at_least(value, 0, "seed")
-        return self.seed_base(default)
+        return self.seed_base()
 
 
 def cmd_grover(opts: _Options) -> tuple[int, list, list]:
@@ -235,9 +235,7 @@ def cmd_dynamic(opts: _Options) -> tuple[int, list, list]:
     _at_least(rounds, 0, "round count")
     strict = bool(opts.get("strict_validity", _parse_bool, False))
     t0 = time.perf_counter()
-    _, log = run_dynamic(
-        n, policy, rng, rounds=rounds, on_violation="abort" if strict else "restart"
-    )
+    _, log = run_dynamic(policy, rng, rounds=rounds, on_violation="abort" if strict else "restart")
     wall_ms = (time.perf_counter() - t0) * 1e3
 
     print(f"n={n} reference={reference} beta={params.beta:.6f} rounds={log.rounds} seed={seed}")
@@ -392,7 +390,7 @@ def cmd_experiment(opts: _Options) -> tuple[int, list, list]:
         n=opts.get("n", int, None),
         n_range=opts.get("n_range", _parse_n_range, None),
         seeds=opts.get("seeds", int, 20),
-        seed_base=opts.seed_base(0),
+        seed_base=opts.seed_base(),
         beta=opts.get("beta", float, None),
         m_target=opts.get("m_target", float, None),
         threshold=opts.get("threshold", int, None),

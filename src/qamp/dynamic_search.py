@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -141,7 +140,7 @@ class SelectionPolicy:
         if self._by_class is not None:
             starts = np.cumsum(self.class_sizes) - self.class_sizes
             return self._by_class[starts[classes] + ranks]
-        return self.reference ^ _colex_words(self.n, self.n - classes, ranks)
+        return self.reference ^ _colex_words(self.n - classes, ranks)
 
 
 def _check_finite(probs: np.ndarray) -> None:
@@ -173,15 +172,15 @@ def class_counts(n: int) -> np.ndarray:
     return _PASCAL[n, : n + 1].copy()
 
 
-def _colex_words(n: int, bits_set: np.ndarray, ranks: np.ndarray) -> np.ndarray:
-    """The n-bit word with ``bits_set[i]`` bits set whose colex rank is ``ranks[i]``.
+def _colex_words(bits_set: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+    """The word with ``bits_set[i]`` bits set whose colex rank is ``ranks[i]``.
 
     In colex order the word with set bits c_k > ... > c_1 has rank
     sum_i C(c_i, i) (Knuth, TAOCP 4A, 7.2.1.3), so the top bit of k bits
     of rank r is the largest c with C(c, k) <= r, and the rest is the word
     of k - 1 bits and rank r - C(c, k).  One search of Pascal's columns
     places the top bit of every unfinished word: max(bits_set) vectorised
-    steps for any number of words (``n`` only bounds the ranks).
+    steps for any number of words.
     """
     bits = np.asarray(bits_set, dtype=np.int64)
     # most bits first, so that the unfinished words are a prefix
@@ -288,62 +287,21 @@ class DynamicRunLog:
         return GainReport.of(*(float(column[i]) for column in columns), n_sel, 1 << self.n)
 
 
-class _GroupStats(NamedTuple):
-    """Per-group sums of a state along a mask.
+def doubling_shifts(
+    sum_sel: float, sum_unsel: float, n_selected: float, n_states: float
+) -> tuple[float, float]:
+    """What two steps with one mask add to each selected and each unselected
+    amplitude, from the state's sums over the two groups.
 
-    The dense reference takes them from ``backend.selection_stats``; runs
-    keep them in closed form (:meth:`doubling_shifts`, :meth:`translated`).
+    The steps reflect about the post-flip means
+    mu1 = (sum_unsel - sum_sel) / N and
+    mu2 = (2 mu1 (N - 2k) - sum_unsel - sum_sel) / N, for k of the N states
+    selected, which adds 2 (mu2 + mu1) to every selected amplitude and
+    2 (mu2 - mu1) to every unselected one.
     """
-
-    sum_sel: float
-    sum_unsel: float
-    sumsq_sel: float
-    sumsq_unsel: float
-    min_unsel: float  # +inf when every state is selected
-    n_selected: int
-    n_states: int
-
-    @property
-    def post_flip_mean(self) -> float:
-        return (self.sum_unsel - self.sum_sel) / self.n_states
-
-    def doubling_shifts(self) -> tuple[float, float]:
-        """What two steps with this mask add to each selected and each unselected amplitude.
-
-        The steps reflect about the post-flip means mu1 and
-        mu2 = (2 mu1 (N - 2k) - sum_unsel - sum_sel) / N, which adds
-        2 (mu2 + mu1) to every selected amplitude and 2 (mu2 - mu1) to every
-        unselected one.
-        """
-        n_states = self.n_states
-        mu1 = self.post_flip_mean
-        mu2 = (2.0 * mu1 * (n_states - 2 * self.n_selected) - self.sum_unsel - self.sum_sel) / n_states
-        return 2.0 * (mu2 + mu1), 2.0 * (mu2 - mu1)
-
-    def translated(self, shift_sel: float, shift_unsel: float) -> "_GroupStats":
-        """Stats after adding ``shift_sel`` to every selected amplitude and
-        ``shift_unsel`` to every unselected one."""
-        n_sel, n_unsel = self.n_selected, self.n_states - self.n_selected
-        # sums of squares: rounding must not take a group that lands on zero below it
-        return _GroupStats(
-            self.sum_sel + n_sel * shift_sel,
-            self.sum_unsel + n_unsel * shift_unsel,
-            max(0.0, self.sumsq_sel + shift_sel * (2.0 * self.sum_sel + n_sel * shift_sel)),
-            max(0.0, self.sumsq_unsel + shift_unsel * (2.0 * self.sum_unsel + n_unsel * shift_unsel)),
-            self.min_unsel + shift_unsel,
-            n_sel,
-            self.n_states,
-        )
-
-
-class _Selection(NamedTuple):
-    """One round's mask on the support, with the sums the round needs of it."""
-
-    pos: np.ndarray  # support positions, ascending
-    e: np.ndarray  # their offsets from bulk
-    sum_ee: float  # sum of e**2
-    weighted_e: list[float]  # sum of v e for each weight v in (1, p, w)
-    weight_sums: tuple[float, ...]  # sum of v for each weight v
+    mu1 = (sum_unsel - sum_sel) / n_states
+    mu2 = (2.0 * mu1 * (n_states - 2 * n_selected) - sum_unsel - sum_sel) / n_states
+    return 2.0 * (mu2 + mu1), 2.0 * (mu2 - mu1)
 
 
 class _Support:
@@ -396,6 +354,10 @@ class _Support:
         self._totals = [float(self.n_states), policy.expected_selected()]
         if watch is not None:
             self._totals.append(watch.expected_selected())
+        # one entry per round taken, in DynamicRunLog's order: p_selected,
+        # p_unselected, mean_amplitude, min_unselected_amp, the policy mass
+        # and the watched mass (left empty when the run watches none)
+        self.columns: tuple[list[float], ...] = tuple([] for _ in range(6))
         self.e = np.empty(self.idx.size)
         self.reset()
 
@@ -409,64 +371,77 @@ class _Support:
         # negative and some state lies outside the support
         self._least_is_bulk = self.idx.size < self.n_states
 
-    def select(self, round_index: int) -> _Selection:
-        """The mask of a round (0-based)."""
-        start, stop = self._starts[round_index], self._starts[round_index + 1]
+    def take_round(self, i: int, check: bool) -> tuple[float, float] | None:
+        """Take round i (0-based): its doubled step, then one entry in each column.
+
+        The group sums along the round's mask come from its offsets and the
+        running sums.  With ``check``, a state whose post-flip mean or least
+        unselected amplitude is below -VALIDITY_ATOL refuses the round:
+        nothing changes, and the two values come back.  Otherwise the round
+        steps and returns None.  The columns describe the state after the
+        step, along the same mask.
+        """
+        start, stop = self._starts[i], self._starts[i + 1]
         pos = self._pos[start:stop]
         e = self.e[pos]
-        return _Selection(
-            pos,
-            e,
-            float(e.dot(e)),
-            self._weights[:, start:stop].dot(e).tolist(),
-            self._weight_sums[round_index],
-        )
-
-    def stats(self, sel: _Selection) -> _GroupStats:
-        """Group sums of the state along a mask."""
-        bulk, n_sel = self.bulk, sel.pos.size
-        n_unsel = self.n_states - n_sel
-        sum_e = sel.weighted_e[0]
+        sum_ee = float(e.dot(e))
+        weighted_e = self._weights[:, start:stop].dot(e).tolist()  # sum of v e, each weight v
+        weight_sums = self._weight_sums[i]
+        bulk, n_sel, n_states = self.bulk, pos.size, self.n_states
+        n_unsel = n_states - n_sel
+        sum_e = weighted_e[0]
         # sums of e and e**2 over the unselected support states
         rest_e, rest_ee = 0.0, 0.0
         if n_sel < self.idx.size:
             rest_e = self.sum_e[0] - sum_e
-            rest_ee = max(0.0, self.sum_ee[0] - sel.sum_ee)
+            rest_ee = max(0.0, self.sum_ee[0] - sum_ee)
         if self._least_is_bulk:
             min_unsel = bulk
         else:
             unselected = np.ones(self.idx.size, dtype=bool)
-            unselected[sel.pos] = False
+            unselected[pos] = False
             least = float(self.e[unselected].min(initial=math.inf))
-            if self.idx.size < self.n_states:
+            if self.idx.size < n_states:
                 least = min(least, 0.0)
             min_unsel = bulk + least
-        return _GroupStats(
-            n_sel * bulk + sum_e,
-            n_unsel * bulk + rest_e,
-            max(0.0, bulk * (n_sel * bulk + 2.0 * sum_e) + sel.sum_ee),
-            max(0.0, bulk * (n_unsel * bulk + 2.0 * rest_e) + rest_ee),
-            min_unsel,
-            n_sel,
-            self.n_states,
-        )
+        sum_sel = n_sel * bulk + sum_e
+        sum_unsel = n_unsel * bulk + rest_e
+        if check:
+            mean = (sum_unsel - sum_sel) / n_states
+            if mean < -VALIDITY_ATOL or min_unsel < -VALIDITY_ATOL:
+                return mean, min_unsel
+        sumsq_sel = max(0.0, bulk * (n_sel * bulk + 2.0 * sum_e) + sum_ee)
+        sumsq_unsel = max(0.0, bulk * (n_unsel * bulk + 2.0 * rest_e) + rest_ee)
 
-    def step(self, sel: _Selection, stats: _GroupStats) -> _GroupStats:
-        """Apply the doubled step and return the stats after it."""
-        shift_sel, shift_unsel = stats.doubling_shifts()
+        shift_sel, shift_unsel = doubling_shifts(sum_sel, sum_unsel, n_sel, n_states)
         moved = shift_sel - shift_unsel
-        e = sel.e + moved
-        self.e[sel.pos] = e
+        e += moved
+        self.e[pos] = e
         if moved < 0.0 and e.size and e.min() < 0.0:
             self._least_is_bulk = False
         self.bulk += shift_unsel
         # sum of v (e + moved)**2 = sum of v e**2 + moved (2 sum of v e + moved sum of v)
         self.sum_ee = [
             vee + moved * (2.0 * ve + moved * v)
-            for vee, ve, v in zip(self.sum_ee, sel.weighted_e, sel.weight_sums)
+            for vee, ve, v in zip(self.sum_ee, weighted_e, weight_sums)
         ]
-        self.sum_e = [ve + moved * v for ve, v in zip(self.sum_e, sel.weight_sums)]
-        return stats.translated(shift_sel, shift_unsel)
+        self.sum_e = [ve + moved * v for ve, v in zip(self.sum_e, weight_sums)]
+
+        # the groups' sums of squares after the step (rounding must not take
+        # one that lands on zero below it), post-flip mean and least
+        # unselected amplitude
+        row = [
+            max(0.0, sumsq_sel + shift_sel * (2.0 * sum_sel + n_sel * shift_sel)),
+            max(0.0, sumsq_unsel + shift_unsel * (2.0 * sum_unsel + n_unsel * shift_unsel)),
+            (sum_unsel + n_unsel * shift_unsel - (sum_sel + n_sel * shift_sel)) / n_states,
+            min_unsel + shift_unsel,
+            self.mass(1),
+        ]
+        if self.w is not None:
+            row.append(self.mass(2))
+        for column, value in zip(self.columns, row):
+            column.append(value)
+        return None
 
     def mass(self, weight: int) -> float:
         """Sum over all states of v(x) a(x)**2 for weight ``weight`` of
@@ -474,13 +449,10 @@ class _Support:
         bulk = self.bulk
         return bulk * (bulk * self._totals[weight] + 2.0 * self.sum_e[weight]) + self.sum_ee[weight]
 
-    def snapshot(self) -> tuple[float, np.ndarray]:
-        return self.bulk, self.e.copy()
-
-    def sparse_state(self, snapshot: tuple[float, np.ndarray]) -> SparseState:
-        """A snapshot as a :class:`~qamp.core.SparseState`."""
-        bulk, e = snapshot
-        return SparseState(self.n, bulk, self.idx, bulk + e)
+    def sparse_state(self) -> SparseState:
+        """The state now, as a :class:`~qamp.core.SparseState` that shares no
+        array the run writes."""
+        return SparseState(self.n, self.bulk, self.idx, self.bulk + self.e)
 
 
 def _selection_events(
@@ -625,7 +597,7 @@ def planned_rounds(policy: SelectionPolicy) -> int:
 
     A mask never depends on the amplitudes, and a doubled round adds one
     shift to every selected amplitude and another to every unselected one
-    (:meth:`_GroupStats.doubling_shifts`).  After rounds with selected
+    (:func:`doubling_shifts`).  After rounds with selected
     shifts summing to A, unselected shifts summing to B and squared
     differences summing to D, a state of selection probability P has
     amplitude mean u + B + P (A - B) and variance P (1 - P) D, u the
@@ -649,16 +621,19 @@ def planned_rounds(policy: SelectionPolicy) -> int:
     schedule = default_rounds(policy.n, policy)
     # An amplitude of selection probability P has mean bulk + P offset and
     # variance P (1 - P) spread.  The expected group sums are then
-    # sum_sel = bulk m1 + offset m2 and sum_all = N bulk + offset m1, with
-    # which doubling_shifts moves offset by 4 mu1 and bulk by 2 (mu2 - mu1).
-    keep, tilt, drag = 1.0 - 2.0 * m1 / n_states, (m1 - 2.0 * m2) / n_states, m1 / n_states
+    # sum_sel = bulk m1 + offset m2 and sum_all = N bulk + offset m1, and a
+    # round moves bulk by the unselected shift and offset by the difference
     bulk, offset, spread = 1.0 / math.sqrt(n_states), 0.0, 0.0
     mass = bulk * bulk * m1
     for done in range(8 * schedule + 8):
-        mu1 = keep * bulk + tilt * offset  # (sum_all - 2 sum_sel) / N
-        bulk += 2.0 * (2.0 * mu1 * keep - bulk - drag * offset - mu1)
-        offset += 4.0 * mu1
-        spread += 16.0 * mu1 * mu1
+        sum_sel = bulk * m1 + offset * m2
+        shift_sel, shift_unsel = doubling_shifts(
+            sum_sel, n_states * bulk + offset * m1 - sum_sel, m1, n_states
+        )
+        moved = shift_sel - shift_unsel
+        bulk += shift_unsel
+        offset += moved
+        spread += moved * moved
         after = bulk * (bulk * m1 + 2.0 * offset * m2) + offset * offset * m3 + spread * (m2 - m3)
         if after < mass:
             return done
@@ -667,17 +642,16 @@ def planned_rounds(policy: SelectionPolicy) -> int:
 
 
 def run_dynamic(
-    n: int,
     policy: SelectionPolicy,
     rng: np.random.Generator,
-    rounds: int | None = None,
+    rounds: int,
     *,
     stop_above: float | None = None,
     watch: SelectionPolicy | None = None,
     keep_best: bool = False,
     on_violation: str = "abort",
 ) -> tuple[SparseState, DynamicRunLog]:
-    """Run doubled amplification rounds with freshly sampled masks.
+    """Run ``rounds`` doubled amplification rounds with freshly sampled masks.
 
     Starts from the uniform state.  Before each round the progress
     conditions are checked against the fresh mask.  ``on_violation``
@@ -711,77 +685,62 @@ def run_dynamic(
     Every policy draws the masks of all ``rounds`` rounds when the run
     starts (see :class:`_Support`).
     """
-    if rounds is None:
-        rounds = default_rounds(n, policy)
     if rounds < 0:
         raise ValueError(f"round count must be >= 0, got {rounds}")
     if on_violation not in ("abort", "restart", "continue"):
         raise ValueError(
             f"on_violation must be 'abort', 'restart' or 'continue', got {on_violation!r}"
         )
-    if policy.n != n:
-        raise ValueError(f"policy has n={policy.n}, run has n={n}")
-    if watch is not None and watch.n != n:
-        raise ValueError(f"watched policy has n={watch.n}, run has n={n}")
+    if watch is not None and watch.n != policy.n:
+        raise ValueError(f"watched policy has n={watch.n}, run has n={policy.n}")
     if stop_above is not None and watch is None:
         raise ValueError("stop_above needs a watched policy")
     support = _Support(policy, rounds, rng, watch)
-    # the log's columns, one entry per completed round
-    p_sel, p_unsel, mean, min_unsel, policy_mass, watched_mass = ([] for _ in range(6))
+    policy_mass, watched_mass = support.columns[4:]
     restarts: list[int] = []
-    best = support.snapshot() if keep_best else None
+    best = support.sparse_state() if keep_best else None
     best_score = support.mass(1)  # the policy mass of the uniform state
     best_round = 0
-    violation: _GroupStats | None = None
+    violation = None
+    check = on_violation != "continue"
     uniform = True  # no round has stepped since the start or the last reset
 
     for round_index in range(rounds):
-        selection = support.select(round_index)
-        stats = support.stats(selection)
-        if stats.post_flip_mean < -VALIDITY_ATOL or stats.min_unsel < -VALIDITY_ATOL:
+        refused = support.take_round(round_index, check)
+        if refused is not None:
             if on_violation == "abort":
-                violation = stats
+                violation = refused
                 break
-            if on_violation == "restart" and not uniform:
+            if not uniform:
                 support.reset()
-                selection = support.select(round_index)
-                stats = support.stats(selection)
                 restarts.append(round_index)
-        after = support.step(selection, stats)
+            support.take_round(round_index, check=False)
         uniform = False
-        p_sel.append(after.sumsq_sel)
-        p_unsel.append(after.sumsq_unsel)
-        mean.append(after.post_flip_mean)
-        min_unsel.append(after.min_unsel)
-        policy_mass.append(support.mass(1))
         if keep_best and policy_mass[-1] > best_score:
             best_score = policy_mass[-1]
-            best = support.snapshot()
+            best = support.sparse_state()
             best_round = round_index + 1
-        if watch is not None:
-            watched_mass.append(support.mass(2))
-            if stop_above is not None and watched_mass[-1] > stop_above:
-                break
+        if stop_above is not None and watched_mass[-1] > stop_above:
+            break
 
     done = len(policy_mass)
     # the logged rounds' masks are a prefix of the events the run drew
     log = DynamicRunLog(
-        n,
+        policy.n,
         done,
         support._selected[: support._starts[done]],
         np.array(support._starts[: done + 1], dtype=np.int64),
-        *(np.array(column, dtype=np.float64) for column in (p_sel, p_unsel, mean, min_unsel)),
-        np.array(policy_mass, dtype=np.float64),
+        *(np.array(column, dtype=np.float64) for column in support.columns[:5]),
         None if watch is None else np.array(watched_mass, dtype=np.float64),
         best_round if keep_best else None,
         tuple(restarts),
     )
     if violation is not None:
+        mean, least = violation
         raise ValidityError(
             f"round {log.rounds + 1} would start from an unproductive state "
-            f"(post-flip mean {violation.post_flip_mean:.3e}, "
-            f"min unselected {violation.min_unsel:.3e})",
-            state=support.sparse_state(support.snapshot()),
+            f"(post-flip mean {mean:.3e}, min unselected {least:.3e})",
+            state=support.sparse_state(),
             log=log,
         )
-    return support.sparse_state(best if keep_best else support.snapshot()), log
+    return best if keep_best else support.sparse_state(), log

@@ -169,8 +169,9 @@ def experiment_steps(config: ExperimentConfig) -> StepsOutcome:
             seed = config.seed_base + trial
             rng = np.random.default_rng(seed)
             t0 = time.perf_counter()
-            _, log = run_dynamic(n, policy, rng, rounds=cap, stop_above=0.5, watch=ball,
-                                 on_violation="restart")
+            _, log = run_dynamic(
+                policy, rng, rounds=cap, stop_above=0.5, watch=ball, on_violation="restart"
+            )
             wall_ms = (time.perf_counter() - t0) * 1e3
             crossed = log.rounds if log.rounds and log.watched_mass_by_round[-1] > 0.5 else cap
             dyn_rounds[trial] = crossed
@@ -231,7 +232,7 @@ def experiment_accuracy(config: ExperimentConfig) -> AccuracyOutcome:
         seed = config.seed_base + trial
         rng = np.random.default_rng(seed)
         t0 = time.perf_counter()
-        state, _ = run_dynamic(n, policy, rng, rounds=rounds, on_violation="continue")
+        state, _ = run_dynamic(policy, rng, rounds=rounds, on_violation="continue")
         wall_ms = (time.perf_counter() - t0) * 1e3
         curves[trial] = class_masses(state, spec)
         for s in range(n + 1):
@@ -357,7 +358,7 @@ def _guarded_run_check(n: int, trials: int, rng) -> CheckResult:
         policy = SelectionPolicy.probabilistic(n, probs)
         replay_rng = np.random.default_rng(rng.integers(0, 2**63 - 1))
         try:
-            _, log = run_dynamic(n, policy, replay_rng, rounds=6)
+            _, log = run_dynamic(policy, replay_rng, rounds=6)
         except ValidityError as err:
             log = err.log
         states = replay_round_states(log)

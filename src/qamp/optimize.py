@@ -205,9 +205,7 @@ def dynamic_optimize(table: ObjectiveTable, rng: np.random.Generator) -> Optimiz
         return _best_of_candidates(table, SparseState.uniform(table.n), rng, iterations=0, rounds=0)
 
     rounds = nominal_rounds(table.n)
-    state, log = run_dynamic(
-        table.n, policy, rng, rounds=rounds, keep_best=True, on_violation="restart"
-    )
+    state, log = run_dynamic(policy, rng, rounds=rounds, keep_best=True, on_violation="restart")
     return _best_of_candidates(
         table, state, rng, iterations=2 * log.rounds, rounds=log.rounds, log=log
     )

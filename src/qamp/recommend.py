@@ -271,9 +271,7 @@ def recommend(
     selectable = (1 << spec.n) if policy.catalog is None else policy.catalog.size
     if m > selectable:
         raise ConfigError(f"asked for {m} distinct items, only {selectable} can be selected")
-    state, log = run_dynamic(
-        spec.n, policy, rng, rounds=planned_rounds(policy), on_violation="continue"
-    )
+    state, log = run_dynamic(policy, rng, rounds=planned_rounds(policy), on_violation="continue")
 
     cap = RESAMPLE_CAP_FACTOR * m
     draws = sample(state, rng, size=cap)

@@ -321,7 +321,7 @@ def test_sparse_class_masses_match_dense(with_catalog, keep_best):
     sims = similarity_classes(n, spec.reference, np.arange(1 << n))
     for seed in range(4):
         state, _ = run_dynamic(
-            n, policy, np.random.default_rng(seed), rounds=12, keep_best=keep_best,
+            policy, np.random.default_rng(seed), rounds=12, keep_best=keep_best,
             on_violation="restart",
         )
         dense = np.bincount(sims, weights=state.amps * state.amps, minlength=n + 1)
