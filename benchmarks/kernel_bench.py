@@ -103,7 +103,7 @@ def bench_touched_round(n: int, repeats: int) -> float:
     The rounds step unchecked, as ``recommend``'s planned run does."""
     policy = similarity_policy(SimilaritySpec(n, 0), calibrate_beta(n, 5.0))
     rng = np.random.default_rng(7)
-    schedule = default_rounds(n, policy)
+    schedule = default_rounds(policy)
     support = _Support(policy, schedule + repeats, rng)
     rounds = iter(range(schedule + repeats))
 

@@ -187,7 +187,7 @@ class OrderingWitness:
     unselected_amp: float
 
 
-def ordering_witness(n: int, first_mask: SelectionMask, doubled: bool = False) -> OrderingWitness:
+def ordering_witness(first_mask: SelectionMask, doubled: bool = False) -> OrderingWitness:
     """Amplitudes after a round with ``first_mask`` then a round with no selection.
 
     With single (undoubled) steps the once-selected group provably ends
@@ -195,8 +195,7 @@ def ordering_witness(n: int, first_mask: SelectionMask, doubled: bool = False) -
     it whenever at most half the space was selected.  This is the
     executable witness of why each round applies the step twice.
     """
-    if first_mask.n != n:
-        raise ValueError(f"mask has n={first_mask.n}, expected {n}")
+    n = first_mask.n
     steps = 2 if doubled else 1
     state = _stepped(uniform_init(n), [first_mask] * steps + [SelectionMask.empty(n)] * steps)
     sum_sel, sum_unsel, *_ = selection_stats(state.amps, first_mask.selected)

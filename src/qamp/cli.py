@@ -231,7 +231,7 @@ def cmd_dynamic(opts: _Options) -> tuple[int, list, list]:
     policy = similarity_policy(spec, params)
     rounds = opts.get("rounds", int, None)
     if rounds is None:
-        rounds = default_rounds(n, policy)
+        rounds = default_rounds(policy)
     _at_least(rounds, 0, "round count")
     strict = bool(opts.get("strict_validity", _parse_bool, False))
     t0 = time.perf_counter()
@@ -338,7 +338,6 @@ def cmd_optimize(opts: _Options) -> tuple[int, list, list]:
         raise ConfigError(f"method must be durr-hoyer or dynamic, got {method!r}")
     seed = opts.seed()
     rng = np.random.default_rng(seed)
-    flat = bool(np.all(table.values == table.values[0]))
 
     t0 = time.perf_counter()
     result = (durr_hoyer if method == "durr-hoyer" else dynamic_optimize)(table, rng)
@@ -346,8 +345,8 @@ def cmd_optimize(opts: _Options) -> tuple[int, list, list]:
     rounds = result.threshold_rounds
 
     print(f"objective n={table.n} sense={table.sense.value} method={method} seed={seed}")
-    if flat and method == "dynamic":
-        print("flat objective: every state is optimal; returning a uniform sample")
+    if method == "dynamic" and result.log is None:
+        print("every probe read one value: no round run; best of 10 uniform samples")
     print(
         f"best_index={result.best_index} best_value={result.best_value!r} "
         f"iterations={result.grover_iterations_total} rounds={result.outer_rounds} "

@@ -583,13 +583,13 @@ def gain_bound(n_states: int, n_selected: int) -> float:
     return (n_selected / (n_states - n_selected)) * ratio * ratio
 
 
-def default_rounds(n: int, policy: SelectionPolicy) -> int:
-    """floor((pi/4) * sqrt(N / max(1, E[selected count]))).
+def default_rounds(policy: SelectionPolicy) -> int:
+    """floor((pi/4) * sqrt(N / max(1, E[selected count]))), N = 2**policy.n.
 
     The static schedule with E[selected count] for the marked count, so a
     0/1 table gets the static schedule length of its mask.
     """
-    return optimal_iterations(1 << n, max(1.0, policy.expected_selected()))
+    return optimal_iterations(1 << policy.n, max(1.0, policy.expected_selected()))
 
 
 def planned_rounds(policy: SelectionPolicy) -> int:
@@ -618,7 +618,7 @@ def planned_rounds(policy: SelectionPolicy) -> int:
     powers = np.vander(policy.class_probabilities, 4, increasing=True)[:, 1:]  # P, P**2, P**3
     m1, m2, m3 = (policy.class_sizes @ powers).tolist()
     n_states = float(1 << policy.n)
-    schedule = default_rounds(policy.n, policy)
+    schedule = default_rounds(policy)
     # An amplitude of selection probability P has mean bulk + P offset and
     # variance P (1 - P) spread.  The expected group sums are then
     # sum_sel = bulk m1 + offset m2 and sum_all = N bulk + offset m1, and a

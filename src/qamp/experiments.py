@@ -300,7 +300,7 @@ def _ordering_check(n: int, trials: int, rng, doubled: bool) -> CheckResult:
     for _ in range(trials):
         count = int(rng.integers(1, max(2, n_states // 2 + 1)))
         indices = rng.choice(n_states, size=count, replace=False)
-        witness = ordering_witness(n, SelectionMask.from_indices(n, indices), doubled=doubled)
+        witness = ordering_witness(SelectionMask.from_indices(n, indices), doubled=doubled)
         worst = max(worst, witness.unselected_amp - witness.selected_amp)
     return CheckResult(
         "reselection-ordering", n, trials, worst, ORDERING_TOL, worst <= ORDERING_TOL
@@ -314,7 +314,7 @@ def _undoubled_witness_check(n: int, trials: int, rng) -> CheckResult:
     for _ in range(trials):
         count = int(rng.integers(1, n_states))
         indices = rng.choice(n_states, size=count, replace=False)
-        witness = ordering_witness(n, SelectionMask.from_indices(n, indices), doubled=False)
+        witness = ordering_witness(SelectionMask.from_indices(n, indices), doubled=False)
         worst = max(worst, witness.selected_amp - witness.unselected_amp)
     return CheckResult(
         "undoubled-inversion-witness", n, trials, worst, 0.0, worst < 0.0

@@ -57,14 +57,10 @@ class ObjectiveTable:
     def optimum_value(self) -> float:
         return self._optimum
 
-    # Each found once per table, on first use: requests on one table reuse them.
+    # Found once per table, on first use: requests on one table reuse it.
     @cached_property
     def _optimum(self) -> float:
         return float(self.values.min() if self.sense is Sense.MIN else self.values.max())
-
-    @cached_property
-    def _worst_index(self) -> int:
-        return int(self.values.argmax() if self.sense is Sense.MIN else self.values.argmin())
 
 
 @dataclass(frozen=True)
@@ -83,7 +79,8 @@ class OptimizationResult:
 
     ``threshold_rounds`` lists the rounds of :func:`durr_hoyer` (empty for
     :func:`dynamic_optimize`); ``log`` is the run log of
-    :func:`dynamic_optimize` (None for :func:`durr_hoyer`).
+    :func:`dynamic_optimize` (None for :func:`durr_hoyer`, and when the
+    probes all read one value and no round ran).
     """
 
     best_index: int
@@ -142,11 +139,11 @@ def policy_from_estimates(
 
     r(x) rescales the objective to [0, 1] with 1 at the better end per the
     sense, so the best-looking states are selected almost surely and the
-    worst with probability 1/N.  Equal estimates degenerate to selecting
-    everything (the flat-objective signal).
+    worst with probability 1/N.  Needs ``f_lo < f_hi``: equal estimates give
+    no range to rescale by.
     """
-    if f_lo == f_hi:
-        return SelectionPolicy.probabilistic(table.n, np.ones(1 << table.n))
+    if not f_lo < f_hi:
+        raise ValueError(f"need f_lo < f_hi, got {f_lo!r} and {f_hi!r}")
     # r = (v - f_lo) / (f_hi - f_lo), flipped for MIN and clipped, then
     # 2**(n * (r - 1)), all in one buffer
     probs = np.subtract(table.values, f_lo)
@@ -161,22 +158,17 @@ def policy_from_estimates(
 
 def build_optimization_policy(
     table: ObjectiveTable, rng: np.random.Generator
-) -> SelectionPolicy:
-    """Build the policy from the value range seen by ceil(sqrt(N)) uniform probes."""
+) -> SelectionPolicy | None:
+    """Build the policy from the value range seen by ceil(sqrt(N)) uniform probes.
+
+    Returns None when the probes all read one value: they show no range to
+    amplify.
+    """
     n_states = 1 << table.n
     probes = rng.integers(0, n_states, size=math.ceil(math.sqrt(n_states)))
     probe_values = table.values[probes]
-    return policy_from_estimates(table, float(probe_values.min()), float(probe_values.max()))
-
-
-def _is_flat_policy(policy: SelectionPolicy, table: ObjectiveTable) -> bool:
-    """True when the probes all read one value (f_lo == f_hi).
-
-    Otherwise the table's worst state lies at or beyond the worse estimate,
-    so the policy selects it with probability 2**-n < 1; a flat policy
-    selects every state with probability 1.
-    """
-    return policy.probabilities[table._worst_index] >= 1.0
+    f_lo, f_hi = float(probe_values.min()), float(probe_values.max())
+    return policy_from_estimates(table, f_lo, f_hi) if f_lo < f_hi else None
 
 
 def nominal_rounds(n: int) -> int:
@@ -197,30 +189,31 @@ def dynamic_optimize(table: ObjectiveTable, rng: np.random.Generator) -> Optimiz
     the state of the best round since the wide probe-built policy
     overshoots the rotation optimum within a round or two; rounds whose
     progress conditions fail restart from uniform.  Samples 10 candidates
-    from that state and returns the best.  A flat objective skips the run
-    and returns the best of 10 uniform samples.
+    from that state and returns the best.  Probes that all read one value
+    skip the run: the result is the best of 10 uniform samples, with no
+    log and no iterations.
     """
     policy = build_optimization_policy(table, rng)
-    if _is_flat_policy(policy, table):
-        return _best_of_candidates(table, SparseState.uniform(table.n), rng, iterations=0, rounds=0)
-
-    rounds = nominal_rounds(table.n)
-    state, log = run_dynamic(policy, rng, rounds=rounds, keep_best=True, on_violation="restart")
-    return _best_of_candidates(
-        table, state, rng, iterations=2 * log.rounds, rounds=log.rounds, log=log
+    if policy is None:
+        return _best_of_candidates(table, SparseState.uniform(table.n), rng)
+    state, log = run_dynamic(
+        policy, rng, rounds=nominal_rounds(table.n), keep_best=True, on_violation="restart"
     )
+    return _best_of_candidates(table, state, rng, log)
 
 
-def _best_of_candidates(table, state, rng, iterations: int, rounds: int, log=None) -> OptimizationResult:
+def _best_of_candidates(table, state, rng, log=None) -> OptimizationResult:
+    """The best of 10 samples of ``state``, costed by the rounds of ``log`` (0 without one)."""
     candidates = sample(state, rng, size=_CANDIDATE_COUNT)
     values = table.values[candidates]
     pick = int(values.argmin() if table.sense is Sense.MIN else values.argmax())
     best_index = int(candidates[pick])
     best_value = float(table.values[best_index])
+    rounds = log.rounds if log is not None else 0
     return OptimizationResult(
         best_index=best_index,
         best_value=best_value,
-        grover_iterations_total=iterations,
+        grover_iterations_total=2 * rounds,
         outer_rounds=rounds,
         optimal=best_value == table.optimum_value(),
         log=log,

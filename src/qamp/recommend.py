@@ -170,8 +170,6 @@ def calibrate_beta(n: int, m_target: float) -> SelectionProbabilityParams:
         raise CalibrationError(
             f"target expected count must be in [1, N/2), got {m_target}"
         )
-    counts = class_counts(n).astype(np.float64)
-    s = np.arange(n + 1, dtype=np.float64)
     glue = 1.5**n
 
     if m_target <= glue:
@@ -183,32 +181,26 @@ def calibrate_beta(n: int, m_target: float) -> SelectionProbabilityParams:
             # (smaller) beta that keeps P(n) = 1; E grows by under 1e-9
             norm_c = math.ulp(0.0)
             beta = -math.log(norm_c) / n
-        params = SelectionProbabilityParams(n=n, beta=beta, norm_c=norm_c)
-        achieved = expected_selected_count(params)
     else:
         norm_c = 1.0 / n_states
-
-        def expected(beta: float) -> float:
-            return float(counts @ _capped_exponential(norm_c, beta, s))
-
         lo = math.log(2.0)
         hi = 2.0 * lo
-        while expected(hi) < m_target and hi < 64.0:
+        while expected_selected_count(SelectionProbabilityParams(n, hi, norm_c)) < m_target:
+            if hi >= 64.0:
+                raise CalibrationError(f"target {m_target} unreachable")
             hi *= 2.0
-        if expected(hi) < m_target:
-            raise CalibrationError(f"target {m_target} unreachable")
         for _ in range(200):
             mid = 0.5 * (lo + hi)
-            if expected(mid) < m_target:
+            if expected_selected_count(SelectionProbabilityParams(n, mid, norm_c)) < m_target:
                 lo = mid
             else:
                 hi = mid
             if hi - lo < 1e-13:
                 break
         beta = 0.5 * (lo + hi)
-        params = SelectionProbabilityParams(n=n, beta=beta, norm_c=norm_c)
-        achieved = expected(beta)
 
+    params = SelectionProbabilityParams(n=n, beta=beta, norm_c=norm_c)
+    achieved = expected_selected_count(params)
     if abs(achieved - m_target) > 0.5:
         raise CalibrationError(
             f"calibration landed at E={achieved:.3f}, target {m_target}"
@@ -223,6 +215,15 @@ def similarity_params(
     min(2**-n, exp(-beta * n)); otherwise beta is calibrated to the expected
     count ``m_target``, or ``fallback_target`` when that is None too."""
     if beta is not None:
+        # P(n) = 1 comes back from exp(ln c + beta * n) only while the
+        # prefactor c = exp(-beta * n) keeps n significant bits, i.e. stays
+        # at or above 2**n times the least positive double
+        steepest = -math.log(math.ulp(0.0)) - n * math.log(2.0)
+        if beta * n > steepest:
+            raise InvalidParamsError(
+                f"beta * n = {beta * n:.6g} is too steep for n={n}: the prefactor exp(-beta * n) "
+                f"keeps fewer than n significant bits; need beta * n <= {steepest:.6g}"
+            )
         # exp(-beta * n) only matters below 2**-n, so its exponent is capped at 0
         return SelectionProbabilityParams(
             n=n, beta=beta, norm_c=min(2.0**-n, math.exp(min(0.0, -beta * n)))
@@ -259,8 +260,8 @@ def recommend(
     plans before the run starts, the predicted peak of the policy mass, and
     samples the final state.  A round whose progress conditions fail steps
     anyway (``on_violation="continue"``); the log keeps the diagnostics.
-    Draws continue until ``m`` distinct items are seen.  Duplicate draws
-    are resampled; exceeding the 50*m draw cap raises
+    Draws, in blocks of m, 2m, 4m, ..., continue until ``m`` distinct items
+    are seen.  Duplicate draws are resampled; exceeding the 50*m draw cap raises
     :class:`~qamp.errors.UnderAmplifiedError`.  Asking for more items than
     can be selected (the unique catalog items, or all 2**n states without
     a catalog) raises :class:`~qamp.errors.ConfigError` before the run.
@@ -273,15 +274,20 @@ def recommend(
         raise ConfigError(f"asked for {m} distinct items, only {selectable} can be selected")
     state, log = run_dynamic(policy, rng, rounds=planned_rounds(policy), on_violation="continue")
 
+    # blocks of m, 2m, 4m, ... from the one generator take the uniforms one
+    # draw of the whole cap would, in the same order
     cap = RESAMPLE_CAP_FACTOR * m
-    draws = sample(state, rng, size=cap)
-    if policy.catalog is not None:
-        draws = draws[in_sorted(policy.catalog, draws)]
     seen: set[int] = set()
-    for x in draws.tolist():
-        if len(seen) >= m:
-            break
-        seen.add(x)
+    drawn = 0
+    while len(seen) < m and drawn < cap:
+        draws = sample(state, rng, size=min(drawn + m, cap - drawn))
+        drawn += draws.size
+        if policy.catalog is not None:
+            draws = draws[in_sorted(policy.catalog, draws)]
+        for x in draws.tolist():
+            if len(seen) >= m:
+                break
+            seen.add(x)
     if len(seen) < m:
         raise UnderAmplifiedError(
             f"collected {len(seen)} of {m} distinct items within {cap} draws"

@@ -99,7 +99,7 @@ def test_criterion_3_doubled_identities_and_fault_witness(tmp_path):
     )
     failing = {r.check for r in report.results if not r.passed}
     assert failing == {"reselection-ordering"}
-    witness = ordering_witness(3, SelectionMask.from_indices(3, [5]), doubled=False)
+    witness = ordering_witness(SelectionMask.from_indices(3, [5]), doubled=False)
     assert witness.selected_amp < witness.unselected_amp
     announce(3, f"1000 identity checks (worst L2 {worst:.2e} <= 1e-10); "
                 "single-step variant fails the ordering check")

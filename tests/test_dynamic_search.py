@@ -223,22 +223,22 @@ class TestOrderingWitness:
         return 2 * mu2 - sel1, 2 * mu2 - unsel1
 
     def test_once_selected_falls_below(self):
-        witness = ordering_witness(3, SelectionMask.from_indices(3, [5]))
+        witness = ordering_witness(SelectionMask.from_indices(3, [5]))
         assert witness.selected_amp < witness.unselected_amp
 
     @pytest.mark.parametrize("n,count", [(3, 1), (4, 3), (5, 10), (6, 20)])
     def test_matches_algebra(self, n, count):
-        witness = ordering_witness(n, SelectionMask.from_indices(n, range(count)))
+        witness = ordering_witness(SelectionMask.from_indices(n, range(count)))
         sel, unsel = self.algebra_oracle(n, count)
         assert witness.selected_amp == pytest.approx(sel, abs=1e-12)
         assert witness.unselected_amp == pytest.approx(unsel, abs=1e-12)
 
     def test_doubling_preserves_order(self):
-        witness = ordering_witness(3, SelectionMask.from_indices(3, [5]), doubled=True)
+        witness = ordering_witness(SelectionMask.from_indices(3, [5]), doubled=True)
         assert witness.selected_amp >= witness.unselected_amp
 
     def test_empty_mask_equal(self):
-        witness = ordering_witness(3, SelectionMask.empty(3))
+        witness = ordering_witness(SelectionMask.empty(3))
         assert witness.selected_amp == witness.unselected_amp
 
 
@@ -264,7 +264,7 @@ class TestRunDynamic:
     def test_default_rounds_matches_static_schedule(self):
         mask = SelectionMask.from_indices(10, [1, 2])
         policy = SelectionPolicy.probabilistic(10, mask.selected)
-        assert default_rounds(10, policy) == optimal_iterations(1024, 2)
+        assert default_rounds(policy) == optimal_iterations(1024, 2)
 
     def test_validity_abort_carries_log(self):
         # selecting ~60% of the space flips the post-flip mean negative
@@ -667,7 +667,7 @@ def test_plan_of_a_policy_that_selects_almost_nothing_falls_back():
     # rising at the search bound, 8 * 12 + 8 rounds
     params = SelectionProbabilityParams(8, beta=5.0, norm_c=math.exp(-40.0))
     policy = similarity_policy(SimilaritySpec(8, 0), params, catalog=np.array([254, 255]))
-    assert default_rounds(8, policy) == 12
+    assert default_rounds(policy) == 12
     t0 = time.perf_counter()
     assert planned_rounds(policy) == 2 * 12 + 8
     assert time.perf_counter() - t0 < 1.0
@@ -797,7 +797,7 @@ def test_running_sums_do_not_drift():
     n = 24
     policy = similarity_policy(SimilaritySpec(n, 0x5A5A5A), calibrate_beta(n, 5.0))
     watch = SelectionPolicy.by_similarity(n, 0x5A5A5A, (np.arange(n + 1) >= n - 2) * 1.0)
-    rounds = 2 * default_rounds(n, policy) + 8
+    rounds = 2 * default_rounds(policy) + 8
     support = _Support(policy, rounds, np.random.default_rng(0), watch)
     for r in range(rounds):
         if support.take_round(r, check=True) is not None:
@@ -952,12 +952,12 @@ def test_class_policy_run_allocates_no_flag_per_state():
     tracemalloc.start()
     try:
         state, log = run_dynamic(
-            policy, np.random.default_rng(0), default_rounds(n, policy), on_violation="restart"
+            policy, np.random.default_rng(0), default_rounds(policy), on_violation="restart"
         )
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert log.rounds == default_rounds(n, policy)
+    assert log.rounds == default_rounds(policy)
     assert abs(state.norm_sq() - 1.0) < 1e-9
     assert peak < 1 << n
 
@@ -976,11 +976,11 @@ def digest_runs():
     table_watch = SelectionPolicy.probabilistic(8, np.arange(256) % 7 == 0)
     crowded = SelectionPolicy.probabilistic(8, np.full(256, 0.3))
     grid = [
-        ("class", by_class, {"rounds": default_rounds(n, by_class)}),
+        ("class", by_class, {"rounds": default_rounds(by_class)}),
         ("class-best-watch", by_class,
-         {"rounds": 2 * default_rounds(n, by_class) + 8, "keep_best": True, "watch": ball}),
+         {"rounds": 2 * default_rounds(by_class) + 8, "keep_best": True, "watch": ball}),
         ("catalog-best", catalog,
-         {"rounds": 2 * default_rounds(n, catalog) + 8, "keep_best": True}),
+         {"rounds": 2 * default_rounds(catalog) + 8, "keep_best": True}),
         ("catalog-watch-stop", catalog, {"rounds": 40, "watch": ball, "stop_above": 0.5}),
         ("table", table, {"rounds": 12}),
         ("table-best-watch", table, {"rounds": 12, "keep_best": True, "watch": table_watch}),

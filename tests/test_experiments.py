@@ -428,12 +428,33 @@ class TestCli:
         assert "best_index=0" in out
         assert (tmp_path / "optimize_summary.csv").exists()
 
+    NOTICE = "every probe read one value: no round run; best of 10 uniform samples"
+
     def test_optimize_flat_dynamic_notice(self, tmp_path, capsys):
         path = tmp_path / "flat.obj"
         save_objective(path, ObjectiveTable(5, np.full(32, 1.5), Sense.MIN))
         rc = main(["optimize", "--objective", str(path), "--method", "dynamic", "--seed", "2"])
         assert rc == 0
-        assert "flat objective" in capsys.readouterr().out
+        assert self.NOTICE in capsys.readouterr().out
+
+    def test_optimize_missed_needle_notice(self, tmp_path, capsys):
+        # seed 0's 64 probes all miss the needle: the notice claims only that
+        values = np.ones(1 << 12)
+        values[1234] = 0.0
+        path = tmp_path / "needle.obj"
+        save_objective(path, ObjectiveTable(12, values, Sense.MIN))
+        rc = main(["optimize", "--objective", str(path), "--method", "dynamic", "--seed", "0"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert self.NOTICE in out
+        assert "iterations=0 rounds=0 optimal=False" in out
+
+    @pytest.mark.parametrize("method", ["durr-hoyer", "dynamic"])
+    def test_optimize_notice_only_without_a_run(self, tmp_path, capsys, method):
+        path = tmp_path / "ramp.obj"
+        save_objective(path, ObjectiveTable(8, np.arange(256, dtype=float), Sense.MIN))
+        assert main(["optimize", "--objective", str(path), "--method", method, "--seed", "1"]) == 0
+        assert self.NOTICE not in capsys.readouterr().out
 
     def test_optimize_requires_objective(self, capsys):
         assert main(["optimize", "--method", "dynamic"]) == 2
@@ -475,6 +496,23 @@ class TestCli:
         monkeypatch.chdir(tmp_path)
         assert main(args) in (0, 2)
         assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["recommend", "--n", "30", "--m", "3", "--beta", "25"],
+            ["dynamic", "--n", "30", "--beta", "25"],
+        ],
+        ids=["recommend", "dynamic"],
+    )
+    def test_steep_beta_error_names_beta_n(self, tmp_path, capsys, monkeypatch, args):
+        # beta * n = 750: exp(-beta * n) underflows, which once read as a
+        # most-similar state selected with 0 < 1 - 1/N
+        monkeypatch.chdir(tmp_path)
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert "beta * n = 750 is too steep" in err
+        assert "1 - 1/N" not in err
 
     @pytest.mark.parametrize("content", [None, "hello\n", "999\n"])
     def test_recommend_bad_catalog_file_exit(self, tmp_path, capsys, content):

@@ -142,9 +142,15 @@ class TestOptimizationPolicy:
         assert rng.bit_generator.state == twin.bit_generator.state
 
     def test_flat_signal_policy(self):
+        # probes that all read one value give no policy
         table = ObjectiveTable(5, np.full(32, 1.0), Sense.MIN)
-        policy = build_optimization_policy(table, np.random.default_rng(0))
-        assert np.all(policy.probabilities == 1.0)
+        assert build_optimization_policy(table, np.random.default_rng(0)) is None
+
+    @pytest.mark.parametrize("value", [0.0, -2.5])
+    def test_equal_estimates_rejected(self, value):
+        table = ObjectiveTable(4, np.linspace(-1.0, 1.0, 16), Sense.MIN)
+        with pytest.raises(ValueError):
+            policy_from_estimates(table, value, value)
 
 
 class TestDynamicOptimize:
@@ -192,6 +198,32 @@ class TestDynamicOptimize:
             values = values[::-1].copy()
         result = dynamic_optimize(ObjectiveTable(10, values, sense), np.random.default_rng(5))
         assert result.outer_rounds == nominal_rounds(10)
+
+    def test_needle_missed_by_every_probe_takes_the_shortcut(self):
+        # the 64 probes of an n = 12 table all read the background value, so
+        # no round runs and the answer is the best of 10 uniform samples
+        n, needle, seed = 12, 1234, 0
+        values = np.ones(1 << n)
+        values[needle] = 0.0
+        table = ObjectiveTable(n, values, Sense.MIN)
+        probes = np.random.default_rng(seed).integers(0, 1 << n, size=64)
+        assert needle not in probes.tolist()
+        assert build_optimization_policy(table, np.random.default_rng(seed)) is None
+        result = dynamic_optimize(table, np.random.default_rng(seed))
+        assert result.log is None
+        assert (result.grover_iterations_total, result.outer_rounds) == (0, 0)
+        assert result.best_value == 1.0 and result.optimal is False
+
+    def test_two_valued_table_seen_by_the_probes_runs_nominal_rounds(self):
+        n, seed = 12, 0
+        values = np.where(np.arange(1 << n) % 2 == 0, 1.0, 2.0)
+        table = ObjectiveTable(n, values, Sense.MIN)
+        probes = np.random.default_rng(seed).integers(0, 1 << n, size=64)
+        assert len(set(values[probes].tolist())) == 2
+        result = dynamic_optimize(table, np.random.default_rng(seed))
+        assert result.log is not None
+        assert result.outer_rounds == result.log.rounds == nominal_rounds(n)
+        assert result.grover_iterations_total == 2 * nominal_rounds(n)
 
     def test_one_needle_optimal_flag_is_true_statement(self):
         # the probes all miss the needle, so the policy looks flat; the

@@ -1,3 +1,4 @@
+import importlib
 import math
 import tracemalloc
 
@@ -23,10 +24,14 @@ from qamp import (
     similarity_policy,
 )
 from qamp.cli import main
-from qamp.dynamic_search import run_dynamic, similarity_classes
+from qamp.core import sample
+from qamp.dynamic_search import planned_rounds, run_dynamic, similarity_classes
+from qamp.errors import UnderAmplifiedError
 from qamp.recommend import probability_by_class, similarity_params
 
 LN2 = math.log(2.0)
+# the package re-exports the recommend() function under the submodule's name
+recommend_module = importlib.import_module("qamp.recommend")
 
 
 class TestSimilarity:
@@ -123,6 +128,18 @@ class TestSelectionProbability:
         assert probs[-1] >= 1.0 - 2.0**-n and probs[0] <= 2.0**-n
         assert np.all(np.diff(probs) >= 0)
         assert similarity_policy(SimilaritySpec(n, 0), params).expected_selected() >= 1.0
+
+    @pytest.mark.parametrize("n", [8, 20, 30])
+    def test_steepest_explicit_beta_keeps_the_top_limit(self, n):
+        # a prefactor of fewer than n significant bits no longer gives back
+        # P(n) = 1; every beta * n below that is accepted, every one above
+        # it rejected by name
+        steepest = -math.log(math.ulp(0.0)) - n * LN2
+        for beta_n in np.linspace(steepest - 20.0, steepest, 400):
+            probs = probability_by_class(similarity_params(n, beta_n / n, None, 1.0))
+            assert probs[-1] >= 1.0 - 2.0**-n
+        with pytest.raises(InvalidParamsError, match=r"beta \* n = .* too steep"):
+            similarity_params(n, (steepest + 0.01) / n, None, 1.0)
 
     def test_monotone_in_similarity(self):
         for params in (
@@ -289,6 +306,52 @@ class TestRecommend:
         np.testing.assert_allclose(
             result.per_similarity_sampling[-3:], top_masses, rtol=0, atol=1e-12
         )
+
+    @staticmethod
+    def whole_cap_reference(spec, m, params, seed, catalog):
+        """The first m distinct items of one draw of the whole 50 * m cap."""
+        rng = np.random.default_rng(seed)
+        policy = similarity_policy(spec, params, catalog=catalog)
+        state, _ = run_dynamic(policy, rng, rounds=planned_rounds(policy), on_violation="continue")
+        draws = sample(state, rng, size=50 * m)
+        if catalog is not None:
+            draws = draws[np.isin(draws, catalog)]
+        distinct = list(dict.fromkeys(draws.tolist()))
+        return sorted(distinct[:m]) if len(distinct) >= m else None
+
+    @pytest.mark.parametrize("with_catalog", [False, True], ids=["space", "catalog"])
+    def test_blocked_draws_match_one_draw_of_the_whole_cap(self, with_catalog):
+        n, m = 10, 8
+        params = calibrate_beta(n, 8.0)
+        # every seventh item: a few seeds run out of draws, the rest succeed
+        catalog = np.arange(0, 1 << n, 7) if with_catalog else None
+        outcomes = []
+        for seed in range(24):
+            spec = SimilaritySpec(n, (37 * seed) % (1 << n))
+            want = self.whole_cap_reference(spec, m, params, seed, catalog)
+            if want is None:
+                with pytest.raises(UnderAmplifiedError, match=f"within {50 * m} draws"):
+                    recommend(spec, m, params, np.random.default_rng(seed), catalog=catalog)
+            else:
+                result = recommend(spec, m, params, np.random.default_rng(seed), catalog=catalog)
+                assert sorted(item.index for item in result.items) == want, seed
+            outcomes.append(want is None)
+        assert outcomes.count(False) >= 20
+        assert with_catalog == (True in outcomes)
+
+    def test_draws_stop_once_m_items_are_distinct(self, monkeypatch):
+        sizes = []
+
+        def counted(state, rng, size=None):
+            sizes.append(size)
+            return sample(state, rng, size=size)
+
+        monkeypatch.setattr(recommend_module, "sample", counted)
+        params = calibrate_beta(16, 5.0)
+        result = recommend(SimilaritySpec(16, 0), 5, params, np.random.default_rng(1))
+        assert len(result.items) == 5
+        assert sizes[0] == 5 and sum(sizes) < 50 * 5
+        assert sizes == [5 * 2**k for k in range(len(sizes))]
 
     def test_large_space_allocates_less_than_one_dense_vector(self):
         n = 22
