@@ -47,7 +47,6 @@ from qamp.dynamic_search import (
     SelectionPolicy,
     _draw_support,
     _Support,
-    default_rounds,
     planned_rounds,
 )
 from qamp.optimize import ObjectiveTable, build_optimization_policy, nominal_rounds
@@ -98,19 +97,19 @@ def bench_round(n: int, repeats: int) -> dict[str, float]:
 
 def bench_touched_round(n: int, repeats: int) -> float:
     """One round of ``run_dynamic``'s engine under a similarity policy
-    calibrated to m = 5, timed after a schedule's worth of rounds (the run's
-    support and masks are drawn for the schedule plus the timed rounds).
-    The rounds step unchecked, as ``recommend``'s planned run does."""
+    calibrated to m = 5, timed after the rounds ``planned_rounds`` plans for
+    it (the run's support and masks are drawn for those plus the timed
+    rounds).  The rounds step unchecked, as ``recommend``'s planned run does."""
     policy = similarity_policy(SimilaritySpec(n, 0), calibrate_beta(n, 5.0))
     rng = np.random.default_rng(7)
-    schedule = default_rounds(policy)
-    support = _Support(policy, schedule + repeats, rng)
-    rounds = iter(range(schedule + repeats))
+    plan = planned_rounds(policy)
+    support = _Support(policy, plan + repeats, rng)
+    rounds = iter(range(plan + repeats))
 
     def one_round():
         support.take_round(next(rounds), check=False)
 
-    for _ in range(schedule):
+    for _ in range(plan):
         one_round()
     return time_call(one_round, repeats)
 

@@ -24,7 +24,6 @@ from .dynamic_search import (
     DynamicRunLog,
     GainReport,
     SelectionPolicy,
-    default_rounds,
     gain_bound,
     planned_rounds,
     run_dynamic,

@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import check_qubit_count
-from .dynamic_search import default_rounds, run_dynamic
+from .dynamic_search import planned_rounds, run_dynamic
 from .errors import (
     ConfigError,
     NoSolutionError,
@@ -231,16 +231,14 @@ def cmd_dynamic(opts: _Options) -> tuple[int, list, list]:
     policy = similarity_policy(spec, params)
     rounds = opts.get("rounds", int, None)
     if rounds is None:
-        rounds = default_rounds(policy)
+        rounds = planned_rounds(policy)
     _at_least(rounds, 0, "round count")
     strict = bool(opts.get("strict_validity", _parse_bool, False))
     t0 = time.perf_counter()
-    _, log = run_dynamic(policy, rng, rounds=rounds, on_violation="abort" if strict else "restart")
+    _, log = run_dynamic(policy, rng, rounds=rounds, on_violation="abort" if strict else "continue")
     wall_ms = (time.perf_counter() - t0) * 1e3
 
     print(f"n={n} reference={reference} beta={params.beta:.6f} rounds={log.rounds} seed={seed}")
-    if log.restart_rounds:
-        print(f"restarts at rounds: {', '.join(str(r + 1) for r in log.restart_rounds)}")
     print(f"{'round':>5} {'N_s':>6} {'p_selected':>11} {'gain':>12} {'mean_amp':>12}")
     columns = [log.n_selected, log.p_selected, log.p_unselected, log.gains,
                log.mean_amplitude, log.min_unselected_amp]
@@ -463,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reference", type=int)
     p.add_argument("--beta", type=float)
     p.add_argument("--m-target", type=float, dest="m_target")
-    p.add_argument("--rounds", type=int)
+    p.add_argument("--rounds", type=int, help="round count (default: the planned peak)")
     p.add_argument("--strict-validity", action="store_true", default=None,
                    dest="strict_validity", help="abort on progress-condition violations")
     _add_common(p)

@@ -24,7 +24,6 @@ import numpy as np
 
 from .core import MAX_QUBITS, SparseState, check_qubit_count, in_sorted
 from .errors import ShapeMismatchError, ValidityError
-from .static_search import optimal_iterations
 
 VALIDITY_ATOL = 1e-9  # "positive" is tested as > -VALIDITY_ATOL to absorb float noise
 # states per block of a per-state table's support draw (_draw_support): a
@@ -115,6 +114,15 @@ class SelectionPolicy:
         if self.probabilities is not None:
             return float(self.probabilities.sum())
         return float(self.class_sizes @ self.class_probabilities)
+
+    def moments(self) -> list[float]:
+        """M_j, the sum over all states of P(x)**j, for j = 1, 2, 3."""
+        if self.probabilities is not None:
+            probs = self.probabilities
+            squares = probs * probs
+            return [float(probs.sum()), float(squares.sum()), float(squares @ probs)]
+        powers = np.vander(self.class_probabilities, 4, increasing=True)[:, 1:]  # P, P**2, P**3
+        return (self.class_sizes @ powers).tolist()
 
     def probabilities_at(self, indices: np.ndarray) -> np.ndarray:
         """The selection probability of each of the given states."""
@@ -583,17 +591,8 @@ def gain_bound(n_states: int, n_selected: int) -> float:
     return (n_selected / (n_states - n_selected)) * ratio * ratio
 
 
-def default_rounds(policy: SelectionPolicy) -> int:
-    """floor((pi/4) * sqrt(N / max(1, E[selected count]))), N = 2**policy.n.
-
-    The static schedule with E[selected count] for the marked count, so a
-    0/1 table gets the static schedule length of its mask.
-    """
-    return optimal_iterations(1 << policy.n, max(1.0, policy.expected_selected()))
-
-
 def planned_rounds(policy: SelectionPolicy) -> int:
-    """The round count at which a run under a class policy is predicted to peak.
+    """The round count at which a run under ``policy`` is predicted to peak.
 
     A mask never depends on the amplitudes, and a doubled round adds one
     shift to every selected amplitude and another to every unselected one
@@ -603,29 +602,28 @@ def planned_rounds(policy: SelectionPolicy) -> int:
     amplitude mean u + B + P (A - B) and variance P (1 - P) D, u the
     uniform amplitude.  Taking each round's shifts from the expected group
     sums, the predicted policy mass, the sum over x of P(x) a(x)**2,
-    needs only the moments M_j = sum_S C_S P_S**j for j = 1..3 (C_S the
-    class sizes, within the catalog if there is one), so a predicted
-    round is O(1) float work.
+    needs only the moments M_j = sum over x of P(x)**j for j = 1..3
+    (:meth:`SelectionPolicy.moments`), so a predicted round is O(1) float
+    work.  For a 0/1 table of M states the model is exact: the first round
+    at which sin**2((4r + 1) theta), sin theta = sqrt(M / N), stops rising.
 
     Returns the first round after which the predicted mass falls (0 when
-    the first round already lowers it).  The search stops at
-    ``8 * default_rounds + 8``; a mass still rising there falls back to
-    ``2 * default_rounds + 8``, so a policy that barely selects anything
+    the first round already lowers it).  A run turns by about
+    4 sqrt(M_2 / N) a round, so with R_2 = floor((pi/8) sqrt(N / max(1, M_2)))
+    the search stops at ``8 * R_2 + 8`` rounds; a mass still rising there
+    falls back to ``2 * R_2 + 8``, so a policy that barely selects anything
     runs no longer than that.
     """
-    if policy.class_probabilities is None:
-        raise ValueError("planned_rounds needs a class policy")
-    powers = np.vander(policy.class_probabilities, 4, increasing=True)[:, 1:]  # P, P**2, P**3
-    m1, m2, m3 = (policy.class_sizes @ powers).tolist()
+    m1, m2, m3 = policy.moments()
     n_states = float(1 << policy.n)
-    schedule = default_rounds(policy)
+    r2 = math.floor((math.pi / 8.0) * math.sqrt(n_states / max(1.0, m2)))
     # An amplitude of selection probability P has mean bulk + P offset and
     # variance P (1 - P) spread.  The expected group sums are then
     # sum_sel = bulk m1 + offset m2 and sum_all = N bulk + offset m1, and a
     # round moves bulk by the unselected shift and offset by the difference
     bulk, offset, spread = 1.0 / math.sqrt(n_states), 0.0, 0.0
     mass = bulk * bulk * m1
-    for done in range(8 * schedule + 8):
+    for done in range(8 * r2 + 8):
         sum_sel = bulk * m1 + offset * m2
         shift_sel, shift_unsel = doubling_shifts(
             sum_sel, n_states * bulk + offset * m1 - sum_sel, m1, n_states
@@ -638,7 +636,7 @@ def planned_rounds(policy: SelectionPolicy) -> int:
         if after < mass:
             return done
         mass = after
-    return 2 * schedule + 8
+    return 2 * r2 + 8
 
 
 def run_dynamic(
@@ -664,7 +662,8 @@ def run_dynamic(
       round has stepped since the start or the last reset steps from the
       uniform state it is already in, and is not logged;
     - ``"continue"`` steps anyway, for runs whose length is planned
-      before they start (:func:`planned_rounds`); the log's
+      before they start (:func:`planned_rounds`: ``recommend``,
+      ``experiment accuracy`` and ``qamp dynamic``); the log's
       ``mean_amplitude`` and ``min_unselected_amp`` keep the diagnostics.
 
     ``watch`` logs each round's watched mass, the sum over x of

@@ -152,7 +152,11 @@ class StepsOutcome:
 
 
 def experiment_steps(config: ExperimentConfig) -> StepsOutcome:
-    """Static schedule length vs rounds for the ball mass to reach 1/2."""
+    """Static schedule length vs rounds for the ball mass to reach 1/2.
+
+    A run stops after ``2 * planned_rounds + 8`` rounds, the planner's own
+    fallback length, and reports that cap when the ball never crossed.
+    """
     config.validate()
     lo, hi = config.resolved_range()
     _check_reference(config, lo)
@@ -162,7 +166,7 @@ def experiment_steps(config: ExperimentConfig) -> StepsOutcome:
         ball, size, params = _ball(config, n)
         static_steps = optimal_iterations(1 << n, size)
         policy = similarity_policy(SimilaritySpec(n, config.reference), params)
-        cap = 4 * max(static_steps, 1) + 8
+        cap = 2 * planned_rounds(policy) + 8
 
         dyn_rounds = np.empty(config.seeds)
         for trial in range(config.seeds):

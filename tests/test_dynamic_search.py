@@ -16,10 +16,10 @@ from qamp import (
     ObjectiveTable,
     SelectionMask,
     SelectionPolicy,
+    Sense,
     StateVector,
     ValidityError,
     build_optimization_policy,
-    default_rounds,
     dynamic_iteration,
     gain_bound,
     gain_report,
@@ -260,11 +260,6 @@ class TestRunDynamic:
         state, log = run_dynamic(policy, np.random.default_rng(0), rounds=13)
         assert log.rounds == 13
         assert probability_of(state, mask) >= 0.99
-
-    def test_default_rounds_matches_static_schedule(self):
-        mask = SelectionMask.from_indices(10, [1, 2])
-        policy = SelectionPolicy.probabilistic(10, mask.selected)
-        assert default_rounds(policy) == optimal_iterations(1024, 2)
 
     def test_validity_abort_carries_log(self):
         # selecting ~60% of the space flips the post-flip mean negative
@@ -664,18 +659,57 @@ def test_planned_round_is_the_engine_peak(n):
 def test_plan_of_a_policy_that_selects_almost_nothing_falls_back():
     # beta = 5 gives the two catalog items, far from the reference,
     # selection probabilities below 1e-15: the predicted mass is still
-    # rising at the search bound, 8 * 12 + 8 rounds
+    # rising at the search bound, 8 * R_2 + 8 rounds for
+    # R_2 = floor((pi/8) sqrt(N / max(1, M_2))) = 6
     params = SelectionProbabilityParams(8, beta=5.0, norm_c=math.exp(-40.0))
     policy = similarity_policy(SimilaritySpec(8, 0), params, catalog=np.array([254, 255]))
-    assert default_rounds(policy) == 12
+    r2 = math.floor((math.pi / 8) * math.sqrt(256 / max(1.0, policy.moments()[1])))
+    assert r2 == 6
     t0 = time.perf_counter()
-    assert planned_rounds(policy) == 2 * 12 + 8
+    assert planned_rounds(policy) == 2 * r2 + 8
     assert time.perf_counter() - t0 < 1.0
 
 
-def test_plan_needs_a_class_policy():
-    with pytest.raises(ValueError, match="class policy"):
-        planned_rounds(SelectionPolicy.probabilistic(4, np.full(16, 0.1)))
+@pytest.mark.parametrize("n", range(4, 17))
+def test_plan_of_a_fixed_mask_is_the_rotation_peak(n):
+    """For a 0/1 table of M states the model is exact: a doubled round turns
+    the state by 4 theta, sin theta = sqrt(M / N), so the plan is the first
+    r at which sin**2((4r + 1) theta) stops rising."""
+    size = 1 << n
+    for count in sorted({1, 2, 3, 5, size // 16, size // 8 - 1, size // 3} - {0}):
+        theta = math.asin(math.sqrt(count / size))
+        peak = 0
+        while math.sin((4 * peak + 5) * theta) ** 2 >= math.sin((4 * peak + 1) * theta) ** 2:
+            peak += 1
+        probs = np.zeros(size)
+        probs[np.random.default_rng(count).choice(size, count, replace=False)] = 1.0
+        assert planned_rounds(SelectionPolicy.probabilistic(n, probs)) == peak, count
+
+
+@pytest.mark.parametrize("n", [10, 14, 18])
+@pytest.mark.parametrize("kind", ["normal", "tied"])
+def test_plan_of_a_table_is_the_engine_peak(n, kind):
+    """The plan of the optimizer's probe-built per-state policy lies within
+    2 rounds of the median best round of 16 runs of twice the plan: on
+    normal tables and on tied ones (about four states per integer value),
+    minimised and maximised."""
+    size = 1 << n
+    for seed in range(8):
+        rng = np.random.default_rng([n, seed])
+        if kind == "normal":
+            values = rng.standard_normal(size)
+        else:
+            values = rng.integers(0, size // 4, size=size).astype(np.float64)
+        table = ObjectiveTable(n, values, (Sense.MIN, Sense.MAX)[seed % 2])
+        policy = build_optimization_policy(table, rng)
+        plan = planned_rounds(policy)
+        best = np.median([
+            np.argmax(run_dynamic(
+                policy, np.random.default_rng(run), 2 * plan, on_violation="continue"
+            )[1].policy_mass_by_round) + 1
+            for run in range(16)
+        ])
+        assert abs(plan - best) <= 2, (seed, plan, best)
 
 
 # planned_rounds of the calibrated similarity policy at reference 3 * (N // 9),
@@ -792,12 +826,12 @@ def test_masks_keep_their_law_over_many_rounds():
 
 
 def test_running_sums_do_not_drift():
-    """After a run at n = 24 of 2 * default_rounds + 8 rounds (restarts as
-    they come), the running sums equal the sums of the stored offsets."""
+    """After a run at n = 24 of 2 * 1438 + 8 rounds (restarts as they
+    come), the running sums equal the sums of the stored offsets."""
     n = 24
     policy = similarity_policy(SimilaritySpec(n, 0x5A5A5A), calibrate_beta(n, 5.0))
     watch = SelectionPolicy.by_similarity(n, 0x5A5A5A, (np.arange(n + 1) >= n - 2) * 1.0)
-    rounds = 2 * default_rounds(policy) + 8
+    rounds = 2 * 1438 + 8
     support = _Support(policy, rounds, np.random.default_rng(0), watch)
     for r in range(rounds):
         if support.take_round(r, check=True) is not None:
@@ -951,13 +985,11 @@ def test_class_policy_run_allocates_no_flag_per_state():
     policy = similarity_policy(SimilaritySpec(n, 0x5A5A5A), params)
     tracemalloc.start()
     try:
-        state, log = run_dynamic(
-            policy, np.random.default_rng(0), default_rounds(policy), on_violation="restart"
-        )
+        state, log = run_dynamic(policy, np.random.default_rng(0), 1438, on_violation="restart")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert log.rounds == default_rounds(policy)
+    assert log.rounds == 1438
     assert abs(state.norm_sq() - 1.0) < 1e-9
     assert peak < 1 << n
 
@@ -976,11 +1008,9 @@ def digest_runs():
     table_watch = SelectionPolicy.probabilistic(8, np.arange(256) % 7 == 0)
     crowded = SelectionPolicy.probabilistic(8, np.full(256, 0.3))
     grid = [
-        ("class", by_class, {"rounds": default_rounds(by_class)}),
-        ("class-best-watch", by_class,
-         {"rounds": 2 * default_rounds(by_class) + 8, "keep_best": True, "watch": ball}),
-        ("catalog-best", catalog,
-         {"rounds": 2 * default_rounds(catalog) + 8, "keep_best": True}),
+        ("class", by_class, {"rounds": 8}),
+        ("class-best-watch", by_class, {"rounds": 2 * 8 + 8, "keep_best": True, "watch": ball}),
+        ("catalog-best", catalog, {"rounds": 2 * 14 + 8, "keep_best": True}),
         ("catalog-watch-stop", catalog, {"rounds": 40, "watch": ball, "stop_above": 0.5}),
         ("table", table, {"rounds": 12}),
         ("table-best-watch", table, {"rounds": 12, "keep_best": True, "watch": table_watch}),

@@ -7,7 +7,7 @@ import pytest
 
 from qamp import SelectionMask, backend, grover_iteration, uniform_init
 from qamp.cli import main
-from qamp.dynamic_search import similarity_classes
+from qamp.dynamic_search import planned_rounds, similarity_classes
 from qamp.errors import ConfigError
 from qamp.experiments import (
     ExperimentConfig,
@@ -16,6 +16,7 @@ from qamp.experiments import (
     experiment_steps,
 )
 from qamp.optimize import ObjectiveTable, Sense, save_objective
+from qamp.recommend import SimilaritySpec, similarity_params, similarity_policy
 from qamp.static_search import optimal_iterations
 
 
@@ -299,7 +300,8 @@ class TestCli:
         assert not (tmp_path / "out").exists()
 
     def test_dynamic_strict_validity_exit(self, capsys):
-        assert main(["dynamic", "--n", "8", "--seed", "5", "--strict-validity"]) == 3
+        args = ["dynamic", "--n", "8", "--seed", "5", "--rounds", "4", "--strict-validity"]
+        assert main(args) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(
@@ -372,6 +374,21 @@ class TestCli:
         assert (tmp_path / "dynamic_rounds.csv").exists()
         assert (tmp_path / "dynamic_summary.csv").exists()
         assert (tmp_path / "dynamic_gain.svg").exists()
+
+    @pytest.mark.parametrize("n", [8, 12, 16])
+    def test_dynamic_default_runs_the_plan(self, capsys, n):
+        # without --rounds the run makes the planned rounds of its policy
+        # and steps through violations, so it never restarts
+        policy = similarity_policy(
+            SimilaritySpec(n, 0), similarity_params(n, None, None, float(n + 1))
+        )
+        plan = planned_rounds(policy)
+        for seed in range(5):
+            assert main(["dynamic", "--n", str(n), "--seed", str(seed)]) == 0
+            out = capsys.readouterr().out
+            assert f" rounds={plan} " in out.splitlines()[0]
+            assert "restart" not in out
+            assert len(out.splitlines()) == 2 + plan
 
     def test_recommend_deterministic(self, tmp_path, capsys):
         args = [
