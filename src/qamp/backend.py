@@ -210,11 +210,9 @@ def ordering_witness(first_mask: SelectionMask, doubled: bool = False) -> Orderi
 def replay_round_states(log: DynamicRunLog) -> Sequence[StateVector]:
     """States at every round boundary of a completed run (index 0 = initial).
 
-    A round listed in ``log.restart_rounds`` starts from the uniform state.
+    Each round steps from the state the round before it left.
     """
     states = [uniform_init(log.n)]
-    restarts = set(log.restart_rounds)
-    for round_index, selected in enumerate(log.selected_indices):
-        start = uniform_init(log.n) if round_index in restarts else states[-1]
-        states.append(dynamic_iteration(start, SelectionMask.from_indices(log.n, selected)))
+    for selected in log.selected_indices:
+        states.append(dynamic_iteration(states[-1], SelectionMask.from_indices(log.n, selected)))
     return states

@@ -252,8 +252,8 @@ class DynamicRunLog:
     and the watched policy's mass (the column is None when the run
     watched none).  ``best_round`` is the 1-based round of the state a
     ``keep_best`` run returned, 0 when no round beat the uniform state
-    (None without ``keep_best``).  ``restart_rounds`` holds the 0-based
-    indices of the rounds that restarted from the uniform state.
+    (None without ``keep_best``).  Every round steps from the state the
+    round before it left.
     """
 
     n: int
@@ -267,7 +267,8 @@ class DynamicRunLog:
     policy_mass_by_round: np.ndarray
     watched_mass_by_round: np.ndarray | None
     best_round: int | None
-    restart_rounds: tuple[int, ...]
+    # always empty, as no run restarts; perfbench still reads it
+    restart_rounds = ()
 
     @property
     def n_selected(self) -> np.ndarray:
@@ -330,8 +331,7 @@ class _Support:
     ``sum_e`` and ``sum_ee`` of v e and v e**2 over the support, for each
     weight v in (1, p, w), w the watched probabilities when the run
     watches a policy, give the group sums and the masses without a pass
-    over the support, so a round costs O(|mask|).  A restart zeroes the
-    offsets: O(T) for T support states.
+    over the support, so a round costs O(|mask|).
     """
 
     def __init__(
@@ -366,12 +366,9 @@ class _Support:
         # p_unselected, mean_amplitude, min_unselected_amp, the policy mass
         # and the watched mass (left empty when the run watches none)
         self.columns: tuple[list[float], ...] = tuple([] for _ in range(6))
-        self.e = np.empty(self.idx.size)
-        self.reset()
-
-    def reset(self) -> None:
-        """Back to the uniform state; the support and the masks stay."""
+        # the uniform state
         self.bulk = 1.0 / math.sqrt(self.n_states)
+        self.e = np.empty(self.idx.size)
         self.e.fill(0.0)
         self.sum_e = [0.0] * len(self._totals)
         self.sum_ee = [0.0] * len(self._totals)
@@ -651,20 +648,16 @@ def run_dynamic(
 ) -> tuple[SparseState, DynamicRunLog]:
     """Run ``rounds`` doubled amplification rounds with freshly sampled masks.
 
-    Starts from the uniform state.  Before each round the progress
-    conditions are checked against the fresh mask.  ``on_violation``
-    says what a violating round does:
+    Starts from the uniform state, and each round steps from the state
+    the round before it left.  ``on_violation`` says what a round does
+    whose fresh mask violates the progress conditions:
 
-    - ``"abort"`` (the default) raises :class:`~qamp.errors.ValidityError`
-      carrying the state and the log so far;
-    - ``"restart"`` resets to the uniform state, steps from it and logs
-      the round in ``restart_rounds``; a round that violates while no
-      round has stepped since the start or the last reset steps from the
-      uniform state it is already in, and is not logged;
-    - ``"continue"`` steps anyway, for runs whose length is planned
-      before they start (:func:`planned_rounds`: ``recommend``,
-      ``experiment accuracy`` and ``qamp dynamic``); the log's
-      ``mean_amplitude`` and ``min_unselected_amp`` keep the diagnostics.
+    - ``"abort"`` (the default) checks them before each round and raises
+      :class:`~qamp.errors.ValidityError` carrying the state and the log
+      so far;
+    - ``"continue"`` steps anyway, as every round's mask comes from the
+      policy alone; the log's ``mean_amplitude`` and
+      ``min_unselected_amp`` keep the diagnostics.
 
     ``watch`` logs each round's watched mass, the sum over x of
     P_watch(x) * a(x)**2 with P_watch the selection probabilities of that
@@ -686,35 +679,24 @@ def run_dynamic(
     """
     if rounds < 0:
         raise ValueError(f"round count must be >= 0, got {rounds}")
-    if on_violation not in ("abort", "restart", "continue"):
-        raise ValueError(
-            f"on_violation must be 'abort', 'restart' or 'continue', got {on_violation!r}"
-        )
+    if on_violation not in ("abort", "continue"):
+        raise ValueError(f"on_violation must be 'abort' or 'continue', got {on_violation!r}")
     if watch is not None and watch.n != policy.n:
         raise ValueError(f"watched policy has n={watch.n}, run has n={policy.n}")
     if stop_above is not None and watch is None:
         raise ValueError("stop_above needs a watched policy")
     support = _Support(policy, rounds, rng, watch)
     policy_mass, watched_mass = support.columns[4:]
-    restarts: list[int] = []
     best = support.sparse_state() if keep_best else None
     best_score = support.mass(1)  # the policy mass of the uniform state
     best_round = 0
     violation = None
-    check = on_violation != "continue"
-    uniform = True  # no round has stepped since the start or the last reset
+    check = on_violation == "abort"
 
     for round_index in range(rounds):
-        refused = support.take_round(round_index, check)
-        if refused is not None:
-            if on_violation == "abort":
-                violation = refused
-                break
-            if not uniform:
-                support.reset()
-                restarts.append(round_index)
-            support.take_round(round_index, check=False)
-        uniform = False
+        violation = support.take_round(round_index, check)
+        if violation is not None:
+            break
         if keep_best and policy_mass[-1] > best_score:
             best_score = policy_mass[-1]
             best = support.sparse_state()
@@ -732,7 +714,6 @@ def run_dynamic(
         *(np.array(column, dtype=np.float64) for column in support.columns[:5]),
         None if watch is None else np.array(watched_mass, dtype=np.float64),
         best_round if keep_best else None,
-        tuple(restarts),
     )
     if violation is not None:
         mean, least = violation

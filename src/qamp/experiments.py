@@ -154,8 +154,9 @@ class StepsOutcome:
 def experiment_steps(config: ExperimentConfig) -> StepsOutcome:
     """Static schedule length vs rounds for the ball mass to reach 1/2.
 
-    A run stops after ``2 * planned_rounds + 8`` rounds, the planner's own
-    fallback length, and reports that cap when the ball never crossed.
+    A run steps through rounds whose progress conditions fail.  It stops
+    after ``2 * planned_rounds + 8`` rounds, the planner's own fallback
+    length, and reports that cap when the ball never crossed.
     """
     config.validate()
     lo, hi = config.resolved_range()
@@ -174,7 +175,7 @@ def experiment_steps(config: ExperimentConfig) -> StepsOutcome:
             rng = np.random.default_rng(seed)
             t0 = time.perf_counter()
             _, log = run_dynamic(
-                policy, rng, rounds=cap, stop_above=0.5, watch=ball, on_violation="restart"
+                policy, rng, rounds=cap, stop_above=0.5, watch=ball, on_violation="continue"
             )
             wall_ms = (time.perf_counter() - t0) * 1e3
             crossed = log.rounds if log.rounds and log.watched_mass_by_round[-1] > 0.5 else cap
@@ -211,7 +212,7 @@ def experiment_accuracy(config: ExperimentConfig) -> AccuracyOutcome:
     """Final-state sampling probability per similarity class, static vs dynamic.
 
     Each dynamic run makes the rounds :func:`~qamp.dynamic_search.planned_rounds`
-    plans for its policy and keeps its final state, with no restart.
+    plans for its policy and keeps its final state.
     """
     config.validate()
     n = config.n if config.n is not None else 13

@@ -185,10 +185,10 @@ def nominal_rounds(n: int) -> int:
 def dynamic_optimize(table: ObjectiveTable, rng: np.random.Generator) -> OptimizationResult:
     """Single amplification pass driven by the probe-built policy.
 
-    Runs ``nominal_rounds(n)`` doubled rounds (2 iterations each), keeping
-    the state of the best round since the wide probe-built policy
-    overshoots the rotation optimum within a round or two; rounds whose
-    progress conditions fail restart from uniform.  Samples 10 candidates
+    Runs ``nominal_rounds(n)`` doubled rounds (2 iterations each),
+    stepping through rounds whose progress conditions fail, and keeps the
+    state of the best round since the wide probe-built policy overshoots
+    the rotation optimum within a round or two.  Samples 10 candidates
     from that state and returns the best.  Probes that all read one value
     skip the run: the result is the best of 10 uniform samples, with no
     log and no iterations.
@@ -197,7 +197,7 @@ def dynamic_optimize(table: ObjectiveTable, rng: np.random.Generator) -> Optimiz
     if policy is None:
         return _best_of_candidates(table, SparseState.uniform(table.n), rng)
     state, log = run_dynamic(
-        policy, rng, rounds=nominal_rounds(table.n), keep_best=True, on_violation="restart"
+        policy, rng, rounds=nominal_rounds(table.n), keep_best=True, on_violation="continue"
     )
     return _best_of_candidates(table, state, rng, log)
 

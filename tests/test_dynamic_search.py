@@ -270,15 +270,6 @@ class TestRunDynamic:
         assert err.log.rounds < 4
         assert abs(err.state.norm_sq() - 1.0) < 1e-9
 
-    def test_restart_mode_completes(self):
-        policy = SelectionPolicy.probabilistic(8, np.full(256, 0.6))
-        state, log = run_dynamic(
-            policy, np.random.default_rng(0), rounds=4, on_violation="restart"
-        )
-        assert log.rounds == 4
-        assert log.restart_rounds  # the abort case above must have restarted here
-        assert abs(state.norm_sq() - 1.0) < 1e-9
-
     def test_abort_never_logs_violating_round(self):
         # completed rounds of a guarded run replay to valid boundary states
         for seed in range(12):
@@ -321,7 +312,7 @@ class TestRunDynamic:
             rounds=40,
             stop_above=0.5,
             watch=SelectionPolicy.probabilistic(8, target.selected),
-            on_violation="restart",
+            on_violation="continue",
         )
         assert log.watched_mass_by_round[-1] > 0.5
         assert probability_of(state, target) > 0.5
@@ -333,7 +324,7 @@ class TestRunDynamic:
         # poor but the best round is near the peak
         state, log = run_dynamic(
             policy, np.random.default_rng(0), rounds=24, keep_best=True,
-            on_violation="restart",
+            on_violation="continue",
         )
         assert log.best_round is not None
         assert probability_of(state, mask) == pytest.approx(
@@ -345,7 +336,7 @@ class TestRunDynamic:
         mask = SelectionMask.from_indices(6, [1])
         policy = SelectionPolicy.probabilistic(mask.n, mask.selected)
         _, log = run_dynamic(
-            policy, np.random.default_rng(0), rounds=5, on_violation="restart"
+            policy, np.random.default_rng(0), rounds=5, on_violation="continue"
         )
         np.testing.assert_allclose(log.policy_mass_by_round, log.p_selected, rtol=0, atol=1e-15)
 
@@ -356,12 +347,11 @@ class TestRunDynamic:
         assert np.array_equal(a_state.amps, b_state.amps)
         for name in ("events", "starts", *LOG_COLUMNS):
             assert np.array_equal(getattr(a_log, name), getattr(b_log, name)), name
-        assert a_log.restart_rounds == b_log.restart_rounds
 
     def test_log_mask_roundtrip(self):
         policy = SelectionPolicy.probabilistic(5, np.full(32, 0.3))
         _, log = run_dynamic(
-            policy, np.random.default_rng(0), rounds=3, on_violation="restart"
+            policy, np.random.default_rng(0), rounds=3, on_violation="continue"
         )
         for i, selected in enumerate(log.selected_indices):
             mask = SelectionMask.from_indices(log.n, selected)
@@ -540,7 +530,7 @@ def test_run_dynamic_matches_dense_replay(n, seed, scale, kind, keep_best, watch
     policy = random_policy(kind, n, scale, rng)
     watched = random_policy(watch, n, 1.0, rng) if watch else None
     final, log = run_dynamic(
-        policy, rng, rounds=8, keep_best=keep_best, on_violation="restart", watch=watched
+        policy, rng, rounds=8, keep_best=keep_best, on_violation="continue", watch=watched
     )
     probs = dense_probabilities(policy)
     state = best = uniform_init(n)
@@ -568,37 +558,6 @@ def test_run_dynamic_matches_dense_replay(n, seed, scale, kind, keep_best, watch
     np.testing.assert_allclose(replayed.amps, state.amps, rtol=0, atol=1e-12)
 
 
-def test_replay_round_states_honours_restarts():
-    policy = SelectionPolicy.probabilistic(8, np.full(256, 0.6))
-    final, log = run_dynamic(
-        policy, np.random.default_rng(0), rounds=4, on_violation="restart"
-    )
-    assert log.restart_rounds
-    states = replay_round_states(log)
-    assert len(states) == log.rounds + 1
-    np.testing.assert_allclose(states[-1].amps, final.amps, rtol=0, atol=1e-12)
-
-
-def test_restart_from_the_uniform_state_steps_without_reset():
-    # ~60% of the space selected: the first round violates from the uniform
-    # state itself, so it steps from it and no restart is logged; every
-    # later round violates from a stepped state and restarts
-    policy = SelectionPolicy.probabilistic(8, np.full(256, 0.6))
-    final, log = run_dynamic(
-        policy, np.random.default_rng(0), rounds=4, on_violation="restart"
-    )
-    assert log.restart_rounds == (1, 2, 3)
-    # a reset draws nothing, so the masks are those of a run that never resets
-    _, stepped = run_dynamic(
-        policy, np.random.default_rng(0), rounds=4, on_violation="continue"
-    )
-    assert np.array_equal(log.events, stepped.events)
-    assert np.array_equal(log.starts, stepped.starts)
-    np.testing.assert_allclose(
-        replay_round_states(log)[-1].amps, final.amps, rtol=0, atol=1e-12
-    )
-
-
 def test_continue_steps_through_violations():
     policy = SelectionPolicy.probabilistic(8, np.full(256, 0.6))
     final, log = run_dynamic(
@@ -620,8 +579,9 @@ def test_continue_steps_through_violations():
 
 def test_unknown_violation_mode_rejected():
     policy = SelectionPolicy.probabilistic(4, np.full(16, 0.1))
-    with pytest.raises(ValueError, match="on_violation"):
-        run_dynamic(policy, np.random.default_rng(0), rounds=2, on_violation="skip")
+    for mode in ("skip", "restart"):
+        with pytest.raises(ValueError, match="on_violation"):
+            run_dynamic(policy, np.random.default_rng(0), rounds=2, on_violation=mode)
 
 
 def test_watched_policy_of_another_size_rejected():
@@ -775,7 +735,7 @@ def test_class_draw_selects_each_state_with_its_class_probability(with_catalog):
     both = np.zeros((rounds, rounds, across.size))
     for seed in range(runs):
         _, log = run_dynamic(
-            policy, np.random.default_rng(seed), rounds=rounds, on_violation="restart"
+            policy, np.random.default_rng(seed), rounds=rounds, on_violation="continue"
         )
         for i, selected in enumerate(log.selected_indices):
             counts[i, selected] += 1
@@ -826,17 +786,15 @@ def test_masks_keep_their_law_over_many_rounds():
 
 
 def test_running_sums_do_not_drift():
-    """After a run at n = 24 of 2 * 1438 + 8 rounds (restarts as they
-    come), the running sums equal the sums of the stored offsets."""
+    """After a run at n = 24 of 2 * 1438 + 8 rounds (stepping through
+    violations), the running sums equal the sums of the stored offsets."""
     n = 24
     policy = similarity_policy(SimilaritySpec(n, 0x5A5A5A), calibrate_beta(n, 5.0))
     watch = SelectionPolicy.by_similarity(n, 0x5A5A5A, (np.arange(n + 1) >= n - 2) * 1.0)
     rounds = 2 * 1438 + 8
     support = _Support(policy, rounds, np.random.default_rng(0), watch)
     for r in range(rounds):
-        if support.take_round(r, check=True) is not None:
-            support.reset()
-            support.take_round(r, check=False)
+        support.take_round(r, check=False)
     weights = np.stack([np.ones_like(support.p), support.p, support.w])
     e = support.e
     assert rounds > 2800 and np.any(e != 0.0)
@@ -985,7 +943,7 @@ def test_class_policy_run_allocates_no_flag_per_state():
     policy = similarity_policy(SimilaritySpec(n, 0x5A5A5A), params)
     tracemalloc.start()
     try:
-        state, log = run_dynamic(policy, np.random.default_rng(0), 1438, on_violation="restart")
+        state, log = run_dynamic(policy, np.random.default_rng(0), 1438, on_violation="continue")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -996,8 +954,8 @@ def test_class_policy_run_allocates_no_flag_per_state():
 
 def digest_runs():
     """(name, log) of each run of a seeded grid: class, catalog and table
-    policies, keep_best on and off, watch on and off, one run that aborts
-    (the error's log) and one that restarts."""
+    policies, keep_best on and off, watch on and off, and one run that
+    aborts (the error's log)."""
     n, reference = 9, 0b101100101
     by_class = similarity_policy(SimilaritySpec(n, reference), calibrate_beta(n, 4.0))
     catalog = SelectionPolicy.by_similarity(
@@ -1014,10 +972,9 @@ def digest_runs():
         ("catalog-watch-stop", catalog, {"rounds": 40, "watch": ball, "stop_above": 0.5}),
         ("table", table, {"rounds": 12}),
         ("table-best-watch", table, {"rounds": 12, "keep_best": True, "watch": table_watch}),
-        ("restart", crowded, {"rounds": 4}),
     ]
     for seed, (name, policy, kwargs) in enumerate(grid):
-        _, log = run_dynamic(policy, np.random.default_rng(seed), on_violation="restart", **kwargs)
+        _, log = run_dynamic(policy, np.random.default_rng(seed), on_violation="continue", **kwargs)
         yield name, log
     with pytest.raises(ValidityError) as excinfo:
         run_dynamic(crowded, np.random.default_rng(0), rounds=4)
@@ -1032,17 +989,20 @@ def log_digest(head, arrays):
     return digest.hexdigest()
 
 
-# log_digest((n, rounds, best_round, restart_rounds), (events, starts, *LOG_COLUMNS))
+# log_digest((n, rounds, best_round, ()), (events, starts, *LOG_COLUMNS))
 # of each run of digest_runs(), computed from the per-round reports and
-# index arrays the log kept before it kept columns
+# index arrays the log kept before it kept columns; the empty tuple, where
+# the log once kept restarted rounds, keeps those digests.  The class,
+# class-best-watch, catalog-best and table digests were pinned after
+# their columns matched a dense replay (replay_round_states and
+# gain_report) to 1e-12
 PINNED_LOG_DIGESTS = {
-    "class": "2aee12f958f7306eceb8796b59dbe2bf8ebf7a8282d402f5d9dc6698969a562f",
-    "class-best-watch": "e2ab238d62e318168f5d1be66f52f146c52a1beea5da1db36b2397ff167cefb2",
-    "catalog-best": "6318cc460d8763707686c2026c458134bed73afa2e5e0cd6783e5e32c10b79c5",
+    "class": "ceaefff7aceaf0ba9976404e1834b5b8c886ddbed5700fd44e81db7f80a586e2",
+    "class-best-watch": "6619dff148e76882061f2105b7f6bcd99f1d6a907d654411ab4dbff62824548e",
+    "catalog-best": "6ecbf3b6a50446dd571bb095284b0a23e30cdcf56b9e64714a1867df7ccd1648",
     "catalog-watch-stop": "29d33e92a687674f554975b2e68be03236ff70794e182d9416997d4dd9ff88f8",
-    "table": "5b53ac8bb2029a2f002c6a448949ae00588234ec50df3bcf0df80f2375407ff6",
+    "table": "bfbe7248c205d2178f2df9239ff247fa4343c8bbc98c63a56c9a53c318d7b173",
     "table-best-watch": "22891266cc6211a686119e9f191621fb8ed379ac605d083ca53aac836b0b014f",
-    "restart": "53460c702efe2b3de8e757e69bdddb47ee1bc72ed72a91169e6aad616beb3bd4",
     "abort": "3fecfc5e6d4da71ccf3b48bbadeec29f0969b1b9e93ee3ca2d9f785affe826ee",
 }
 
@@ -1051,11 +1011,11 @@ def test_log_columns_match_pinned_digests():
     logs = dict(digest_runs())
     assert sorted(logs) == sorted(PINNED_LOG_DIGESTS)
     stored = {field.name for field in dataclasses.fields(DynamicRunLog)}
-    assert stored == {"n", "rounds", "best_round", "restart_rounds", "events", "starts",
+    assert stored == {"n", "rounds", "best_round", "events", "starts",
                       *LOG_COLUMNS} - {"n_selected", "gains"}
-    assert logs["abort"].rounds and logs["restart"].restart_rounds
+    assert logs["abort"].rounds
     for name, log in logs.items():
-        head = (log.n, log.rounds, log.best_round, log.restart_rounds)
+        head = (log.n, log.rounds, log.best_round, ())
         columns = [getattr(log, column) for column in LOG_COLUMNS]
         assert log.events.dtype == log.starts.dtype == log.n_selected.dtype == np.int64, name
         assert all(c is None or c.dtype == np.float64 for c in columns[1:]), name

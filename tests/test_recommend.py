@@ -385,7 +385,7 @@ def test_sparse_class_masses_match_dense(with_catalog, keep_best):
     for seed in range(4):
         state, _ = run_dynamic(
             policy, np.random.default_rng(seed), rounds=12, keep_best=keep_best,
-            on_violation="restart",
+            on_violation="continue",
         )
         dense = np.bincount(sims, weights=state.amps * state.amps, minlength=n + 1)
         np.testing.assert_allclose(class_masses(state, spec), dense, rtol=1e-12, atol=0)
