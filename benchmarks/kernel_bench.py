@@ -99,7 +99,7 @@ def bench_touched_round(n: int, repeats: int) -> float:
     """One round of ``run_dynamic``'s engine under a similarity policy
     calibrated to m = 5, timed after the rounds ``planned_rounds`` plans for
     it (the run's support and masks are drawn for those plus the timed
-    rounds).  The rounds step unchecked, as ``recommend``'s planned run does."""
+    rounds)."""
     policy = similarity_policy(SimilaritySpec(n, 0), calibrate_beta(n, 5.0))
     rng = np.random.default_rng(7)
     plan = planned_rounds(policy)
@@ -107,7 +107,7 @@ def bench_touched_round(n: int, repeats: int) -> float:
     rounds = iter(range(plan + repeats))
 
     def one_round():
-        support.take_round(next(rounds), check=False)
+        support.take_round(next(rounds))
 
     for _ in range(plan):
         one_round()

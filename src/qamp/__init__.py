@@ -38,7 +38,6 @@ from .errors import (
     ShapeMismatchError,
     SizeError,
     UnderAmplifiedError,
-    ValidityError,
 )
 from .optimize import (
     ObjectiveTable,

@@ -169,9 +169,9 @@ def gain_report(state: StateVector, mask: SelectionMask) -> GainReport:
     """Gain and progress diagnostics of a state with respect to a mask.
 
     A round from this state is productive while ``mean_amplitude`` (the
-    post-flip mean) and ``min_unselected_amp`` both stay above
-    ``-VALIDITY_ATOL``.  An infinite gain (no unselected mass left)
-    signals that the search is complete.
+    post-flip mean) and ``min_unselected_amp`` both stay positive; a run
+    logs both after every round and steps either way.  An infinite gain
+    (no unselected mass left) signals that the search is complete.
     """
     check_dims(state, mask)
     sum_sel, sum_unsel, p_sel, p_unsel, min_unsel = selection_stats(state.amps, mask.selected)

@@ -16,8 +16,9 @@ or a config-file seed (experiments take --seed-base), a non-integer
 QAMP_SEED, a negative seed from --seed, --seed-base, a config-file
 seed/seed_base or QAMP_SEED, a negative --rounds, a recommend --m
 below 1, a qubit count outside [1, MAX_QUBITS], a default calibration
-target of N/2 or more, grover --trajectory with --unknown-m), 3
-invariant or validity failure, 4 under-amplified / not found.
+target of N/2 or more, grover --trajectory with --unknown-m), 3 a
+corollary of ``experiment corollaries`` failed, 4 under-amplified / not
+found.
 """
 
 from __future__ import annotations
@@ -32,13 +33,7 @@ import numpy as np
 
 from .core import check_qubit_count
 from .dynamic_search import planned_rounds, run_dynamic
-from .errors import (
-    ConfigError,
-    NoSolutionError,
-    QampError,
-    UnderAmplifiedError,
-    ValidityError,
-)
+from .errors import ConfigError, NoSolutionError, QampError, UnderAmplifiedError
 from .experiments import (
     ExperimentConfig,
     check_format,
@@ -233,9 +228,8 @@ def cmd_dynamic(opts: _Options) -> tuple[int, list, list]:
     if rounds is None:
         rounds = planned_rounds(policy)
     _at_least(rounds, 0, "round count")
-    strict = bool(opts.get("strict_validity", _parse_bool, False))
     t0 = time.perf_counter()
-    _, log = run_dynamic(policy, rng, rounds=rounds, on_violation="abort" if strict else "continue")
+    _, log = run_dynamic(policy, rng, rounds=rounds)
     wall_ms = (time.perf_counter() - t0) * 1e3
 
     print(f"n={n} reference={reference} beta={params.beta:.6f} rounds={log.rounds} seed={seed}")
@@ -462,8 +456,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float)
     p.add_argument("--m-target", type=float, dest="m_target")
     p.add_argument("--rounds", type=int, help="round count (default: the planned peak)")
-    p.add_argument("--strict-validity", action="store_true", default=None,
-                   dest="strict_validity", help="abort on progress-condition violations")
     _add_common(p)
     p.set_defaults(func=cmd_dynamic)
 
@@ -516,9 +508,6 @@ def main(argv=None) -> int:
     except (UnderAmplifiedError, NoSolutionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOT_FOUND
-    except ValidityError as exc:
-        print(f"validity failure: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
     except QampError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

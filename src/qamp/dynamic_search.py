@@ -23,9 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import MAX_QUBITS, SparseState, check_qubit_count, in_sorted
-from .errors import ShapeMismatchError, ValidityError
+from .errors import ShapeMismatchError
 
-VALIDITY_ATOL = 1e-9  # "positive" is tested as > -VALIDITY_ATOL to absorb float noise
 # states per block of a per-state table's support draw (_draw_support): a
 # float64 block is 64 KiB, under glibc's default 128 KiB mmap threshold, so
 # its buffers come from the heap instead of fresh pages on every run
@@ -331,7 +330,10 @@ class _Support:
     ``sum_e`` and ``sum_ee`` of v e and v e**2 over the support, for each
     weight v in (1, p, w), w the watched probabilities when the run
     watches a policy, give the group sums and the masses without a pass
-    over the support, so a round costs O(|mask|).
+    over the support, so a round costs O(|mask|).  The one exception is the
+    least unselected amplitude, a log column: ``bulk`` while no offset is
+    negative and some state lies outside the support, and otherwise a pass
+    over the support.
     """
 
     def __init__(
@@ -376,15 +378,12 @@ class _Support:
         # negative and some state lies outside the support
         self._least_is_bulk = self.idx.size < self.n_states
 
-    def take_round(self, i: int, check: bool) -> tuple[float, float] | None:
+    def take_round(self, i: int) -> None:
         """Take round i (0-based): its doubled step, then one entry in each column.
 
         The group sums along the round's mask come from its offsets and the
-        running sums.  With ``check``, a state whose post-flip mean or least
-        unselected amplitude is below -VALIDITY_ATOL refuses the round:
-        nothing changes, and the two values come back.  Otherwise the round
-        steps and returns None.  The columns describe the state after the
-        step, along the same mask.
+        running sums.  The columns describe the state after the step, along
+        the same mask.
         """
         start, stop = self._starts[i], self._starts[i + 1]
         pos = self._pos[start:stop]
@@ -411,10 +410,6 @@ class _Support:
             min_unsel = bulk + least
         sum_sel = n_sel * bulk + sum_e
         sum_unsel = n_unsel * bulk + rest_e
-        if check:
-            mean = (sum_unsel - sum_sel) / n_states
-            if mean < -VALIDITY_ATOL or min_unsel < -VALIDITY_ATOL:
-                return mean, min_unsel
         sumsq_sel = max(0.0, bulk * (n_sel * bulk + 2.0 * sum_e) + sum_ee)
         sumsq_unsel = max(0.0, bulk * (n_unsel * bulk + 2.0 * rest_e) + rest_ee)
 
@@ -446,7 +441,6 @@ class _Support:
             row.append(self.mass(2))
         for column, value in zip(self.columns, row):
             column.append(value)
-        return None
 
     def mass(self, weight: int) -> float:
         """Sum over all states of v(x) a(x)**2 for weight ``weight`` of
@@ -644,20 +638,14 @@ def run_dynamic(
     stop_above: float | None = None,
     watch: SelectionPolicy | None = None,
     keep_best: bool = False,
-    on_violation: str = "abort",
 ) -> tuple[SparseState, DynamicRunLog]:
     """Run ``rounds`` doubled amplification rounds with freshly sampled masks.
 
     Starts from the uniform state, and each round steps from the state
-    the round before it left.  ``on_violation`` says what a round does
-    whose fresh mask violates the progress conditions:
-
-    - ``"abort"`` (the default) checks them before each round and raises
-      :class:`~qamp.errors.ValidityError` carrying the state and the log
-      so far;
-    - ``"continue"`` steps anyway, as every round's mask comes from the
-      policy alone; the log's ``mean_amplitude`` and
-      ``min_unselected_amp`` keep the diagnostics.
+    the round before it left, with a mask that comes from the policy
+    alone.  A round whose state violates the progress conditions steps
+    like any other; the log's ``mean_amplitude`` and
+    ``min_unselected_amp`` keep the diagnostics.
 
     ``watch`` logs each round's watched mass, the sum over x of
     P_watch(x) * a(x)**2 with P_watch the selection probabilities of that
@@ -679,8 +667,6 @@ def run_dynamic(
     """
     if rounds < 0:
         raise ValueError(f"round count must be >= 0, got {rounds}")
-    if on_violation not in ("abort", "continue"):
-        raise ValueError(f"on_violation must be 'abort' or 'continue', got {on_violation!r}")
     if watch is not None and watch.n != policy.n:
         raise ValueError(f"watched policy has n={watch.n}, run has n={policy.n}")
     if stop_above is not None and watch is None:
@@ -690,13 +676,9 @@ def run_dynamic(
     best = support.sparse_state() if keep_best else None
     best_score = support.mass(1)  # the policy mass of the uniform state
     best_round = 0
-    violation = None
-    check = on_violation == "abort"
 
     for round_index in range(rounds):
-        violation = support.take_round(round_index, check)
-        if violation is not None:
-            break
+        support.take_round(round_index)
         if keep_best and policy_mass[-1] > best_score:
             best_score = policy_mass[-1]
             best = support.sparse_state()
@@ -715,12 +697,4 @@ def run_dynamic(
         None if watch is None else np.array(watched_mass, dtype=np.float64),
         best_round if keep_best else None,
     )
-    if violation is not None:
-        mean, least = violation
-        raise ValidityError(
-            f"round {log.rounds + 1} would start from an unproductive state "
-            f"(post-flip mean {mean:.3e}, min unselected {least:.3e})",
-            state=support.sparse_state(),
-            log=log,
-        )
     return best if keep_best else support.sparse_state(), log

@@ -21,18 +21,6 @@ class NoSolutionError(QampError):
     """Search requested over an empty marked set with the count assumed known."""
 
 
-class ValidityError(QampError):
-    """A dynamic round would start from a state breaking the progress conditions.
-
-    Carries the state and the log accumulated before the offending round.
-    """
-
-    def __init__(self, message, state=None, log=None):
-        super().__init__(message)
-        self.state = state
-        self.log = log
-
-
 class InvalidParamsError(QampError):
     """Selection-probability parameters violate the boundary requirements."""
 

@@ -259,7 +259,7 @@ def recommend(
     Runs the doubled rounds :func:`~qamp.dynamic_search.planned_rounds`
     plans before the run starts, the predicted peak of the policy mass, and
     samples the final state.  A round whose progress conditions fail steps
-    anyway (``on_violation="continue"``); the log keeps the diagnostics.
+    like any other; the log keeps the diagnostics.
     Draws, in blocks of m, 2m, 4m, ..., continue until ``m`` distinct items
     are seen.  Duplicate draws are resampled; exceeding the 50*m draw cap raises
     :class:`~qamp.errors.UnderAmplifiedError`.  Asking for more items than
@@ -272,7 +272,7 @@ def recommend(
     selectable = (1 << spec.n) if policy.catalog is None else policy.catalog.size
     if m > selectable:
         raise ConfigError(f"asked for {m} distinct items, only {selectable} can be selected")
-    state, log = run_dynamic(policy, rng, rounds=planned_rounds(policy), on_violation="continue")
+    state, log = run_dynamic(policy, rng, rounds=planned_rounds(policy))
 
     # blocks of m, 2m, 4m, ... from the one generator take the uniforms one
     # draw of the whole cap would, in the same order

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qamp import SelectionMask, backend, grover_iteration, uniform_init
+from qamp import SelectionMask, backend, dynamic_search, grover_iteration, uniform_init
 from qamp.cli import main
 from qamp.dynamic_search import planned_rounds, similarity_classes
 from qamp.errors import ConfigError
@@ -198,6 +198,25 @@ class TestCorollariesExperiment:
         failing = {r.check for r in experiment_corollaries(config).results if not r.passed}
         assert {"doubled-identity-none-selected", "doubled-identity-all-selected"} <= failing
 
+    def test_broken_engine_fails_replay_check(self, tmp_path, monkeypatch):
+        # the engine's rounds take their shifts from doubling_shifts, and the
+        # dense replay of the logged masks does not: 1% larger shifts move
+        # the run's final state off the replayed one
+        exact = dynamic_search.doubling_shifts
+
+        def scaled_shifts(*sums):
+            return tuple(1.01 * shift for shift in exact(*sums))
+
+        monkeypatch.setattr(dynamic_search, "doubling_shifts", scaled_shifts)
+        config = ExperimentConfig(
+            "corollaries", n_range=(3, 6), seeds=6, output_dir=tmp_path, fmt="csv"
+        )
+        results = experiment_corollaries(config).results
+        replay = [r for r in results if r.check == "engine-dense-replay"]
+        assert [r.n for r in replay] == [3, 4, 5, 6]
+        assert not any(r.passed for r in replay)
+        assert {r.check for r in results if not r.passed} == {"engine-dense-replay"}
+
 
 class TestReproducibility:
     def test_steps_byte_identical(self, tmp_path):
@@ -299,14 +318,23 @@ class TestCli:
         assert captured.err == "config error: format must be csv, svg or both, got 'xml'\n"
         assert not (tmp_path / "out").exists()
 
-    def test_dynamic_strict_validity_exit(self, capsys):
-        args = ["dynamic", "--n", "8", "--seed", "5", "--rounds", "4", "--strict-validity"]
-        assert main(args) == 3
-        captured = capsys.readouterr()
+    @pytest.mark.parametrize("from_file", [False, True], ids=["flag", "config"])
+    def test_dynamic_strict_validity_rejected(self, tmp_path, capsys, from_file):
+        # every run steps through violations, so there is no strict mode to ask for
+        args = ["dynamic", "--n", "8", "--seed", "5", "--rounds", "4"]
+        if from_file:
+            config = tmp_path / "run.cfg"
+            config.write_text("strict_validity=1\n", encoding="utf-8")
+            assert main([*args, "--config", str(config)]) == 2
+            captured = capsys.readouterr()
+            assert captured.err == f"config error: {config}:1: unknown key 'strict_validity'\n"
+        else:
+            with pytest.raises(SystemExit) as excinfo:
+                main([*args, "--strict-validity"])
+            assert excinfo.value.code == 2
+            captured = capsys.readouterr()
+            assert "unrecognized arguments: --strict-validity" in captured.err
         assert captured.out == ""
-        assert captured.err.startswith(
-            "validity failure: round 4 would start from an unproductive state"
-        )
 
     def test_non_integer_seed_environment_exit(self, capsys, monkeypatch):
         monkeypatch.setenv("QAMP_SEED", "seven")
@@ -552,15 +580,16 @@ class TestCli:
         ])
         assert bad == 3
 
-    def test_experiment_corollaries_default_range_runs_guarded_check(self, tmp_path, capsys):
+    def test_experiment_corollaries_default_range_runs_replay_check(self, tmp_path, capsys):
         rc = main([
             "experiment", "corollaries", "--seeds", "2",
             "--out", str(tmp_path), "--format", "csv",
         ])
         assert rc == 0
-        rows = [line for line in read_lines(tmp_path / "corollaries.csv")
-                if line.startswith("guarded-run-validity,")]
-        assert rows
+        rows = [line.split(",") for line in read_lines(tmp_path / "corollaries.csv")
+                if line.startswith("engine-dense-replay,")]
+        assert [int(row[1]) for row in rows] == list(range(2, 9))
+        assert all(row[-1] == "true" for row in rows)
 
     def test_experiment_bad_range_exit(self, capsys):
         assert main(["experiment", "steps", "--n-range", "5:40"]) == 2

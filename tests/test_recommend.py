@@ -312,7 +312,7 @@ class TestRecommend:
         """The first m distinct items of one draw of the whole 50 * m cap."""
         rng = np.random.default_rng(seed)
         policy = similarity_policy(spec, params, catalog=catalog)
-        state, _ = run_dynamic(policy, rng, rounds=planned_rounds(policy), on_violation="continue")
+        state, _ = run_dynamic(policy, rng, rounds=planned_rounds(policy))
         draws = sample(state, rng, size=50 * m)
         if catalog is not None:
             draws = draws[np.isin(draws, catalog)]
@@ -383,10 +383,7 @@ def test_sparse_class_masses_match_dense(with_catalog, keep_best):
     policy = similarity_policy(spec, calibrate_beta(n, 5.0), catalog=catalog)
     sims = similarity_classes(n, spec.reference, np.arange(1 << n))
     for seed in range(4):
-        state, _ = run_dynamic(
-            policy, np.random.default_rng(seed), rounds=12, keep_best=keep_best,
-            on_violation="continue",
-        )
+        state, _ = run_dynamic(policy, np.random.default_rng(seed), rounds=12, keep_best=keep_best)
         dense = np.bincount(sims, weights=state.amps * state.amps, minlength=n + 1)
         np.testing.assert_allclose(class_masses(state, spec), dense, rtol=1e-12, atol=0)
 
