@@ -17,26 +17,35 @@ against the ``SparseState`` that ``search_unknown_m`` samples (its marked
 indices checked once per search, then one scalar draw per attempt), each
 with its test of whether the draw is marked.  The dense side of both
 takes ``StateVector`` and the cumsum sampler ``sample_dense`` from
-``qamp.backend``, the one module that holds the dense form.  Last, the
-support draw a class-policy run makes once when it starts
-(``_draw_support``), with and without a catalog, over the rounds
-``recommend`` plans for its run (``planned_rounds``), and the one ``dynamic_optimize`` makes
-from its per-state table, with the minor page faults per draw.  Each
-bench returns its timings in seconds keyed by what was timed:
-``"python"`` for the kernels (the name
-``qamp.kernel_backend()`` reports), ``"touched"`` for the ``run_dynamic``
-round, ``"dense"``/``"sparse"`` for the end of a run and (per marked
-count) for a static attempt, ``"draw"`` (with the mean ``"support"``
-size, and ``"faults"`` for a table) for the support draw.  Run from the
-repo root:
+``qamp.backend``, the one module that holds the dense form.  Then what a
+class-policy run does before its first round, over the rounds
+``recommend`` plans for it (``planned_rounds``): the grid draw of its
+masks and its set-up (``_Support``), with and without a catalog; and
+the support draw ``dynamic_optimize`` makes from its per-state table,
+with the minor page faults per draw.  Last, whole ``run_dynamic`` runs
+of R = 2, 6, 12, 52 and 91 rounds under both policy forms: the
+optimizer's run length, the corollaries', and the recommender's at
+n = 16.  Each bench returns its timings in seconds keyed by what was
+timed: ``"python"`` for the kernels (the name ``qamp.kernel_backend()``
+reports), ``"touched"`` for the ``run_dynamic`` round,
+``"dense"``/``"sparse"`` for the end of a run and (per marked count) for
+a static attempt, ``"setup"`` (with the mean ``"support"`` size and
+``"events"`` count) for a class run's set-up, ``"draw"`` (with the mean
+``"support"`` size and the ``"faults"``) for a table's support draw, and
+``"run"`` for a whole run.  ``--json PATH`` also writes every number, in
+microseconds, with perfbench's environment stamp.  Run from the repo
+root:
 
-    python3 benchmarks/kernel_bench.py [--quick]
+    python3 benchmarks/kernel_bench.py [--quick] [--json PATH]
 """
 
 import argparse
+import json
 import math
 import resource
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -48,6 +57,7 @@ from qamp.dynamic_search import (
     _draw_support,
     _Support,
     planned_rounds,
+    run_dynamic,
 )
 from qamp.optimize import ObjectiveTable, build_optimization_policy, nominal_rounds
 from qamp.recommend import SimilaritySpec, calibrate_beta, similarity_policy
@@ -172,11 +182,12 @@ def bench_static_attempt(n: int, repeats: int) -> dict[int, dict[str, float]]:
     return times
 
 
-def bench_support_draw(n: int, m: float, with_catalog: bool, repeats: int) -> dict[str, float]:
-    """The support draw of a run of ``recommend``'s planned rounds under a
-    similarity policy calibrated to m.  The catalog, when there is one, is
-    every state within 4 flipped bits of the reference, where most of the
-    support falls."""
+def bench_class_setup(n: int, m: float, with_catalog: bool, repeats: int) -> dict[str, float]:
+    """What a run of ``recommend``'s planned rounds under a similarity policy
+    calibrated to m does before its first round: the grid draw of its
+    masks and the set-up of its state (``_Support``).  The catalog, when
+    there is one, is every state within 4 flipped bits of the reference,
+    where most of the support falls."""
     spec = SimilaritySpec(n, (1 << n) // 3)
     policy = similarity_policy(spec, calibrate_beta(n, m))
     if with_catalog:
@@ -189,9 +200,15 @@ def bench_support_draw(n: int, m: float, with_catalog: bool, repeats: int) -> di
         )
     rounds = planned_rounds(policy)
     rng = np.random.default_rng(7)
-    support = []
-    draw = time_call(lambda: support.append(_draw_support(policy, rounds, rng)[0].size), repeats)
-    return {"draw": draw, "support": float(np.mean(support))}
+    sizes = []  # (support, events) of each run set up
+
+    def setup():
+        support = _Support(policy, rounds, rng)
+        sizes.append((support.idx.size, support._pos.size))
+
+    seconds = time_call(setup, repeats)
+    support, events = np.mean(sizes, axis=0).tolist()
+    return {"setup": seconds, "support": support, "events": events}
 
 
 def bench_table_support_draw(n: int, repeats: int) -> dict[str, float]:
@@ -210,13 +227,38 @@ def bench_table_support_draw(n: int, repeats: int) -> dict[str, float]:
     return {"draw": draw, "support": float(np.mean(support)), "faults": faults / repeats}
 
 
+RUN_LENGTHS = (2, 6, 12, 52, 91)
+
+
+def bench_whole_run(form: str, rounds: int, repeats: int) -> dict[str, float]:
+    """A whole ``run_dynamic`` run of ``rounds`` rounds: under the
+    similarity policy ``recommend`` runs at n = 16 and m = 5, or under the
+    probe-built per-state table ``dynamic_optimize`` runs on a seeded
+    normal table at n = 10."""
+    if form == "class":
+        policy = similarity_policy(SimilaritySpec(16, 12345), calibrate_beta(16, 5.0))
+    else:
+        table = ObjectiveTable(10, np.random.default_rng(7).standard_normal(1 << 10))
+        policy = build_optimization_policy(table, np.random.default_rng(7))
+    rng = np.random.default_rng(7)
+    run_dynamic(policy, rng, rounds)
+    return {"run": time_call(lambda: run_dynamic(policy, rng, rounds), repeats)}
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--quick", action="store_true", help="fewer sizes and repeats")
+    parser.add_argument("--json", type=Path, metavar="PATH",
+                        help="also write every number, in microseconds, to this file")
     args = parser.parse_args()
 
     sizes = [10, 14] if args.quick else [10, 14, 18, 20]
     base_repeats = 50 if args.quick else 400
+    results = {}  # bench name -> one row per case, times in microseconds
+
+    def report(bench: str, row: dict) -> dict:
+        results.setdefault(bench, []).append(row)
+        return row
 
     print(f"{'bench':<14} {'n':>3} {'numpy us':>12}")
     for bench_name, bench in (("grover_step", bench_step),
@@ -225,6 +267,7 @@ def main() -> None:
         for n in sizes:
             repeats = max(5, base_repeats >> max(0, n - 12))
             times = bench(n, repeats)
+            report(bench_name, {"n": n, **{key: value * 1e6 for key, value in times.items()}})
             row = f"{bench_name:<14} {n:>3} {times['python'] * 1e6:>12.2f}"
             if "touched" in times:
                 row += f"  run_dynamic round {times['touched'] * 1e6:.2f} us"
@@ -233,6 +276,7 @@ def main() -> None:
     print(f"{'end_of_run':<14} {'n':>3} {'dense us':>12} {'sparse us':>12}")
     for n in [14] if args.quick else [14, 16, 18, 20]:
         times = bench_end_of_run(n, max(5, base_repeats >> max(0, n - 12)))
+        report("end_of_run", {"n": n, "dense": times["dense"] * 1e6, "sparse": times["sparse"] * 1e6})
         print(f"{'end_of_run':<14} {n:>3} {times['dense'] * 1e6:>12.2f} "
               f"{times['sparse'] * 1e6:>12.2f}")
 
@@ -240,24 +284,51 @@ def main() -> None:
     for n in [14] if args.quick else [14, 16, 18, 20]:
         repeats = max(5, base_repeats >> max(0, n - 12))
         for n_marked, times in bench_static_attempt(n, repeats).items():
+            report("static_attempt", {"n": n, "marked": n_marked, "dense": times["dense"] * 1e6,
+                                      "sparse": times["sparse"] * 1e6})
             print(f"{'static_attempt':<14} {n:>3} {n_marked:>7} {times['dense'] * 1e6:>12.2f} "
                   f"{times['sparse'] * 1e6:>12.2f}")
 
-    print(f"{'support_draw':<14} {'n':>3} {'m':>3} {'catalog':>7} {'support':>9} {'draw us':>12}")
+    print(f"{'class_setup':<14} {'n':>3} {'m':>3} {'catalog':>7} {'support':>9} {'events':>9} "
+          f"{'setup us':>12}")
     for n in [10, 14] if args.quick else range(10, 29, 2):
         for m in (5, 50):
             for with_catalog in (False, True):
                 repeats = max(3, (base_repeats // 4) >> max(0, n - 14))
-                times = bench_support_draw(n, m, with_catalog, repeats)
-                print(f"{'support_draw':<14} {n:>3} {m:>3} {str(with_catalog):>7} "
-                      f"{times['support']:>9.0f} {times['draw'] * 1e6:>12.2f}")
+                times = bench_class_setup(n, m, with_catalog, repeats)
+                report("class_setup", {"n": n, "m": m, "catalog": with_catalog,
+                                       "support": times["support"], "events": times["events"],
+                                       "setup": times["setup"] * 1e6})
+                print(f"{'class_setup':<14} {n:>3} {m:>3} {str(with_catalog):>7} "
+                      f"{times['support']:>9.0f} {times['events']:>9.0f} "
+                      f"{times['setup'] * 1e6:>12.2f}")
 
     print(f"{'support_draw':<14} {'n':>3} {'R':>3} {'policy':>7} {'support':>9} {'draw us':>12} "
           f"{'faults/draw':>12}")
     for n in (14, 18):
         times = bench_table_support_draw(n, max(5, (base_repeats // 4) >> max(0, n - 14)))
+        report("support_draw", {"n": n, "rounds": nominal_rounds(n), "support": times["support"],
+                                "draw": times["draw"] * 1e6, "faults": times["faults"]})
         print(f"{'support_draw':<14} {n:>3} {nominal_rounds(n):>3} {'table':>7} "
               f"{times['support']:>9.0f} {times['draw'] * 1e6:>12.2f} {times['faults']:>12.1f}")
+
+    print(f"{'whole_run':<14} {'R':>3} {'policy':>7} {'run us':>12}")
+    for form in ("table", "class"):
+        for rounds in RUN_LENGTHS:
+            times = bench_whole_run(form, rounds, max(5, base_repeats // 4))
+            report("whole_run", {"policy": form, "rounds": rounds, "run": times["run"] * 1e6})
+            print(f"{'whole_run':<14} {rounds:>3} {form:>7} {times['run'] * 1e6:>12.2f}")
+
+    if args.json:
+        # perfbench's stamp, so that a file can be read next to its runs
+        sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+        from run import environment_stamp
+
+        args.json.write_text(
+            json.dumps({"environment": environment_stamp(), "unit": "us", "benches": results},
+                       indent=1) + "\n",
+            encoding="utf-8",
+        )
 
 
 if __name__ == "__main__":

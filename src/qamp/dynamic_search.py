@@ -316,24 +316,33 @@ class _Support:
     """The state of a dynamic run, with the masks of all its rounds drawn when it starts.
 
     A mask depends only on the policy, never on the amplitudes, so a run of
-    R rounds first draws its support (:func:`_draw_support`), the states
-    that any of its rounds will select, and then every round in which each
-    of them is selected (:func:`_selection_events`).  The events are sorted
-    by round, so a round's mask is a slice of support positions, ascending.
+    R rounds first draws every round in which each state is selected: under
+    a class policy as one grid of (member, round) cells
+    (:func:`_draw_class_run`), under a per-state table as its support
+    (:func:`_draw_support`), the states that any of its rounds will select,
+    and then their selected rounds (:func:`_selection_events`).  The events
+    are sorted by round, so a round's mask is a slice of support positions,
+    ascending.
 
     A doubled round adds one constant to every selected amplitude and
     another to every unselected one.  The state is therefore kept as the
     shared amplitude ``bulk`` plus, for each support state (in index order:
     indices ``idx``, selection probabilities ``p``), its offset
     ``e = a(x) - bulk``.  An offset is zero until its state is first
-    selected, and a round moves only the offsets it selects.  Running sums
-    ``sum_e`` and ``sum_ee`` of v e and v e**2 over the support, for each
-    weight v in (1, p, w), w the watched probabilities when the run
-    watches a policy, give the group sums and the masses without a pass
-    over the support, so a round costs O(|mask|).  The one exception is the
-    least unselected amplitude, a log column: ``bulk`` while no offset is
-    negative and some state lies outside the support, and otherwise a pass
-    over the support.
+    selected, and a round moves only the offsets it selects.  The running
+    sum ``sum_e`` of the offsets gives the group sums a step needs without a
+    pass over the support, so a round costs O(|mask|).
+
+    A round takes only its step, and records the scalars its log entry
+    needs: its two shifts, the sum of e over the unselected support states,
+    ``bulk``, and over its mask the sum of e**2 and the sum of v e for each
+    weight v in (1, p, w), w the watched probabilities when the run watches
+    a policy.  :meth:`columns` computes the log from that record after the
+    run, over all rounds at once, and :meth:`mass` folds it into running
+    sums on demand for a run that reads its masses as it goes.  The one
+    log scalar a round computes itself is the least unselected amplitude
+    before its step: ``bulk`` while no offset is negative and some state
+    lies outside the support, and otherwise a pass over the support.
     """
 
     def __init__(
@@ -345,108 +354,191 @@ class _Support:
     ):
         self.n = policy.n
         self.n_states = 1 << policy.n
-        self.idx, self.p = _draw_support(policy, rounds, rng)
+        if policy.probabilities is None:
+            self.idx, self.p, round_of, self._pos = _draw_class_run(policy, rounds, rng)
+        else:
+            self.idx, self.p = _draw_support(policy, rounds, rng)
+            round_of, self._pos = _selection_events(self.p, rounds, rng)
         self.w = None if watch is None else watch.probabilities_at(self.idx)
-        round_of, self._pos = _selection_events(self.p, rounds, rng)
         self._starts = np.searchsorted(round_of, np.arange(rounds + 1)).tolist()
         self._selected = self.idx[self._pos]
-        # per event, the weights 1, p (and w) of its state; per round, their sums
+        # per event, the weights 1, p (and w) of its state
         rows = [self.p] if watch is None else [self.p, self.w]
         self._weights = np.empty((1 + len(rows), self._pos.size))
         self._weights[0] = 1.0
         for out, row in zip(self._weights[1:], rows):
             np.take(row, self._pos, out=out)
-        sums = [np.bincount(round_of, minlength=rounds)] + [
-            np.bincount(round_of, weights=row, minlength=rounds) for row in self._weights[1:]
-        ]
-        self._weight_sums = list(zip(*(row.tolist() for row in sums)))
+        # per round: its unselected and selected counts, then the sums of p
+        # (and w) over its mask, so that row 1 + k sums weight k
+        self._per_round = np.empty((2 + len(rows), rounds))
+        self._per_round[1] = np.bincount(round_of, minlength=rounds)
+        np.subtract(self.n_states, self._per_round[1], out=self._per_round[0])
+        for out, row in zip(self._per_round[2:], self._weights[1:]):
+            out[:] = np.bincount(round_of, weights=row, minlength=rounds)
         # what each weight sums to over the whole space
         self._totals = [float(self.n_states), policy.expected_selected()]
         if watch is not None:
             self._totals.append(watch.expected_selected())
-        # one entry per round taken, in DynamicRunLog's order: p_selected,
-        # p_unselected, mean_amplitude, min_unselected_amp, the policy mass
-        # and the watched mass (left empty when the run watches none)
-        self.columns: tuple[list[float], ...] = tuple([] for _ in range(6))
         # the uniform state
         self.bulk = 1.0 / math.sqrt(self.n_states)
         self.e = np.empty(self.idx.size)
         self.e.fill(0.0)
-        self.sum_e = [0.0] * len(self._totals)
-        self.sum_ee = [0.0] * len(self._totals)
+        self.sum_e = 0.0
+        # the sums over the support of v e**2, then of v e, for each weight
+        # v, before round 0: every offset starts at zero
+        self._sums_at_start = np.zeros(2 * len(self._totals))
+        # per round taken: shift_unsel, shift_sel, the sum of e over the
+        # unselected support states, the sum of v e over its mask for each
+        # weight v, bulk and the sum of e**2 over its mask, before its step
+        self._record: list[float] = []
+        # the rounds taken whose least unselected amplitude before the step was
+        # not bulk: that amplitude
+        self._least: dict[int, float] = {}
+        # the rounds taken whose mask was the whole support
+        self._full: list[int] = []
+        # per weight read by mass: the rounds folded into its running sums, and the sums
+        self._folded: dict[int, tuple[int, float, float]] = {}
         # the least unselected amplitude is bulk while no offset is
         # negative and some state lies outside the support
         self._least_is_bulk = self.idx.size < self.n_states
 
     def take_round(self, i: int) -> None:
-        """Take round i (0-based): its doubled step, then one entry in each column.
+        """Take round i (0-based): its doubled step, and its entry in the record.
 
         The group sums along the round's mask come from its offsets and the
-        running sums.  The columns describe the state after the step, along
-        the same mask.
+        running sum of the offsets.
         """
         start, stop = self._starts[i], self._starts[i + 1]
         pos = self._pos[start:stop]
         e = self.e[pos]
         sum_ee = float(e.dot(e))
         weighted_e = self._weights[:, start:stop].dot(e).tolist()  # sum of v e, each weight v
-        weight_sums = self._weight_sums[i]
-        bulk, n_sel, n_states = self.bulk, pos.size, self.n_states
-        n_unsel = n_states - n_sel
         sum_e = weighted_e[0]
-        # sums of e and e**2 over the unselected support states
-        rest_e, rest_ee = 0.0, 0.0
+        bulk, n_sel, n_states = self.bulk, stop - start, self.n_states
+        # the sum of e over the unselected support states
         if n_sel < self.idx.size:
-            rest_e = self.sum_e[0] - sum_e
-            rest_ee = max(0.0, self.sum_ee[0] - sum_ee)
-        if self._least_is_bulk:
-            min_unsel = bulk
+            rest_e = self.sum_e - sum_e
         else:
+            rest_e = 0.0
+            self._full.append(i)
+        if not self._least_is_bulk:
             unselected = np.ones(self.idx.size, dtype=bool)
             unselected[pos] = False
             least = float(self.e[unselected].min(initial=math.inf))
             if self.idx.size < n_states:
                 least = min(least, 0.0)
-            min_unsel = bulk + least
-        sum_sel = n_sel * bulk + sum_e
-        sum_unsel = n_unsel * bulk + rest_e
-        sumsq_sel = max(0.0, bulk * (n_sel * bulk + 2.0 * sum_e) + sum_ee)
-        sumsq_unsel = max(0.0, bulk * (n_unsel * bulk + 2.0 * rest_e) + rest_ee)
+            self._least[i] = bulk + least
 
-        shift_sel, shift_unsel = doubling_shifts(sum_sel, sum_unsel, n_sel, n_states)
+        shift_sel, shift_unsel = doubling_shifts(
+            n_sel * bulk + sum_e, (n_states - n_sel) * bulk + rest_e, n_sel, n_states
+        )
         moved = shift_sel - shift_unsel
         e += moved
         self.e[pos] = e
-        if moved < 0.0 and e.size and e.min() < 0.0:
+        if self._least_is_bulk and moved < 0.0 and n_sel and e.min() < 0.0:
             self._least_is_bulk = False
-        self.bulk += shift_unsel
-        # sum of v (e + moved)**2 = sum of v e**2 + moved (2 sum of v e + moved sum of v)
-        self.sum_ee = [
-            vee + moved * (2.0 * ve + moved * v)
-            for vee, ve, v in zip(self.sum_ee, weighted_e, weight_sums)
-        ]
-        self.sum_e = [ve + moved * v for ve, v in zip(self.sum_e, weight_sums)]
+        self.bulk = bulk + shift_unsel
+        self.sum_e += moved * n_sel
+        self._record += (shift_unsel, shift_sel, rest_e, *weighted_e, bulk, sum_ee)
 
-        # the groups' sums of squares after the step (rounding must not take
-        # one that lands on zero below it), post-flip mean and least
-        # unselected amplitude
-        row = [
-            max(0.0, sumsq_sel + shift_sel * (2.0 * sum_sel + n_sel * shift_sel)),
-            max(0.0, sumsq_unsel + shift_unsel * (2.0 * sum_unsel + n_unsel * shift_unsel)),
-            (sum_unsel + n_unsel * shift_unsel - (sum_sel + n_sel * shift_sel)) / n_states,
-            min_unsel + shift_unsel,
-            self.mass(1),
-        ]
-        if self.w is not None:
-            row.append(self.mass(2))
-        for column, value in zip(self.columns, row):
-            column.append(value)
+    def running_sums(self, weight: int) -> tuple[float, float]:
+        """The sums over the support of v e**2 and of v e, for weight
+        ``weight`` of (1, p, w), after the rounds taken.
+
+        A round that moves the offsets of its mask by d adds
+        d (2 sum of v e + d sum of v) to the first and d sum of v to the
+        second, the sums taken over the mask before the step.  The rounds
+        not yet folded are folded here, in the order :meth:`columns`
+        accumulates them.
+        """
+        weights = len(self._totals)
+        width = 5 + weights
+        done, sum_vee, sum_ve = self._folded.get(weight) or (
+            0, *self._sums_at_start[weight :: weights].tolist()
+        )
+        weight_sums, record = self._per_round[1 + weight], self._record
+        for at in range(done * width, len(record), width):
+            moved, v = record[at + 1] - record[at], float(weight_sums[at // width])
+            sum_vee += moved * (2.0 * record[at + 3 + weight] + moved * v)
+            sum_ve += moved * v
+        self._folded[weight] = (len(record) // width, sum_vee, sum_ve)
+        return sum_vee, sum_ve
 
     def mass(self, weight: int) -> float:
         """Sum over all states of v(x) a(x)**2 for weight ``weight`` of
         (1, p, w): the norm, the policy mass or the watched mass."""
+        sum_vee, sum_ve = self.running_sums(weight)
         bulk = self.bulk
-        return bulk * (bulk * self._totals[weight] + 2.0 * self.sum_e[weight]) + self.sum_ee[weight]
+        return bulk * (bulk * self._totals[weight] + 2.0 * sum_ve) + sum_vee
+
+    def columns(self) -> list[np.ndarray | None]:
+        """The float columns of the rounds taken, in :class:`DynamicRunLog`'s
+        order: p_selected, p_unselected, mean_amplitude, min_unselected_amp,
+        the policy mass and the watched mass (None when the run watches none).
+
+        Each column describes the state after a round's step, along its
+        mask.  The scalars of each round come from the record and from
+        running sums accumulated over it, by the formulas of one round taken
+        at a time, in the same order, over all rounds at once.  The group
+        arrays hold the unselected group in row 0, the selected one in row 1.
+        """
+        weights = len(self._totals)
+        record = np.fromiter(self._record, np.float64, len(self._record))
+        record = record.reshape(-1, 5 + weights).T.copy()
+        done = record.shape[1]
+        shifts, sums_e = record[:2], record[2:4]
+        weighted_e, bulk, sum_ee = record[3 : 3 + weights], record[3 + weights], record[4 + weights]
+        counts, weight_sums = self._per_round[:2, :done], self._per_round[1:, :done]
+        moved = shifts[1] - shifts[0]
+        # the running sums over the support of v e**2 (the first rows) and
+        # of v e, for each weight v, before each round and after the last
+        running = np.empty((2 * weights, done + 1))
+        running[:, 0] = self._sums_at_start
+        squares, plain = running[:weights, 1:], running[weights:, 1:]
+        np.multiply(weight_sums, moved, out=plain)
+        np.add(weighted_e, weighted_e, out=squares)
+        squares += plain
+        squares *= moved
+        np.add.accumulate(running, axis=1, out=running)
+
+        # each group's sum of squares before the step; the unselected
+        # support states' sum of e**2 is zero when a mask takes the support
+        sums_ee = np.empty((2, done))
+        np.subtract(running[0, :-1], sum_ee, out=sums_ee[0])
+        np.maximum(sums_ee[0], 0.0, out=sums_ee[0])
+        sums_ee[0, self._full] = 0.0
+        sums_ee[1] = sum_ee
+        bulk_part = counts * bulk
+        sums = bulk_part + sums_e
+        sumsq = sums_e + sums_e
+        sumsq += bulk_part
+        sumsq *= bulk
+        sumsq += sums_ee
+        np.maximum(sumsq, 0.0, out=sumsq)
+        # after the step: each group's sum of squares (rounding must not
+        # take one that lands on zero below it), and its sum
+        moved_part = counts * shifts
+        masses = sums + sums
+        masses += moved_part
+        masses *= shifts
+        masses += sumsq
+        np.maximum(masses, 0.0, out=masses)
+        sums += moved_part
+        mean = sums[0] - sums[1]
+        mean /= self.n_states
+
+        after = bulk + shifts[0]
+        least = after
+        if self._least:
+            scanned = list(self._least)
+            least = after.copy()
+            least[scanned] = np.array(list(self._least.values())) + shifts[0, scanned]
+        weighted = np.multiply.outer(self._totals[1:], after)
+        weighted += running[weights + 1 :, 1:] + running[weights + 1 :, 1:]
+        weighted *= after
+        weighted += running[1:weights, 1:]
+        watched = weighted[1] if weights > 2 else None
+        return [masses[1], masses[0], mean, least, weighted[0], watched]
 
     def sparse_state(self) -> SparseState:
         """The state now, as a :class:`~qamp.core.SparseState` that shares no
@@ -521,36 +613,95 @@ def _selection_events(
     return round_of, (keys - round_of * size).astype(np.intp)
 
 
+def _draw_class_run(
+    policy: SelectionPolicy, rounds: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every selection a run of ``rounds`` rounds under a class policy makes:
+    its support, sorted, with the selection probabilities, then the rounds
+    and support positions of its events, sorted by round, then position.
+
+    Class S is a grid of C_S * R cells, one per (member, round), C_S its
+    size (within the catalog, if there is one), and each cell is selected
+    independently with probability P_S, the law of a per-round draw.
+    Numbering the members of all classes in class order, cell (member, r)
+    is member * R + r, so a class's cells are one run of numbers.  The
+    selected cells come as geometric gaps 1 + floor(E / -ln(1 - P_S)) for
+    standard exponentials E (Devroye 1986), each clamped to one more than
+    its class's grid length (past the end from any cell), as a gap of a P_S
+    near zero can be infinite.  One ragged pass draws, for every class at
+    once, its expected count plus a margin; a further pass draws only for
+    the classes not yet past their last cell.  The distinct members map to
+    states in one call of :meth:`SelectionPolicy.states_of_rank`, and one
+    sort orders the events by round, then index.
+    """
+    class_p, sizes = policy.class_probabilities, policy.class_sizes
+    first_member = np.cumsum(sizes) - sizes
+    live = np.flatnonzero((class_p > 0.0) & (sizes * rounds > 0))
+    grid, p = sizes[live] * rounds, class_p[live]
+    with np.errstate(divide="ignore"):  # log1p(-1) for P = 1, whose gaps are all 1
+        rate = -np.log1p(-p)
+    first_cell = first_member[live] * rounds
+    last = np.full(live.size, -1)  # the last cell drawn in each class, within its grid
+    selected = [np.empty(0, dtype=np.int64)]  # the global numbers of the selected cells
+    going = np.arange(live.size)
+    while going.size:
+        left = grid[going] - 1 - last[going]
+        mean = left * p[going]
+        count = np.minimum(left, np.ceil(mean + 3.0 * np.sqrt(mean) + 4.0).astype(np.int64))
+        owner = np.repeat(going, count)
+        # -ln U for a uniform U is a standard exponential
+        with np.errstate(over="ignore"):
+            gaps = rng.standard_exponential(owner.size) / rate[owner]
+        np.floor(gaps, out=gaps)
+        gaps += 1.0
+        cells = np.minimum(gaps, grid[owner] + 1).astype(np.int64)
+        # a cumsum over all classes' gaps, restarted at each class's last cell
+        np.cumsum(cells, out=cells)
+        ends = np.cumsum(count)
+        restart = last[going] - np.concatenate(([0], cells[ends[:-1] - 1]))
+        cells += np.repeat(restart, count)
+        selected.append((cells + first_cell[owner])[cells < grid[owner]])
+        last[going] = cells[ends - 1]
+        going = going[last[going] < grid[going] - 1]
+    # each pass is sorted, so a stable sort merges a few sorted runs
+    selected = np.concatenate(selected)
+    selected.sort(kind="stable")
+
+    member = selected // max(rounds, 1)
+    round_of = selected - member * rounds
+    new = np.empty(member.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(member[1:], member[:-1], out=new[1:])
+    members = member[new]
+    classes = np.searchsorted(first_member, members, side="right") - 1
+    states = policy.states_of_rank(classes, members - first_member[classes])
+    order = np.argsort(states)
+    size = states.size
+    position = np.empty(size, dtype=np.int64)
+    position[order] = np.arange(size)
+    keys = round_of * size + position[np.cumsum(new) - 1]
+    # 32-bit keys sort about twice as fast, where they fit; the positions
+    # come back as index-sized integers, which indexing takes without a cast
+    keys = keys.astype(np.int32 if rounds * size < 2**31 else np.int64)
+    keys.sort()
+    round_of = keys // max(size, 1)
+    return states[order], class_p[classes[order]], round_of, (keys - round_of * size).astype(np.intp)
+
+
 def _draw_support(
     policy: SelectionPolicy, rounds: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The states any of ``rounds`` rounds under ``policy`` selects, sorted,
-    and their selection probabilities.
+    """The states any of ``rounds`` rounds under a per-state table selects,
+    sorted, and their selection probabilities.
 
     State x is in it independently with probability
-    q(x) = 1 - (1 - P(x))**R.  A class policy takes k = Binomial(C_S, q_S)
-    members of each class S (C_S its size, within the catalog if there is
-    one) as k distinct uniform ranks in 0..C_S - 1, all mapped to states in
-    one pass (:meth:`SelectionPolicy.states_of_rank`).  A per-state table
-    takes x when the least of its R round uniforms, drawn as
-    1 - (1 - U)**(1/R) from one uniform U, falls below P(x).  It makes one
-    pass over the table in blocks of ``_DRAW_BLOCK`` states through two
+    q(x) = 1 - (1 - P(x))**R: when the least of its R round uniforms, drawn
+    as 1 - (1 - U)**(1/R) from one uniform U, falls below P(x).  It makes
+    one pass over the table in blocks of ``_DRAW_BLOCK`` states through two
     block-sized buffers, so nothing of size N is allocated.  The generator
     fills its output in order, so the blocks take the uniforms of one
     ``rng.random(N)``.
     """
-    if policy.probabilities is None:
-        class_p = policy.class_probabilities
-        counts = rng.binomial(policy.class_sizes, 1.0 - (1.0 - class_p) ** rounds)
-        classes = np.repeat(np.arange(policy.n + 1), counts)
-        ranks = [np.empty(0, dtype=np.int64)] + [
-            rng.choice(size, k, replace=False, shuffle=False)
-            for size, k in zip(policy.class_sizes.tolist(), counts.tolist())
-            if k
-        ]
-        idx = policy.states_of_rank(classes, np.concatenate(ranks))
-        order = np.argsort(idx)
-        return idx[order], class_p[classes[order]]
     probs = policy.probabilities
     if rounds == 0:
         idx = np.empty(0, dtype=np.int64)
@@ -672,29 +823,28 @@ def run_dynamic(
     if stop_above is not None and watch is None:
         raise ValueError("stop_above needs a watched policy")
     support = _Support(policy, rounds, rng, watch)
-    policy_mass, watched_mass = support.columns[4:]
     best = support.sparse_state() if keep_best else None
     best_score = support.mass(1)  # the policy mass of the uniform state
     best_round = 0
 
     for round_index in range(rounds):
         support.take_round(round_index)
-        if keep_best and policy_mass[-1] > best_score:
-            best_score = policy_mass[-1]
+        if keep_best and (score := support.mass(1)) > best_score:
+            best_score = score
             best = support.sparse_state()
             best_round = round_index + 1
-        if stop_above is not None and watched_mass[-1] > stop_above:
+        if stop_above is not None and support.mass(2) > stop_above:
             break
 
-    done = len(policy_mass)
+    columns = support.columns()
+    done = columns[0].size
     # the logged rounds' masks are a prefix of the events the run drew
     log = DynamicRunLog(
         policy.n,
         done,
         support._selected[: support._starts[done]],
         np.array(support._starts[: done + 1], dtype=np.int64),
-        *(np.array(column, dtype=np.float64) for column in support.columns[:5]),
-        None if watch is None else np.array(watched_mass, dtype=np.float64),
+        *columns,
         best_round if keep_best else None,
     )
     return best if keep_best else support.sparse_state(), log

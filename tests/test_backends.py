@@ -1,4 +1,5 @@
 import os
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -130,15 +131,24 @@ def test_import_ignores_retired_kernel_switch():
     assert proc.stdout.strip() == "ok"
 
 
-def test_benchmark_smoke():
+def test_benchmark_smoke(tmp_path):
+    out = tmp_path / "kernel_bench.json"
     proc = subprocess.run(
-        [sys.executable, "benchmarks/kernel_bench.py", "--quick"],
+        [sys.executable, "benchmarks/kernel_bench.py", "--quick", "--json", str(out)],
         env=src_env(),
         cwd=ROOT,
         capture_output=True,
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    assert "grover_step" in proc.stdout
-    assert "dynamic_round" in proc.stdout
-    assert "support_draw" in proc.stdout
+    for bench in ("grover_step", "dynamic_round", "class_setup", "support_draw", "whole_run"):
+        assert bench in proc.stdout, bench
+    written = json.loads(out.read_text(encoding="utf-8"))
+    assert {"python", "numpy", "kernel_backend", "nproc", "cpu", "commit"} <= set(
+        written["environment"]
+    )
+    runs = written["benches"]["whole_run"]
+    assert {(row["policy"], row["rounds"]) for row in runs} == {
+        (form, rounds) for form in ("table", "class") for rounds in (2, 6, 12, 52, 91)
+    }
+    assert all(row["run"] > 0.0 for row in runs)

@@ -35,6 +35,7 @@ from qamp import (
 from qamp.dynamic_search import (
     _PASCAL,
     _colex_words,
+    _draw_class_run,
     _draw_support,
     _Support,
     class_counts,
@@ -438,14 +439,15 @@ def test_doubling_identity_property(n, seed, density):
         support.take_round(0)
         np.testing.assert_allclose(support.sparse_state().amps, after.amps, rtol=0, atol=1e-12)
         closed_form = GainReport.of(
-            *(column[0] for column in support.columns[:4]), mask.count_selected, state.size
+            *(float(column[0]) for column in support.columns()[:4]), mask.count_selected, state.size
         )
         assert_reports_close(closed_form, gain_report(after, mask))
 
 
 def support_holding(state, mask):
     """A one-round run's ``_Support`` whose support is the whole space, set to
-    hold ``state`` (as offsets from a zero bulk), and whose round selects ``mask``."""
+    hold ``state`` (as offsets from the uniform bulk it starts with), and
+    whose round selects ``mask``."""
     size = state.size
     everything = SelectionPolicy.probabilistic(state.n, np.ones(size))
     support = _Support(everything, 1, np.random.default_rng(0))
@@ -454,11 +456,13 @@ def support_holding(state, mask):
     support._pos = np.flatnonzero(mask.selected)
     support._starts = [0, support._pos.size]
     support._weights = np.ones((2, support._pos.size))
-    support._weight_sums = [(support._pos.size, float(support._pos.size))]
-    support.bulk = 0.0
-    support.e[:] = state.amps
-    support.sum_e = [float(state.amps.sum())] * 2
-    support.sum_ee = [float(state.amps @ state.amps)] * 2
+    # the round's unselected and selected counts, and the sum of p over its mask
+    selected = support._pos.size
+    support._per_round = np.array([[size - selected], [selected], [selected]], dtype=float)
+    support.e[:] = state.amps - support.bulk
+    support.sum_e = float(support.e.sum())
+    # the sums of v e**2, then of v e, for v = 1 and v = p = 1
+    support._sums_at_start[:] = [float(support.e @ support.e)] * 2 + [support.sum_e] * 2
     return support
 
 
@@ -716,29 +720,42 @@ def test_class_draw_selects_each_state_with_its_class_probability(with_catalog):
 
 def test_masks_keep_their_law_over_many_rounds():
     """Over 20 rounds each state is selected at most once per round, in each
-    round with probability P and in each pair of rounds with P**2.  P = 0.1
+    round with probability P and in each pair of rounds with P**2; a state
+    of P = 1 is selected in every round.  Under the 3-qubit table P = 0.1
     takes its later rounds from geometric gaps (from 16 rounds on), P = 0.5
-    from a Bernoulli row."""
+    from a Bernoulli row.  Under a class policy at n = 5, with and without
+    a catalog, each class is a grid of (member, round) cells drawn as
+    geometric gaps, with a further pass for a class the first one leaves
+    short, and P = 1 takes every cell of its class."""
     probs = np.array([0.1, 0.5, 0.02, 1.0, 0.0, 0.3, 0.1, 0.5])
-    policy = SelectionPolicy.probabilistic(3, probs)
+    table = SelectionPolicy.probabilistic(3, probs)
+    # by similarity S = 0..5 to the reference
+    class_probs = np.array([0.1, 0.5, 0.02, 0.1, 0.5, 1.0])
+    by_class = SelectionPolicy.by_similarity(5, 0b01101, class_probs)
+    catalog = SelectionPolicy.by_similarity(5, 0b01101, class_probs, np.arange(1, 32, 3))
     runs, rounds = 3000, 20
-    watched = np.array([0, 1])  # P = 0.1 and P = 0.5
-    member = np.zeros((runs, rounds, probs.size), dtype=bool)
-    for seed in range(runs):
-        _, log = run_dynamic(policy, np.random.default_rng(seed), rounds)
-        for r, selected in enumerate(log.selected_indices):
-            assert np.all(np.diff(selected) > 0)
-            member[seed, r, selected] = True
-    member = member[:, :, watched]
-    want = probs[watched]
-    freq = member.mean(axis=0)
-    z = (freq - want) / np.sqrt(want * (1 - want) / runs)
-    assert np.max(np.abs(z)) < 4.5
-    both = np.einsum("sik,sjk->ijk", member.astype(float), member.astype(float)) / runs
-    want2 = want**2
-    for i, j in itertools.combinations(range(rounds), 2):
-        z_pair = (both[i, j] - want2) / np.sqrt(want2 * (1 - want2) / runs)
-        assert np.max(np.abs(z_pair)) < 4.5, (i, j)
+    for policy, watched_p in ((table, (0.1, 0.5)), (by_class, (0.02, 0.1, 0.5)),
+                              (catalog, (0.02, 0.1, 0.5))):
+        dense = dense_probabilities(policy)
+        # the first state of each watched P
+        watched = np.array([np.flatnonzero(dense == p)[0] for p in watched_p])
+        member = np.zeros((runs, rounds, dense.size), dtype=bool)
+        for seed in range(runs):
+            _, log = run_dynamic(policy, np.random.default_rng(seed), rounds)
+            for r, selected in enumerate(log.selected_indices):
+                assert np.all(np.diff(selected) > 0)
+                member[seed, r, selected] = True
+        assert np.all(member[:, :, dense == 1.0]) and not np.any(member[:, :, dense == 0.0])
+        member = member[:, :, watched]
+        want = dense[watched]
+        freq = member.mean(axis=0)
+        z = (freq - want) / np.sqrt(want * (1 - want) / runs)
+        assert np.max(np.abs(z)) < 4.5, policy
+        both = np.einsum("sik,sjk->ijk", member.astype(float), member.astype(float)) / runs
+        want2 = want**2
+        for i, j in itertools.combinations(range(rounds), 2):
+            z_pair = (both[i, j] - want2) / np.sqrt(want2 * (1 - want2) / runs)
+            assert np.max(np.abs(z_pair)) < 4.5, (policy, i, j)
 
 
 def test_running_sums_do_not_drift():
@@ -754,8 +771,10 @@ def test_running_sums_do_not_drift():
     weights = np.stack([np.ones_like(support.p), support.p, support.w])
     e = support.e
     assert rounds > 2800 and np.any(e != 0.0)
-    np.testing.assert_allclose(support.sum_e, weights @ e, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(support.sum_ee, weights @ (e * e), rtol=0, atol=1e-12)
+    sum_vee, sum_ve = np.array([support.running_sums(k) for k in range(3)]).T
+    assert support.sum_e == sum_ve[0]
+    np.testing.assert_allclose(sum_ve, weights @ e, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(sum_vee, weights @ (e * e), rtol=0, atol=1e-12)
 
 
 def test_ranks_map_one_to_one_onto_each_class():
@@ -818,24 +837,42 @@ def test_policy_ranks_give_each_class_in_full(with_catalog):
 
 
 def test_large_class_support_is_sorted_distinct_and_class_consistent():
-    # at n = 30 a support of T states takes O(T) memory, not a list of any
-    # class (the middle one has C(30, 15) ~ 1.6e8 members)
+    # at n = 30 a run of E events takes O(E) memory, not a list of any class
+    # (the middle one has C(30, 15) ~ 1.6e8 members): a 4-round run of
+    # small probabilities, and the 12,868 rounds planned for m = 1, whose
+    # middle class is a grid of ~2e12 cells and whose class 0 has the least
+    # positive double as P, an infinite geometric gap
     n = 30
     class_probs = np.linspace(1e-6, 3e-6, n + 1)  # one value per class
-    policy = SelectionPolicy.by_similarity(n, 0x2A5A5A5A, class_probs)
-    tracemalloc.start()
-    try:
-        idx, p = _draw_support(policy, 4, np.random.default_rng(0))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    short = SelectionPolicy.by_similarity(n, 0x2A5A5A5A, class_probs)
+    planned = similarity_policy(SimilaritySpec(n, 3 * ((1 << n) // 9)), calibrate_beta(n, 1.0))
+    assert planned.class_probabilities[0] == np.nextafter(0.0, 1.0)
+    assert planned_rounds(planned) == PINNED_PLANS[(n, 1)][0] == 12868
+    for policy, rounds in ((short, 4), (planned, 12868)):
+        tracemalloc.start()
+        try:
+            idx, p, round_of, pos = _draw_class_run(policy, rounds, np.random.default_rng(0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.diff(idx) > 0)
+        assert idx.size == 0 or (idx[0] >= 0 and idx[-1] < 1 << n)
+        assert np.array_equal(p, policy.class_probabilities[policy.class_of(idx)])
+        # the events are in range, sorted by round, then position, so each
+        # round's states are distinct and in index order
+        assert np.all((round_of >= 0) & (round_of < rounds))
+        assert np.all((pos >= 0) & (pos < idx.size))
+        assert np.all(np.diff(round_of.astype(np.int64) * idx.size + pos) > 0)
+        # every support state is selected in some round
+        assert np.array_equal(np.unique(pos), np.arange(idx.size))
+        # a few int64 words per event (about 17 here)
+        assert peak < 32 * 8 * max(pos.size, 1)
+    # four rounds select each state at most a few times, so the support is about q-sized
     expected = float(class_counts(n) @ (1.0 - (1.0 - class_probs) ** 4))
-    assert abs(idx.size - expected) < 5.0 * math.sqrt(expected)
-    assert np.all(np.diff(idx) > 0)
-    assert idx[0] >= 0 and idx[-1] < 1 << n
-    assert np.array_equal(p, class_probs[similarity_classes(n, policy.reference, idx)])
-    # a few int64 words per support state (about 10 here)
-    assert peak < 32 * 8 * idx.size
+    short_support = _draw_class_run(short, 4, np.random.default_rng(0))[0]
+    assert abs(short_support.size - expected) < 5.0 * math.sqrt(expected)
+    # at m = 1 the reference alone has P = 1, and it is in every round
+    assert planned.reference in idx and pos.size >= rounds
 
 
 @pytest.mark.parametrize("rounds", [0, 1, 2, 3, 6])
@@ -946,12 +983,14 @@ def log_digest(head, arrays):
 # the log once kept restarted rounds, keeps those digests.  The class,
 # class-best-watch, catalog-best and table digests were pinned after
 # their columns matched a dense replay (replay_round_states and
-# gain_report) to 1e-12
+# gain_report) to 1e-12; the four class and catalog digests were pinned
+# again, after the same check, when class runs came to draw their masks
+# as one grid of (member, round) cells
 PINNED_LOG_DIGESTS = {
-    "class": "ceaefff7aceaf0ba9976404e1834b5b8c886ddbed5700fd44e81db7f80a586e2",
-    "class-best-watch": "6619dff148e76882061f2105b7f6bcd99f1d6a907d654411ab4dbff62824548e",
-    "catalog-best": "6ecbf3b6a50446dd571bb095284b0a23e30cdcf56b9e64714a1867df7ccd1648",
-    "catalog-watch-stop": "29d33e92a687674f554975b2e68be03236ff70794e182d9416997d4dd9ff88f8",
+    "class": "d9568f4e44ba118fddf20094c5cfd7179a02ffeef18609bf1df1f232466f02d2",
+    "class-best-watch": "351376125f1aac89fa895ba6e766517d2dbcbb79e9f9e296f0744864262fc8bd",
+    "catalog-best": "2ad11c85c90dc7f3fd2f82e0c1e14dc72baea9bde77da691ec111f3ed172bfe0",
+    "catalog-watch-stop": "4f2e3d88334e612a2a72e57fdafee15ce42f038b8addd37ab7e7208029cfd405",
     "table": "bfbe7248c205d2178f2df9239ff247fa4343c8bbc98c63a56c9a53c318d7b173",
     "table-best-watch": "22891266cc6211a686119e9f191621fb8ed379ac605d083ca53aac836b0b014f",
 }

@@ -285,12 +285,12 @@ class TestRecommend:
     # items, rounds_used and the top three class masses (to 1e-12) of runs
     # of the planned round count that sample their final state
     PINNED = [
-        (0, 1, [(0, 16), (1, 15), (128, 15), (8192, 15), (9736, 12)], 91,
-         [0.035212099057383484, 0.14653421958473284, 0.8065928238323156]),
-        (12345, 2, [(12345, 16), (4153, 15), (12473, 15), (12601, 15), (58892, 7)], 91,
-         [0.02259901548771126, 0.13497903786891163, 0.8276723004358607]),
-        (40000, 3, [(40000, 16), (40002, 15), (40008, 15), (40006, 14), (40040, 14)], 91,
-         [0.02664164286748847, 0.1523318726441237, 0.8087018707561673]),
+        (0, 1, [(0, 16), (16, 15), (512, 15), (8192, 15), (5121, 13)], 91,
+         [0.03198017733765537, 0.16751181614672692, 0.791344261257404]),
+        (12345, 2, [(12345, 16), (12313, 15), (12337, 15), (13433, 14), (29229, 12)], 91,
+         [0.03472526321409539, 0.18425090110716247, 0.7663035315259958]),
+        (40000, 3, [(40000, 16), (37952, 15), (40004, 15), (40128, 15), (40512, 15)], 91,
+         [0.0223304312291355, 0.20095689486158697, 0.7657503438736009]),
     ]
 
     @pytest.mark.parametrize(
