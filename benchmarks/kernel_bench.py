@@ -21,8 +21,11 @@ takes ``StateVector`` and the cumsum sampler ``sample_dense`` from
 class-policy run does before its first round, over the rounds
 ``recommend`` plans for it (``planned_rounds``): the grid draw of its
 masks and its set-up (``_Support``), with and without a catalog; and
-the support draw ``dynamic_optimize`` makes from its per-state table,
-with the minor page faults per draw.  Last, whole ``run_dynamic`` runs
+the three steps of a table run's set-up that ``dynamic_optimize`` makes,
+on a normal and a tied table at n = 14 and 18: its policy build
+(``policy_from_estimates``), the support draw from that per-state table,
+with the minor page faults per draw, and the selected rounds of the
+support (``_selection_events``).  Last, whole ``run_dynamic`` runs
 of R = 2, 6, 12, 52 and 91 rounds under both policy forms: the
 optimizer's run length, the corollaries', and the recommender's at
 n = 16.  Each bench returns its timings in seconds keyed by what was
@@ -30,11 +33,13 @@ timed: ``"python"`` for the kernels (the name ``qamp.kernel_backend()``
 reports), ``"touched"`` for the ``run_dynamic`` round,
 ``"dense"``/``"sparse"`` for the end of a run and (per marked count) for
 a static attempt, ``"setup"`` (with the mean ``"support"`` size and
-``"events"`` count) for a class run's set-up, ``"draw"`` (with the mean
-``"support"`` size and the ``"faults"``) for a table's support draw, and
-``"run"`` for a whole run.  ``--json PATH`` also writes every number, in
-microseconds, with perfbench's environment stamp.  Run from the repo
-root:
+``"events"`` count) for a class run's set-up, ``"policy"`` for a table
+policy's build, ``"draw"`` (with the mean ``"support"`` size and the
+``"faults"``) for its support draw, ``"selection"`` (with the
+``"support"`` size and the mean ``"events"`` count) for its selected
+rounds, and ``"run"`` for a whole run.  ``--json PATH`` also writes every
+number, in microseconds, with perfbench's environment stamp.  Run from
+the repo root:
 
     python3 benchmarks/kernel_bench.py [--quick] [--json PATH]
 """
@@ -55,11 +60,17 @@ from qamp.core import SparseState, in_sorted, sample
 from qamp.dynamic_search import (
     SelectionPolicy,
     _draw_support,
+    _selection_events,
     _Support,
     planned_rounds,
     run_dynamic,
 )
-from qamp.optimize import ObjectiveTable, build_optimization_policy, nominal_rounds
+from qamp.optimize import (
+    ObjectiveTable,
+    build_optimization_policy,
+    nominal_rounds,
+    policy_from_estimates,
+)
 from qamp.recommend import SimilaritySpec, calibrate_beta, similarity_policy
 from qamp.static_search import _Rotation
 
@@ -211,12 +222,35 @@ def bench_class_setup(n: int, m: float, with_catalog: bool, repeats: int) -> dic
     return {"setup": seconds, "support": support, "events": events}
 
 
-def bench_table_support_draw(n: int, repeats: int) -> dict[str, float]:
-    """The support draw of ``dynamic_optimize``: the probe-built policy of a
-    seeded normal table over ``nominal_rounds(n)`` rounds.  Also counts the
-    minor page faults this process takes per draw."""
-    table = ObjectiveTable(n, np.random.default_rng(7).standard_normal(1 << n))
-    policy = build_optimization_policy(table, np.random.default_rng(7))
+def optimizer_policy(n: int, kind: str):
+    """The seeded table of ``kind`` ("normal" or "ties", as perfbench's
+    ``optimize-dynamic`` pool makes them) and the policy ``dynamic_optimize``
+    builds on it from its probes."""
+    rng = np.random.default_rng(7)
+    if kind == "normal":
+        values = rng.standard_normal(1 << n)
+    else:
+        values = rng.integers(0, (1 << n) // 4, size=1 << n).astype(np.float64)
+    table = ObjectiveTable(n, values)
+    return table, build_optimization_policy(table, np.random.default_rng(7))
+
+
+def bench_table_policy(n: int, kind: str, repeats: int) -> dict[str, float]:
+    """``policy_from_estimates``, the probe-built policy of
+    ``optimizer_policy(n, kind)`` from its probes' value range."""
+    table, policy = optimizer_policy(n, kind)
+    probes = np.random.default_rng(7).integers(0, 1 << n, size=math.ceil(math.sqrt(1 << n)))
+    f_lo, f_hi = float(table.values[probes].min()), float(table.values[probes].max())
+    assert np.array_equal(policy_from_estimates(table, f_lo, f_hi).probabilities,
+                          policy.probabilities)
+    return {"policy": time_call(lambda: policy_from_estimates(table, f_lo, f_hi), repeats)}
+
+
+def bench_table_support_draw(n: int, kind: str, repeats: int) -> dict[str, float]:
+    """The support draw of ``dynamic_optimize`` under the policy of
+    ``optimizer_policy(n, kind)`` over ``nominal_rounds(n)`` rounds.  Also
+    counts the minor page faults this process takes per draw."""
+    _, policy = optimizer_policy(n, kind)
     rounds = nominal_rounds(n)
     rng = np.random.default_rng(7)
     _draw_support(policy, rounds, rng)
@@ -225,6 +259,19 @@ def bench_table_support_draw(n: int, repeats: int) -> dict[str, float]:
     draw = time_call(lambda: support.append(_draw_support(policy, rounds, rng)[0].size), repeats)
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
     return {"draw": draw, "support": float(np.mean(support)), "faults": faults / repeats}
+
+
+def bench_selection_events(n: int, kind: str, repeats: int) -> dict[str, float]:
+    """``_selection_events``, the selected rounds of one support drawn under
+    the policy of ``optimizer_policy(n, kind)`` over ``nominal_rounds(n)``
+    rounds, with the mean event count."""
+    _, policy = optimizer_policy(n, kind)
+    rounds = nominal_rounds(n)
+    rng = np.random.default_rng(7)
+    _, p = _draw_support(policy, rounds, rng)
+    events = []
+    seconds = time_call(lambda: events.append(_selection_events(p, rounds, rng)[0].size), repeats)
+    return {"selection": seconds, "support": float(p.size), "events": float(np.mean(events))}
 
 
 RUN_LENGTHS = (2, 6, 12, 52, 91)
@@ -303,14 +350,36 @@ def main() -> None:
                       f"{times['support']:>9.0f} {times['events']:>9.0f} "
                       f"{times['setup'] * 1e6:>12.2f}")
 
-    print(f"{'support_draw':<14} {'n':>3} {'R':>3} {'policy':>7} {'support':>9} {'draw us':>12} "
+    # the three steps of a table run's set-up, on the optimizer's run length
+    print(f"{'table_policy':<14} {'n':>3} {'table':>7} {'policy us':>12}")
+    for n in (14, 18):
+        for kind in ("normal", "ties"):
+            times = bench_table_policy(n, kind, max(5, (base_repeats // 4) >> max(0, n - 14)))
+            report("table_policy", {"n": n, "table": kind, "policy": times["policy"] * 1e6})
+            print(f"{'table_policy':<14} {n:>3} {kind:>7} {times['policy'] * 1e6:>12.2f}")
+
+    print(f"{'support_draw':<14} {'n':>3} {'R':>3} {'table':>7} {'support':>9} {'draw us':>12} "
           f"{'faults/draw':>12}")
     for n in (14, 18):
-        times = bench_table_support_draw(n, max(5, (base_repeats // 4) >> max(0, n - 14)))
-        report("support_draw", {"n": n, "rounds": nominal_rounds(n), "support": times["support"],
-                                "draw": times["draw"] * 1e6, "faults": times["faults"]})
-        print(f"{'support_draw':<14} {n:>3} {nominal_rounds(n):>3} {'table':>7} "
-              f"{times['support']:>9.0f} {times['draw'] * 1e6:>12.2f} {times['faults']:>12.1f}")
+        for kind in ("normal", "ties"):
+            times = bench_table_support_draw(n, kind, max(5, (base_repeats // 4) >> max(0, n - 14)))
+            report("support_draw", {"n": n, "rounds": nominal_rounds(n), "table": kind,
+                                    "support": times["support"], "draw": times["draw"] * 1e6,
+                                    "faults": times["faults"]})
+            print(f"{'support_draw':<14} {n:>3} {nominal_rounds(n):>3} {kind:>7} "
+                  f"{times['support']:>9.0f} {times['draw'] * 1e6:>12.2f} {times['faults']:>12.1f}")
+
+    print(f"{'selection_events':<16} {'n':>3} {'R':>3} {'table':>7} {'support':>9} {'events':>9} "
+          f"{'events us':>12}")
+    for n in (14, 18):
+        for kind in ("normal", "ties"):
+            times = bench_selection_events(n, kind, max(5, (base_repeats // 4) >> max(0, n - 14)))
+            report("selection_events", {"n": n, "rounds": nominal_rounds(n), "table": kind,
+                                        "support": times["support"], "events": times["events"],
+                                        "selection": times["selection"] * 1e6})
+            print(f"{'selection_events':<16} {n:>3} {nominal_rounds(n):>3} {kind:>7} "
+                  f"{times['support']:>9.0f} {times['events']:>9.0f} "
+                  f"{times['selection'] * 1e6:>12.2f}")
 
     print(f"{'whole_run':<14} {'R':>3} {'policy':>7} {'run us':>12}")
     for form in ("table", "class"):

@@ -27,7 +27,8 @@ from .errors import ShapeMismatchError
 
 # states per block of a per-state table's support draw (_draw_support): a
 # float64 block is 64 KiB, under glibc's default 128 KiB mmap threshold, so
-# its buffers come from the heap instead of fresh pages on every run
+# its buffers and the block's candidates come from the heap instead of
+# fresh pages on every run
 _DRAW_BLOCK = 1 << 13
 
 
@@ -319,10 +320,11 @@ class _Support:
     R rounds first draws every round in which each state is selected: under
     a class policy as one grid of (member, round) cells
     (:func:`_draw_class_run`), under a per-state table as its support
-    (:func:`_draw_support`), the states that any of its rounds will select,
-    and then their selected rounds (:func:`_selection_events`).  The events
-    are sorted by round, so a round's mask is a slice of support positions,
-    ascending.
+    (:func:`_draw_support`: one random byte per state, then one uniform
+    per state its byte leaves in doubt), the states that any of its rounds
+    will select, and then their selected rounds
+    (:func:`_selection_events`).  The events are sorted by round, so a
+    round's mask is a slice of support positions, ascending.
 
     A doubled round adds one constant to every selected amplitude and
     another to every unselected one.  The state is therefore kept as the
@@ -696,29 +698,44 @@ def _draw_support(
 
     State x is in it independently with probability
     q(x) = 1 - (1 - P(x))**R: when the least of its R round uniforms, drawn
-    as 1 - (1 - U)**(1/R) from one uniform U, falls below P(x).  It makes
-    one pass over the table in blocks of ``_DRAW_BLOCK`` states through two
-    block-sized buffers, so nothing of size N is allocated.  The generator
-    fills its output in order, so the blocks take the uniforms of one
-    ``rng.random(N)``.
+    as 1 - (1 - U)**(1/R) from one uniform U, falls below P(x).  U is drawn
+    one base-256 digit first, U = (B + U') / 256 for a random byte B and a
+    uniform U' (Devroye 1986).  Since q <= R P, a state whose B >= 256 R P
+    is not in the support, so one pass over the table compares each
+    state's byte with 256 R P(x), and only the candidates it leaves draw
+    U', in index order, and take the exact test.  The pass goes in blocks
+    of ``_DRAW_BLOCK`` states through block-sized buffers, so nothing of
+    size N is allocated; the blocks take the bytes of one N-byte draw
+    (the generator's 64-bit words, little-endian), so the support does
+    not depend on the block size.
     """
     probs = policy.probabilities
     if rounds == 0:
         idx = np.empty(0, dtype=np.int64)
-    else:
-        # N and the block size are powers of two, so the blocks tile the table
-        least = np.empty(min(probs.size, _DRAW_BLOCK))
-        hit = np.empty(least.size, dtype=bool)
-        pieces = []
-        for start in range(0, probs.size, least.size):
-            rng.random(out=least)
-            np.subtract(1.0, least, out=least)
-            least **= 1.0 / rounds  # numpy takes sqrt for R = 2
-            np.subtract(1.0, least, out=least)
-            np.less(least, probs[start : start + least.size], out=hit)
-            pieces.append(np.flatnonzero(hit) + start)
-        idx = np.concatenate(pieces)
-    return idx, probs[idx]
+        return idx, probs[idx]
+    # N and the block size are powers of two, so the blocks tile the table
+    limit = np.empty(min(probs.size, _DRAW_BLOCK))
+    hit = np.empty(limit.size, dtype=bool)
+    words = -(-limit.size // 8)  # one word covers the whole table when N < 8
+    found, digits = [], []
+    for start in range(0, probs.size, limit.size):
+        raw = rng.bit_generator.random_raw(words).astype("<u8", copy=False)
+        byte = raw.view(np.uint8)[: limit.size]
+        np.multiply(probs[start : start + limit.size], 256.0 * rounds, out=limit)
+        np.less(byte, limit, out=hit)
+        at = hit.nonzero()[0]
+        found.append(at + start)
+        digits.append(byte[at])
+    candidates = np.concatenate(found)
+    least = rng.random(candidates.size)
+    least += np.concatenate(digits)
+    least *= 1.0 / 256.0  # now U itself
+    np.subtract(1.0, least, out=least)
+    least **= 1.0 / rounds  # numpy takes sqrt for R = 2
+    np.subtract(1.0, least, out=least)
+    p = probs[candidates]
+    keep = least < p
+    return candidates[keep], p[keep]
 
 
 def gain_bound(n_states: int, n_selected: int) -> float:

@@ -141,19 +141,29 @@ def policy_from_estimates(
     sense, so the best-looking states are selected almost surely and the
     worst with probability 1/N.  Needs ``f_lo < f_hi``: equal estimates give
     no range to rescale by.
+
+    The exponent n (r(x) - 1) is the affine map a v(x) + c, with
+    a = n / (f_hi - f_lo), negated under MIN, and c = -a times the better
+    end, so P = exp2(clip(a v + c, -n, 0)) takes four passes over one
+    buffer.  Where a overflows (a subnormal range) a v + c would give
+    inf * 0, so the exponent is then taken as n (v - f_ref) / (f_hi - f_lo),
+    negated under MIN, f_ref the better end; so too where a is 0 because
+    f_hi - f_lo overflows.
     """
     if not f_lo < f_hi:
         raise ValueError(f"need f_lo < f_hi, got {f_lo!r} and {f_hi!r}")
-    # r = (v - f_lo) / (f_hi - f_lo), flipped for MIN and clipped, then
-    # 2**(n * (r - 1)), all in one buffer
-    probs = np.subtract(table.values, f_lo)
-    np.divide(probs, f_hi - f_lo, out=probs)
-    if table.sense is Sense.MIN:
-        np.subtract(1.0, probs, out=probs)
-    np.clip(probs, 0.0, 1.0, out=probs)
-    np.subtract(probs, 1.0, out=probs)
-    np.multiply(table.n, probs, out=probs)
-    return SelectionPolicy.probabilistic(table.n, np.exp2(probs, out=probs))
+    n, span = table.n, float(f_hi - f_lo)
+    sign, better = (1.0, f_hi) if table.sense is Sense.MAX else (-1.0, f_lo)
+    slope = sign * n / span
+    if 0.0 < abs(slope) < math.inf:
+        exponent = np.multiply(table.values, slope)
+        exponent -= slope * better
+    else:
+        exponent = np.subtract(table.values, better)
+        exponent /= span
+        exponent *= sign * n
+    np.clip(exponent, -n, 0.0, out=exponent)
+    return SelectionPolicy.probabilistic(n, np.exp2(exponent, out=exponent))
 
 
 def build_optimization_policy(

@@ -141,7 +141,8 @@ def test_benchmark_smoke(tmp_path):
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    for bench in ("grover_step", "dynamic_round", "class_setup", "support_draw", "whole_run"):
+    for bench in ("grover_step", "dynamic_round", "class_setup", "table_policy", "support_draw",
+                  "selection_events", "whole_run"):
         assert bench in proc.stdout, bench
     written = json.loads(out.read_text(encoding="utf-8"))
     assert {"python", "numpy", "kernel_backend", "nproc", "cpu", "commit"} <= set(
@@ -152,3 +153,10 @@ def test_benchmark_smoke(tmp_path):
         (form, rounds) for form in ("table", "class") for rounds in (2, 6, 12, 52, 91)
     }
     assert all(row["run"] > 0.0 for row in runs)
+    for bench, timed in (("table_policy", "policy"), ("support_draw", "draw"),
+                         ("selection_events", "selection")):
+        rows = written["benches"][bench]
+        assert {(row["n"], row["table"]) for row in rows} == {
+            (n, kind) for n in (14, 18) for kind in ("normal", "ties")
+        }, bench
+        assert all(row[timed] > 0.0 for row in rows), bench

@@ -875,12 +875,14 @@ def test_large_class_support_is_sorted_distinct_and_class_consistent():
     assert planned.reference in idx and pos.size >= rounds
 
 
-@pytest.mark.parametrize("rounds", [0, 1, 2, 3, 6])
+@pytest.mark.parametrize("rounds", range(7))
 @pytest.mark.parametrize("n", [3, 12, 13, 14, 18])
 def test_table_support_draw_is_the_whole_table_formula(n, rounds):
     # one short block (n < 13), exactly one block (n = 13) and several: the
-    # support is the whole-table formula over the uniforms of one
-    # rng.random(N), and the generator ends where that call leaves it
+    # candidates are the states whose byte of one N-byte draw falls below
+    # 256 R P; each draws one uniform U', in index order, and the support is
+    # the candidates whose U = (B + U') / 256 passes the exact test; the
+    # generator ends where those two draws leave it
     size = 1 << n
     probs = np.random.default_rng(n).random(size) ** 4
     probs[::7] = 0.0
@@ -891,12 +893,42 @@ def test_table_support_draw_is_the_whole_table_formula(n, rounds):
     if rounds == 0:
         want = np.empty(0, dtype=np.int64)
     else:
-        uniforms = reference.random(size)
-        want = np.flatnonzero(1.0 - np.power(1.0 - uniforms, 1.0 / rounds) < probs)
+        words = reference.bit_generator.random_raw(size // 8)
+        digits = words.astype("<u8").view(np.uint8)
+        candidates = np.flatnonzero(digits < probs * (256.0 * rounds))
+        uniforms = (reference.random(candidates.size) + digits[candidates]) / 256.0
+        least = 1.0 - np.power(1.0 - uniforms, 1.0 / rounds)
+        want = candidates[least < probs[candidates]]
         assert np.all(np.isin(np.arange(0, size, 11), want))
+        assert np.all(probs[candidates] > 0.0)
     assert idx.dtype == want.dtype and np.array_equal(idx, want)
     assert np.array_equal(p, probs[want])
     assert rng.bit_generator.state == reference.bit_generator.state
+
+
+@pytest.mark.parametrize("rounds", [1, 2, 3, 8])
+def test_table_support_keeps_its_law_at_the_byte_edges(rounds):
+    """Each state is in the support with probability q = 1 - (1 - P)**R at
+    the edges of the byte prefilter: P exactly k / (256 R) for k = 1, 2 and
+    255 and one ulp to each side, R P >= 1, P = 0 (never in it) and P = 1
+    (always in it)."""
+    edges = [k / (256.0 * rounds) for k in (1, 2, 255)]
+    probs = [q for p in edges for q in (np.nextafter(p, 0.0), p, np.nextafter(p, 1.0))]
+    probs += [1.0 / rounds, min(1.0, 1.5 / rounds), 0.0, 1.0, 0.3, 0.05, 0.7]
+    assert len(probs) == 16
+    probs = np.array(probs)
+    policy = SelectionPolicy.probabilistic(4, probs)
+    rng, runs = np.random.default_rng(rounds), 20000
+    counts = np.zeros(16)
+    for _ in range(runs):
+        idx, p = _draw_support(policy, rounds, rng)
+        assert np.all(np.diff(idx) > 0) and np.array_equal(p, probs[idx])
+        counts[idx] += 1
+    want = 1.0 - (1.0 - probs) ** rounds
+    assert np.all(counts[want == 0.0] == 0) and np.all(counts[want == 1.0] == runs)
+    inner = (want > 0.0) & (want < 1.0)
+    z = (counts[inner] / runs - want[inner]) / np.sqrt(want[inner] * (1 - want[inner]) / runs)
+    assert np.max(np.abs(z)) < 4.5, z
 
 
 def test_table_support_draw_allocates_nothing_per_state():
@@ -985,14 +1017,16 @@ def log_digest(head, arrays):
 # their columns matched a dense replay (replay_round_states and
 # gain_report) to 1e-12; the four class and catalog digests were pinned
 # again, after the same check, when class runs came to draw their masks
-# as one grid of (member, round) cells
+# as one grid of (member, round) cells, and the two table digests, after
+# the same check, when table runs came to draw their support one random
+# byte per state first
 PINNED_LOG_DIGESTS = {
     "class": "d9568f4e44ba118fddf20094c5cfd7179a02ffeef18609bf1df1f232466f02d2",
     "class-best-watch": "351376125f1aac89fa895ba6e766517d2dbcbb79e9f9e296f0744864262fc8bd",
     "catalog-best": "2ad11c85c90dc7f3fd2f82e0c1e14dc72baea9bde77da691ec111f3ed172bfe0",
     "catalog-watch-stop": "4f2e3d88334e612a2a72e57fdafee15ce42f038b8addd37ab7e7208029cfd405",
-    "table": "bfbe7248c205d2178f2df9239ff247fa4343c8bbc98c63a56c9a53c318d7b173",
-    "table-best-watch": "22891266cc6211a686119e9f191621fb8ed379ac605d083ca53aac836b0b014f",
+    "table": "afec860de0f74d149fbb3c36df4a9659109e61bc4ee7f0cfc66196f8d2788ecc",
+    "table-best-watch": "0626a6f8c798785efd0e555e7226fbac60f186fceef6747a3de78cf366abf379",
 }
 
 
