@@ -23,7 +23,7 @@ class-policy run does before its first round, over the rounds
 masks and its set-up (``_Support``), with and without a catalog; and
 the three steps of a table run's set-up that ``dynamic_optimize`` makes,
 on a normal and a tied table at n = 14 and 18: its policy build
-(``policy_from_estimates``), the support draw from that per-state table,
+(``build_optimization_policy``), the support draw from that per-state table,
 with the minor page faults per draw, and the selected rounds of the
 support (``_selection_events``).  Last, whole ``run_dynamic`` runs
 of R = 2, 6, 12, 52 and 91 rounds under both policy forms: the
@@ -65,12 +65,7 @@ from qamp.dynamic_search import (
     planned_rounds,
     run_dynamic,
 )
-from qamp.optimize import (
-    ObjectiveTable,
-    build_optimization_policy,
-    nominal_rounds,
-    policy_from_estimates,
-)
+from qamp.optimize import ObjectiveTable, build_optimization_policy, nominal_rounds
 from qamp.recommend import SimilaritySpec, calibrate_beta, similarity_policy
 from qamp.static_search import _Rotation
 
@@ -236,14 +231,11 @@ def optimizer_policy(n: int, kind: str):
 
 
 def bench_table_policy(n: int, kind: str, repeats: int) -> dict[str, float]:
-    """``policy_from_estimates``, the probe-built policy of
-    ``optimizer_policy(n, kind)`` from its probes' value range."""
-    table, policy = optimizer_policy(n, kind)
-    probes = np.random.default_rng(7).integers(0, 1 << n, size=math.ceil(math.sqrt(1 << n)))
-    f_lo, f_hi = float(table.values[probes].min()), float(table.values[probes].max())
-    assert np.array_equal(policy_from_estimates(table, f_lo, f_hi).probabilities,
-                          policy.probabilities)
-    return {"policy": time_call(lambda: policy_from_estimates(table, f_lo, f_hi), repeats)}
+    """``build_optimization_policy`` on the table of ``optimizer_policy(n,
+    kind)``: its ``ceil(sqrt(N))`` probes and ``policy_from_estimates``."""
+    table, _ = optimizer_policy(n, kind)
+    rng = np.random.default_rng(7)
+    return {"policy": time_call(lambda: build_optimization_policy(table, rng), repeats)}
 
 
 def bench_table_support_draw(n: int, kind: str, repeats: int) -> dict[str, float]:

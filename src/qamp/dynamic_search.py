@@ -698,16 +698,19 @@ def _draw_support(
 
     State x is in it independently with probability
     q(x) = 1 - (1 - P(x))**R: when the least of its R round uniforms, drawn
-    as 1 - (1 - U)**(1/R) from one uniform U, falls below P(x).  U is drawn
-    one base-256 digit first, U = (B + U') / 256 for a random byte B and a
-    uniform U' (Devroye 1986).  Since q <= R P, a state whose B >= 256 R P
-    is not in the support, so one pass over the table compares each
-    state's byte with 256 R P(x), and only the candidates it leaves draw
-    U', in index order, and take the exact test.  The pass goes in blocks
-    of ``_DRAW_BLOCK`` states through block-sized buffers, so nothing of
-    size N is allocated; the blocks take the bytes of one N-byte draw
-    (the generator's 64-bit words, little-endian), so the support does
-    not depend on the block size.
+    as 1 - (1 - U)**(1/R) from one uniform U, falls below P(x), that is
+    when (1 - U)**(1/R) > 1 - P(x).  U is drawn one base-256 digit first,
+    U = (B + U') / 256 for a random byte B and a uniform U' (Devroye 1986).
+    Since q <= R P, a state whose B >= 256 R P is not in the support, so
+    one pass over the table compares each state's byte with 256 R P(x),
+    and only the candidates it leaves draw U', in index order, and take
+    the exact test.  1 - U is formed as ((255 - B) + (1 - U')) / 256,
+    which never rounds to 0, so a state with P = 1 is always in it.  The
+    pass goes in blocks of ``_DRAW_BLOCK`` states through block-sized
+    buffers, so nothing of size N is allocated; the blocks take the bytes
+    of one N-byte draw (full-range 64-bit integers from the generator,
+    read little-endian, 8 blocks' worth a call), so the support does not
+    depend on the block size.
     """
     probs = policy.probabilities
     if rounds == 0:
@@ -716,25 +719,29 @@ def _draw_support(
     # N and the block size are powers of two, so the blocks tile the table
     limit = np.empty(min(probs.size, _DRAW_BLOCK))
     hit = np.empty(limit.size, dtype=bool)
-    words = -(-limit.size // 8)  # one word covers the whole table when N < 8
+    # a call to rng.integers has a fixed cost of a few microseconds, about a
+    # sixth of a block's pass, so each call draws the bytes of 8 blocks
+    # (64 KiB, under the mmap threshold too)
+    chunk = 8 * limit.size
+    words = -(-min(probs.size, chunk) // 8)  # one word covers N < 8
     found, digits = [], []
     for start in range(0, probs.size, limit.size):
-        raw = rng.bit_generator.random_raw(words).astype("<u8", copy=False)
-        byte = raw.view(np.uint8)[: limit.size]
+        if start % chunk == 0:
+            raw = rng.integers(0, 1 << 64, size=words, dtype=np.uint64).astype("<u8", copy=False)
+        byte = raw.view(np.uint8)[start % chunk :][: limit.size]
         np.multiply(probs[start : start + limit.size], 256.0 * rounds, out=limit)
         np.less(byte, limit, out=hit)
         at = hit.nonzero()[0]
         found.append(at + start)
         digits.append(byte[at])
     candidates = np.concatenate(found)
-    least = rng.random(candidates.size)
-    least += np.concatenate(digits)
-    least *= 1.0 / 256.0  # now U itself
-    np.subtract(1.0, least, out=least)
-    least **= 1.0 / rounds  # numpy takes sqrt for R = 2
-    np.subtract(1.0, least, out=least)
+    rest = rng.random(candidates.size)
+    np.subtract(1.0, rest, out=rest)
+    rest += 255 - np.concatenate(digits)
+    rest *= 1.0 / 256.0  # now 1 - U, in (0, 1]
+    rest **= 1.0 / rounds  # numpy takes sqrt for R = 2
     p = probs[candidates]
-    keep = least < p
+    keep = rest > 1.0 - p
     return candidates[keep], p[keep]
 
 

@@ -142,24 +142,22 @@ def policy_from_estimates(
     worst with probability 1/N.  Needs ``f_lo < f_hi``: equal estimates give
     no range to rescale by.
 
-    The exponent n (r(x) - 1) is the affine map a v(x) + c, with
-    a = n / (f_hi - f_lo), negated under MIN, and c = -a times the better
-    end, so P = exp2(clip(a v + c, -n, 0)) takes four passes over one
-    buffer.  Where a overflows (a subnormal range) a v + c would give
-    inf * 0, so the exponent is then taken as n (v - f_ref) / (f_hi - f_lo),
-    negated under MIN, f_ref the better end; so too where a is 0 because
-    f_hi - f_lo overflows.
+    The exponent n (r(x) - 1) is a (v(x) - f_ref), with f_ref the better
+    end and a = n / (f_hi - f_lo), negated under MIN, so P =
+    exp2(clip(a (v - f_ref), -n, 0)) takes four passes over one buffer.
+    Subtracting first keeps the exponent as accurate as the rescaling is on
+    values far from 0.  Where a overflows (a subnormal range) the exponent
+    is taken as n (v - f_ref) / (f_hi - f_lo), negated under MIN, instead.
     """
     if not f_lo < f_hi:
         raise ValueError(f"need f_lo < f_hi, got {f_lo!r} and {f_hi!r}")
     n, span = table.n, float(f_hi - f_lo)
     sign, better = (1.0, f_hi) if table.sense is Sense.MAX else (-1.0, f_lo)
     slope = sign * n / span
-    if 0.0 < abs(slope) < math.inf:
-        exponent = np.multiply(table.values, slope)
-        exponent -= slope * better
+    exponent = np.subtract(table.values, better)
+    if math.isfinite(slope):
+        exponent *= slope
     else:
-        exponent = np.subtract(table.values, better)
         exponent /= span
         exponent *= sign * n
     np.clip(exponent, -n, 0.0, out=exponent)

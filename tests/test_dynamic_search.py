@@ -878,10 +878,12 @@ def test_large_class_support_is_sorted_distinct_and_class_consistent():
 @pytest.mark.parametrize("rounds", range(7))
 @pytest.mark.parametrize("n", [3, 12, 13, 14, 18])
 def test_table_support_draw_is_the_whole_table_formula(n, rounds):
-    # one short block (n < 13), exactly one block (n = 13) and several: the
-    # candidates are the states whose byte of one N-byte draw falls below
-    # 256 R P; each draws one uniform U', in index order, and the support is
-    # the candidates whose U = (B + U') / 256 passes the exact test; the
+    # one short block (n < 13), exactly one block (n = 13) and several, over
+    # one call's 8 blocks of bytes (n = 14) and four calls (n = 18): the
+    # candidates are the states whose byte of one N-byte draw (full-range
+    # 64-bit integers, little-endian) falls below 256 R P; each draws one
+    # uniform U', in index order, and the support is the candidates whose
+    # 1 - U = ((255 - B) + (1 - U')) / 256 passes the exact test; the
     # generator ends where those two draws leave it
     size = 1 << n
     probs = np.random.default_rng(n).random(size) ** 4
@@ -893,12 +895,11 @@ def test_table_support_draw_is_the_whole_table_formula(n, rounds):
     if rounds == 0:
         want = np.empty(0, dtype=np.int64)
     else:
-        words = reference.bit_generator.random_raw(size // 8)
+        words = reference.integers(0, 1 << 64, size=size // 8, dtype=np.uint64)
         digits = words.astype("<u8").view(np.uint8)
         candidates = np.flatnonzero(digits < probs * (256.0 * rounds))
-        uniforms = (reference.random(candidates.size) + digits[candidates]) / 256.0
-        least = 1.0 - np.power(1.0 - uniforms, 1.0 / rounds)
-        want = candidates[least < probs[candidates]]
+        rest = ((1.0 - reference.random(candidates.size)) + (255 - digits[candidates])) / 256.0
+        want = candidates[rest ** (1.0 / rounds) > 1.0 - probs[candidates]]
         assert np.all(np.isin(np.arange(0, size, 11), want))
         assert np.all(probs[candidates] > 0.0)
     assert idx.dtype == want.dtype and np.array_equal(idx, want)
@@ -906,19 +907,20 @@ def test_table_support_draw_is_the_whole_table_formula(n, rounds):
     assert rng.bit_generator.state == reference.bit_generator.state
 
 
+@pytest.mark.parametrize("bits", [np.random.PCG64, np.random.MT19937])
 @pytest.mark.parametrize("rounds", [1, 2, 3, 8])
-def test_table_support_keeps_its_law_at_the_byte_edges(rounds):
+def test_table_support_keeps_its_law_at_the_byte_edges(rounds, bits):
     """Each state is in the support with probability q = 1 - (1 - P)**R at
     the edges of the byte prefilter: P exactly k / (256 R) for k = 1, 2 and
     255 and one ulp to each side, R P >= 1, P = 0 (never in it) and P = 1
-    (always in it)."""
+    (always in it); under a 64-bit and a 32-bit bit generator."""
     edges = [k / (256.0 * rounds) for k in (1, 2, 255)]
     probs = [q for p in edges for q in (np.nextafter(p, 0.0), p, np.nextafter(p, 1.0))]
     probs += [1.0 / rounds, min(1.0, 1.5 / rounds), 0.0, 1.0, 0.3, 0.05, 0.7]
     assert len(probs) == 16
     probs = np.array(probs)
     policy = SelectionPolicy.probabilistic(4, probs)
-    rng, runs = np.random.default_rng(rounds), 20000
+    rng, runs = np.random.Generator(bits(rounds)), 20000
     counts = np.zeros(16)
     for _ in range(runs):
         idx, p = _draw_support(policy, rounds, rng)
@@ -929,6 +931,27 @@ def test_table_support_keeps_its_law_at_the_byte_edges(rounds):
     inner = (want > 0.0) & (want < 1.0)
     z = (counts[inner] / runs - want[inner]) / np.sqrt(want[inner] * (1 - want[inner]) / runs)
     assert np.max(np.abs(z)) < 4.5, z
+
+
+class _TopDigitGenerator:
+    """Every byte 255 and every uniform the largest below 1: U as close to
+    1 as the draw can make it."""
+
+    def integers(self, low, high, size, dtype):
+        return np.full(size, np.iinfo(dtype).max, dtype=dtype)
+
+    def random(self, size):
+        return np.full(size, np.nextafter(1.0, 0.0))
+
+
+@pytest.mark.parametrize("rounds", [1, 2, 6])
+def test_table_support_keeps_a_certain_state_at_the_top_uniform(rounds):
+    # B = 255 and U' = 1 - 2**-53 put U within 2**-61 of 1; a state with
+    # P = 1 is still in the support, and no state with P < 1 is
+    probs = np.full(8, 0.5)
+    probs[[2, 5]] = 1.0
+    idx, p = _draw_support(SelectionPolicy.probabilistic(3, probs), rounds, _TopDigitGenerator())
+    assert idx.tolist() == [2, 5] and p.tolist() == [1.0, 1.0]
 
 
 def test_table_support_draw_allocates_nothing_per_state():

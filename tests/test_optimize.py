@@ -151,6 +151,20 @@ class TestOptimizationPolicy:
         probs = policy_from_estimates(pair, 0.0, tiny).probabilities.tolist()
         assert probs == ([0.5, 1.0] if sense is Sense.MAX else [1.0, 0.5])
 
+    @pytest.mark.parametrize("sense", [Sense.MIN, Sense.MAX])
+    @pytest.mark.parametrize("offset", [0.0, 1e12, -1e15])
+    def test_values_far_from_zero_keep_the_rescaled_accuracy(self, sense, offset):
+        # values offset + k over a range of 15: P is the rescaled formula
+        # 2**(n (r - 1)), r = (v - f_lo) / (f_hi - f_lo), flipped under MIN,
+        # to 1e-14 relative wherever the values sit
+        table = ObjectiveTable(4, offset + np.arange(16.0), sense)
+        f_lo, f_hi = offset + 0.0, offset + 15.0
+        r = (table.values - f_lo) / (f_hi - f_lo)
+        if sense is Sense.MIN:
+            r = 1.0 - r
+        probs = policy_from_estimates(table, f_lo, f_hi).probabilities
+        np.testing.assert_allclose(probs, 2.0 ** (4 * (r - 1.0)), rtol=1e-14, atol=0)
+
     @pytest.mark.parametrize("n", [1, 8, 18])
     def test_probe_count_is_ceil_sqrt_n(self, n):
         # the policy draws exactly ceil(sqrt(N)) uniform probes, and nothing else
