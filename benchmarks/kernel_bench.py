@@ -25,9 +25,11 @@ the three steps of a table run's set-up that ``dynamic_optimize`` makes,
 on a normal and a tied table at n = 14 and 18: its policy build
 (``build_optimization_policy``), the support draw from that per-state table,
 with the minor page faults per draw, and the selected rounds of the
-support (``_selection_events``).  Last, whole ``run_dynamic`` runs
+support (``_selection_events``); and the moments its plan reads
+(``SelectionPolicy.moments``), with the tracemalloc peak of one call.
+Last, whole ``run_dynamic`` runs
 of R = 2, 6, 12, 52 and 91 rounds under both policy forms: the
-optimizer's run length, the corollaries', and the recommender's at
+optimizer's longest run, the corollaries', and the recommender's at
 n = 16.  Each bench returns its timings in seconds keyed by what was
 timed: ``"python"`` for the kernels (the name ``qamp.kernel_backend()``
 reports), ``"touched"`` for the ``run_dynamic`` round,
@@ -37,7 +39,8 @@ a static attempt, ``"setup"`` (with the mean ``"support"`` size and
 policy's build, ``"draw"`` (with the mean ``"support"`` size and the
 ``"faults"``) for its support draw, ``"selection"`` (with the
 ``"support"`` size and the mean ``"events"`` count) for its selected
-rounds, and ``"run"`` for a whole run.  ``--json PATH`` also writes every
+rounds, ``"moments"`` (with the ``"peak"`` in bytes) for its moments,
+and ``"run"`` for a whole run.  ``--json PATH`` also writes every
 number, in microseconds, with perfbench's environment stamp.  Run from
 the repo root:
 
@@ -50,6 +53,7 @@ import math
 import resource
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -266,6 +270,21 @@ def bench_selection_events(n: int, kind: str, repeats: int) -> dict[str, float]:
     return {"selection": seconds, "support": float(p.size), "events": float(np.mean(events))}
 
 
+def bench_table_moments(n: int, kind: str, repeats: int) -> dict[str, float]:
+    """``SelectionPolicy.moments`` of the policy of ``optimizer_policy(n,
+    kind)``, the three sums the planner reads, with the tracemalloc peak of
+    one call in bytes."""
+    _, policy = optimizer_policy(n, kind)
+    seconds = time_call(policy.moments, repeats)
+    tracemalloc.start()
+    try:
+        policy.moments()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return {"moments": seconds, "peak": float(peak)}
+
+
 RUN_LENGTHS = (2, 6, 12, 52, 91)
 
 
@@ -342,7 +361,7 @@ def main() -> None:
                       f"{times['support']:>9.0f} {times['events']:>9.0f} "
                       f"{times['setup'] * 1e6:>12.2f}")
 
-    # the three steps of a table run's set-up, on the optimizer's run length
+    # the three steps of a table run's set-up, on the optimizer's longest run, nominal_rounds(n)
     print(f"{'table_policy':<14} {'n':>3} {'table':>7} {'policy us':>12}")
     for n in (14, 18):
         for kind in ("normal", "ties"):
@@ -372,6 +391,15 @@ def main() -> None:
             print(f"{'selection_events':<16} {n:>3} {nominal_rounds(n):>3} {kind:>7} "
                   f"{times['support']:>9.0f} {times['events']:>9.0f} "
                   f"{times['selection'] * 1e6:>12.2f}")
+
+    print(f"{'table_moments':<14} {'n':>3} {'table':>7} {'moments us':>12} {'peak B':>9}")
+    for n in (14, 18):
+        for kind in ("normal", "ties"):
+            times = bench_table_moments(n, kind, max(5, (base_repeats // 4) >> max(0, n - 14)))
+            report("table_moments", {"n": n, "table": kind, "moments": times["moments"] * 1e6,
+                                     "peak": times["peak"]})
+            print(f"{'table_moments':<14} {n:>3} {kind:>7} {times['moments'] * 1e6:>12.2f} "
+                  f"{times['peak']:>9.0f}")
 
     print(f"{'whole_run':<14} {'R':>3} {'policy':>7} {'run us':>12}")
     for form in ("table", "class"):

@@ -392,9 +392,9 @@ def cmd_experiment(opts: _Options) -> tuple[int, list, list]:
     )
     if which == "steps":
         outcome = experiment_steps(config)
-        lines = ["n static_steps dynamic_rounds dynamic_inner_iterations"] + [
+        lines = ["n static_steps dynamic_rounds dynamic_inner_iterations crossed"] + [
             f"{row.n} {row.static_steps:g} {row.dynamic_rounds:g} "
-            f"{row.dynamic_inner_iterations:g}" for row in outcome.rows
+            f"{row.dynamic_inner_iterations:g} {row.crossed}" for row in outcome.rows
         ]
     elif which == "accuracy":
         outcome = experiment_accuracy(config)

@@ -118,9 +118,10 @@ class SelectionPolicy:
     def moments(self) -> list[float]:
         """M_j, the sum over all states of P(x)**j, for j = 1, 2, 3."""
         if self.probabilities is not None:
+            # reductions only: nothing of the table's size is allocated
             probs = self.probabilities
-            squares = probs * probs
-            return [float(probs.sum()), float(squares.sum()), float(squares @ probs)]
+            cubes = np.einsum("i,i,i->", probs, probs, probs)
+            return [float(probs.sum()), float(probs @ probs), float(cubes)]
         powers = np.vander(self.class_probabilities, 4, increasing=True)[:, 1:]  # P, P**2, P**3
         return (self.class_sizes @ powers).tolist()
 
@@ -250,10 +251,8 @@ class DynamicRunLog:
     unselected amplitude (+inf for a full mask); the mass a fresh
     selection round would mark from it (under a 0/1 table, p_selected);
     and the watched policy's mass (the column is None when the run
-    watched none).  ``best_round`` is the 1-based round of the state a
-    ``keep_best`` run returned, 0 when no round beat the uniform state
-    (None without ``keep_best``).  Every round steps from the state the
-    round before it left.
+    watched none).  Every round steps from the state the round before it
+    left, and a run returns its final state.
     """
 
     n: int
@@ -266,8 +265,8 @@ class DynamicRunLog:
     min_unselected_amp: np.ndarray
     policy_mass_by_round: np.ndarray
     watched_mass_by_round: np.ndarray | None
-    best_round: int | None
-    # always empty, as no run restarts; perfbench still reads it
+    # None and (), as no run returns an earlier round or restarts; perfbench reads both
+    best_round = None
     restart_rounds = ()
 
     @property
@@ -340,11 +339,11 @@ class _Support:
     ``bulk``, and over its mask the sum of e**2 and the sum of v e for each
     weight v in (1, p, w), w the watched probabilities when the run watches
     a policy.  :meth:`columns` computes the log from that record after the
-    run, over all rounds at once, and :meth:`mass` folds it into running
-    sums on demand for a run that reads its masses as it goes.  The one
-    log scalar a round computes itself is the least unselected amplitude
-    before its step: ``bulk`` while no offset is negative and some state
-    lies outside the support, and otherwise a pass over the support.
+    run, over all rounds at once; nothing reads a mass while the run goes.
+    The one log scalar a round computes itself is the least unselected
+    amplitude before its step: ``bulk`` while no offset is negative and
+    some state lies outside the support, and otherwise a pass over the
+    support.
     """
 
     def __init__(
@@ -398,8 +397,6 @@ class _Support:
         self._least: dict[int, float] = {}
         # the rounds taken whose mask was the whole support
         self._full: list[int] = []
-        # per weight read by mass: the rounds folded into its running sums, and the sums
-        self._folded: dict[int, tuple[int, float, float]] = {}
         # the least unselected amplitude is bulk while no offset is
         # negative and some state lies outside the support
         self._least_is_bulk = self.idx.size < self.n_states
@@ -442,36 +439,6 @@ class _Support:
         self.bulk = bulk + shift_unsel
         self.sum_e += moved * n_sel
         self._record += (shift_unsel, shift_sel, rest_e, *weighted_e, bulk, sum_ee)
-
-    def running_sums(self, weight: int) -> tuple[float, float]:
-        """The sums over the support of v e**2 and of v e, for weight
-        ``weight`` of (1, p, w), after the rounds taken.
-
-        A round that moves the offsets of its mask by d adds
-        d (2 sum of v e + d sum of v) to the first and d sum of v to the
-        second, the sums taken over the mask before the step.  The rounds
-        not yet folded are folded here, in the order :meth:`columns`
-        accumulates them.
-        """
-        weights = len(self._totals)
-        width = 5 + weights
-        done, sum_vee, sum_ve = self._folded.get(weight) or (
-            0, *self._sums_at_start[weight :: weights].tolist()
-        )
-        weight_sums, record = self._per_round[1 + weight], self._record
-        for at in range(done * width, len(record), width):
-            moved, v = record[at + 1] - record[at], float(weight_sums[at // width])
-            sum_vee += moved * (2.0 * record[at + 3 + weight] + moved * v)
-            sum_ve += moved * v
-        self._folded[weight] = (len(record) // width, sum_vee, sum_ve)
-        return sum_vee, sum_ve
-
-    def mass(self, weight: int) -> float:
-        """Sum over all states of v(x) a(x)**2 for weight ``weight`` of
-        (1, p, w): the norm, the policy mass or the watched mass."""
-        sum_vee, sum_ve = self.running_sums(weight)
-        bulk = self.bulk
-        return bulk * (bulk * self._totals[weight] + 2.0 * sum_ve) + sum_vee
 
     def columns(self) -> list[np.ndarray | None]:
         """The float columns of the rounds taken, in :class:`DynamicRunLog`'s
@@ -757,6 +724,31 @@ def gain_bound(n_states: int, n_selected: int) -> float:
     return (n_selected / (n_states - n_selected)) * ratio * ratio
 
 
+def _model_rounds(m1: float, m2: float, n_states: float):
+    """The moment model's (bulk, offset, spread) after rounds 1, 2, ... (endless).
+
+    An amplitude of selection probability P has mean bulk + P offset and
+    variance P (1 - P) spread, so the expected group sums are
+    sum_sel = bulk m1 + offset m2 and sum_all = N bulk + offset m1.
+    """
+    bulk, offset, spread = 1.0 / math.sqrt(n_states), 0.0, 0.0
+    while True:
+        sum_sel = bulk * m1 + offset * m2
+        shift_sel, shift_unsel = doubling_shifts(
+            sum_sel, n_states * bulk + offset * m1 - sum_sel, m1, n_states
+        )
+        moved = shift_sel - shift_unsel
+        bulk += shift_unsel
+        offset += moved
+        spread += moved * moved
+        yield bulk, offset, spread
+
+
+def _model_horizon(m2: float, n_states: float) -> int:
+    """R_2 = floor((pi/8) sqrt(N / max(1, M_2))), about a quarter turn of a run."""
+    return math.floor((math.pi / 8.0) * math.sqrt(n_states / max(1.0, m2)))
+
+
 def planned_rounds(policy: SelectionPolicy) -> int:
     """The round count at which a run under ``policy`` is predicted to peak.
 
@@ -782,22 +774,10 @@ def planned_rounds(policy: SelectionPolicy) -> int:
     """
     m1, m2, m3 = policy.moments()
     n_states = float(1 << policy.n)
-    r2 = math.floor((math.pi / 8.0) * math.sqrt(n_states / max(1.0, m2)))
-    # An amplitude of selection probability P has mean bulk + P offset and
-    # variance P (1 - P) spread.  The expected group sums are then
-    # sum_sel = bulk m1 + offset m2 and sum_all = N bulk + offset m1, and a
-    # round moves bulk by the unselected shift and offset by the difference
-    bulk, offset, spread = 1.0 / math.sqrt(n_states), 0.0, 0.0
+    r2 = _model_horizon(m2, n_states)
+    bulk = 1.0 / math.sqrt(n_states)
     mass = bulk * bulk * m1
-    for done in range(8 * r2 + 8):
-        sum_sel = bulk * m1 + offset * m2
-        shift_sel, shift_unsel = doubling_shifts(
-            sum_sel, n_states * bulk + offset * m1 - sum_sel, m1, n_states
-        )
-        moved = shift_sel - shift_unsel
-        bulk += shift_unsel
-        offset += moved
-        spread += moved * moved
+    for done, (bulk, offset, spread) in zip(range(8 * r2 + 8), _model_rounds(m1, m2, n_states)):
         after = bulk * (bulk * m1 + 2.0 * offset * m2) + offset * offset * m3 + spread * (m2 - m3)
         if after < mass:
             return done
@@ -805,14 +785,31 @@ def planned_rounds(policy: SelectionPolicy) -> int:
     return 2 * r2 + 8
 
 
+def predicted_crossing(policy: SelectionPolicy, watched_moments, level: float) -> int | None:
+    """The first round after which the model of :func:`planned_rounds` puts
+    more than ``level`` of a watched policy's mass on a run under ``policy``,
+    or None when it puts none within that search bound, ``8 * R_2 + 8``.
+
+    For watched probabilities w, the mass sum over x of w(x) a(x)**2 needs
+    ``watched_moments``, W_j = sum over x of w(x) P(x)**j for j = 0, 1, 2.
+    """
+    w0, w1, w2 = (float(w) for w in watched_moments)
+    m1, m2, _ = policy.moments()
+    n_states = float(1 << policy.n)
+    r2 = _model_horizon(m2, n_states)
+    for done, (bulk, offset, spread) in zip(range(1, 8 * r2 + 9), _model_rounds(m1, m2, n_states)):
+        mass = bulk * (bulk * w0 + 2.0 * offset * w1) + offset * offset * w2 + spread * (w1 - w2)
+        if mass > level:
+            return done
+    return None
+
+
 def run_dynamic(
     policy: SelectionPolicy,
     rng: np.random.Generator,
     rounds: int,
     *,
-    stop_above: float | None = None,
     watch: SelectionPolicy | None = None,
-    keep_best: bool = False,
 ) -> tuple[SparseState, DynamicRunLog]:
     """Run ``rounds`` doubled amplification rounds with freshly sampled masks.
 
@@ -820,18 +817,15 @@ def run_dynamic(
     the round before it left, with a mask that comes from the policy
     alone.  A round whose state violates the progress conditions steps
     like any other; the log's ``mean_amplitude`` and
-    ``min_unselected_amp`` keep the diagnostics.
+    ``min_unselected_amp`` keep the diagnostics.  As on a device, nothing
+    reads the state between rounds: a peak or a crossing is predicted
+    before the run (:func:`planned_rounds`, :func:`predicted_crossing`).
 
     ``watch`` logs each round's watched mass, the sum over x of
     P_watch(x) * a(x)**2 with P_watch the selection probabilities of that
     policy.  For a fixed set, the 0/1 table
     ``SelectionPolicy.probabilistic(n, mask.selected)``, it is the set's
-    probability.  ``stop_above`` needs a ``watch`` and ends the run right
-    after the first round whose watched mass exceeds it.  ``keep_best``
-    returns the state of the round with the highest expected
-    fresh-selection mass instead of the final state (doubled rounds can
-    overshoot the rotation optimum, so the best round is the one worth
-    sampling).
+    probability.
 
     The state comes back as a :class:`~qamp.core.SparseState`: the shared
     amplitude of the never-selected states plus the stored states, in
@@ -844,31 +838,14 @@ def run_dynamic(
         raise ValueError(f"round count must be >= 0, got {rounds}")
     if watch is not None and watch.n != policy.n:
         raise ValueError(f"watched policy has n={watch.n}, run has n={policy.n}")
-    if stop_above is not None and watch is None:
-        raise ValueError("stop_above needs a watched policy")
     support = _Support(policy, rounds, rng, watch)
-    best = support.sparse_state() if keep_best else None
-    best_score = support.mass(1)  # the policy mass of the uniform state
-    best_round = 0
-
     for round_index in range(rounds):
         support.take_round(round_index)
-        if keep_best and (score := support.mass(1)) > best_score:
-            best_score = score
-            best = support.sparse_state()
-            best_round = round_index + 1
-        if stop_above is not None and support.mass(2) > stop_above:
-            break
-
-    columns = support.columns()
-    done = columns[0].size
-    # the logged rounds' masks are a prefix of the events the run drew
     log = DynamicRunLog(
         policy.n,
-        done,
-        support._selected[: support._starts[done]],
-        np.array(support._starts[: done + 1], dtype=np.int64),
-        *columns,
-        best_round if keep_best else None,
+        rounds,
+        support._selected,
+        np.array(support._starts, dtype=np.int64),
+        *support.columns(),
     )
-    return best if keep_best else support.sparse_state(), log
+    return support.sparse_state(), log

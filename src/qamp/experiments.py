@@ -39,6 +39,7 @@ from .dynamic_search import (
     class_counts,
     gain_bound,
     planned_rounds,
+    predicted_crossing,
     run_dynamic,
 )
 from .errors import ConfigError
@@ -141,6 +142,7 @@ class StepsRow:
     static_steps: float
     dynamic_rounds: float
     dynamic_inner_iterations: float
+    crossed: int  # seeds whose ball mass exceeded 1/2 within the cap
 
 
 @dataclass(frozen=True)
@@ -153,9 +155,13 @@ class StepsOutcome:
 def experiment_steps(config: ExperimentConfig) -> StepsOutcome:
     """Static schedule length vs rounds for the ball mass to reach 1/2.
 
-    A run steps through rounds whose progress conditions fail.  It stops
-    after ``2 * planned_rounds + 8`` rounds, the planner's own fallback
-    length, and reports that cap when the ball never crossed.
+    A run steps through violating rounds to a cap set before it starts:
+    ``ceil(1.25 c) + 8`` for the crossing c the moment model predicts
+    (:func:`~qamp.dynamic_search.predicted_crossing`), else
+    ``2 * planned_rounds + 8``.  Its crossing is the first round whose
+    watched mass exceeds 1/2.  A run that never crosses counts at the cap,
+    in its row and in the median; ``StepsRow.crossed`` counts the seeds
+    that crossed.
     """
     config.validate()
     lo, hi = config.resolved_range()
@@ -166,20 +172,28 @@ def experiment_steps(config: ExperimentConfig) -> StepsOutcome:
         ball, size, params = _ball(config, n)
         static_steps = optimal_iterations(1 << n, size)
         policy = similarity_policy(SimilaritySpec(n, config.reference), params)
-        cap = 2 * planned_rounds(policy) + 8
+        # the watched moments W_j = sum over x of w(x) P(x)**j, j = 0..2, by class
+        watched = policy.class_sizes * ball.class_probabilities
+        crossing = predicted_crossing(
+            policy, watched @ np.vander(policy.class_probabilities, 3, increasing=True), 0.5
+        )
+        cap = 2 * planned_rounds(policy) + 8 if crossing is None else math.ceil(1.25 * crossing) + 8
 
         dyn_rounds = np.empty(config.seeds)
+        crossed = 0
         for trial in range(config.seeds):
             seed = config.seed_base + trial
             rng = np.random.default_rng(seed)
             t0 = time.perf_counter()
-            _, log = run_dynamic(policy, rng, rounds=cap, stop_above=0.5, watch=ball)
+            _, log = run_dynamic(policy, rng, rounds=cap, watch=ball)
             wall_ms = (time.perf_counter() - t0) * 1e3
-            crossed = log.rounds if log.rounds and log.watched_mass_by_round[-1] > 0.5 else cap
-            dyn_rounds[trial] = crossed
-            run_rows.append(("steps", n, seed, static_steps, crossed, 2 * crossed, wall_ms))
+            above = np.flatnonzero(log.watched_mass_by_round > 0.5)
+            rounds = int(above[0]) + 1 if above.size else cap
+            crossed += bool(above.size)
+            dyn_rounds[trial] = rounds
+            run_rows.append(("steps", n, seed, static_steps, rounds, 2 * rounds, wall_ms))
         med = float(np.median(dyn_rounds))
-        rows.append(StepsRow(n, float(static_steps), med, 2.0 * med))
+        rows.append(StepsRow(n, float(static_steps), med, 2.0 * med, crossed))
 
     ns = [r.n for r in rows]
     files = write_outputs(config.output_dir, config.fmt, [

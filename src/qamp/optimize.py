@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .core import SparseState, check_qubit_count, sample
-from .dynamic_search import SelectionPolicy, run_dynamic
+from .dynamic_search import SelectionPolicy, planned_rounds, run_dynamic
 from .errors import ShapeMismatchError
 from .static_search import optimal_iterations, search_unknown_m
 
@@ -193,18 +193,20 @@ def nominal_rounds(n: int) -> int:
 def dynamic_optimize(table: ObjectiveTable, rng: np.random.Generator) -> OptimizationResult:
     """Single amplification pass driven by the probe-built policy.
 
-    Runs ``nominal_rounds(n)`` doubled rounds (2 iterations each), which
-    step through rounds whose progress conditions fail as every run does,
-    and keeps the state of the best round since the wide probe-built
-    policy overshoots the rotation optimum within a round or two.  Samples
-    10 candidates from that state and returns the best.  Probes that all
-    read one value skip the run: the result is the best of 10 uniform
-    samples, with no log and no iterations.
+    Runs ``min(planned_rounds(policy), nominal_rounds(n))`` doubled rounds
+    (2 iterations each): the round at which the moment model predicts the
+    policy mass to peak, as the wide probe-built policy overshoots the
+    rotation optimum within a round or two, and never more than the
+    value-free count.  The rounds step through violations, as every run
+    does.  Samples 10 candidates from the final state and returns the
+    best.  Probes that all read one value skip the run: the result is the
+    best of 10 uniform samples, with no log and no iterations.
     """
     policy = build_optimization_policy(table, rng)
     if policy is None:
         return _best_of_candidates(table, SparseState.uniform(table.n), rng)
-    state, log = run_dynamic(policy, rng, rounds=nominal_rounds(table.n), keep_best=True)
+    rounds = min(planned_rounds(policy), nominal_rounds(table.n))
+    state, log = run_dynamic(policy, rng, rounds=rounds)
     return _best_of_candidates(table, state, rng, log)
 
 

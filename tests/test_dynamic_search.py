@@ -39,6 +39,7 @@ from qamp.dynamic_search import (
     _draw_support,
     _Support,
     class_counts,
+    predicted_crossing,
     similarity_classes,
 )
 from qamp.recommend import (
@@ -264,48 +265,6 @@ class TestRunDynamic:
         assert log.rounds == 13
         assert probability_of(state, mask) >= 0.99
 
-    def test_stop_above_own_mask(self):
-        mask = SelectionMask.from_indices(10, [7])
-        policy = SelectionPolicy.probabilistic(mask.n, mask.selected)
-        state, log = run_dynamic(
-            policy, np.random.default_rng(0), rounds=40, stop_above=0.5, watch=policy
-        )
-        assert log.rounds < 40
-        assert log.p_selected[-1] > 0.5
-        assert np.all(log.p_selected[:-1] <= 0.5)
-
-    def test_stop_above_needs_watch(self):
-        policy = SelectionPolicy.probabilistic(6, np.full(64, 0.1))
-        with pytest.raises(ValueError, match="stop_above"):
-            run_dynamic(policy, np.random.default_rng(0), rounds=4, stop_above=0.5)
-
-    def test_stop_above_watched_fixed_set(self):
-        target = SelectionMask.from_indices(8, range(4))
-        policy = SelectionPolicy.probabilistic(
-            8, np.where(np.arange(256) < 4, 1.0, 1 / 256.0)
-        )
-        state, log = run_dynamic(
-            policy,
-            np.random.default_rng(1),
-            rounds=40,
-            stop_above=0.5,
-            watch=SelectionPolicy.probabilistic(8, target.selected),
-        )
-        assert log.watched_mass_by_round[-1] > 0.5
-        assert probability_of(state, target) > 0.5
-
-    def test_keep_best_returns_best_round_state(self):
-        mask = SelectionMask.from_indices(8, [3])
-        policy = SelectionPolicy.probabilistic(mask.n, mask.selected)
-        # 24 rounds = 48 steps, far past the ~12-step optimum: final state is
-        # poor but the best round is near the peak
-        state, log = run_dynamic(policy, np.random.default_rng(0), rounds=24, keep_best=True)
-        assert log.best_round is not None
-        assert probability_of(state, mask) == pytest.approx(
-            max(log.policy_mass_by_round), abs=1e-12
-        )
-        assert probability_of(state, mask) > 0.9
-
     def test_policy_mass_equals_p_selected_for_static(self):
         mask = SelectionMask.from_indices(6, [1])
         policy = SelectionPolicy.probabilistic(mask.n, mask.selected)
@@ -496,16 +455,15 @@ def dense_probabilities(policy):
     seed=st.integers(0, 2**31),
     scale=st.floats(0.0, 1.0),
     kind=st.sampled_from(["table", "static", "class", "catalog"]),
-    keep_best=st.booleans(),
     watch=st.sampled_from([None, "table", "class", "catalog"]),
 )
-def test_run_dynamic_matches_dense_replay(n, seed, scale, kind, keep_best, watch):
+def test_run_dynamic_matches_dense_replay(n, seed, scale, kind, watch):
     rng = np.random.default_rng(seed)
     policy = random_policy(kind, n, scale, rng)
     watched = random_policy(watch, n, 1.0, rng) if watch else None
-    final, log = run_dynamic(policy, rng, rounds=8, keep_best=keep_best, watch=watched)
+    final, log = run_dynamic(policy, rng, rounds=8, watch=watched)
     probs = dense_probabilities(policy)
-    state = best = uniform_init(n)
+    state = uniform_init(n)
     for i, selected in enumerate(log.selected_indices):
         if i in log.restart_rounds:
             state = uniform_init(n)
@@ -520,12 +478,9 @@ def test_run_dynamic_matches_dense_replay(n, seed, scale, kind, keep_best, watch
         if watch:
             mass = float(dense_probabilities(watched) @ state.probabilities())
             assert log.watched_mass_by_round[i] == pytest.approx(mass, rel=0, abs=1e-12)
-        if i + 1 == log.best_round:
-            best = state
-    assert log.best_round is None if not keep_best else log.best_round <= log.rounds
+    assert log.best_round is None
     assert (log.watched_mass_by_round is None) == (not watch)
-    want = best if keep_best else state
-    np.testing.assert_allclose(final.amps, want.amps, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(final.amps, state.amps, rtol=0, atol=1e-12)
     replayed = replay_round_states(log)[-1]
     np.testing.assert_allclose(replayed.amps, state.amps, rtol=0, atol=1e-12)
 
@@ -674,6 +629,60 @@ def test_planned_rounds_match_the_pinned_grid():
             assert planned_rounds(similarity_policy(spec, params, catalog=catalog)) == every_third, (n, m)
 
 
+def test_table_moments_allocate_nothing_per_state():
+    """A table's moments are reductions over it: at n = 18 one call's
+    tracemalloc peak stays far below the 2 MiB of one float64 N-vector,
+    and M_1..M_3 equal the sums of P, P**2 and P**3 formed elementwise."""
+    n = 18
+    table = ObjectiveTable(n, np.random.default_rng(3).standard_normal(1 << n))
+    policy = build_optimization_policy(table, np.random.default_rng(3))
+    tracemalloc.start()
+    try:
+        moments = policy.moments()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 10
+    probs = policy.probabilities
+    squares = probs * probs
+    want = [probs.sum(), squares.sum(), squares @ probs]
+    np.testing.assert_allclose(moments, want, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("n", range(12, 21))
+def test_predicted_crossing_is_the_engine_median(n):
+    """experiment steps' default case: under the similarity policy
+    calibrated to the ball S >= n - 1 around reference 0 (n + 1 states),
+    the predicted first round whose ball mass exceeds 1/2 is within 2
+    rounds of the median of the engine's first such round over 40 seeded
+    runs of twice the prediction plus 8 (a run that never crosses counts
+    as never)."""
+    policy = similarity_policy(SimilaritySpec(n, 0), calibrate_beta(n, n + 1.0))
+    ball = SelectionPolicy.by_similarity(n, 0, (np.arange(n + 1) >= n - 1) * 1.0)
+    inside = ball.class_probabilities == 1.0
+    sizes, probs = policy.class_sizes[inside], policy.class_probabilities[inside]
+    watched_moments = [float(sizes @ probs**j) for j in range(3)]
+    crossing = predicted_crossing(policy, watched_moments, 0.5)
+    assert crossing is not None
+    firsts = []
+    for seed in range(40):
+        _, log = run_dynamic(policy, np.random.default_rng(seed), 2 * crossing + 8, watch=ball)
+        above = np.flatnonzero(log.watched_mass_by_round > 0.5)
+        firsts.append(above[0] + 1 if above.size else math.inf)
+    assert abs(crossing - np.median(firsts)) <= 2, (crossing, np.median(firsts))
+
+
+def test_predicted_crossing_of_a_fixed_mask_is_the_rotation():
+    """Watching the mask it selects, a 0/1 table of one state out of 64
+    crosses 1/2 at the first r with sin**2((4r + 1) theta) > 1/2,
+    sin theta = 1/8, and never crosses 1, which is all of the mass."""
+    policy = SelectionPolicy.probabilistic(6, np.arange(64) == 5)
+    theta = math.asin(1 / 8)
+    first = next(r for r in itertools.count(1) if math.sin((4 * r + 1) * theta) ** 2 > 0.5)
+    assert predicted_crossing(policy, [1.0, 1.0, 1.0], 0.5) == first == 2
+    assert predicted_crossing(policy, [1.0, 1.0, 1.0], 1.0) is None
+
+
 @pytest.mark.parametrize("with_catalog", [False, True, pytest.param(None, id="table")])
 def test_class_draw_selects_each_state_with_its_class_probability(with_catalog):
     """Per round, each state is in the mask with probability P(S) of its class,
@@ -756,25 +765,6 @@ def test_masks_keep_their_law_over_many_rounds():
         for i, j in itertools.combinations(range(rounds), 2):
             z_pair = (both[i, j] - want2) / np.sqrt(want2 * (1 - want2) / runs)
             assert np.max(np.abs(z_pair)) < 4.5, (policy, i, j)
-
-
-def test_running_sums_do_not_drift():
-    """After a run at n = 24 of 2 * 1438 + 8 rounds (stepping through
-    violations), the running sums equal the sums of the stored offsets."""
-    n = 24
-    policy = similarity_policy(SimilaritySpec(n, 0x5A5A5A), calibrate_beta(n, 5.0))
-    watch = SelectionPolicy.by_similarity(n, 0x5A5A5A, (np.arange(n + 1) >= n - 2) * 1.0)
-    rounds = 2 * 1438 + 8
-    support = _Support(policy, rounds, np.random.default_rng(0), watch)
-    for r in range(rounds):
-        support.take_round(r)
-    weights = np.stack([np.ones_like(support.p), support.p, support.w])
-    e = support.e
-    assert rounds > 2800 and np.any(e != 0.0)
-    sum_vee, sum_ve = np.array([support.running_sums(k) for k in range(3)]).T
-    assert support.sum_e == sum_ve[0]
-    np.testing.assert_allclose(sum_ve, weights @ e, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(sum_vee, weights @ (e * e), rtol=0, atol=1e-12)
 
 
 def test_ranks_map_one_to_one_onto_each_class():
@@ -1002,7 +992,7 @@ def test_class_policy_run_allocates_no_flag_per_state():
 
 def digest_runs():
     """(name, log) of each run of a seeded grid: class, catalog and table
-    policies, keep_best on and off, watch on and off."""
+    policies, watch on and off."""
     n, reference = 9, 0b101100101
     by_class = similarity_policy(SimilaritySpec(n, reference), calibrate_beta(n, 4.0))
     catalog = SelectionPolicy.by_similarity(
@@ -1013,11 +1003,11 @@ def digest_runs():
     table_watch = SelectionPolicy.probabilistic(8, np.arange(256) % 7 == 0)
     grid = [
         ("class", by_class, {"rounds": 8}),
-        ("class-best-watch", by_class, {"rounds": 2 * 8 + 8, "keep_best": True, "watch": ball}),
-        ("catalog-best", catalog, {"rounds": 2 * 14 + 8, "keep_best": True}),
-        ("catalog-watch-stop", catalog, {"rounds": 40, "watch": ball, "stop_above": 0.5}),
+        ("class-watch", by_class, {"rounds": 2 * 8 + 8, "watch": ball}),
+        ("catalog", catalog, {"rounds": 2 * 14 + 8}),
+        ("catalog-watch", catalog, {"rounds": 40, "watch": ball}),
         ("table", table, {"rounds": 12}),
-        ("table-best-watch", table, {"rounds": 12, "keep_best": True, "watch": table_watch}),
+        ("table-watch", table, {"rounds": 12, "watch": table_watch}),
     ]
     for seed, (name, policy, kwargs) in enumerate(grid):
         _, log = run_dynamic(policy, np.random.default_rng(seed), **kwargs)
@@ -1032,24 +1022,25 @@ def log_digest(head, arrays):
     return digest.hexdigest()
 
 
-# log_digest((n, rounds, best_round, ()), (events, starts, *LOG_COLUMNS))
+# log_digest((n, rounds, None, ()), (events, starts, *LOG_COLUMNS))
 # of each run of digest_runs(), computed from the per-round reports and
-# index arrays the log kept before it kept columns; the empty tuple, where
-# the log once kept restarted rounds, keeps those digests.  The class,
-# class-best-watch, catalog-best and table digests were pinned after
-# their columns matched a dense replay (replay_round_states and
-# gain_report) to 1e-12; the four class and catalog digests were pinned
-# again, after the same check, when class runs came to draw their masks
-# as one grid of (member, round) cells, and the two table digests, after
-# the same check, when table runs came to draw their support one random
-# byte per state first
+# index arrays the log kept before it kept columns; the None, where the
+# log once kept the round a run returned, and the empty tuple, where it
+# once kept restarted rounds, keep those digests.  The class and table
+# digests were pinned after their columns matched a dense replay
+# (replay_round_states and gain_report) to 1e-12, again after the same
+# check when class runs came to draw their masks as one grid of
+# (member, round) cells, and when table runs came to draw their support
+# one random byte per state first.  The class-watch, catalog,
+# catalog-watch and table-watch digests were pinned after the same check
+# when runs stopped reading their state between rounds
 PINNED_LOG_DIGESTS = {
     "class": "d9568f4e44ba118fddf20094c5cfd7179a02ffeef18609bf1df1f232466f02d2",
-    "class-best-watch": "351376125f1aac89fa895ba6e766517d2dbcbb79e9f9e296f0744864262fc8bd",
-    "catalog-best": "2ad11c85c90dc7f3fd2f82e0c1e14dc72baea9bde77da691ec111f3ed172bfe0",
-    "catalog-watch-stop": "4f2e3d88334e612a2a72e57fdafee15ce42f038b8addd37ab7e7208029cfd405",
+    "class-watch": "47c07fd3fa4f8fdcd72ddc365bac1d13d8a9a21353a9587b8d4a49bae548356c",
+    "catalog": "a162d16b66b63e98f4c91edd6de5ba8175f83f984459c9e8d1d836e92c74600d",
+    "catalog-watch": "c6631f287eb691d1d180fad5c8352ed23a4f0a1aa93c2e2b341300fbda306b25",
     "table": "afec860de0f74d149fbb3c36df4a9659109e61bc4ee7f0cfc66196f8d2788ecc",
-    "table-best-watch": "0626a6f8c798785efd0e555e7226fbac60f186fceef6747a3de78cf366abf379",
+    "table-watch": "705e9198c246e8b7883bb9d22aa98671e20649a6601a3da8a7c043fa581080a6",
 }
 
 
@@ -1057,10 +1048,9 @@ def test_log_columns_match_pinned_digests():
     logs = dict(digest_runs())
     assert sorted(logs) == sorted(PINNED_LOG_DIGESTS)
     stored = {field.name for field in dataclasses.fields(DynamicRunLog)}
-    assert stored == {"n", "rounds", "best_round", "events", "starts",
-                      *LOG_COLUMNS} - {"n_selected", "gains"}
+    assert stored == {"n", "rounds", "events", "starts", *LOG_COLUMNS} - {"n_selected", "gains"}
     for name, log in logs.items():
-        head = (log.n, log.rounds, log.best_round, ())
+        head = (log.n, log.rounds, None, ())
         columns = [getattr(log, column) for column in LOG_COLUMNS]
         assert log.events.dtype == log.starts.dtype == log.n_selected.dtype == np.int64, name
         assert all(c is None or c.dtype == np.float64 for c in columns[1:]), name

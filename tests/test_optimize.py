@@ -14,6 +14,7 @@ from qamp import (
     dynamic_optimize,
     load_objective,
     nominal_rounds,
+    planned_rounds,
     save_objective,
 )
 from qamp.optimize import policy_from_estimates
@@ -197,15 +198,6 @@ class TestDynamicOptimize:
             assert result.grover_iterations_total == 2 * result.outer_rounds
             assert result.outer_rounds <= cap
 
-    def test_budget_deterministic_in_n(self):
-        # value-independent round count
-        results = [
-            dynamic_optimize(random_table(10, seed, Sense.MIN), np.random.default_rng(seed))
-            for seed in range(6)
-        ]
-        assert len({r.outer_rounds for r in results}) == 1
-        assert results[0].outer_rounds == nominal_rounds(10)
-
     def test_top_percentile_rate(self):
         hits = 0
         for seed in range(60):
@@ -231,8 +223,11 @@ class TestDynamicOptimize:
         values = np.arange(1 << 10, dtype=np.float64)
         if best_first == (sense is Sense.MAX):
             values = values[::-1].copy()
-        result = dynamic_optimize(ObjectiveTable(10, values, sense), np.random.default_rng(5))
-        assert result.outer_rounds == nominal_rounds(10)
+        table = ObjectiveTable(10, values, sense)
+        policy = build_optimization_policy(table, np.random.default_rng(5))
+        result = dynamic_optimize(table, np.random.default_rng(5))
+        assert result.log is not None
+        assert result.outer_rounds == min(planned_rounds(policy), nominal_rounds(10)) >= 1
 
     def test_needle_missed_by_every_probe_takes_the_shortcut(self):
         # the 64 probes of an n = 12 table all read the background value, so
@@ -271,24 +266,24 @@ class TestDynamicOptimize:
             assert result.best_value == table.values[result.best_index]
             assert result.optimal == (result.best_value == 0.0)
 
-    # (best_index, rounds, best_round) per table seed, recorded again when
-    # a table run came to draw its support one random byte per state first;
-    # the seeds' requests restart nowhere
+    # (best_index, rounds) per table seed, recorded again when a run came
+    # to make its planned rounds and return its final state; the seeds'
+    # requests restart nowhere
     PINNED = {
-        Sense.MIN: [(1980, 2, 2), (11470, 2, 2), (13372, 2, 2)],
-        Sense.MAX: [(5101, 2, 2), (16038, 2, 2), (4841, 2, 1)],
+        Sense.MIN: [(1980, 2), (11470, 2), (13372, 2)],
+        Sense.MAX: [(5101, 2), (16038, 2), (15959, 1)],
     }
 
     @pytest.mark.parametrize("sense", [Sense.MIN, Sense.MAX])
     def test_pinned_outputs(self, sense):
-        for seed, (best_index, rounds, best_round) in zip((11, 12, 13), self.PINNED[sense]):
+        for seed, (best_index, rounds) in zip((11, 12, 13), self.PINNED[sense]):
             values = np.random.default_rng(seed).standard_normal(1 << 14)
             table = ObjectiveTable(14, values, sense)
             result = dynamic_optimize(table, np.random.default_rng(seed + 100))
             assert result.best_index == best_index
             assert result.best_value == values[best_index]
-            assert (result.outer_rounds, result.log.best_round) == (rounds, best_round)
-            assert result.log.restart_rounds == ()
+            assert result.outer_rounds == result.log.rounds == rounds
+            assert result.log.best_round is None and result.log.restart_rounds == ()
             assert not result.optimal
 
     def test_request_allocates_under_two_per_state_vectors(self):

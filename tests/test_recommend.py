@@ -371,19 +371,18 @@ class TestRecommend:
             similarity_policy(SimilaritySpec(8, 0), SelectionProbabilityParams(9))
 
 
-@pytest.mark.parametrize("keep_best", [False, True])
 @pytest.mark.parametrize("with_catalog", [False, True])
-def test_sparse_class_masses_match_dense(with_catalog, keep_best):
+def test_sparse_class_masses_match_dense(with_catalog):
     # class masses from bulk**2 * class counts plus the stored states agree
-    # with a bincount over the dense state, final or best; non-catalog
-    # states carry mass too
+    # with a bincount over the dense final state; non-catalog states carry
+    # mass too
     n = 12
     spec = SimilaritySpec(n, 1234)
     catalog = np.arange(0, 1 << n, 3) if with_catalog else None
     policy = similarity_policy(spec, calibrate_beta(n, 5.0), catalog=catalog)
     sims = similarity_classes(n, spec.reference, np.arange(1 << n))
     for seed in range(4):
-        state, _ = run_dynamic(policy, np.random.default_rng(seed), rounds=12, keep_best=keep_best)
+        state, _ = run_dynamic(policy, np.random.default_rng(seed), rounds=12)
         dense = np.bincount(sims, weights=state.amps * state.amps, minlength=n + 1)
         np.testing.assert_allclose(class_masses(state, spec), dense, rtol=1e-12, atol=0)
 
