@@ -21,28 +21,28 @@ takes ``StateVector`` and the cumsum sampler ``sample_dense`` from
 class-policy run does before its first round, over the rounds
 ``recommend`` plans for it (``planned_rounds``): the grid draw of its
 masks and its set-up (``_Support``), with and without a catalog; and
-the three steps of a table run's set-up that ``dynamic_optimize`` makes,
-on a normal and a tied table at n = 14 and 18: its policy build
-(``build_optimization_policy``), the support draw from that per-state table,
-with the minor page faults per draw, and the selected rounds of the
-support (``_selection_events``); and the moments its plan reads
-(``SelectionPolicy.moments``), with the tracemalloc peak of one call.
-Last, whole ``run_dynamic`` runs
-of R = 2, 6, 12, 52 and 91 rounds under both policy forms: the
-optimizer's longest run, the corollaries', and the recommender's at
-n = 16.  Each bench returns its timings in seconds keyed by what was
-timed: ``"python"`` for the kernels (the name ``qamp.kernel_backend()``
-reports), ``"touched"`` for the ``run_dynamic`` round,
-``"dense"``/``"sparse"`` for the end of a run and (per marked count) for
-a static attempt, ``"setup"`` (with the mean ``"support"`` size and
-``"events"`` count) for a class run's set-up, ``"policy"`` for a table
-policy's build, ``"draw"`` (with the mean ``"support"`` size and the
-``"faults"``) for its support draw, ``"selection"`` (with the
-``"support"`` size and the mean ``"events"`` count) for its selected
-rounds, ``"moments"`` (with the ``"peak"`` in bytes) for its moments,
-and ``"run"`` for a whole run.  ``--json PATH`` also writes every
-number, in microseconds, with perfbench's environment stamp.  Run from
-the repo root:
+the set-up of a table run that ``dynamic_optimize`` makes, on a normal
+and a tied table at n = 14 and 18: its policy build
+(``build_optimization_policy``), the support draw from that per-state
+table (``_draw_support``), and the whole draw of the run's masks
+(``_draw_table_run``: the support, then the rounds that select each of
+its states), each with the minor page faults per draw; and the moments
+its plan reads (``SelectionPolicy.moments``), with the tracemalloc peak
+of one call.  Last, whole ``run_dynamic`` runs of R = 2, 6, 12, 52 and
+91 rounds under both policy forms: the optimizer's longest run, the
+corollaries', and the recommender's at n = 16.  Each bench returns its
+timings in seconds keyed by what was timed: ``"python"`` for the kernels
+(the name ``qamp.kernel_backend()`` reports), ``"touched"`` for the
+``run_dynamic`` round, ``"dense"``/``"sparse"`` for the end of a run and
+(per marked count) for a static attempt, ``"setup"`` (with the mean
+``"support"`` size and ``"events"`` count) for a class run's set-up,
+``"policy"`` for a table policy's build, ``"draw"`` for its support draw
+(with the mean ``"support"`` size and the ``"faults"``) and for its whole
+draw (with the mean ``"events"`` count and the ``"faults"``),
+``"moments"`` (with the ``"peak"`` in bytes) for its moments, and
+``"run"`` for a whole run.  ``--json PATH`` also writes every number, in
+microseconds, with perfbench's environment stamp.  Run from the repo
+root:
 
     python3 benchmarks/kernel_bench.py [--quick] [--json PATH]
 """
@@ -64,7 +64,7 @@ from qamp.core import SparseState, in_sorted, sample
 from qamp.dynamic_search import (
     SelectionPolicy,
     _draw_support,
-    _selection_events,
+    _draw_table_run,
     _Support,
     planned_rounds,
     run_dynamic,
@@ -257,17 +257,20 @@ def bench_table_support_draw(n: int, kind: str, repeats: int) -> dict[str, float
     return {"draw": draw, "support": float(np.mean(support)), "faults": faults / repeats}
 
 
-def bench_selection_events(n: int, kind: str, repeats: int) -> dict[str, float]:
-    """``_selection_events``, the selected rounds of one support drawn under
+def bench_table_draw(n: int, kind: str, repeats: int) -> dict[str, float]:
+    """``_draw_table_run``, every mask of ``dynamic_optimize``'s run under
     the policy of ``optimizer_policy(n, kind)`` over ``nominal_rounds(n)``
-    rounds, with the mean event count."""
+    rounds, with the mean event count and the minor page faults this
+    process takes per draw."""
     _, policy = optimizer_policy(n, kind)
     rounds = nominal_rounds(n)
     rng = np.random.default_rng(7)
-    _, p = _draw_support(policy, rounds, rng)
+    _draw_table_run(policy, rounds, rng)
     events = []
-    seconds = time_call(lambda: events.append(_selection_events(p, rounds, rng)[0].size), repeats)
-    return {"selection": seconds, "support": float(p.size), "events": float(np.mean(events))}
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    draw = time_call(lambda: events.append(_draw_table_run(policy, rounds, rng)[2].size), repeats)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+    return {"draw": draw, "events": float(np.mean(events)), "faults": faults / repeats}
 
 
 def bench_table_moments(n: int, kind: str, repeats: int) -> dict[str, float]:
@@ -380,17 +383,16 @@ def main() -> None:
             print(f"{'support_draw':<14} {n:>3} {nominal_rounds(n):>3} {kind:>7} "
                   f"{times['support']:>9.0f} {times['draw'] * 1e6:>12.2f} {times['faults']:>12.1f}")
 
-    print(f"{'selection_events':<16} {'n':>3} {'R':>3} {'table':>7} {'support':>9} {'events':>9} "
-          f"{'events us':>12}")
+    print(f"{'table_draw':<14} {'n':>3} {'R':>3} {'table':>7} {'events':>9} {'draw us':>12} "
+          f"{'faults/draw':>12}")
     for n in (14, 18):
         for kind in ("normal", "ties"):
-            times = bench_selection_events(n, kind, max(5, (base_repeats // 4) >> max(0, n - 14)))
-            report("selection_events", {"n": n, "rounds": nominal_rounds(n), "table": kind,
-                                        "support": times["support"], "events": times["events"],
-                                        "selection": times["selection"] * 1e6})
-            print(f"{'selection_events':<16} {n:>3} {nominal_rounds(n):>3} {kind:>7} "
-                  f"{times['support']:>9.0f} {times['events']:>9.0f} "
-                  f"{times['selection'] * 1e6:>12.2f}")
+            times = bench_table_draw(n, kind, max(5, (base_repeats // 4) >> max(0, n - 14)))
+            report("table_draw", {"n": n, "rounds": nominal_rounds(n), "table": kind,
+                                  "events": times["events"], "draw": times["draw"] * 1e6,
+                                  "faults": times["faults"]})
+            print(f"{'table_draw':<14} {n:>3} {nominal_rounds(n):>3} {kind:>7} "
+                  f"{times['events']:>9.0f} {times['draw'] * 1e6:>12.2f} {times['faults']:>12.1f}")
 
     print(f"{'table_moments':<14} {'n':>3} {'table':>7} {'moments us':>12} {'peak B':>9}")
     for n in (14, 18):

@@ -248,11 +248,12 @@ class DynamicRunLog:
     index order.  Entry i of each float64 column describes the state after
     round i's doubled step, along round i's mask, as :meth:`report` does:
     its mass on and off the mask, its post-flip mean and its least
-    unselected amplitude (+inf for a full mask); the mass a fresh
-    selection round would mark from it (under a 0/1 table, p_selected);
-    and the watched policy's mass (the column is None when the run
-    watched none).  Every round steps from the state the round before it
-    left, and a run returns its final state.
+    unselected amplitude (+inf for a full mask); and the watched policy's
+    mass (the column is None when the run watched none).  A run that
+    watches its own policy logs its policy mass, the mass a fresh
+    selection round would mark (under a 0/1 table, p_selected).  Every
+    round steps from the state the round before it left, and a run
+    returns its final state.
     """
 
     n: int
@@ -263,7 +264,6 @@ class DynamicRunLog:
     p_unselected: np.ndarray
     mean_amplitude: np.ndarray
     min_unselected_amp: np.ndarray
-    policy_mass_by_round: np.ndarray
     watched_mass_by_round: np.ndarray | None
     # None and (), as no run returns an earlier round or restarts; perfbench reads both
     best_round = None
@@ -316,29 +316,28 @@ class _Support:
     """The state of a dynamic run, with the masks of all its rounds drawn when it starts.
 
     A mask depends only on the policy, never on the amplitudes, so a run of
-    R rounds first draws every round in which each state is selected: under
-    a class policy as one grid of (member, round) cells
-    (:func:`_draw_class_run`), under a per-state table as its support
-    (:func:`_draw_support`: one random byte per state, then one uniform
-    per state its byte leaves in doubt), the states that any of its rounds
-    will select, and then their selected rounds
-    (:func:`_selection_events`).  The events are sorted by round, so a
-    round's mask is a slice of support positions, ascending.
+    R rounds first draws every round in which each state is selected, in
+    one call: under a class policy as one grid of (member, round) cells
+    (:func:`_draw_class_run`), under a per-state table as its support, the
+    states that any of its rounds will select, with the first round of
+    each, then their later rounds (:func:`_draw_table_run`).  The events
+    are sorted by round, so a round's mask is a slice of support
+    positions, ascending.
 
     A doubled round adds one constant to every selected amplitude and
     another to every unselected one.  The state is therefore kept as the
-    shared amplitude ``bulk`` plus, for each support state (in index order:
-    indices ``idx``, selection probabilities ``p``), its offset
-    ``e = a(x) - bulk``.  An offset is zero until its state is first
-    selected, and a round moves only the offsets it selects.  The running
-    sum ``sum_e`` of the offsets gives the group sums a step needs without a
-    pass over the support, so a round costs O(|mask|).
+    shared amplitude ``bulk`` plus, for each support state (in index
+    order, indices ``idx``), its offset ``e = a(x) - bulk``.  An offset is
+    zero until its state is first selected, and a round moves only the
+    offsets it selects.  The running sum ``sum_e`` of the offsets gives the
+    group sums a step needs without a pass over the support, so a round
+    costs O(|mask|).
 
     A round takes only its step, and records the scalars its log entry
     needs: its two shifts, the sum of e over the unselected support states,
     ``bulk``, and over its mask the sum of e**2 and the sum of v e for each
-    weight v in (1, p, w), w the watched probabilities when the run watches
-    a policy.  :meth:`columns` computes the log from that record after the
+    weight v: 1, and the watched probability w when the run watches a
+    policy.  :meth:`columns` computes the log from that record after the
     run, over all rounds at once; nothing reads a mass while the run goes.
     The one log scalar a round computes itself is the least unselected
     amplitude before its step: ``bulk`` while no offset is negative and
@@ -355,30 +354,23 @@ class _Support:
     ):
         self.n = policy.n
         self.n_states = 1 << policy.n
-        if policy.probabilities is None:
-            self.idx, self.p, round_of, self._pos = _draw_class_run(policy, rounds, rng)
-        else:
-            self.idx, self.p = _draw_support(policy, rounds, rng)
-            round_of, self._pos = _selection_events(self.p, rounds, rng)
-        self.w = None if watch is None else watch.probabilities_at(self.idx)
+        draw = _draw_class_run if policy.probabilities is None else _draw_table_run
+        self.idx, round_of, self._pos = draw(policy, rounds, rng)
         self._starts = np.searchsorted(round_of, np.arange(rounds + 1)).tolist()
         self._selected = self.idx[self._pos]
-        # per event, the weights 1, p (and w) of its state
-        rows = [self.p] if watch is None else [self.p, self.w]
-        self._weights = np.empty((1 + len(rows), self._pos.size))
-        self._weights[0] = 1.0
-        for out, row in zip(self._weights[1:], rows):
-            np.take(row, self._pos, out=out)
-        # per round: its unselected and selected counts, then the sums of p
-        # (and w) over its mask, so that row 1 + k sums weight k
-        self._per_round = np.empty((2 + len(rows), rounds))
+        # per event, the weights 1 (and w) of its state; per round, its
+        # unselected and selected counts (and the sum of w over its mask),
+        # so that row 1 + k sums weight k; and what each weight sums to over
+        # the whole space
+        weights = 1 if watch is None else 2
+        self._weights = np.ones((weights, self._pos.size))
+        self._per_round = np.empty((1 + weights, rounds))
         self._per_round[1] = np.bincount(round_of, minlength=rounds)
         np.subtract(self.n_states, self._per_round[1], out=self._per_round[0])
-        for out, row in zip(self._per_round[2:], self._weights[1:]):
-            out[:] = np.bincount(round_of, weights=row, minlength=rounds)
-        # what each weight sums to over the whole space
-        self._totals = [float(self.n_states), policy.expected_selected()]
+        self._totals = [float(self.n_states)]
         if watch is not None:
+            np.take(watch.probabilities_at(self.idx), self._pos, out=self._weights[1])
+            self._per_round[2] = np.bincount(round_of, weights=self._weights[1], minlength=rounds)
             self._totals.append(watch.expected_selected())
         # the uniform state
         self.bulk = 1.0 / math.sqrt(self.n_states)
@@ -442,8 +434,8 @@ class _Support:
 
     def columns(self) -> list[np.ndarray | None]:
         """The float columns of the rounds taken, in :class:`DynamicRunLog`'s
-        order: p_selected, p_unselected, mean_amplitude, min_unselected_amp,
-        the policy mass and the watched mass (None when the run watches none).
+        order: p_selected, p_unselected, mean_amplitude, min_unselected_amp
+        and the watched mass (None when the run watches none).
 
         Each column describes the state after a round's step, along its
         mask.  The scalars of each round come from the record and from
@@ -502,12 +494,13 @@ class _Support:
             scanned = list(self._least)
             least = after.copy()
             least[scanned] = np.array(list(self._least.values())) + shifts[0, scanned]
-        weighted = np.multiply.outer(self._totals[1:], after)
-        weighted += running[weights + 1 :, 1:] + running[weights + 1 :, 1:]
-        weighted *= after
-        weighted += running[1:weights, 1:]
-        watched = weighted[1] if weights > 2 else None
-        return [masses[1], masses[0], mean, least, weighted[0], watched]
+        watched = None
+        if weights > 1:  # rows 1 and 3 of running sum w e**2 and w e
+            watched = self._totals[1] * after
+            watched += running[3, 1:] + running[3, 1:]
+            watched *= after
+            watched += running[1, 1:]
+        return [masses[1], masses[0], mean, least, watched]
 
     def sparse_state(self) -> SparseState:
         """The state now, as a :class:`~qamp.core.SparseState` that shares no
@@ -515,65 +508,12 @@ class _Support:
         return SparseState(self.n, self.bulk, self.idx, self.bulk + self.e)
 
 
-def _selection_events(
-    p: np.ndarray, rounds: int, rng: np.random.Generator
+def _events_by_round(
+    keys: list[np.ndarray], rounds: int, size: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Every (round, position) at which a run of ``rounds`` rounds selects a
-    state of its support, for support states of selection probabilities
-    ``p``: the rounds and the positions, sorted by round, then position.
-
-    Each support state has its first selected round from the geometric law
-    truncated to the run, as it is in the support because some round
-    selects it.  Every later round then selects it independently with
-    probability P, so each state is selected in every round independently
-    with probability P, the law of a per-round draw.  A state is selected
-    about R P / q times in the run, q = 1 - (1 - P)**R the chance that it
-    is in the support.  When a Bernoulli row over the R rounds costs at
-    most 8 uniforms per selection, P >= q / 8 (so always when R <= 8, and
-    for R >> 1/P when P >= 1/8), its later rounds come as such a row over
-    the rounds left.  Otherwise they come as geometric gaps
-    1 + floor(ln U / ln(1 - P)) for uniforms U (Devroye 1986), in passes
-    over the states not yet at the last round: 4, 8, 16, ... gaps per state
-    in successive passes, so that a state selected K more times takes
-    O(log K) passes and at most about 2K + 4 gaps.  One sort of the keys
-    round * T + position, for T support states, orders them all.
-    """
-    size = p.size
-    q = 1.0 - (1.0 - p) ** rounds
-    # inverse CDF of the first selected round, given at least one in R
-    with np.errstate(divide="ignore"):  # log1p(-1) for P = 1, which gives round 0
-        log_skip = np.log1p(-p)
-    first = np.log1p(-rng.random(size) * q) / log_skip
-    first = np.minimum(np.floor(first), rounds - 1).astype(np.int64)
-    keys = [first * size + np.arange(size)]
-    more = first < rounds - 1
-
-    rowed = p >= q / 8.0
-    rows = np.flatnonzero(more & rowed)
-    width = int(rounds - 1 - first[rows].min(initial=rounds - 1))
-    last = np.arange(rounds - width, rounds)  # the last `width` rounds
-    hit = np.flatnonzero(
-        (rng.random((rows.size, width)) < p[rows, None]) & (last > first[rows, None])
-    )
-    row = hit // max(width, 1)
-    keys.append(last[hit - row * width] * size + rows[row])
-
-    gapped = np.flatnonzero(more & ~rowed)
-    at, rate = first[gapped].astype(np.float64), -log_skip[gapped, None]
-    block = 4
-    while gapped.size:
-        # -ln U for a uniform U is a standard exponential
-        gaps = rng.standard_exponential((gapped.size, block))
-        gaps /= rate
-        np.floor(gaps, out=gaps)
-        gaps += 1.0
-        np.cumsum(gaps, axis=1, out=gaps)
-        gaps += at[:, None]  # now the rounds themselves
-        keys.append((gaps * size + gapped[:, None])[gaps < rounds].astype(np.int64))
-        going = np.flatnonzero(gaps[:, -1] < rounds - 1)
-        gapped, at, rate = gapped[going], gaps[going, -1], rate[going]
-        block *= 2
-
+    """The rounds and support positions of a run's events, sorted by round,
+    then position, from their keys round * size + position, for ``size``
+    support states."""
     # 32-bit keys sort about twice as fast, where they fit; the positions
     # come back as index-sized integers, which indexing takes without a cast
     keys = np.concatenate(keys, dtype=np.int32 if rounds * size < 2**31 else np.int64)
@@ -584,10 +524,10 @@ def _selection_events(
 
 def _draw_class_run(
     policy: SelectionPolicy, rounds: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every selection a run of ``rounds`` rounds under a class policy makes:
-    its support, sorted, with the selection probabilities, then the rounds
-    and support positions of its events, sorted by round, then position.
+    its support, sorted, then the rounds and support positions of its
+    events, sorted by round, then position.
 
     Class S is a grid of C_S * R cells, one per (member, round), C_S its
     size (within the catalog, if there is one), and each cell is selected
@@ -649,24 +589,67 @@ def _draw_class_run(
     position = np.empty(size, dtype=np.int64)
     position[order] = np.arange(size)
     keys = round_of * size + position[np.cumsum(new) - 1]
-    # 32-bit keys sort about twice as fast, where they fit; the positions
-    # come back as index-sized integers, which indexing takes without a cast
-    keys = keys.astype(np.int32 if rounds * size < 2**31 else np.int64)
-    keys.sort()
-    round_of = keys // max(size, 1)
-    return states[order], class_p[classes[order]], round_of, (keys - round_of * size).astype(np.intp)
+    return states[order], *_events_by_round([keys], rounds, size)
+
+
+def _draw_table_run(
+    policy: SelectionPolicy, rounds: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every selection a run of ``rounds`` rounds under a per-state table
+    makes: its support, sorted, then the rounds and support positions of
+    its events, sorted by round, then position.
+
+    The support comes with each state's first selected round
+    (:func:`_draw_support`), and every later round then selects the state
+    independently with probability P (the geometric law is memoryless), so
+    each state is selected in every round independently with probability
+    P, the law of a per-round draw.  For R <= 8 the later rounds come as one
+    Bernoulli row over rounds 1..R-1 per support state, of which the rounds
+    after its first count.  For longer runs they come as geometric gaps
+    1 + floor(E / -ln(1 - P)) for standard exponentials E (Devroye 1986), in
+    passes over the states not yet at the last round: 4, 8, 16, ... gaps per
+    state in successive passes, so that a state selected K more times takes
+    O(log K) passes and at most about 2K + 4 gaps.
+    """
+    idx, p, first = _draw_support(policy, rounds, rng)
+    size = idx.size
+    keys = [first * size + np.arange(size)]
+    if rounds > 8:
+        going, at = np.arange(size), first.astype(np.float64)
+        with np.errstate(divide="ignore"):  # log1p(-1) for P = 1, whose gaps are all 1
+            rate = -np.log1p(-p)[:, None]
+        block = 4
+        while going.size:
+            # -ln U for a uniform U is a standard exponential
+            gaps = rng.standard_exponential((going.size, block))
+            gaps /= rate
+            np.floor(gaps, out=gaps)
+            gaps += 1.0
+            np.cumsum(gaps, axis=1, out=gaps)
+            gaps += at[:, None]  # now the rounds themselves
+            keys.append((gaps * size + going[:, None])[gaps < rounds].astype(np.int64))
+            more = np.flatnonzero(gaps[:, -1] < rounds - 1)
+            going, at, rate = going[more], gaps[more, -1], rate[more]
+            block *= 2
+    elif rounds > 1:
+        later = rng.random((size, rounds - 1)) < p[:, None]
+        later &= np.arange(1, rounds) > first[:, None]
+        position, column = later.nonzero()
+        keys.append((column + 1) * size + position)
+    return idx, *_events_by_round(keys, rounds, size)
 
 
 def _draw_support(
     policy: SelectionPolicy, rounds: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The states any of ``rounds`` rounds under a per-state table selects,
-    sorted, and their selection probabilities.
+    sorted, their selection probabilities and the first round that selects
+    each.
 
     State x is in it independently with probability
     q(x) = 1 - (1 - P(x))**R: when the least of its R round uniforms, drawn
-    as 1 - (1 - U)**(1/R) from one uniform U, falls below P(x), that is
-    when (1 - U)**(1/R) > 1 - P(x).  U is drawn one base-256 digit first,
+    as 1 - r for r = (1 - U)**(1/R) from one uniform U, falls below P(x),
+    that is when r > 1 - P(x).  U is drawn one base-256 digit first,
     U = (B + U') / 256 for a random byte B and a uniform U' (Devroye 1986).
     Since q <= R P, a state whose B >= 256 R P is not in the support, so
     one pass over the table compares each state's byte with 256 R P(x),
@@ -678,11 +661,17 @@ def _draw_support(
     of one N-byte draw (full-range 64-bit integers from the generator,
     read little-endian, 8 blocks' worth a call), so the support does not
     depend on the block size.
+
+    The same uniform gives a support state its first selected round:
+    G = floor(ln(1 - U) / ln(1 - P)) = floor(R ln r / ln(1 - P)) is
+    geometric, the number of rounds before a first selection, and G < R
+    exactly when r > 1 - P, so G, clamped to R - 1 against rounding, has the
+    law of the first round given that some round selects the state.
     """
     probs = policy.probabilities
     if rounds == 0:
         idx = np.empty(0, dtype=np.int64)
-        return idx, probs[idx]
+        return idx, probs[idx], idx
     # N and the block size are powers of two, so the blocks tile the table
     limit = np.empty(min(probs.size, _DRAW_BLOCK))
     hit = np.empty(limit.size, dtype=bool)
@@ -709,7 +698,14 @@ def _draw_support(
     rest **= 1.0 / rounds  # numpy takes sqrt for R = 2
     p = probs[candidates]
     keep = rest > 1.0 - p
-    return candidates[keep], p[keep]
+    p, rest = p[keep], rest[keep]
+    np.log(rest, out=rest)
+    rest *= rounds
+    with np.errstate(divide="ignore"):  # log1p(-1) for P = 1, which gives round 0
+        rest /= np.log1p(-p)
+    np.floor(rest, out=rest)
+    np.minimum(rest, rounds - 1, out=rest)
+    return candidates[keep], p, rest.astype(np.int64)
 
 
 def gain_bound(n_states: int, n_selected: int) -> float:
@@ -823,9 +819,9 @@ def run_dynamic(
 
     ``watch`` logs each round's watched mass, the sum over x of
     P_watch(x) * a(x)**2 with P_watch the selection probabilities of that
-    policy.  For a fixed set, the 0/1 table
-    ``SelectionPolicy.probabilistic(n, mask.selected)``, it is the set's
-    probability.
+    policy.  ``watch=policy`` gives the run's policy mass.  For a fixed
+    set, the 0/1 table ``SelectionPolicy.probabilistic(n, mask.selected)``,
+    it is the set's probability.
 
     The state comes back as a :class:`~qamp.core.SparseState`: the shared
     amplitude of the never-selected states plus the stored states, in

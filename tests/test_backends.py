@@ -142,7 +142,7 @@ def test_benchmark_smoke(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     for bench in ("grover_step", "dynamic_round", "class_setup", "table_policy", "support_draw",
-                  "selection_events", "table_moments", "whole_run"):
+                  "table_draw", "table_moments", "whole_run"):
         assert bench in proc.stdout, bench
     written = json.loads(out.read_text(encoding="utf-8"))
     assert {"python", "numpy", "kernel_backend", "nproc", "cpu", "commit"} <= set(
@@ -154,7 +154,7 @@ def test_benchmark_smoke(tmp_path):
     }
     assert all(row["run"] > 0.0 for row in runs)
     for bench, timed in (("table_policy", "policy"), ("support_draw", "draw"),
-                         ("selection_events", "selection"), ("table_moments", "moments")):
+                         ("table_draw", "draw"), ("table_moments", "moments")):
         rows = written["benches"][bench]
         assert {(row["n"], row["table"]) for row in rows} == {
             (n, kind) for n in (14, 18) for kind in ("normal", "ties")

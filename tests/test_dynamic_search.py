@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import hashlib
 import itertools
@@ -37,6 +38,7 @@ from qamp.dynamic_search import (
     _colex_words,
     _draw_class_run,
     _draw_support,
+    _draw_table_run,
     _Support,
     class_counts,
     predicted_crossing,
@@ -64,7 +66,7 @@ def random_state(n, seed):
 # a log's columns, derived ones first; each has one entry per round
 LOG_COLUMNS = (
     "n_selected", "gains", "p_selected", "p_unselected", "mean_amplitude",
-    "min_unselected_amp", "policy_mass_by_round", "watched_mass_by_round",
+    "min_unselected_amp", "watched_mass_by_round",
 )
 
 
@@ -268,8 +270,8 @@ class TestRunDynamic:
     def test_policy_mass_equals_p_selected_for_static(self):
         mask = SelectionMask.from_indices(6, [1])
         policy = SelectionPolicy.probabilistic(mask.n, mask.selected)
-        _, log = run_dynamic(policy, np.random.default_rng(0), rounds=5)
-        np.testing.assert_allclose(log.policy_mass_by_round, log.p_selected, rtol=0, atol=1e-15)
+        _, log = run_dynamic(policy, np.random.default_rng(0), rounds=5, watch=policy)
+        np.testing.assert_allclose(log.watched_mass_by_round, log.p_selected, rtol=0, atol=1e-15)
 
     def test_deterministic_for_seed(self):
         policy = SelectionPolicy.probabilistic(8, np.full(256, 0.02))
@@ -410,18 +412,18 @@ def support_holding(state, mask):
     size = state.size
     everything = SelectionPolicy.probabilistic(state.n, np.ones(size))
     support = _Support(everything, 1, np.random.default_rng(0))
-    # the whole space is the support, in index order, and every weight is 1
+    # the whole space is the support, in index order
     assert np.array_equal(support.idx, np.arange(size))
     support._pos = np.flatnonzero(mask.selected)
     support._starts = [0, support._pos.size]
-    support._weights = np.ones((2, support._pos.size))
-    # the round's unselected and selected counts, and the sum of p over its mask
+    support._weights = np.ones((1, support._pos.size))
+    # the round's unselected and selected counts
     selected = support._pos.size
-    support._per_round = np.array([[size - selected], [selected], [selected]], dtype=float)
+    support._per_round = np.array([[size - selected], [selected]], dtype=float)
     support.e[:] = state.amps - support.bulk
     support.sum_e = float(support.e.sum())
-    # the sums of v e**2, then of v e, for v = 1 and v = p = 1
-    support._sums_at_start[:] = [float(support.e @ support.e)] * 2 + [support.sum_e] * 2
+    # the sums of e**2 and of e
+    support._sums_at_start[:] = [float(support.e @ support.e), support.sum_e]
     return support
 
 
@@ -461,7 +463,10 @@ def test_run_dynamic_matches_dense_replay(n, seed, scale, kind, watch):
     rng = np.random.default_rng(seed)
     policy = random_policy(kind, n, scale, rng)
     watched = random_policy(watch, n, 1.0, rng) if watch else None
+    # the same masks, watching the policy itself: its policy mass
+    twin = copy.deepcopy(rng)
     final, log = run_dynamic(policy, rng, rounds=8, watch=watched)
+    policy_mass = run_dynamic(policy, twin, rounds=8, watch=policy)[1].watched_mass_by_round
     probs = dense_probabilities(policy)
     state = uniform_init(n)
     for i, selected in enumerate(log.selected_indices):
@@ -474,7 +479,7 @@ def test_run_dynamic_matches_dense_replay(n, seed, scale, kind, watch):
         state = two_dense_steps(state, mask)
         assert_reports_close(log.report(i), dense_report(state, mask))
         mass = float(probs @ state.probabilities())
-        assert log.policy_mass_by_round[i] == pytest.approx(mass, rel=0, abs=1e-12)
+        assert policy_mass[i] == pytest.approx(mass, rel=0, abs=1e-12)
         if watch:
             mass = float(dense_probabilities(watched) @ state.probabilities())
             assert log.watched_mass_by_round[i] == pytest.approx(mass, rel=0, abs=1e-12)
@@ -523,8 +528,8 @@ def test_planned_round_is_the_engine_peak(n):
         plan = planned_rounds(policy)
         masses = np.array([
             run_dynamic(
-                policy, np.random.default_rng(seed), rounds=int(1.5 * plan)
-            )[1].policy_mass_by_round
+                policy, np.random.default_rng(seed), rounds=int(1.5 * plan), watch=policy
+            )[1].watched_mass_by_round
             for seed in range(16)
         ])
         best = np.median(np.argmax(masses, axis=1) + 1)
@@ -582,7 +587,9 @@ def test_plan_of_a_table_is_the_engine_peak(n, kind):
         plan = planned_rounds(policy)
         best = np.median([
             np.argmax(
-                run_dynamic(policy, np.random.default_rng(run), 2 * plan)[1].policy_mass_by_round
+                run_dynamic(
+                    policy, np.random.default_rng(run), 2 * plan, watch=policy
+                )[1].watched_mass_by_round
             ) + 1
             for run in range(16)
         ])
@@ -730,9 +737,9 @@ def test_class_draw_selects_each_state_with_its_class_probability(with_catalog):
 def test_masks_keep_their_law_over_many_rounds():
     """Over 20 rounds each state is selected at most once per round, in each
     round with probability P and in each pair of rounds with P**2; a state
-    of P = 1 is selected in every round.  Under the 3-qubit table P = 0.1
-    takes its later rounds from geometric gaps (from 16 rounds on), P = 0.5
-    from a Bernoulli row.  Under a class policy at n = 5, with and without
+    of P = 1 is selected in every round.  The 3-qubit table takes its later
+    rounds from geometric gaps over 20 and 9 rounds, and from one Bernoulli
+    row per state over 8.  Under a class policy at n = 5, with and without
     a catalog, each class is a grid of (member, round) cells drawn as
     geometric gaps, with a further pass for a class the first one leaves
     short, and P = 1 takes every cell of its class."""
@@ -742,9 +749,10 @@ def test_masks_keep_their_law_over_many_rounds():
     class_probs = np.array([0.1, 0.5, 0.02, 0.1, 0.5, 1.0])
     by_class = SelectionPolicy.by_similarity(5, 0b01101, class_probs)
     catalog = SelectionPolicy.by_similarity(5, 0b01101, class_probs, np.arange(1, 32, 3))
-    runs, rounds = 3000, 20
-    for policy, watched_p in ((table, (0.1, 0.5)), (by_class, (0.02, 0.1, 0.5)),
-                              (catalog, (0.02, 0.1, 0.5))):
+    runs = 3000
+    for policy, watched_p, rounds in ((table, (0.1, 0.5), 20), (table, (0.1, 0.5), 8),
+                                      (table, (0.1, 0.5), 9), (by_class, (0.02, 0.1, 0.5), 20),
+                                      (catalog, (0.02, 0.1, 0.5), 20)):
         dense = dense_probabilities(policy)
         # the first state of each watched P
         watched = np.array([np.flatnonzero(dense == p)[0] for p in watched_p])
@@ -841,13 +849,13 @@ def test_large_class_support_is_sorted_distinct_and_class_consistent():
     for policy, rounds in ((short, 4), (planned, 12868)):
         tracemalloc.start()
         try:
-            idx, p, round_of, pos = _draw_class_run(policy, rounds, np.random.default_rng(0))
+            idx, round_of, pos = _draw_class_run(policy, rounds, np.random.default_rng(0))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert np.all(np.diff(idx) > 0)
         assert idx.size == 0 or (idx[0] >= 0 and idx[-1] < 1 << n)
-        assert np.array_equal(p, policy.class_probabilities[policy.class_of(idx)])
+        assert np.all(policy.probabilities_at(idx) > 0.0)
         # the events are in range, sorted by round, then position, so each
         # round's states are distinct and in index order
         assert np.all((round_of >= 0) & (round_of < rounds))
@@ -865,35 +873,81 @@ def test_large_class_support_is_sorted_distinct_and_class_consistent():
     assert planned.reference in idx and pos.size >= rounds
 
 
+def table_with_edges(n):
+    """A table of P = U**4 for seeded uniforms U, with every 7th state at
+    P = 0 and every 11th at P = 1."""
+    probs = np.random.default_rng(n).random(1 << n) ** 4
+    probs[::7] = 0.0
+    probs[::11] = 1.0
+    return probs
+
+
+def whole_table_support(probs, rounds, reference):
+    """The support of a table run and each state's first round, drawn from
+    ``reference`` by the formula over the whole table: the candidates are
+    the states whose byte of one N-byte draw (full-range 64-bit integers,
+    little-endian) falls below 256 R P; each draws one uniform U', in index
+    order, and the support is the candidates whose
+    r = (((255 - B) + (1 - U')) / 256)**(1/R) exceeds 1 - P; the first
+    round is G = min(floor(R ln r / ln(1 - P)), R - 1)."""
+    if rounds == 0:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    words = reference.integers(0, 1 << 64, size=probs.size // 8, dtype=np.uint64)
+    digits = words.astype("<u8").view(np.uint8)
+    candidates = np.flatnonzero(digits < probs * (256.0 * rounds))
+    assert np.all(probs[candidates] > 0.0)
+    rest = ((1.0 - reference.random(candidates.size)) + (255 - digits[candidates])) / 256.0
+    r = rest ** (1.0 / rounds)
+    keep = r > 1.0 - probs[candidates]
+    with np.errstate(divide="ignore"):
+        first = np.floor(rounds * np.log(r[keep]) / np.log1p(-probs[candidates[keep]]))
+    return candidates[keep], np.minimum(first, rounds - 1).astype(np.int64)
+
+
 @pytest.mark.parametrize("rounds", range(7))
 @pytest.mark.parametrize("n", [3, 12, 13, 14, 18])
 def test_table_support_draw_is_the_whole_table_formula(n, rounds):
     # one short block (n < 13), exactly one block (n = 13) and several, over
     # one call's 8 blocks of bytes (n = 14) and four calls (n = 18): the
-    # candidates are the states whose byte of one N-byte draw (full-range
-    # 64-bit integers, little-endian) falls below 256 R P; each draws one
-    # uniform U', in index order, and the support is the candidates whose
-    # 1 - U = ((255 - B) + (1 - U')) / 256 passes the exact test; the
-    # generator ends where those two draws leave it
-    size = 1 << n
-    probs = np.random.default_rng(n).random(size) ** 4
-    probs[::7] = 0.0
-    probs[::11] = 1.0
+    # support and first rounds of whole_table_support, and the generator
+    # ends where its two draws leave it
+    probs = table_with_edges(n)
     policy = SelectionPolicy.probabilistic(n, probs)
     rng, reference = np.random.default_rng(rounds), np.random.default_rng(rounds)
-    idx, p = _draw_support(policy, rounds, rng)
-    if rounds == 0:
-        want = np.empty(0, dtype=np.int64)
-    else:
-        words = reference.integers(0, 1 << 64, size=size // 8, dtype=np.uint64)
-        digits = words.astype("<u8").view(np.uint8)
-        candidates = np.flatnonzero(digits < probs * (256.0 * rounds))
-        rest = ((1.0 - reference.random(candidates.size)) + (255 - digits[candidates])) / 256.0
-        want = candidates[rest ** (1.0 / rounds) > 1.0 - probs[candidates]]
-        assert np.all(np.isin(np.arange(0, size, 11), want))
-        assert np.all(probs[candidates] > 0.0)
+    idx, p, first = _draw_support(policy, rounds, rng)
+    want, want_first = whole_table_support(probs, rounds, reference)
+    if rounds:
+        assert np.all(np.isin(np.arange(0, probs.size, 11), want))
+        # a state of P = 1 is first selected in round 0
+        assert np.all(want_first[probs[want] == 1.0] == 0)
+        assert np.all((want_first >= 0) & (want_first < rounds))
     assert idx.dtype == want.dtype and np.array_equal(idx, want)
     assert np.array_equal(p, probs[want])
+    assert first.dtype == want_first.dtype and np.array_equal(first, want_first)
+    assert rng.bit_generator.state == reference.bit_generator.state
+
+
+@pytest.mark.parametrize("rounds", [0, 1, 2, 3, 8])
+@pytest.mark.parametrize("n", [3, 14])
+def test_table_run_draw_is_the_support_then_one_row_per_state(n, rounds):
+    # for R <= 8 the events after whole_table_support's first rounds come
+    # from one (T, R - 1) block of uniforms, a state selected in round
+    # 1 + j when its uniform j falls below P and j + 1 is after its first
+    # round; at R <= 1 the generator ends where the support draw leaves it
+    probs = table_with_edges(n)
+    policy = SelectionPolicy.probabilistic(n, probs)
+    rng, reference = np.random.default_rng(rounds), np.random.default_rng(rounds)
+    idx, round_of, pos = _draw_table_run(policy, rounds, rng)
+    want, first = whole_table_support(probs, rounds, reference)
+    member = np.zeros((rounds, want.size), dtype=bool)
+    member[first, np.arange(want.size)] = True
+    if rounds > 1:
+        later = reference.random((want.size, rounds - 1)) < probs[want, None]
+        member[1:] |= (later & (np.arange(1, rounds) > first[:, None])).T
+    want_round, want_pos = np.nonzero(member)
+    assert np.array_equal(idx, want)
+    assert np.array_equal(round_of, want_round) and np.array_equal(pos, want_pos)
+    assert pos.dtype == np.intp
     assert rng.bit_generator.state == reference.bit_generator.state
 
 
@@ -913,7 +967,7 @@ def test_table_support_keeps_its_law_at_the_byte_edges(rounds, bits):
     rng, runs = np.random.Generator(bits(rounds)), 20000
     counts = np.zeros(16)
     for _ in range(runs):
-        idx, p = _draw_support(policy, rounds, rng)
+        idx, p, _ = _draw_support(policy, rounds, rng)
         assert np.all(np.diff(idx) > 0) and np.array_equal(p, probs[idx])
         counts[idx] += 1
     want = 1.0 - (1.0 - probs) ** rounds
@@ -940,7 +994,7 @@ def test_table_support_keeps_a_certain_state_at_the_top_uniform(rounds):
     # P = 1 is still in the support, and no state with P < 1 is
     probs = np.full(8, 0.5)
     probs[[2, 5]] = 1.0
-    idx, p = _draw_support(SelectionPolicy.probabilistic(3, probs), rounds, _TopDigitGenerator())
+    idx, p, _ = _draw_support(SelectionPolicy.probabilistic(3, probs), rounds, _TopDigitGenerator())
     assert idx.tolist() == [2, 5] and p.tolist() == [1.0, 1.0]
 
 
@@ -952,7 +1006,7 @@ def test_table_support_draw_allocates_nothing_per_state():
     policy = build_optimization_policy(table, np.random.default_rng(3))
     tracemalloc.start()
     try:
-        idx, _ = _draw_support(policy, nominal_rounds(n), np.random.default_rng(3))
+        idx, _, _ = _draw_support(policy, nominal_rounds(n), np.random.default_rng(3))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -1033,14 +1087,18 @@ def log_digest(head, arrays):
 # (member, round) cells, and when table runs came to draw their support
 # one random byte per state first.  The class-watch, catalog,
 # catalog-watch and table-watch digests were pinned after the same check
-# when runs stopped reading their state between rounds
+# when runs stopped reading their state between rounds.  When the log
+# dropped its policy-mass column, the class, class-watch, catalog and
+# catalog-watch digests became those of the same logs without it, and the
+# table and table-watch digests were pinned after the same check, as
+# table runs came to take their first rounds from their support draw
 PINNED_LOG_DIGESTS = {
-    "class": "d9568f4e44ba118fddf20094c5cfd7179a02ffeef18609bf1df1f232466f02d2",
-    "class-watch": "47c07fd3fa4f8fdcd72ddc365bac1d13d8a9a21353a9587b8d4a49bae548356c",
-    "catalog": "a162d16b66b63e98f4c91edd6de5ba8175f83f984459c9e8d1d836e92c74600d",
-    "catalog-watch": "c6631f287eb691d1d180fad5c8352ed23a4f0a1aa93c2e2b341300fbda306b25",
-    "table": "afec860de0f74d149fbb3c36df4a9659109e61bc4ee7f0cfc66196f8d2788ecc",
-    "table-watch": "705e9198c246e8b7883bb9d22aa98671e20649a6601a3da8a7c043fa581080a6",
+    "class": "062fb44c92c92a9c4c10bd52e50c0637fd2351afe45ca50a0d1a612c7ea70668",
+    "class-watch": "7d214335b7836e3ac1c8ba8e8fc0d34287e0e0ba59c62f63d12cc2570bc4bbfa",
+    "catalog": "088511270bb5d8a96a2c79d5c7450f36d3b4debe6faea892553ac8d0e5802e01",
+    "catalog-watch": "bc8f9c02d67a52795491fca3b115203c5384d6deb0154fdadeb24fe93febd917",
+    "table": "ca29c02d39586dd6e2fe1d548927ca271fbe54277c838e347efe975eb17bbec1",
+    "table-watch": "c4705194872263c336a735139298c5fccf2daec0de20fa49b5f74a1b3494d2c7",
 }
 
 

@@ -266,17 +266,18 @@ class TestDynamicOptimize:
             assert result.best_value == table.values[result.best_index]
             assert result.optimal == (result.best_value == 0.0)
 
-    # (best_index, rounds) per table seed, recorded again when a run came
-    # to make its planned rounds and return its final state; the seeds'
-    # requests restart nowhere
+    # (best_index, rounds, optimal) per table seed, recorded again when a
+    # run came to make its planned rounds and return its final state, and
+    # when table runs came to take their first rounds from their support
+    # draw; the seeds' requests restart nowhere
     PINNED = {
-        Sense.MIN: [(1980, 2), (11470, 2), (13372, 2)],
-        Sense.MAX: [(5101, 2), (16038, 2), (15959, 1)],
+        Sense.MIN: [(6128, 2, False), (8041, 2, False), (6210, 2, True)],
+        Sense.MAX: [(1645, 2, False), (12998, 2, False), (3663, 1, False)],
     }
 
     @pytest.mark.parametrize("sense", [Sense.MIN, Sense.MAX])
     def test_pinned_outputs(self, sense):
-        for seed, (best_index, rounds) in zip((11, 12, 13), self.PINNED[sense]):
+        for seed, (best_index, rounds, optimal) in zip((11, 12, 13), self.PINNED[sense]):
             values = np.random.default_rng(seed).standard_normal(1 << 14)
             table = ObjectiveTable(14, values, sense)
             result = dynamic_optimize(table, np.random.default_rng(seed + 100))
@@ -284,7 +285,7 @@ class TestDynamicOptimize:
             assert result.best_value == values[best_index]
             assert result.outer_rounds == result.log.rounds == rounds
             assert result.log.best_round is None and result.log.restart_rounds == ()
-            assert not result.optimal
+            assert result.optimal == optimal
 
     def test_request_allocates_under_two_per_state_vectors(self):
         # the policy table is the one float64 N-vector a request needs; the
