@@ -28,9 +28,13 @@ table (``_draw_support``), and the whole draw of the run's masks
 (``_draw_table_run``: the support, then the rounds that select each of
 its states), each with the minor page faults per draw; and the moments
 its plan reads (``SelectionPolicy.moments``), with the tracemalloc peak
-of one call.  Last, whole ``run_dynamic`` runs of R = 2, 6, 12, 52 and
-91 rounds under both policy forms: the optimizer's longest run, the
-corollaries', and the recommender's at n = 16.  Each bench returns its
+of one call.  Then the planner, moments included: ``planned_rounds`` on
+``recommend``'s policy at n = 16, m = 5 and at n = 30, m = 1 and on the
+optimizer's normal table at n = 18, and ``predicted_crossing`` of the
+ball that ``experiment steps`` watches at n = 14.  Last, whole
+``run_dynamic`` runs of R = 2, 6, 12, 52 and 91 rounds under both policy
+forms: the optimizer's longest run, the corollaries', and the
+recommender's at n = 16.  Each bench returns its
 timings in seconds keyed by what was timed: ``"python"`` for the kernels
 (the name ``qamp.kernel_backend()`` reports), ``"touched"`` for the
 ``run_dynamic`` round, ``"dense"``/``"sparse"`` for the end of a run and
@@ -39,8 +43,9 @@ timings in seconds keyed by what was timed: ``"python"`` for the kernels
 ``"policy"`` for a table policy's build, ``"draw"`` for its support draw
 (with the mean ``"support"`` size and the ``"faults"``) and for its whole
 draw (with the mean ``"events"`` count and the ``"faults"``),
-``"moments"`` (with the ``"peak"`` in bytes) for its moments, and
-``"run"`` for a whole run.  ``--json PATH`` also writes every number, in
+``"moments"`` (with the ``"peak"`` in bytes) for its moments, ``"plan"``
+(with the ``"rounds"`` it returns) for a planner call, and ``"run"`` for
+a whole run.  ``--json PATH`` also writes every number, in
 microseconds, with perfbench's environment stamp.  Run from the repo
 root:
 
@@ -54,6 +59,7 @@ import resource
 import sys
 import time
 import tracemalloc
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -67,6 +73,7 @@ from qamp.dynamic_search import (
     _draw_table_run,
     _Support,
     planned_rounds,
+    predicted_crossing,
     run_dynamic,
 )
 from qamp.optimize import ObjectiveTable, build_optimization_policy, nominal_rounds
@@ -288,6 +295,33 @@ def bench_table_moments(n: int, kind: str, repeats: int) -> dict[str, float]:
     return {"moments": seconds, "peak": float(peak)}
 
 
+# (case, n, m) of each planner call timed: recommend's calibrated policy,
+# the optimizer's table, and the crossing experiment steps predicts
+PLAN_CASES = (("recommend", 16, 5), ("recommend", 30, 1), ("table", 18, None),
+              ("crossing", 14, None))
+
+
+def bench_plan(case: str, n: int, m: float | None, repeats: int) -> dict[str, float]:
+    """One planner call, moments included: ``planned_rounds`` on the
+    similarity policy ``recommend`` runs, calibrated to m (case
+    ``"recommend"``), or on the policy of ``optimizer_policy(n, "normal")``
+    (``"table"``); or ``predicted_crossing`` at 1/2 of the ball S >= n - 1
+    around reference 0 under the policy calibrated to its n + 1 states, as
+    ``experiment steps`` predicts it (``"crossing"``)."""
+    if case == "crossing":
+        ball = SelectionPolicy.by_similarity(n, 0, np.arange(n + 1) >= n - 1)
+        policy = similarity_policy(SimilaritySpec(n, 0), calibrate_beta(n, n + 1.0))
+        call = partial(predicted_crossing, policy, ball, 0.5)
+    else:
+        if case == "table":
+            policy = optimizer_policy(n, "normal")[1]
+        else:
+            policy = similarity_policy(SimilaritySpec(n, (1 << n) // 3), calibrate_beta(n, m))
+        call = partial(planned_rounds, policy)
+    rounds = call()
+    return {"plan": time_call(call, repeats), "rounds": float(rounds)}
+
+
 RUN_LENGTHS = (2, 6, 12, 52, 91)
 
 
@@ -402,6 +436,14 @@ def main() -> None:
                                      "peak": times["peak"]})
             print(f"{'table_moments':<14} {n:>3} {kind:>7} {times['moments'] * 1e6:>12.2f} "
                   f"{times['peak']:>9.0f}")
+
+    print(f"{'plan':<14} {'case':>9} {'n':>3} {'m':>4} {'rounds':>7} {'plan us':>12}")
+    for case, n, m in PLAN_CASES:
+        times = bench_plan(case, n, m, max(5, base_repeats // 4 if n < 30 else base_repeats // 40))
+        report("plan", {"case": case, "n": n, "m": m, "rounds": times["rounds"],
+                        "plan": times["plan"] * 1e6})
+        print(f"{'plan':<14} {case:>9} {n:>3} {str(m or '-'):>4} {times['rounds']:>7.0f} "
+              f"{times['plan'] * 1e6:>12.2f}")
 
     print(f"{'whole_run':<14} {'R':>3} {'policy':>7} {'run us':>12}")
     for form in ("table", "class"):

@@ -50,7 +50,7 @@ from .recommend import (
     similarity_params,
     similarity_policy,
 )
-from .static_search import search, search_unknown_m
+from .static_search import marked_probability, search, search_unknown_m
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -179,8 +179,10 @@ def cmd_grover(opts: _Options) -> tuple[int, list, list]:
     if unknown:
         result = search_unknown_m(n, marked, rng)
     else:
-        result = search(n, marked, rng, record_trajectory=record)
+        result = search(n, marked, rng)
     wall_ms = (time.perf_counter() - t0) * 1e3
+    recorded = result.iterations_used if record else 0
+    trajectory = [marked_probability(1 << n, marked.size, k) for k in range(1, recorded + 1)]
     print(f"n={n} marked={marked.size} seed={seed}")
     if result.found:
         print(
@@ -198,16 +200,16 @@ def cmd_grover(opts: _Options) -> tuple[int, list, list]:
           result.iterations_used, result.success_probability, wall_ms)],
     )]
     charts = []
-    if result.trajectory:
-        ks = list(range(1, len(result.trajectory) + 1))
+    if trajectory:
+        ks = list(range(1, len(trajectory) + 1))
         tables.append((
             "grover_trajectory.csv",
             ["experiment", "n", "seed", "iteration", "marked_probability"],
-            [("grover", n, seed, k, p) for k, p in zip(ks, result.trajectory)],
+            [("grover", n, seed, k, p) for k, p in zip(ks, trajectory)],
         ))
         charts.append((
             "grover_trajectory.svg", "Marked-set probability per iteration",
-            "iteration", "probability", [("marked probability", ks, list(result.trajectory))],
+            "iteration", "probability", [("marked probability", ks, trajectory)],
         ))
     return (EXIT_OK if result.found else EXIT_NOT_FOUND), tables, charts
 

@@ -109,21 +109,30 @@ class SelectionPolicy:
             n, class_probabilities=class_probabilities, reference=reference, catalog=catalog
         )
 
-    def expected_selected(self) -> float:
-        """Expected number of selected states per round."""
-        if self.probabilities is not None:
-            return float(self.probabilities.sum())
-        return float(self.class_sizes @ self.class_probabilities)
-
-    def moments(self) -> list[float]:
-        """M_j, the sum over all states of P(x)**j, for j = 1, 2, 3."""
+    def moments(self, weights: "SelectionPolicy | None" = None) -> list[float]:
+        """W_j, the sum over all states of v(x) P(x)**j for j = 0, 1, 2, v the
+        selection probabilities of ``weights``: by default P, which gives M_1..M_3
+        (M_j the sum of P(x)**j; M_1 is the expected selected count per round).
+        Weights of another form, n, reference or catalog raise ValueError.
+        """
+        if weights is None:
+            weights = self
+        elif weights is not self and (
+            (weights.n, weights.probabilities is None) != (self.n, self.probabilities is None)
+            or (self.probabilities is None and weights.reference != self.reference)
+            or (weights.catalog is not self.catalog  # None equals only None
+                and not np.array_equal(weights.catalog, self.catalog))
+        ):
+            raise ValueError("weights must be a policy of the same form, n, reference and catalog")
         if self.probabilities is not None:
             # reductions only: nothing of the table's size is allocated
-            probs = self.probabilities
-            cubes = np.einsum("i,i,i->", probs, probs, probs)
-            return [float(probs.sum()), float(probs @ probs), float(cubes)]
-        powers = np.vander(self.class_probabilities, 4, increasing=True)[:, 1:]  # P, P**2, P**3
-        return (self.class_sizes @ powers).tolist()
+            probs, v = self.probabilities, weights.probabilities
+            return [float(v.sum()), float(v @ probs), float(np.einsum("i,i,i->", v, probs, probs))]
+        # v, v P, v P**2 by class, as three columns of four: BLAS sums a strided and a
+        # contiguous matrix in different orders, and the pinned plans come from this one
+        powers = np.vander(self.class_probabilities, 4, increasing=True)
+        powers *= weights.class_probabilities[:, None]
+        return (self.class_sizes @ powers[:, :3]).tolist()
 
     def probabilities_at(self, indices: np.ndarray) -> np.ndarray:
         """The selection probability of each of the given states."""
@@ -371,7 +380,7 @@ class _Support:
         if watch is not None:
             np.take(watch.probabilities_at(self.idx), self._pos, out=self._weights[1])
             self._per_round[2] = np.bincount(round_of, weights=self._weights[1], minlength=rounds)
-            self._totals.append(watch.expected_selected())
+            self._totals.append(watch.moments()[0])
         # the uniform state
         self.bulk = 1.0 / math.sqrt(self.n_states)
         self.e = np.empty(self.idx.size)
@@ -647,26 +656,22 @@ def _draw_support(
     each.
 
     State x is in it independently with probability
-    q(x) = 1 - (1 - P(x))**R: when the least of its R round uniforms, drawn
-    as 1 - r for r = (1 - U)**(1/R) from one uniform U, falls below P(x),
-    that is when r > 1 - P(x).  U is drawn one base-256 digit first,
-    U = (B + U') / 256 for a random byte B and a uniform U' (Devroye 1986).
+    q(x) = 1 - (1 - P(x))**R, that some round selects it: for one uniform
+    U, when g = ln(1 - U) / ln(1 - P(x)) < R.  G = floor(g) is geometric,
+    the number of rounds before a first selection, so given G < R it has
+    the law of the first round that selects x.  U is drawn one base-256
+    digit first, U = (B + U') / 256 for a random byte B and a uniform U'
+    (Devroye 1986).
     Since q <= R P, a state whose B >= 256 R P is not in the support, so
     one pass over the table compares each state's byte with 256 R P(x),
     and only the candidates it leaves draw U', in index order, and take
     the exact test.  1 - U is formed as ((255 - B) + (1 - U')) / 256,
-    which never rounds to 0, so a state with P = 1 is always in it.  The
-    pass goes in blocks of ``_DRAW_BLOCK`` states through block-sized
-    buffers, so nothing of size N is allocated; the blocks take the bytes
-    of one N-byte draw (full-range 64-bit integers from the generator,
-    read little-endian, 8 blocks' worth a call), so the support does not
-    depend on the block size.
-
-    The same uniform gives a support state its first selected round:
-    G = floor(ln(1 - U) / ln(1 - P)) = floor(R ln r / ln(1 - P)) is
-    geometric, the number of rounds before a first selection, and G < R
-    exactly when r > 1 - P, so G, clamped to R - 1 against rounding, has the
-    law of the first round given that some round selects the state.
+    which never rounds to 0, so a state with P = 1 (g = 0) is always in
+    it.  The pass goes in blocks of ``_DRAW_BLOCK`` states through
+    block-sized buffers, so nothing of size N is allocated; the blocks
+    take the bytes of one N-byte draw (full-range 64-bit integers from the
+    generator, read little-endian, 8 blocks' worth a call), so the support
+    does not depend on the block size.
     """
     probs = policy.probabilities
     if rounds == 0:
@@ -695,17 +700,21 @@ def _draw_support(
     np.subtract(1.0, rest, out=rest)
     rest += 255 - np.concatenate(digits)
     rest *= 1.0 / 256.0  # now 1 - U, in (0, 1]
-    rest **= 1.0 / rounds  # numpy takes sqrt for R = 2
-    p = probs[candidates]
-    keep = rest > 1.0 - p
-    p, rest = p[keep], rest[keep]
     np.log(rest, out=rest)
-    rest *= rounds
-    with np.errstate(divide="ignore"):  # log1p(-1) for P = 1, which gives round 0
-        rest /= np.log1p(-p)
+    # ln(1 - P) in one buffer (a chain of temporaries here cost perfbench's
+    # optimize-dynamic 4% of its requests/s), dropped with the rejected g
+    # before the results are made, for a lower memory peak
+    scale = probs[candidates]
+    np.negative(scale, out=scale)
+    with np.errstate(divide="ignore"):  # log1p(-1) for P = 1, which gives g = 0
+        np.log1p(scale, out=scale)
+    rest /= scale  # now g
+    del scale
+    keep = rest < rounds
+    rest = rest[keep]
     np.floor(rest, out=rest)
-    np.minimum(rest, rounds - 1, out=rest)
-    return candidates[keep], p, rest.astype(np.int64)
+    idx = candidates[keep]
+    return idx, probs[idx], rest.astype(np.int64)
 
 
 def gain_bound(n_states: int, n_selected: int) -> float:
@@ -720,15 +729,27 @@ def gain_bound(n_states: int, n_selected: int) -> float:
     return (n_selected / (n_states - n_selected)) * ratio * ratio
 
 
-def _model_rounds(m1: float, m2: float, n_states: float):
-    """The moment model's (bulk, offset, spread) after rounds 1, 2, ... (endless).
+def _model_horizon(m2: float, n_states: float) -> int:
+    """R_2 = floor((pi/8) sqrt(N / max(1, M_2))), about a quarter turn of a run."""
+    return math.floor((math.pi / 8.0) * math.sqrt(n_states / max(1.0, m2)))
 
-    An amplitude of selection probability P has mean bulk + P offset and
-    variance P (1 - P) spread, so the expected group sums are
-    sum_sel = bulk m1 + offset m2 and sum_all = N bulk + offset m1.
+
+def _predicted_masses(m1: float, m2: float, n_states: float, watched):
+    """The moment model's watched mass after rounds 1, 2, ..., 8 R_2 + 8 under
+    a policy of moments M_1 = ``m1`` and M_2 = ``m2``.
+
+    After rounds of selected shifts summing to A, unselected ones summing to
+    B and squared differences summing to D, an amplitude of selection
+    probability P has mean bulk + P offset (bulk = u + B for the uniform
+    amplitude u, offset = A - B) and variance P (1 - P) D.  So the expected
+    group sums are sum_sel = bulk M_1 + offset M_2 and sum_all = N bulk +
+    offset M_1, and the mass along ``watched`` moments W_0..W_2 (see
+    :meth:`SelectionPolicy.moments`) is bulk (bulk W_0 + 2 offset W_1) +
+    offset**2 W_2 + D (W_1 - W_2).
     """
+    w0, w1, w2 = watched
     bulk, offset, spread = 1.0 / math.sqrt(n_states), 0.0, 0.0
-    while True:
+    for _ in range(8 * _model_horizon(m2, n_states) + 8):
         sum_sel = bulk * m1 + offset * m2
         shift_sel, shift_unsel = doubling_shifts(
             sum_sel, n_states * bulk + offset * m1 - sum_sel, m1, n_states
@@ -737,12 +758,7 @@ def _model_rounds(m1: float, m2: float, n_states: float):
         bulk += shift_unsel
         offset += moved
         spread += moved * moved
-        yield bulk, offset, spread
-
-
-def _model_horizon(m2: float, n_states: float) -> int:
-    """R_2 = floor((pi/8) sqrt(N / max(1, M_2))), about a quarter turn of a run."""
-    return math.floor((math.pi / 8.0) * math.sqrt(n_states / max(1.0, m2)))
+        yield bulk * (bulk * w0 + 2.0 * offset * w1) + offset * offset * w2 + spread * (w1 - w2)
 
 
 def planned_rounds(policy: SelectionPolicy) -> int:
@@ -750,16 +766,13 @@ def planned_rounds(policy: SelectionPolicy) -> int:
 
     A mask never depends on the amplitudes, and a doubled round adds one
     shift to every selected amplitude and another to every unselected one
-    (:func:`doubling_shifts`).  After rounds with selected
-    shifts summing to A, unselected shifts summing to B and squared
-    differences summing to D, a state of selection probability P has
-    amplitude mean u + B + P (A - B) and variance P (1 - P) D, u the
-    uniform amplitude.  Taking each round's shifts from the expected group
-    sums, the predicted policy mass, the sum over x of P(x) a(x)**2,
-    needs only the moments M_j = sum over x of P(x)**j for j = 1..3
-    (:meth:`SelectionPolicy.moments`), so a predicted round is O(1) float
-    work.  For a 0/1 table of M states the model is exact: the first round
-    at which sin**2((4r + 1) theta), sin theta = sqrt(M / N), stops rising.
+    (:func:`doubling_shifts`).  Taking each round's shifts from the
+    expected group sums, the predicted policy mass, the sum over x of
+    P(x) a(x)**2, needs only the policy's moments M_1..M_3
+    (``policy.moments()``), so a predicted round is O(1) float work
+    (:func:`_predicted_masses`).  For a 0/1 table of M states the model is
+    exact: the first round at which sin**2((4r + 1) theta),
+    sin theta = sqrt(M / N), stops rising.
 
     Returns the first round after which the predicted mass falls (0 when
     the first round already lowers it).  A run turns by about
@@ -768,33 +781,25 @@ def planned_rounds(policy: SelectionPolicy) -> int:
     falls back to ``2 * R_2 + 8``, so a policy that barely selects anything
     runs no longer than that.
     """
-    m1, m2, m3 = policy.moments()
+    m1, m2, _ = moments = policy.moments()
     n_states = float(1 << policy.n)
-    r2 = _model_horizon(m2, n_states)
     bulk = 1.0 / math.sqrt(n_states)
     mass = bulk * bulk * m1
-    for done, (bulk, offset, spread) in zip(range(8 * r2 + 8), _model_rounds(m1, m2, n_states)):
-        after = bulk * (bulk * m1 + 2.0 * offset * m2) + offset * offset * m3 + spread * (m2 - m3)
+    for done, after in enumerate(_predicted_masses(m1, m2, n_states, moments)):
         if after < mass:
             return done
         mass = after
-    return 2 * r2 + 8
+    return 2 * _model_horizon(m2, n_states) + 8
 
 
-def predicted_crossing(policy: SelectionPolicy, watched_moments, level: float) -> int | None:
+def predicted_crossing(policy: SelectionPolicy, watch: SelectionPolicy, level: float) -> int | None:
     """The first round after which the model of :func:`planned_rounds` puts
-    more than ``level`` of a watched policy's mass on a run under ``policy``,
-    or None when it puts none within that search bound, ``8 * R_2 + 8``.
-
-    For watched probabilities w, the mass sum over x of w(x) a(x)**2 needs
-    ``watched_moments``, W_j = sum over x of w(x) P(x)**j for j = 0, 1, 2.
-    """
-    w0, w1, w2 = (float(w) for w in watched_moments)
+    more than ``level`` of the mass of ``watch`` (from ``policy.moments(watch)``)
+    on a run under ``policy``, or None when it puts none within that search
+    bound, ``8 * R_2 + 8``."""
     m1, m2, _ = policy.moments()
     n_states = float(1 << policy.n)
-    r2 = _model_horizon(m2, n_states)
-    for done, (bulk, offset, spread) in zip(range(1, 8 * r2 + 9), _model_rounds(m1, m2, n_states)):
-        mass = bulk * (bulk * w0 + 2.0 * offset * w1) + offset * offset * w2 + spread * (w1 - w2)
+    for done, mass in enumerate(_predicted_masses(m1, m2, n_states, policy.moments(watch)), 1):
         if mass > level:
             return done
     return None

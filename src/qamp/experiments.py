@@ -172,11 +172,7 @@ def experiment_steps(config: ExperimentConfig) -> StepsOutcome:
         ball, size, params = _ball(config, n)
         static_steps = optimal_iterations(1 << n, size)
         policy = similarity_policy(SimilaritySpec(n, config.reference), params)
-        # the watched moments W_j = sum over x of w(x) P(x)**j, j = 0..2, by class
-        watched = policy.class_sizes * ball.class_probabilities
-        crossing = predicted_crossing(
-            policy, watched @ np.vander(policy.class_probabilities, 3, increasing=True), 0.5
-        )
+        crossing = predicted_crossing(policy, ball, 0.5)
         cap = 2 * planned_rounds(policy) + 8 if crossing is None else math.ceil(1.25 * crossing) + 8
 
         dyn_rounds = np.empty(config.seeds)

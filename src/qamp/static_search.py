@@ -29,12 +29,13 @@ class SearchResult:
 
     ``outcome`` is None when the unknown-count schedule exhausted its budget
     without sampling a marked state (the "likely no solutions" signal).
+    ``success_probability`` is :func:`marked_probability` after the
+    iterations of the run (of its last attempt, for the unknown count).
     """
 
     outcome: int | None
     iterations_used: int
     success_probability: float
-    trajectory: tuple[float, ...] | None = None
 
     @property
     def found(self) -> bool:
@@ -82,28 +83,23 @@ class _Rotation:
         )
 
 
-def search(
-    n: int, marked: np.ndarray, rng: np.random.Generator, record_trajectory: bool = False
-) -> SearchResult:
+def search(n: int, marked: np.ndarray, rng: np.random.Generator) -> SearchResult:
     """Run the fixed-count schedule for the marked states and sample the result.
 
     When more than half the space is marked, uniform sampling already
     succeeds with probability > 1/2, so zero iterations are used (the
-    schedule past that point can only hurt).
+    schedule past that point can only hurt).  After k of the iterations
+    the marked probability is ``marked_probability(N, M, k)``.
     """
     rotation = _Rotation(n, marked)
     n_states, n_marked = rotation.n_states, rotation.marked.size
     if n_marked == 0:
         raise NoSolutionError("cannot search for solutions: marked set is empty")
     iterations = 0 if 2 * n_marked > n_states else optimal_iterations(n_states, n_marked)
-    trajectory = None
-    if record_trajectory:
-        trajectory = tuple(marked_probability(n_states, n_marked, k + 1) for k in range(iterations))
     return SearchResult(
         outcome=sample(rotation.state_after(iterations), rng),
         iterations_used=iterations,
         success_probability=marked_probability(n_states, n_marked, iterations),
-        trajectory=trajectory,
     )
 
 

@@ -142,7 +142,7 @@ def test_benchmark_smoke(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     for bench in ("grover_step", "dynamic_round", "class_setup", "table_policy", "support_draw",
-                  "table_draw", "table_moments", "whole_run"):
+                  "table_draw", "table_moments", "plan", "whole_run"):
         assert bench in proc.stdout, bench
     written = json.loads(out.read_text(encoding="utf-8"))
     assert {"python", "numpy", "kernel_backend", "nproc", "cpu", "commit"} <= set(
@@ -160,3 +160,8 @@ def test_benchmark_smoke(tmp_path):
             (n, kind) for n in (14, 18) for kind in ("normal", "ties")
         }, bench
         assert all(row[timed] > 0.0 for row in rows), bench
+    plans = written["benches"]["plan"]
+    assert [(row["case"], row["n"], row["m"]) for row in plans] == [
+        ("recommend", 16, 5), ("recommend", 30, 1), ("table", 18, None), ("crossing", 14, None)
+    ]
+    assert all(row["plan"] > 0.0 and row["rounds"] >= 1 for row in plans)

@@ -656,6 +656,61 @@ def test_table_moments_allocate_nothing_per_state():
     np.testing.assert_allclose(moments, want, rtol=1e-12, atol=0)
 
 
+@pytest.mark.parametrize("form", ["table", "class", "catalog"])
+@pytest.mark.parametrize("n", [2, 7, 10])
+def test_moments_are_weighted_sums_over_all_states(n, form):
+    """W_j = sum over x of v(x) P(x)**j for j = 0..2, v the selection
+    probabilities of the weights (by default of the policy itself), equals
+    the sum over all states of ``probabilities_at``: for the policy, for
+    another policy of its form and for a 0/1 one."""
+    rng = np.random.default_rng([n, len(form)])
+    reference, states = (1 << n) // 3, np.arange(1 << n)
+    classes = similarity_classes(n, reference, states)
+
+    def policy_of(per_class, per_state):
+        if form == "table":
+            return SelectionPolicy.probabilistic(n, per_state)
+        catalog = np.arange(1, 1 << n, 3) if form == "catalog" else None
+        return SelectionPolicy.by_similarity(n, reference, per_class, catalog)
+
+    policy = policy_of(rng.random(n + 1) ** 2, rng.random(1 << n) ** 2)
+    probs = policy.probabilities_at(states)
+    for weights in (
+        None,
+        policy,
+        policy_of(rng.random(n + 1), rng.random(1 << n)),
+        policy_of(np.arange(n + 1) >= n - 1, classes >= n - 1),
+    ):
+        v = probs if weights is None else weights.probabilities_at(states)
+        want = [float(np.sum(v * probs**j)) for j in range(3)]
+        np.testing.assert_allclose(policy.moments(weights), want, rtol=1e-12, atol=0)
+
+
+def test_moments_of_weights_of_another_form_rejected():
+    # the weights must list the states as the policy does: same n and form,
+    # and for classes the same reference and catalog (equal, not the same array)
+    n, probs, catalog = 6, np.full(7, 0.25), np.arange(0, 64, 3)
+    table = SelectionPolicy.probabilistic(n, np.full(64, 0.25))
+    by_class = SelectionPolicy.by_similarity(n, 5, probs)
+    in_catalog = SelectionPolicy.by_similarity(n, 5, probs, catalog)
+    for policy, weights in [
+        (table, by_class),
+        (by_class, table),
+        (table, SelectionPolicy.probabilistic(n + 1, np.full(128, 0.25))),
+        (by_class, SelectionPolicy.by_similarity(n + 1, 5, np.full(8, 0.25))),
+        (by_class, SelectionPolicy.by_similarity(n, 4, probs)),
+        (by_class, in_catalog),
+        (in_catalog, by_class),
+        (in_catalog, SelectionPolicy.by_similarity(n, 5, probs, catalog[1:])),
+    ]:
+        with pytest.raises(ValueError, match="weights must be a policy of the same form"):
+            policy.moments(weights)
+    with pytest.raises(ValueError, match="weights must be a policy of the same form"):
+        predicted_crossing(by_class, table, 0.5)
+    same = SelectionPolicy.by_similarity(n, 5, np.ones(7), catalog.copy())
+    assert in_catalog.moments(same) == [float(catalog.size) * 0.25**j for j in range(3)]
+
+
 @pytest.mark.parametrize("n", range(12, 21))
 def test_predicted_crossing_is_the_engine_median(n):
     """experiment steps' default case: under the similarity policy
@@ -666,10 +721,7 @@ def test_predicted_crossing_is_the_engine_median(n):
     as never)."""
     policy = similarity_policy(SimilaritySpec(n, 0), calibrate_beta(n, n + 1.0))
     ball = SelectionPolicy.by_similarity(n, 0, (np.arange(n + 1) >= n - 1) * 1.0)
-    inside = ball.class_probabilities == 1.0
-    sizes, probs = policy.class_sizes[inside], policy.class_probabilities[inside]
-    watched_moments = [float(sizes @ probs**j) for j in range(3)]
-    crossing = predicted_crossing(policy, watched_moments, 0.5)
+    crossing = predicted_crossing(policy, ball, 0.5)
     assert crossing is not None
     firsts = []
     for seed in range(40):
@@ -686,8 +738,8 @@ def test_predicted_crossing_of_a_fixed_mask_is_the_rotation():
     policy = SelectionPolicy.probabilistic(6, np.arange(64) == 5)
     theta = math.asin(1 / 8)
     first = next(r for r in itertools.count(1) if math.sin((4 * r + 1) * theta) ** 2 > 0.5)
-    assert predicted_crossing(policy, [1.0, 1.0, 1.0], 0.5) == first == 2
-    assert predicted_crossing(policy, [1.0, 1.0, 1.0], 1.0) is None
+    assert predicted_crossing(policy, policy, 0.5) == first == 2
+    assert predicted_crossing(policy, policy, 1.0) is None
 
 
 @pytest.mark.parametrize("with_catalog", [False, True, pytest.param(None, id="table")])

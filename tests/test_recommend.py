@@ -127,7 +127,7 @@ class TestSelectionProbability:
         assert np.all(np.isfinite(probs))
         assert probs[-1] >= 1.0 - 2.0**-n and probs[0] <= 2.0**-n
         assert np.all(np.diff(probs) >= 0)
-        assert similarity_policy(SimilaritySpec(n, 0), params).expected_selected() >= 1.0
+        assert similarity_policy(SimilaritySpec(n, 0), params).moments()[0] >= 1.0
 
     @pytest.mark.parametrize("n", [8, 20, 30])
     def test_steepest_explicit_beta_keeps_the_top_limit(self, n):

@@ -21,7 +21,7 @@ from qamp import (
 )
 from qamp.backend import sample_dense
 from qamp.cli import main
-from qamp.static_search import _Rotation
+from qamp.static_search import _Rotation, marked_probability
 
 
 def closed_form(n_states, n_marked, k):
@@ -147,10 +147,14 @@ class TestSearch:
         assert hits / 200 >= 0.99
 
     def test_trajectory_recording(self):
-        rng = np.random.default_rng(4)
-        result = search(6, np.array([9]), rng, record_trajectory=True)
-        assert len(result.trajectory) == result.iterations_used
-        assert result.trajectory[-1] == pytest.approx(result.success_probability)
+        # the schedule's marked probability after each iteration k is
+        # marked_probability(N, M, k), what the literal steps give
+        result = search(6, np.array([9]), np.random.default_rng(4))
+        k = result.iterations_used
+        _, marked_probs = literal_steps(6, np.arange(64) == 9, k)
+        trajectory = [marked_probability(64, 1, i) for i in range(1, k + 1)]
+        np.testing.assert_allclose(trajectory, marked_probs, rtol=0, atol=1e-12)
+        assert trajectory[-1] == pytest.approx(result.success_probability)
 
     def test_monotone_growth_below_optimum(self):
         mask = SelectionMask.from_indices(10, [0])
@@ -300,13 +304,11 @@ def test_closed_form_matches_literal_steps(n, seed, fraction):
         k = 0 if 2 * n_marked > n_states else k
         state, marked_probs = literal_steps(n, selected, k)
         want = sample_dense(state, np.random.default_rng(seed))
-        got = search(
-            n, np.flatnonzero(selected), np.random.default_rng(seed), record_trajectory=True
-        )
+        got = search(n, np.flatnonzero(selected), np.random.default_rng(seed))
         assert (got.outcome, got.iterations_used, got.found) == (want, k, True)
         assert abs(got.success_probability - probability_of(state, mask)) <= 1e-12
-        assert len(got.trajectory) == k
-        np.testing.assert_allclose(got.trajectory, marked_probs, rtol=0, atol=1e-12)
+        trajectory = [marked_probability(n_states, n_marked, i) for i in range(1, k + 1)]
+        np.testing.assert_allclose(trajectory, marked_probs, rtol=0, atol=1e-12)
 
     rng = np.random.default_rng(seed)
     budget, total, attempt, want = math.ceil(3 * math.sqrt(n_states)), 0, 0, None
